@@ -65,9 +65,7 @@ from .sct_engine import (
 from .sup_solver import (
     CovariateBox,
     QuadraticRatio,
-    sup_box,
-    sup_interval,
-    sup_unbounded,
+    sup_ratio,
 )
 from .tube_geometry import (
     SignificanceRegion,
@@ -134,9 +132,7 @@ __all__ = [
     "run_compare",
     "significance_region",
     "simulate_pivot",
-    "sup_box",
-    "sup_interval",
-    "sup_unbounded",
+    "sup_ratio",
     "validate_dataset",
     "write_csv",
 ]

@@ -8,19 +8,17 @@ d x m standard normal matrix (d = p+1 for two samples, (k-1)(p+1) for
 k samples) and W an identity-scale Wishart with the pooled degrees of
 freedom, regardless of the designs.
 
-The F quantile here is inverted from the regularized incomplete beta
-CDF directly, to ten decimals in probability, so the package carries
-no dependency on a distributions library for its reported constants.
+The F quantile comes from ``scipy.special.fdtri``, the inverse of the
+F distribution function.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.special import betainc, betaln
+from scipy.special import fdtri
 
 from .errors import NotTwoGroups, TooFewReplicates
 from .model_core import FittedModels
@@ -43,6 +41,27 @@ class RoyResult:
     null_dimension: int
 
 
+def _lam_max_gram(v: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue of V'V (equivalently VV') for stacked V.
+
+    Forms the smaller-side Gram matrix; its nonzero spectrum matches
+    the other side's. Sizes 1 and 2 use closed forms.
+    """
+    _, rows, cols = v.shape
+    if rows <= cols:
+        s = v @ v.transpose(0, 2, 1)
+    else:
+        s = v.transpose(0, 2, 1) @ v
+    side = s.shape[1]
+    if side == 1:
+        return s[:, 0, 0]
+    if side == 2:
+        tr = s[:, 0, 0] + s[:, 1, 1]
+        det = s[:, 0, 0] * s[:, 1, 1] - s[:, 0, 1] * s[:, 1, 0]
+        return 0.5 * (tr + np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0)))
+    return np.linalg.eigvalsh(s)[:, -1]
+
+
 def largest_root_null_sample(d: int, m: int, nu: int, r: int,
                              seed: int) -> np.ndarray:
     """Sorted replicates of the largest eigenvalue of Z W^{-1} Z'.
@@ -61,20 +80,7 @@ def largest_root_null_sample(d: int, m: int, nu: int, r: int,
         lw = wishart_factor_block(m, nu, StreamKey(seed, pos, 0), _BLOCK)[:count]
         z = normal_block(d, m, StreamKey(seed, pos, 1), _BLOCK)[:count]
         v = np.linalg.solve(lw, z.transpose(0, 2, 1))
-        if m <= d:
-            s = v @ v.transpose(0, 2, 1)
-        else:
-            s = v.transpose(0, 2, 1) @ v
-        side = s.shape[1]
-        if side == 1:
-            lam = s[:, 0, 0]
-        elif side == 2:
-            tr = s[:, 0, 0] + s[:, 1, 1]
-            det = s[:, 0, 0] * s[:, 1, 1] - s[:, 0, 1] * s[:, 1, 0]
-            lam = 0.5 * (tr + np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0)))
-        else:
-            lam = np.linalg.eigvalsh(s)[:, -1]
-        out[pos:pos + count] = lam
+        out[pos:pos + count] = _lam_max_gram(v)
         pos += count
     out.sort()
     return out
@@ -150,51 +156,13 @@ def roy_k_sample(fit: FittedModels, alpha: float, r: int,
     return _finish(statistic, null, alpha, r, seed, d)
 
 
-def _f_cdf(x: float, d1: float, d2: float) -> float:
-    if x <= 0.0:
-        return 0.0
-    return float(betainc(d1 / 2.0, d2 / 2.0, d1 * x / (d1 * x + d2)))
-
-
-def _f_logpdf(x: float, d1: float, d2: float) -> float:
-    return (0.5 * d1 * math.log(d1 / d2) + (0.5 * d1 - 1.0) * math.log(x)
-            - 0.5 * (d1 + d2) * math.log1p(d1 * x / d2)
-            - float(betaln(d1 / 2.0, d2 / 2.0)))
-
-
 def f_quantile(d1: int, d2: int, prob: float) -> float:
-    """Quantile of the F distribution by inverting the beta CDF.
-
-    Newton iteration on the CDF with a maintained bracket and bisection
-    fallback; converges to within 1e-10 in probability.
-    """
+    """Quantile of the F distribution with (d1, d2) degrees of freedom."""
     if d1 < 1 or d2 < 1:
         raise ValueError(f"degrees of freedom must be positive, got ({d1}, {d2})")
     if not 0.0 < prob < 1.0:
         raise ValueError(f"prob must be in (0, 1), got {prob}")
-
-    lo, hi = 0.0, 1.0
-    while _f_cdf(hi, d1, d2) < prob:
-        lo = hi
-        hi *= 2.0
-        if hi > 1e300:
-            raise ArithmeticError("F quantile bracket diverged")
-
-    x = 0.5 * (lo + hi)
-    for _ in range(200):
-        fx = _f_cdf(x, d1, d2) - prob
-        if abs(fx) <= 1e-10:
-            break
-        if fx > 0.0:
-            hi = x
-        else:
-            lo = x
-        step_ok = x > 0.0
-        if step_ok:
-            nx = x - fx * math.exp(-_f_logpdf(x, d1, d2))
-            step_ok = lo < nx < hi
-        x = nx if step_ok else 0.5 * (lo + hi)
-    return x
+    return float(fdtri(d1, d2, prob))
 
 
 def pointwise_constant(m: int, nu: int, alpha: float) -> float:

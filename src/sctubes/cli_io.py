@@ -380,7 +380,7 @@ def run_compare(config: RunConfig, data: GroupedDataset) -> int:
     box = _box_for(config, fit.p)
     report = sct_engine.compare(
         fit, family, box, config.alpha, config.reps, config.seed,
-        workers=config.workers, region_resolution=config.grid)
+        workers=config.workers)
     print(_human_compare(report))
     _emit(report_dict(report), config.out)
     return 0
@@ -622,7 +622,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--range", dest="range_text", default=None,
                         help="covariate box a:b[,a:b...]; default whole space")
     common.add_argument("--grid", type=int, default=201,
-                        help="grid resolution for regions and tube export")
+                        help="grid resolution for tube export")
     common.add_argument("--workers", type=int, default=1,
                         help="simulation threads (results identical for any value)")
     common.add_argument("--out", default=None,

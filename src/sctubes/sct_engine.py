@@ -10,6 +10,14 @@ cross-product inverses and the pooled degrees of freedom, never on the
 fitted coefficients, which is what makes one simulated sample reusable
 for every pair's p-value.
 
+Simulated and observed statistics go through the same exact solver,
+face enumeration of the covariate box (``sup_solver.FacePlan``), for
+every region: a point, a finite box, or the whole space. Per pair the
+face constants and D's Cholesky factor are prepared once; each block of
+replicates then costs one batched whitening solve plus closed forms
+(or, for faces with two or more free coordinates, one batched
+eigendecomposition) over the whole block.
+
 Replicate j of a run is a pure function of (seed, j). Draws are made in
 fixed blocks of 8192 replicates; the block holding replicate j is keyed
 by the block's first index, full blocks are always drawn even when r
@@ -28,13 +36,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.stats import binom
+from scipy.special import bdtr, bdtrik
 
 from .errors import EmptyFamily, MetaMismatch, TooFewReplicates
 from .model_core import FittedModels
 from .rand_engine import StreamKey, normal_block, wishart_factor_block
-from .sup_solver import CovariateBox, QuadraticRatio, sup_box, sup_interval, \
-    sup_unbounded, unbounded_argmax
+from .sup_solver import CovariateBox, FacePlan, QuadraticRatio, sup_ratio
 
 _BLOCK = 8192
 
@@ -159,10 +166,30 @@ def quantile_rank(r: int, alpha: float) -> int:
     return min(max(rank, 1), r)
 
 
+def _binom_ppf(q: float, r: int, prob: float) -> int:
+    """Smallest k with P(Binomial(r, prob) <= k) >= q.
+
+    Rounds up the continuous inverse of the binomial CDF, then steps
+    down once if the rank below already reaches q. A q lying exactly on
+    a CDF value can land one rank high through rounding; the tail
+    probabilities asked for here are not such values.
+    """
+    k = math.ceil(bdtrik(q, r, prob))
+    if k >= 1 and bdtr(k - 1, r, prob) >= q:
+        k -= 1
+    return k
+
+
 # --- simulation kernel --------------------------------------------------
 
 class _SimPlan:
-    """Design-dependent constants hoisted out of the replicate loop."""
+    """Design-dependent constants hoisted out of the replicate loop.
+
+    Per pair, the face plan of its denominator D = (X_i'X_i)^{-1} +
+    (X_j'X_j)^{-1} over the box, and the group factors with D's Cholesky
+    factor L folded in: with G G' = (X'X)^{-1}, the simulated numerator
+    comes out already folded as L^{-1} A L^{-T}.
+    """
 
     def __init__(self, fit: FittedModels, family: ComparisonFamily,
                  box: CovariateBox):
@@ -170,113 +197,15 @@ class _SimPlan:
         if box.p != fit.p:
             raise ValueError(f"box has p = {box.p}, fit has p = {fit.p}")
         self.nu, self.m, self.p = fit.nu, fit.m, fit.p
-        self.pairs0 = [(i - 1, j - 1) for i, j in family.pairs]
-        self.needed = sorted({g for pair in self.pairs0 for g in pair})
-        # Lower factors of the cross-product inverses: G G' = (X'X)^{-1}.
+        pairs0 = [(i - 1, j - 1) for i, j in family.pairs]
+        self.needed = sorted({g for pair in pairs0 for g in pair})
         gfac = {g: np.linalg.cholesky(fit.gram_inv[g]) for g in self.needed}
-        self.box = box
-
-        if box.is_whole_space:
-            self.mode = "whole"
-            # Per pair, fold the denominator into the numerator factors:
-            # with D = L L', the supremum is the largest eigenvalue of
-            # (L^{-1} M) W^{-1} (L^{-1} M)'.
-            self.pair_ops = []
-            for i, j in self.pairs0:
-                ld = np.linalg.cholesky(fit.gram_inv[i] + fit.gram_inv[j])
-                pi = scipy.linalg.solve_triangular(ld, gfac[i], lower=True)
-                pj = scipy.linalg.solve_triangular(ld, gfac[j], lower=True)
-                self.pair_ops.append((i, j, pi, pj))
-        elif box.is_point:
-            self.mode = "point"
-            e = np.concatenate(([1.0], box.corner_point()))
-            self.pair_ops = []
-            for i, j in self.pairs0:
-                den = float(e @ (fit.gram_inv[i] + fit.gram_inv[j]) @ e)
-                self.pair_ops.append((i, j, gfac[i].T @ e, gfac[j].T @ e, den))
-        elif box.is_finite and fit.p == 1:
-            self.mode = "interval"
-            self.low, self.high = box.bounds[0]
-            self.pair_ops = []
-            for i, j in self.pairs0:
-                d = fit.gram_inv[i] + fit.gram_inv[j]
-                dc = (d[0, 0], 2.0 * d[0, 1], d[1, 1])
-                self.pair_ops.append((i, j, gfac[i], gfac[j], dc))
-        elif box.is_finite:
-            self.mode = "box"
-            self.pair_ops = [(i, j, gfac[i], gfac[j],
-                              fit.gram_inv[i] + fit.gram_inv[j])
-                             for i, j in self.pairs0]
-        else:
-            # Mixed finite/infinite bounds have no solver.
-            raise ValueError(
-                "box must be a point, finite, or the whole space; "
-                f"got bounds {box.bounds}")
-
-
-def _lam_max_gram(v: np.ndarray) -> np.ndarray:
-    """Largest eigenvalue of V'V (equivalently VV') for stacked V.
-
-    Forms the smaller-side Gram matrix; its nonzero spectrum matches
-    the other side's. Sizes 1 and 2 use closed forms.
-    """
-    b, rows, cols = v.shape
-    if rows <= cols:
-        s = v @ v.transpose(0, 2, 1)
-    else:
-        s = v.transpose(0, 2, 1) @ v
-    side = s.shape[1]
-    if side == 1:
-        return s[:, 0, 0].copy()
-    if side == 2:
-        tr = s[:, 0, 0] + s[:, 1, 1]
-        det = s[:, 0, 0] * s[:, 1, 1] - s[:, 0, 1] * s[:, 1, 0]
-        return 0.5 * (tr + np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0)))
-    return np.linalg.eigvalsh(s)[:, -1]
-
-
-def _interval_sup_vec(a_mats: np.ndarray, dc: tuple[float, float, float],
-                      low: float, high: float) -> np.ndarray:
-    """Vectorized exact interval supremum for stacked 2x2 numerators.
-
-    Same stationary-point construction as sup_interval: the cubic
-    coefficient cancels identically, leaving a quadratic whose real
-    interior roots join the endpoints as candidates.
-    """
-    n0 = a_mats[:, 0, 0]
-    n1 = 2.0 * a_mats[:, 0, 1]
-    n2 = a_mats[:, 1, 1]
-    d0, d1, d2 = dc
-
-    def ratio(t):
-        return (n0 + t * (n1 + t * n2)) / (d0 + t * (d1 + t * d2))
-
-    best = ratio(low)
-    if high > low:
-        np.maximum(best, ratio(high), out=best)
-
-        c2 = n2 * d1 - n1 * d2
-        c1 = 2.0 * (n2 * d0 - n0 * d2)
-        c0 = n1 * d0 - n0 * d1
-        scale = np.maximum(np.abs(c2), np.maximum(np.abs(c1), np.abs(c0)))
-        tol = 1e-12 * scale
-        quad = np.abs(c2) > tol
-        lin = ~quad & (np.abs(c1) > tol)
-        with np.errstate(all="ignore"):
-            disc = c1 * c1 - 4.0 * c2 * c0
-            root = np.sqrt(np.maximum(disc, 0.0))
-            den = np.where(quad, 2.0 * c2, 1.0)
-            for t in ((-c1 + root) / den, (-c1 - root) / den):
-                ok = quad & (disc >= 0.0) & (t > low) & (t < high)
-                if ok.any():
-                    val = ratio(np.where(ok, t, low))
-                    np.maximum(best, np.where(ok, val, -np.inf), out=best)
-            tlin = -c0 / np.where(lin, c1, 1.0)
-            ok = lin & (tlin > low) & (tlin < high)
-            if ok.any():
-                val = ratio(np.where(ok, tlin, low))
-                np.maximum(best, np.where(ok, val, -np.inf), out=best)
-    return best
+        self.pair_ops = []
+        for i, j in pairs0:
+            plan = FacePlan(fit.gram_inv[i] + fit.gram_inv[j], box)
+            pi = scipy.linalg.solve_triangular(plan.lower, gfac[i], lower=True)
+            pj = scipy.linalg.solve_triangular(plan.lower, gfac[j], lower=True)
+            self.pair_ops.append((i, j, pi, pj, plan))
 
 
 def _block_values(plan: _SimPlan, seed: int, start: int, count: int) -> np.ndarray:
@@ -294,39 +223,12 @@ def _block_values(plan: _SimPlan, seed: int, start: int, count: int) -> np.ndarr
     }
 
     out = np.full(count, -np.inf)
-    if plan.mode == "point":
-        for i, j, wi, wj, den in plan.pair_ops:
-            z = np.einsum("i,bim->bm", wi, us[i]) - np.einsum(
-                "i,bim->bm", wj, us[j])
-            v = np.linalg.solve(lw, z[:, :, None])
-            np.maximum(out, (v[:, :, 0] ** 2).sum(axis=1) / den, out=out)
-        return out
-
-    if plan.mode == "whole":
-        for i, j, pi, pj, in plan.pair_ops:
-            mt = pi @ us[i] - pj @ us[j]
-            v = np.linalg.solve(lw, mt.transpose(0, 2, 1))
-            np.maximum(out, _lam_max_gram(v), out=out)
-        return out
-
-    if plan.mode == "interval":
-        for i, j, gi, gj, dc in plan.pair_ops:
-            mt = gi @ us[i] - gj @ us[j]
-            v = np.linalg.solve(lw, mt.transpose(0, 2, 1))
-            a = np.einsum("bki,bkj->bij", v, v)
-            np.maximum(out, _interval_sup_vec(a, dc, plan.low, plan.high),
-                       out=out)
-        return out
-
-    # box mode: exact vector draws, per-replicate numeric maximization
-    for i, j, gi, gj, d in plan.pair_ops:
-        mt = gi @ us[i] - gj @ us[j]
+    for i, j, pi, pj, faces in plan.pair_ops:
+        mt = pi @ us[i] - pj @ us[j]
         v = np.linalg.solve(lw, mt.transpose(0, 2, 1))
-        a = np.einsum("bki,bkj->bij", v, v)
-        for b in range(count):
-            val, _ = sup_box(QuadraticRatio(a[b], d), plan.box)
-            if val > out[b]:
-                out[b] = val
+        # Replicates last: v'v per replicate as (p+1, p+1, count).
+        vt = np.ascontiguousarray(v.transpose(1, 2, 0))
+        np.maximum(out, faces.sup(np.einsum("kib,kjb->ijb", vt, vt)), out=out)
     return out
 
 
@@ -390,8 +292,8 @@ def critical_constant(sample: SimulatedSample, alpha: float) -> CriticalConstant
     c_hat = float(sample.values[rank - 1])
 
     prob = 1.0 - alpha
-    lo_rank = int(binom.ppf(0.005, r, prob))
-    hi_rank = int(binom.ppf(0.995, r, prob)) + 1
+    lo_rank = _binom_ppf(0.005, r, prob)
+    hi_rank = _binom_ppf(0.995, r, prob) + 1
     lo_rank = min(max(lo_rank, 1), r)
     hi_rank = min(max(hi_rank, 1), r)
     interval = (float(sample.values[lo_rank - 1]), float(sample.values[hi_rank - 1]))
@@ -420,22 +322,7 @@ def observed_statistic(fit: FittedModels, pair: tuple[int, int],
     i, j = pair
     db = fit.coef_difference(i, j)
     v = scipy.linalg.solve_triangular(lfac, db.T, lower=True)
-    q = QuadraticRatio(v.T @ v, fit.delta(i, j))
-
-    if box.p != fit.p:
-        raise ValueError(f"box has p = {box.p}, fit has p = {fit.p}")
-    if box.is_whole_space:
-        return sup_unbounded(q), unbounded_argmax(q)
-    if box.is_point:
-        x = box.corner_point()
-        return q.value_at(x), x
-    if box.is_finite:
-        if fit.p == 1:
-            val, t = sup_interval(q, box.bounds[0][0], box.bounds[0][1])
-            return val, np.array([t])
-        return sup_box(q, box)
-    raise ValueError(
-        f"box must be a point, finite, or the whole space; got {box.bounds}")
+    return sup_ratio(QuadraticRatio(v.T @ v, fit.delta(i, j)), box)
 
 
 def _check_meta(fit: FittedModels, family: ComparisonFamily,
@@ -449,6 +336,12 @@ def _check_meta(fit: FittedModels, family: ComparisonFamily,
             "fit/family/region combination")
 
 
+def _p_value(sample: SimulatedSample, statistic: float) -> float:
+    """Fraction of the simulated replicates strictly above the statistic."""
+    idx = int(np.searchsorted(sample.values, statistic, side="right"))
+    return (sample.r - idx) / sample.r
+
+
 def adjusted_p_values(fit: FittedModels, family: ComparisonFamily,
                       box: CovariateBox, sample: SimulatedSample
                       ) -> dict[tuple[int, int], float]:
@@ -459,12 +352,8 @@ def adjusted_p_values(fit: FittedModels, family: ComparisonFamily,
     p <= alpha holds exactly when the statistic reaches the constant.
     """
     _check_meta(fit, family, box, sample)
-    out = {}
-    for pair in family.pairs:
-        t, _ = observed_statistic(fit, pair, box)
-        idx = int(np.searchsorted(sample.values, t, side="right"))
-        out[pair] = (sample.r - idx) / sample.r
-    return out
+    return {pair: _p_value(sample, observed_statistic(fit, pair, box)[0])
+            for pair in family.pairs}
 
 
 @dataclass(frozen=True, eq=False)
@@ -497,8 +386,7 @@ class ComparisonReport:
 
 
 def compare(fit: FittedModels, family: ComparisonFamily, box: CovariateBox,
-            alpha: float, r: int, seed: int, workers: int = 1,
-            region_resolution: int = 201) -> ComparisonReport:
+            alpha: float, r: int, seed: int, workers: int = 1) -> ComparisonReport:
     """Run the whole pipeline: simulate, estimate the constant, test each pair.
 
     Significance regions (where the tube excludes zero, per response
@@ -508,7 +396,6 @@ def compare(fit: FittedModels, family: ComparisonFamily, box: CovariateBox,
     fit.require_scatter()
     sample = simulate_pivot(fit, family, box, r, seed, workers=workers)
     crit = critical_constant(sample, alpha)
-    pvals = adjusted_p_values(fit, family, box, sample)
 
     want_regions = fit.p == 1 and box.is_finite and not box.is_point
     results = []
@@ -518,15 +405,14 @@ def compare(fit: FittedModels, family: ComparisonFamily, box: CovariateBox,
         if want_regions:
             from .tube_geometry import significance_region
             regions = tuple(
-                significance_region(fit, pair, crit.c_hat, q, box,
-                                    resolution=region_resolution)
+                significance_region(fit, pair, crit.c_hat, q, box)
                 for q in range(1, fit.m + 1))
         results.append(PairComparison(
             pair=pair,
             labels=(fit.labels[pair[0] - 1], fit.labels[pair[1] - 1]),
             statistic=t,
             argmax=None if argmax is None else np.asarray(argmax, dtype=float),
-            p_value=pvals[pair],
+            p_value=_p_value(sample, t),
             reject=t >= crit.c_hat,
             significance_regions=regions,
         ))

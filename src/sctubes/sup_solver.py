@@ -1,18 +1,29 @@
-"""Maximize a ratio of quadratic forms over restricted covariate regions.
+"""Maximize a ratio of quadratic forms over a covariate box, exactly.
 
 The object being maximized is R(t) = (e' A e) / (e' D e) where
 e = (1, t_1, ..., t_p) prepends an intercept to the covariate point,
-A is positive semidefinite and D positive definite. Three region
-shapes are supported: a closed interval (p = 1), a finite box, and the
-whole space.
+A is positive semidefinite and D positive definite. The region is a box:
+a single point, a finite box (an interval when p = 1), or the whole
+space. Boxes mixing finite and infinite bounds are refused.
 
-On an interval the supremum is exact: the derivative of a ratio of two
-quadratics in one variable has a polynomial numerator whose degree-3
-coefficient cancels identically, so the stationary points solve a
-quadratic and the supremum is attained at an endpoint or one of at most
-two interior roots. Over the whole space it is the largest generalized
-eigenvalue of (A, D). Over a box with p >= 2 no closed form exists and
-a multi-start local search is used.
+One method serves every region: enumerate the faces of the box. A
+maximum of R over the box lies in the relative interior of exactly one
+face, on which each coordinate is fixed at its low bound, fixed at its
+high bound, or free. Writing e = E_F w with w_0 = 1, R restricted to the
+face is the Rayleigh quotient of the reduced pencil (E_F'AE_F, E_F'DE_F),
+and every local maximum of a Rayleigh quotient is a global one. So an
+interior maximum of a face is its top generalized eigenvalue, and the
+face contributes that value only when the top eigenvector has w_0 != 0
+and maps to a point strictly inside the face. A point box is one face
+with nothing free; an interval has three faces (both endpoints and the
+open interior); the whole space is the single all-free face with no
+inside check, whose value is the top eigenvalue of (A, D). In general a
+box has up to 3^p faces, and a coordinate with low == high is never free.
+
+Everything about a face that depends only on D and the box is computed
+once in a ``FacePlan``, which then evaluates the supremum for a whole
+stack of numerators at a time: the Monte Carlo engine passes thousands
+of simulated numerators, ``sup_ratio`` a stack of one.
 """
 
 from __future__ import annotations
@@ -23,18 +34,13 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
-from numpy.polynomial import polynomial as npoly
 
-from .errors import NotUnivariate, UnboundedBox
-from .rand_engine import StreamKey
+from .errors import UnboundedBox
 
 _SYM_RTOL = 1e-8
-# Multi-start search layout for boxes with p >= 2: every corner (capped),
-# the center, and this many pseudo-random interior points from a fixed key.
-_INTERIOR_STARTS = 32
-_CORNER_CAP = 4096
-_MAXFEV = 500
+# Relative gap within which face values count as tied when choosing an
+# argmax: ties go to the face with the fewest free coordinates.
+_TIE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -84,8 +90,7 @@ class CovariateBox:
 
     Each bound pair is (low, high) with low <= high; (-inf, inf) in
     every coordinate means the whole space. Mixed finite/infinite
-    coordinates are representable but rejected by the solvers that
-    need one or the other.
+    coordinates are representable but rejected by the solver.
     """
 
     bounds: tuple[tuple[float, float], ...]
@@ -140,128 +145,175 @@ class CovariateBox:
         return tuple(f"{lo:g}:{hi:g}" for lo, hi in self.bounds)
 
 
-def _ratio_coeffs(q: QuadraticRatio) -> tuple[np.ndarray, np.ndarray]:
-    """Univariate numerator/denominator polynomial coefficients, low order first."""
-    a, d = q.numerator, q.denominator
-    n = np.array([a[0, 0], 2.0 * a[0, 1], a[1, 1]])
-    dd = np.array([d[0, 0], 2.0 * d[0, 1], d[1, 1]])
-    return n, dd
+def _top_2x2(a, b, c, vector: bool):
+    """Top eigenvalue of [[a, b], [b, c]], elementwise, and (if asked) an
+    eigenvector for it, stacked as (count, 2).
 
-
-def sup_interval(q: QuadraticRatio, low: float, high: float) -> tuple[float, float]:
-    """Exact supremum of the ratio over t in [low, high], with its argmax.
-
-    Candidates are the two endpoints plus the real stationary points.
-    The stationary equation N'(t)D(t) - N(t)D'(t) = 0 is formed as a
-    cubic whose leading coefficient cancels in exact arithmetic; the
-    effective degree is decided by a relative threshold and the roots
-    come from the companion-matrix eigenvalues of the trimmed
-    polynomial. Ties go to the earlier candidate, endpoints first.
+    Each eigenvector branch avoids cancellation; a multiple of the
+    identity, where every direction is top, gets (1, 0).
     """
-    if q.p != 1:
-        raise NotUnivariate(f"interval supremum needs p = 1, got p = {q.p}")
-    low, high = float(low), float(high)
-    if not (math.isfinite(low) and math.isfinite(high)):
-        raise UnboundedBox("interval endpoints must be finite")
-    if low > high:
-        raise ValueError(f"interval ({low}, {high}) has low > high")
-
-    n, d = _ratio_coeffs(q)
-    candidates = [low, high] if high > low else [low]
-    stat = npoly.polysub(npoly.polymul(npoly.polyder(n), d),
-                         npoly.polymul(n, npoly.polyder(d)))
-    tol = 1e-12 * np.abs(stat).max()
-    trimmed = npoly.polytrim(stat, tol) if tol > 0 else np.zeros(1)
-    if trimmed.size > 1:
-        for root in npoly.polyroots(trimmed):
-            if abs(root.imag) <= 1e-9 * (1.0 + abs(root.real)):
-                t = float(root.real)
-                if low < t < high:
-                    candidates.append(t)
-
-    best_t, best_v = candidates[0], q.value_at([candidates[0]])
-    for t in candidates[1:]:
-        v = q.value_at([t])
-        if v > best_v:
-            best_t, best_v = t, v
-    return best_v, best_t
+    half = 0.5 * (a - c)
+    root = np.sqrt(half * half + b * b)
+    lam = 0.5 * (a + c) + root
+    if not vector:
+        return lam, None
+    first = half >= 0.0
+    y = np.stack([np.where(first, half + root, b),
+                  np.where(first, b, root - half)], axis=1)
+    y[root == 0.0] = (1.0, 0.0)
+    return lam, y
 
 
-def _start_points(box: CovariateBox) -> np.ndarray:
-    """Corners (capped), center, and fixed pseudo-random interior points."""
-    lows = np.array([lo for lo, _ in box.bounds])
-    highs = np.array([hi for _, hi in box.bounds])
-    p = box.p
-    if 2 ** p <= _CORNER_CAP:
-        corners = np.array(list(itertools.product(*box.bounds)))
-    else:
-        picks = StreamKey(seed=0, substream=1).generator()
-        mask = picks.integers(0, 2, size=(_CORNER_CAP, p)).astype(bool)
-        corners = np.where(mask, highs, lows)
-    center = 0.5 * (lows + highs)
-    u = StreamKey(seed=0, substream=2).generator().random((_INTERIOR_STARTS, p))
-    interior = lows + u * (highs - lows)
-    return np.vstack([corners, center[None, :], interior])
+@dataclass(frozen=True, eq=False)
+class _Face:
+    """One face of the box, reduced to orthonormal coordinates.
 
-
-def sup_box(q: QuadraticRatio, box: CovariateBox) -> tuple[float, np.ndarray]:
-    """Supremum of the ratio over a finite box, with an argmax point.
-
-    For p = 1 this defers to the exact interval solver. For p >= 2 it
-    runs a bounded Nelder-Mead refinement from every start point and is
-    guaranteed to return at least the best value seen over the starts
-    themselves.
+    With f = L'e (D = LL') and the face written as f = Q y with Q'Q = I,
+    R on the face is y'(Q'A'Q)y / y'y for the folded numerator
+    A' = L^{-1} A L^{-T}. ``rows`` locates the entries of Q'A'Q among the
+    plan's reduced entries; ``rinv`` maps y back to w = (w_0, free
+    coordinates times w_0).
     """
-    if box.p != q.p:
-        raise ValueError(f"box has p = {box.p}, ratio has p = {q.p}")
-    if not box.is_finite:
-        raise UnboundedBox("box supremum needs finite bounds everywhere")
-    if q.p == 1:
-        v, t = sup_interval(q, box.bounds[0][0], box.bounds[0][1])
-        return v, np.array([t])
-    if box.is_point:
-        x = box.corner_point()
-        return q.value_at(x), x
 
-    starts = _start_points(box)
-    best_x = starts[0]
-    best_v = q.value_at(best_x)
-    for x0 in starts:
-        v0 = q.value_at(x0)
-        if v0 > best_v:
-            best_v, best_x = v0, x0
-        res = scipy.optimize.minimize(
-            lambda x: -q.value_at(x), x0,
-            method="Nelder-Mead", bounds=box.bounds,
-            options={"maxfev": _MAXFEV, "xatol": 1e-10, "fatol": 1e-12},
-        )
-        if -res.fun > best_v:
-            best_v = -res.fun
-            best_x = np.clip(res.x, [b[0] for b in box.bounds],
-                             [b[1] for b in box.bounds])
-    return best_v, np.asarray(best_x, dtype=float)
+    free: np.ndarray
+    fixed_point: np.ndarray
+    rows: slice
+    rinv: np.ndarray
+    low: np.ndarray
+    high: np.ndarray
+    checked: bool
+
+    @property
+    def size(self) -> int:
+        return 1 + self.free.size
 
 
-def sup_unbounded(q: QuadraticRatio) -> float:
-    """Supremum of the ratio over the whole covariate space.
+class FacePlan:
+    """Face enumeration of one box for one denominator D.
 
-    Equals the largest eigenvalue of the symmetric-definite pencil
-    (A, D); the supremum may only be approached, not attained, when the
-    top eigenvector has a zero intercept coordinate.
+    ``lower`` is the Cholesky factor L of D. Numerators are passed
+    folded, as A' = L^{-1} A L^{-T}, so a caller that builds A from
+    factors can fold L into them once instead of once per numerator.
     """
-    w = scipy.linalg.eigh(q.numerator, q.denominator, eigvals_only=True)
-    return max(float(w[-1]), 0.0)
+
+    def __init__(self, denominator, box: CovariateBox):
+        d = np.asarray(denominator, dtype=float)
+        if d.shape != (box.p + 1, box.p + 1):
+            raise ValueError(f"box has p = {box.p}, matrices are {d.shape}")
+        whole = box.is_whole_space
+        if not (whole or box.is_finite):
+            raise UnboundedBox(
+                "box must be a point, finite, or the whole space; "
+                f"got bounds {box.bounds}")
+        p = box.p
+        self.lower = np.linalg.cholesky(d)
+        # Per coordinate: its fixed values, then None for free.
+        choices = [(None,) if whole else (lo,) if lo == hi else (lo, hi, None)
+                   for lo, hi in box.bounds]
+        combos = sorted(itertools.product(*choices),
+                        key=lambda c: sum(v is None for v in c))
+        self.faces: list[_Face] = []
+        blocks = []
+        start = 0
+        for combo in combos:
+            free = np.array([k for k, v in enumerate(combo) if v is None], dtype=int)
+            fixed_point = np.array([0.0 if v is None else v for v in combo])
+            embed = np.zeros((p + 1, 1 + free.size))
+            embed[0, 0] = 1.0
+            embed[1:, 0] = fixed_point
+            embed[free + 1, np.arange(1, free.size + 1)] = 1.0
+            q, r = np.linalg.qr(self.lower.T @ embed)
+            # Row (a, b) of kron(Q, Q)' picks (Q'A'Q)[a, b] out of A' flattened.
+            blocks.append(np.kron(q, q).T)
+            n = (1 + free.size) ** 2
+            self.faces.append(_Face(
+                free=free, fixed_point=fixed_point, rows=slice(start, start + n),
+                rinv=scipy.linalg.solve_triangular(r, np.eye(1 + free.size)),
+                low=np.array([box.bounds[k][0] for k in free]),
+                high=np.array([box.bounds[k][1] for k in free]),
+                checked=not whole))
+            start += n
+        self._coef = np.vstack(blocks)
+
+    def fold(self, numerator) -> np.ndarray:
+        """A' = L^{-1} A L^{-T} for one numerator A."""
+        half = scipy.linalg.solve_triangular(self.lower, numerator, lower=True)
+        folded = scipy.linalg.solve_triangular(self.lower, half.T, lower=True)
+        return 0.5 * (folded + folded.T)
+
+    def _candidates(self, folded: np.ndarray, vectors: bool):
+        """Per face: its candidate values (-inf where it has none) and
+        its top vectors w in face coordinates. w is None for vertices,
+        and for the unchecked whole-space face unless ``vectors`` asks."""
+        count = folded.shape[2]
+        entries = self._coef @ folded.reshape(-1, count)
+        for face in self.faces:
+            rows = entries[face.rows]
+            size = face.size
+            if size == 1:
+                yield face, rows[0], None
+                continue
+            want = vectors or face.checked
+            if size == 2:
+                lam, y = _top_2x2(rows[0], rows[1], rows[3], want)
+            elif want:
+                vals, vecs = np.linalg.eigh(rows.T.reshape(count, size, size))
+                lam, y = vals[:, -1], vecs[:, :, -1]
+            else:
+                lam = np.linalg.eigvalsh(rows.T.reshape(count, size, size))[:, -1]
+            if not want:
+                yield face, lam, None
+                continue
+            w = y @ face.rinv.T
+            if face.checked:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    t = w[:, 1:] / w[:, :1]
+                inside = ((t > face.low) & (t < face.high)).all(axis=1)
+                lam = np.where(inside, lam, -np.inf)
+            yield face, lam, w
+
+    def sup(self, folded: np.ndarray) -> np.ndarray:
+        """Supremum for each folded numerator in a (p+1, p+1, count) array.
+
+        The replicate index runs last so that each matrix entry is one
+        contiguous vector.
+        """
+        out = None
+        for _, lam, _ in self._candidates(folded, vectors=False):
+            out = lam.copy() if out is None else np.maximum(out, lam, out=out)
+        return out
+
+    def sup_with_argmax(self, folded: np.ndarray) -> tuple[float, np.ndarray | None]:
+        """Supremum and argmax for a single folded numerator.
+
+        Ties, to within rounding, go to the face with the fewest free
+        coordinates, and among those to the earlier one (low bounds
+        before high ones). The argmax is None over the whole space when
+        the top eigenvector has a zero intercept coordinate, in which
+        case the supremum is a limit along a direction, not a point.
+        """
+        cands = [(float(lam[0]), face, None if w is None else w[0])
+                 for face, lam, w in self._candidates(folded[:, :, None],
+                                                      vectors=True)]
+        best = max(v for v, _, _ in cands)
+        for value, face, w in cands:
+            if value >= best - _TIE_RTOL * abs(best):
+                break
+        point = face.fixed_point.copy()
+        if w is not None:
+            if abs(w[0]) <= 1e-9 * np.linalg.norm(w):
+                return best, None
+            point[face.free] = w[1:] / w[0]
+        return best, point
 
 
-def unbounded_argmax(q: QuadraticRatio) -> np.ndarray | None:
-    """Covariate point attaining the whole-space supremum, if one exists.
+def sup_ratio(q: QuadraticRatio, box: CovariateBox) -> tuple[float, np.ndarray | None]:
+    """Exact supremum of the ratio over a box, with a point attaining it.
 
-    Returns None when the top eigenvector is orthogonal to the
-    intercept coordinate, in which case the supremum is a limit along
-    a direction rather than a point.
+    The box may be a point, finite, or the whole space. Over the whole
+    space the point is None when the supremum is only approached in a
+    limit. Raises UnboundedBox for boxes mixing finite and infinite
+    bounds.
     """
-    w, v = scipy.linalg.eigh(q.numerator, q.denominator)
-    top = v[:, -1]
-    if abs(top[0]) <= 1e-9 * np.linalg.norm(top):
-        return None
-    return top[1:] / top[0]
+    plan = FacePlan(q.denominator, box)
+    return plan.sup_with_argmax(plan.fold(q.numerator))

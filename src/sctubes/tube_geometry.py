@@ -11,6 +11,7 @@ center plus or minus sqrt(c * x' delta x * scatter_qq).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -21,8 +22,6 @@ from .errors import NotUnivariate, UnboundedBox
 from .model_core import FittedModels
 from .sct_engine import observed_statistic
 from .sup_solver import CovariateBox
-
-_REFINE_REL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,7 +62,6 @@ class SignificanceRegion:
 
     response: int
     intervals: tuple[tuple[float, float], ...]
-    resolution: int
 
 
 def _halfwidth_sq_coeffs(fit: FittedModels, pair: tuple[int, int], c: float):
@@ -131,13 +129,13 @@ def contains_zero_line(fit: FittedModels, pair: tuple[int, int], c: float,
 
 
 def significance_region(fit: FittedModels, pair: tuple[int, int], c: float,
-                        q: int, box: CovariateBox,
-                        resolution: int = 201) -> SignificanceRegion:
+                        q: int, box: CovariateBox) -> SignificanceRegion:
     """Where along a finite interval the coordinate-q band excludes zero.
 
-    Scans a uniform grid, then refines each crossing by bisection on
-    |center| - halfwidth down to 1e-6 of the interval width. Returns
-    disjoint closed intervals in increasing order.
+    The band excludes zero at t exactly when
+    (b0 + b1 t)^2 > c * omega_qq * (d0 + 2 d1 t + d2 t^2), a quadratic
+    inequality in t, so the region is read off the quadratic's real
+    roots. Returns disjoint closed intervals in increasing order.
     """
     fit.require_scatter()
     if fit.p != 1:
@@ -146,55 +144,37 @@ def significance_region(fit: FittedModels, pair: tuple[int, int], c: float,
         raise UnboundedBox("significance regions need a finite interval")
     if not 1 <= q <= fit.m:
         raise ValueError(f"response index {q} outside 1..{fit.m}")
-    if resolution < 2:
-        raise ValueError(f"resolution must be at least 2, got {resolution}")
 
     db, delta = _halfwidth_sq_coeffs(fit, pair, c)
-    omega_qq = fit.pooled_scatter[q - 1, q - 1]
+    b0, b1 = db[:, q - 1]
+    scale = c * fit.pooled_scatter[q - 1, q - 1]
+    # excess(t) = a2 t^2 + 2 h t + a0 > 0 marks the region.
+    a2 = b1 * b1 - scale * delta[1, 1]
+    h = b0 * b1 - scale * delta[0, 1]
+    a0 = b0 * b0 - scale * delta[0, 0]
 
     def excess(t: float) -> float:
-        e = np.array([1.0, t])
-        mid = abs(float(e @ db[:, q - 1]))
-        h = float(np.sqrt(c * (e @ delta @ e) * omega_qq))
-        return mid - h
+        return (a2 * t + 2.0 * h) * t + a0
 
+    # Stable roots: s = -(h + sign(h) sqrt(h^2 - a2 a0)) gives the
+    # roots s / a2 and a0 / s without cancellation; a2 = 0 leaves the
+    # single linear root a0 / s.
     low, high = box.bounds[0]
-    if low == high:
-        intervals = (((low, high),) if excess(low) > 0.0 else ())
-        return SignificanceRegion(response=q, intervals=intervals,
-                                  resolution=resolution)
+    cuts = [low, high]
+    disc = h * h - a2 * a0
+    if disc > 0.0:
+        s = -(h + math.copysign(math.sqrt(disc), h))
+        for num, den in ((s, a2), (a0, s)):
+            if den != 0.0 and low < num / den < high:
+                cuts.append(num / den)
+    cuts.sort()
 
-    ts = np.linspace(low, high, resolution)
-    sig = np.array([excess(t) > 0.0 for t in ts])
-
-    def refine(inside: float, outside: float) -> float:
-        """Bisect the sign change between a significant and a
-        non-significant point."""
-        a, b = inside, outside
-        tol = _REFINE_REL * (high - low)
-        while abs(b - a) > tol:
-            mid = 0.5 * (a + b)
-            if excess(mid) > 0.0:
-                a = mid
-            else:
-                b = mid
-        return 0.5 * (a + b)
-
-    intervals = []
-    idx = 0
-    while idx < resolution:
-        if not sig[idx]:
-            idx += 1
+    intervals: list[tuple[float, float]] = []
+    for left, right in zip(cuts[:-1], cuts[1:]):
+        if excess(0.5 * (left + right)) <= 0.0:
             continue
-        run_start = idx
-        while idx + 1 < resolution and sig[idx + 1]:
-            idx += 1
-        left = ts[run_start] if run_start == 0 else refine(
-            ts[run_start], ts[run_start - 1])
-        right = ts[idx] if idx == resolution - 1 else refine(
-            ts[idx], ts[idx + 1])
-        intervals.append((float(left), float(right)))
-        idx += 1
-
-    return SignificanceRegion(response=q, intervals=tuple(intervals),
-                              resolution=resolution)
+        if intervals and intervals[-1][1] == left:
+            intervals[-1] = (intervals[-1][0], right)
+        else:
+            intervals.append((float(left), float(right)))
+    return SignificanceRegion(response=q, intervals=tuple(intervals))

@@ -34,6 +34,25 @@ def make_dataset(rng, sizes, coefs, noise=1.0, chol=None, x_range=(0.0, 10.0)):
     return GroupedDataset(groups=groups)
 
 
+def interval_sup_reference(a, d, low, high):
+    """Exact supremum of (e'ae)/(e'de), e = (1, t), over t in [low, high].
+
+    The reference the p = 1 solver is checked against: the stationary
+    points of a ratio of two quadratics solve a quadratic (its cubic
+    term cancels), so the supremum is the best of the two endpoints and
+    the real roots inside the interval.
+    """
+    n0, n1, n2 = a[0, 0], 2.0 * a[0, 1], a[1, 1]
+    d0, d1, d2 = d[0, 0], 2.0 * d[0, 1], d[1, 1]
+    coeffs = [n2 * d1 - n1 * d2, 2.0 * (n2 * d0 - n0 * d2), n1 * d0 - n0 * d1]
+    candidates = [low, high]
+    for root in np.roots(np.trim_zeros(coeffs, "f")) if any(coeffs) else ():
+        if abs(root.imag) <= 1e-9 * (1.0 + abs(root.real)) and low < root.real < high:
+            candidates.append(float(root.real))
+    return max((n0 + t * (n1 + t * n2)) / (d0 + t * (d1 + t * d2))
+               for t in candidates)
+
+
 @pytest.fixture
 def two_group_fit():
     """k=2, p=1, m=2, nu=244: the workhorse configuration."""

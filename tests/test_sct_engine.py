@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.stats
 
-from conftest import make_dataset
+from conftest import interval_sup_reference, make_dataset
 from sctubes.classical_tests import f_quantile, pointwise_constant
 from sctubes.errors import (
     DegenerateScatter,
@@ -21,6 +26,7 @@ from sctubes.sct_engine import (
     ComparisonFamily,
     SampleMeta,
     SimulatedSample,
+    _binom_ppf,
     adjusted_p_values,
     compare,
     critical_constant,
@@ -29,7 +35,7 @@ from sctubes.sct_engine import (
     quantile_rank,
     simulate_pivot,
 )
-from sctubes.sup_solver import CovariateBox, QuadraticRatio, sup_interval
+from sctubes.sup_solver import CovariateBox
 
 
 def univariate_fit(seed=5, sizes=(20, 26), offset=0.0, noise=1.0):
@@ -104,6 +110,27 @@ def test_critical_constant_is_rank_order_statistic():
     assert elo <= 0.9 <= ehi
 
 
+def test_order_statistic_ranks_match_binomial_quantiles():
+    # The two tail probabilities critical_constant asks for.
+    for r in (10, 37, 200, 1000, 9999, 12_345, 100_000, 1_000_000):
+        for alpha in (0.001, 0.01, 0.05, 0.1, 0.2, 0.37, 0.5, 0.9):
+            for q in (0.005, 0.995):
+                want = int(scipy.stats.binom.ppf(q, r, 1.0 - alpha))
+                assert _binom_ppf(q, r, 1.0 - alpha) == want, (r, alpha, q)
+
+
+def test_import_skips_scipy_stats_and_optimize():
+    import sctubes
+    code = ("import sys, sctubes; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') "
+            "if m in sys.modules))")
+    root = str(Path(sctubes.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": root}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"
+
+
 def test_critical_constant_needs_enough_tail_mass():
     # 100 values at alpha = 0.05 puts only 5 replicates in the tail.
     sample = fake_sample(np.arange(1.0, 101.0))
@@ -155,7 +182,8 @@ def test_reversed_pair_gives_identical_sample(two_group_fit):
 
 
 def test_interval_mode_matches_scalar_solver(two_group_fit):
-    """The vectorized interval kernel must agree with the reference path."""
+    """The vectorized kernel on an interval must agree with the scalar
+    quadratic-root reference."""
     fit = two_group_fit
     fam = ComparisonFamily.pairwise(2)
     low, high = 0.0, 7.5
@@ -172,11 +200,40 @@ def test_interval_mode_matches_scalar_solver(two_group_fit):
     for b in range(r):
         mmat = g1 @ u1[b] - g2 @ u2[b]
         v = scipy.linalg.solve_triangular(lw[b], mmat.T, lower=True)
-        value, _ = sup_interval(QuadraticRatio(v.T @ v, d), low, high)
-        vals.append(value)
+        vals.append(interval_sup_reference(v.T @ v, d, low, high))
     # The paths share draws but not evaluation order, so compare to
     # rounding error rather than bitwise.
     np.testing.assert_allclose(sample.values, np.sort(vals), rtol=1e-12)
+
+
+def test_box_kernel_reaches_dense_grid_maxima():
+    """Each p = 2 box replicate is at least its ratio's dense-grid maximum
+    and at most its whole-space eigenvalue."""
+    rng = np.random.default_rng(42)
+    coef = np.array([[1.0, 0.0], [0.5, 1.0], [-0.2, 0.3]])
+    fit = fit_models(make_dataset(rng, (30, 34), (coef, coef)))
+    seed, r = 17, 12
+    sample = simulate_pivot(fit, ComparisonFamily.pairwise(2),
+                            CovariateBox(((0.0, 5.0), (1.0, 4.0))), r, seed)
+
+    lw = wishart_factor_block(fit.m, fit.nu, StreamKey(seed, 0, 0), 8192)[:r]
+    u1 = normal_block(fit.p + 1, fit.m, StreamKey(seed, 0, 1), 8192)[:r]
+    u2 = normal_block(fit.p + 1, fit.m, StreamKey(seed, 0, 2), 8192)[:r]
+    g1 = np.linalg.cholesky(fit.gram_inv[0])
+    g2 = np.linalg.cholesky(fit.gram_inv[1])
+    d = fit.delta(1, 2)
+    gx, gy = np.meshgrid(np.linspace(0.0, 5.0, 301), np.linspace(1.0, 4.0, 301))
+    e = np.stack([np.ones(gx.size), gx.ravel(), gy.ravel()])
+    den = np.einsum("it,ij,jt->t", e, d, e)
+    grid_max, tops = [], []
+    for b in range(r):
+        v = scipy.linalg.solve_triangular(lw[b], (g1 @ u1[b] - g2 @ u2[b]).T,
+                                          lower=True)
+        a = v.T @ v
+        grid_max.append((np.einsum("it,ij,jt->t", e, a, e) / den).max())
+        tops.append(scipy.linalg.eigh(a, d, eigvals_only=True)[-1])
+    assert np.all(sample.values >= np.sort(grid_max) * (1 - 1e-9))
+    assert np.all(sample.values <= np.sort(tops) * (1 + 1e-9))
 
 
 # --- distributional oracles ------------------------------------------------

@@ -4,16 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sctubes.errors import NotUnivariate, UnboundedBox
-from sctubes.sup_solver import (
-    CovariateBox,
-    QuadraticRatio,
-    sup_box,
-    sup_interval,
-    sup_unbounded,
-    unbounded_argmax,
-)
+from conftest import interval_sup_reference
+from sctubes.errors import UnboundedBox
+from sctubes.sup_solver import CovariateBox, QuadraticRatio, sup_ratio
 
 
 def random_ratio(rng, p):
@@ -23,6 +20,18 @@ def random_ratio(rng, p):
     half = rng.standard_normal((p + 1, p + 1))
     d = half @ half.T + (p + 1) * 0.05 * np.eye(p + 1)
     return QuadraticRatio(a, d)
+
+
+def sup_interval(q, low, high):
+    """Supremum and scalar argmax over [low, high]."""
+    value, argmax = sup_ratio(q, CovariateBox.interval(low, high))
+    return value, float(argmax[0])
+
+
+def top_eigenvalue(q):
+    """Whole-space supremum straight from the pencil's spectrum."""
+    return float(scipy.linalg.eigh(q.numerator, q.denominator,
+                                   eigvals_only=True)[-1])
 
 
 def grid_max_1d(q, low, high, points=100_001):
@@ -73,6 +82,9 @@ def test_interval_matches_grid_oracle():
         assert value == pytest.approx(gval, rel=1e-6)
         assert low <= argmax <= high
         assert value == pytest.approx(q.value_at([argmax]), rel=1e-12)
+        assert value == pytest.approx(
+            interval_sup_reference(q.numerator, q.denominator, low, high),
+            rel=1e-12)
 
 
 def test_argmax_is_endpoint_or_stationary():
@@ -95,9 +107,10 @@ def test_argmax_is_endpoint_or_stationary():
 
 
 def test_interval_requires_univariate():
+    # An interval is a p = 1 box; a p = 2 ratio does not fit it.
     q = QuadraticRatio(np.eye(3), np.eye(3))
-    with pytest.raises(NotUnivariate):
-        sup_interval(q, 0.0, 1.0)
+    with pytest.raises(ValueError):
+        sup_ratio(q, CovariateBox.interval(0.0, 1.0))
 
 
 def test_interval_rejects_infinite_endpoints():
@@ -116,20 +129,10 @@ def test_scale_invariance():
     assert t1 == t2
 
 
-def test_box_delegates_for_p1():
-    rng = np.random.default_rng(4)
-    q = random_ratio(rng, 1)
-    box = CovariateBox.interval(-2.0, 3.0)
-    bval, bx = sup_box(q, box)
-    ival, it = sup_interval(q, -2.0, 3.0)
-    assert bval == ival
-    assert bx[0] == it
-
-
 def test_box_identity_ratio_is_one():
     q = QuadraticRatio(np.eye(3), np.eye(3))
     box = CovariateBox(((-1.0, 2.0), (0.0, 5.0)))
-    value, argmax = sup_box(q, box)
+    value, argmax = sup_ratio(q, box)
     assert value == pytest.approx(1.0, rel=1e-10)
     assert argmax.shape == (2,)
 
@@ -139,7 +142,7 @@ def test_box_p2_between_grid_and_eigen_bounds():
     for _ in range(10):
         q = random_ratio(rng, 2)
         box = CovariateBox(((-3.0, 2.0), (-1.0, 4.0)))
-        value, argmax = sup_box(q, box)
+        value, argmax = sup_ratio(q, box)
         xs = np.linspace(-3.0, 2.0, 200)
         ys = np.linspace(-1.0, 4.0, 200)
         gx, gy = np.meshgrid(xs, ys)
@@ -147,14 +150,14 @@ def test_box_p2_between_grid_and_eigen_bounds():
         vals = (np.einsum("it,ij,jt->t", e, q.numerator, e)
                 / np.einsum("it,ij,jt->t", e, q.denominator, e))
         assert value >= vals.max() - 1e-9
-        assert value <= sup_unbounded(q) + 1e-9
+        assert value <= top_eigenvalue(q) + 1e-9
         assert q.value_at(argmax) == pytest.approx(value, rel=1e-10)
 
 
 def test_box_rejects_infinite_bounds():
     q = QuadraticRatio(np.eye(2), np.eye(2))
     with pytest.raises(UnboundedBox):
-        sup_box(q, CovariateBox(((-np.inf, 1.0),)))
+        sup_ratio(q, CovariateBox(((-np.inf, 1.0),)))
 
 
 def test_region_monotonicity():
@@ -163,15 +166,19 @@ def test_region_monotonicity():
         q = random_ratio(rng, 1)
         inner, _ = sup_interval(q, 0.0, 1.0)
         outer, _ = sup_interval(q, -1.0, 2.0)
-        top = sup_unbounded(q)
+        top, _ = sup_ratio(q, CovariateBox.whole_space(1))
         assert inner <= outer + 1e-12
         assert outer <= top + 1e-10 * max(top, 1.0)
 
 
+def sup_unbounded(q):
+    return sup_ratio(q, CovariateBox.whole_space(q.p))
+
+
 def test_unbounded_identity_and_diagonal():
-    assert sup_unbounded(QuadraticRatio(np.eye(2), np.eye(2))) == pytest.approx(1.0)
+    assert sup_unbounded(QuadraticRatio(np.eye(2), np.eye(2)))[0] == pytest.approx(1.0)
     q = QuadraticRatio(np.diag([3.0, 1.0]), np.eye(2))
-    assert sup_unbounded(q) == pytest.approx(3.0, rel=1e-12)
+    assert sup_unbounded(q)[0] == pytest.approx(3.0, rel=1e-12)
 
 
 def test_unbounded_agrees_with_huge_box():
@@ -179,8 +186,8 @@ def test_unbounded_agrees_with_huge_box():
     hits = 0
     for _ in range(50):
         q = random_ratio(rng, 1)
-        top = sup_unbounded(q)
-        arg = unbounded_argmax(q)
+        top, arg = sup_unbounded(q)
+        assert top == pytest.approx(top_eigenvalue(q), rel=1e-12)
         if arg is None:
             continue
         hits += 1
@@ -193,10 +200,10 @@ def test_unbounded_argmax_attains_value():
     rng = np.random.default_rng(8)
     for _ in range(20):
         q = random_ratio(rng, 2)
-        arg = unbounded_argmax(q)
+        top, arg = sup_unbounded(q)
         if arg is None:
             continue
-        assert q.value_at(arg) == pytest.approx(sup_unbounded(q), rel=1e-8)
+        assert q.value_at(arg) == pytest.approx(top, rel=1e-8)
 
 
 def test_quadratic_ratio_validation():
@@ -227,3 +234,75 @@ def test_value_at_checks_dimensions():
     q = QuadraticRatio(np.eye(3), np.eye(3))
     with pytest.raises(ValueError):
         q.value_at([1.0])
+
+
+def test_top_eigenvector_at_infinity_has_no_argmax():
+    # R(t) = t^2 / (1 + t^2) only approaches its supremum 1 as |t| grows.
+    q = QuadraticRatio(np.diag([0.0, 1.0]), np.eye(2))
+    value, argmax = sup_unbounded(q)
+    assert value == pytest.approx(1.0, rel=1e-12)
+    assert argmax is None
+
+
+def test_point_box_is_direct_evaluation():
+    rng = np.random.default_rng(9)
+    for p in (1, 2, 3):
+        q = random_ratio(rng, p)
+        x = rng.uniform(-4, 4, size=p)
+        value, argmax = sup_ratio(q, CovariateBox.point(*x))
+        np.testing.assert_array_equal(argmax, x)
+        assert value == pytest.approx(q.value_at(x), rel=1e-12)
+
+
+def test_degenerate_coordinate_is_never_free():
+    # A box flat in its second coordinate is the interval it reduces to.
+    rng = np.random.default_rng(10)
+    for _ in range(30):
+        q = random_ratio(rng, 2)
+        value, argmax = sup_ratio(q, CovariateBox(((-2.0, 3.0), (1.5, 1.5))))
+        assert argmax[1] == 1.5
+        vals = [q.value_at([t, 1.5]) for t in np.linspace(-2.0, 3.0, 1001)]
+        assert value >= max(vals) - 1e-12 * max(vals)
+        assert q.value_at(argmax) == pytest.approx(value, rel=1e-10)
+
+
+def test_p3_box_between_grid_and_eigen_bounds():
+    rng = np.random.default_rng(11)
+    axis = np.linspace(0.0, 1.0, 41)
+    grid = np.stack(np.meshgrid(axis, axis, axis), axis=-1).reshape(-1, 3)
+    e = np.column_stack([np.ones(len(grid)), grid])
+    for _ in range(10):
+        q = random_ratio(rng, 3)
+        value, argmax = sup_ratio(q, CovariateBox(((0.0, 1.0),) * 3))
+        vals = (np.einsum("ti,ij,tj->t", e, q.numerator, e)
+                / np.einsum("ti,ij,tj->t", e, q.denominator, e))
+        assert value >= vals.max() * (1 - 1e-12)
+        assert value <= top_eigenvalue(q) * (1 + 1e-9)
+        assert np.all((argmax >= 0.0) & (argmax <= 1.0))
+        assert q.value_at(argmax) == pytest.approx(value, rel=1e-10)
+
+
+@st.composite
+def nested_regions(draw):
+    """A random pencil with a point inside a segment inside a box."""
+    p = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    q = random_ratio(rng, p)
+    lows = rng.uniform(-5.0, 0.0, size=p)
+    highs = lows + rng.uniform(0.1, 8.0, size=p)
+    x = lows + rng.uniform(0.0, 1.0, size=p) * (highs - lows)
+    segment = [(v, v) for v in x]
+    segment[0] = (lows[0], highs[0])
+    return q, x, tuple(segment), tuple(zip(lows, highs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(nested_regions())
+def test_region_order_point_interval_box_whole(case):
+    q, x, segment, bounds = case
+    values = [sup_ratio(q, box)[0] for box in (
+        CovariateBox.point(*x), CovariateBox(segment), CovariateBox(bounds),
+        CovariateBox.whole_space(q.p))]
+    for inner, outer in zip(values, values[1:]):
+        assert inner <= outer * (1 + 1e-9)

@@ -8,7 +8,7 @@ from scipy.optimize import brentq
 
 from conftest import make_dataset
 from sctubes.errors import NotUnivariate, UnboundedBox
-from sctubes.model_core import GroupData, GroupedDataset, fit_models
+from sctubes.model_core import FittedModels, GroupData, GroupedDataset, fit_models
 from sctubes.sct_engine import observed_statistic
 from sctubes.sup_solver import CovariateBox
 from sctubes.tube_geometry import (
@@ -281,6 +281,47 @@ def test_nonempty_region_implies_full_vector_rejection():
     assert checked >= 5
 
 
+def test_region_narrower_than_any_grid_step():
+    # center(t) = 0.0102, omega = 1, d(t) = 1e-4 + (t - 3.93)^2 on [0, 10]:
+    # the band excludes zero only on 3.93 +- sqrt(0.0102^2 - 1e-4).
+    t0 = 3.93
+    delta = np.array([[1e-4 + t0 * t0, -t0], [-t0, 1.0]])
+    gram_inv = (0.5 * delta, 0.5 * delta)
+    fit = FittedModels(
+        labels=("A", "B"), group_sizes=(10, 10),
+        bhat=(np.array([[0.0102], [0.0]]), np.zeros((2, 1))),
+        gram=tuple(np.linalg.inv(g) for g in gram_inv), gram_inv=gram_inv,
+        pooled_scatter=np.eye(1), nu=16, p=1, m=1,
+        scatter_degenerate=False, scatter_factor=np.eye(1))
+    region = significance_region(fit, (1, 2), 1.0, 1,
+                                 CovariateBox.interval(0.0, 10.0))
+    half = np.sqrt(0.0102 ** 2 - 1e-4)
+    (lo, hi), = region.intervals
+    assert lo == pytest.approx(t0 - half, abs=1e-12)
+    assert hi == pytest.approx(t0 + half, abs=1e-12)
+    assert (round(lo, 5), round(hi, 5)) == (3.92799, 3.93201)
+
+
+def test_m1_rejection_iff_region_nonempty():
+    # With one response the band excludes zero somewhere exactly when
+    # the sup statistic exceeds the constant.
+    rng = np.random.default_rng(110)
+    box = CovariateBox.interval(0.0, 10.0)
+    outcomes = set()
+    for trial in range(200):
+        fit = offset_fit(seed=900 + trial, m=1,
+                         offset=float(rng.uniform(0.0, 0.8)),
+                         slope_offset=float(rng.uniform(-0.15, 0.15)))
+        t_sup, _ = observed_statistic(fit, (1, 2), box)
+        c = t_sup * float(rng.uniform(0.5, 1.5))
+        if abs(t_sup - c) <= 1e-9 * t_sup:
+            continue
+        nonempty = bool(significance_region(fit, (1, 2), c, 1, box).intervals)
+        assert nonempty == (t_sup > c)
+        outcomes.add(nonempty)
+    assert outcomes == {True, False}
+
+
 def test_point_box_region():
     fit = offset_fit(offset=20.0, noise=0.05)
     box = CovariateBox.point(3.0)
@@ -297,8 +338,6 @@ def test_region_validation():
         significance_region(fit, (1, 2), 0.05, 1, CovariateBox.whole_space(1))
     with pytest.raises(ValueError):
         significance_region(fit, (1, 2), 0.05, 9, box)
-    with pytest.raises(ValueError):
-        significance_region(fit, (1, 2), 0.05, 1, box, resolution=1)
 
     rng = np.random.default_rng(109)
     coef = np.zeros((3, 1))
