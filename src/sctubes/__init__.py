@@ -25,6 +25,7 @@ from .errors import (
     EmptyGroup,
     InputDataError,
     InsufficientObservations,
+    InvalidArgument,
     MalformedHeader,
     MetaMismatch,
     NonNumericCell,
@@ -45,12 +46,7 @@ from .model_core import (
     fit_models,
     validate_dataset,
 )
-from .rand_engine import (
-    StreamKey,
-    chi_square,
-    normal_matrix,
-    wishart_identity,
-)
+from .rand_engine import StreamKey
 from .sct_engine import (
     ComparisonFamily,
     ComparisonReport,
@@ -94,6 +90,7 @@ __all__ = [
     "GroupedDataset",
     "InputDataError",
     "InsufficientObservations",
+    "InvalidArgument",
     "MalformedHeader",
     "MetaMismatch",
     "NonNumericCell",
@@ -114,7 +111,6 @@ __all__ = [
     "UnboundedBox",
     "UsageError",
     "adjusted_p_values",
-    "chi_square",
     "compare",
     "contains_zero_line",
     "critical_constant",
@@ -123,7 +119,6 @@ __all__ = [
     "f_quantile",
     "fit_models",
     "ingest_csv",
-    "normal_matrix",
     "observed_statistic",
     "pointwise_constant",
     "projected_band",

@@ -23,9 +23,7 @@ from scipy.special import fdtri
 from .errors import NotTwoGroups, TooFewReplicates
 from .model_core import FittedModels
 from .rand_engine import StreamKey, normal_block, wishart_factor_block
-from .sct_engine import quantile_rank
-
-_BLOCK = 8192
+from .sct_engine import _BLOCK, _whiten, quantile_rank
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,25 +39,26 @@ class RoyResult:
     null_dimension: int
 
 
-def _lam_max_gram(v: np.ndarray) -> np.ndarray:
-    """Largest eigenvalue of V'V (equivalently VV') for stacked V.
+def _lam_max_gram(z: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue of Z'Z (equivalently ZZ') for each replicate of
+    a (rows, cols, count) stack.
 
     Forms the smaller-side Gram matrix; its nonzero spectrum matches
     the other side's. Sizes 1 and 2 use closed forms.
     """
-    _, rows, cols = v.shape
+    rows, cols, _ = z.shape
     if rows <= cols:
-        s = v @ v.transpose(0, 2, 1)
+        s = np.einsum("iab,jab->ijb", z, z)
     else:
-        s = v.transpose(0, 2, 1) @ v
-    side = s.shape[1]
+        s = np.einsum("aib,ajb->ijb", z, z)
+    side = s.shape[0]
     if side == 1:
-        return s[:, 0, 0]
+        return s[0, 0]
     if side == 2:
-        tr = s[:, 0, 0] + s[:, 1, 1]
-        det = s[:, 0, 0] * s[:, 1, 1] - s[:, 0, 1] * s[:, 1, 0]
+        tr = s[0, 0] + s[1, 1]
+        det = s[0, 0] * s[1, 1] - s[0, 1] * s[1, 0]
         return 0.5 * (tr + np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0)))
-    return np.linalg.eigvalsh(s)[:, -1]
+    return np.linalg.eigvalsh(s.transpose(2, 0, 1))[:, -1]
 
 
 def largest_root_null_sample(d: int, m: int, nu: int, r: int,
@@ -67,21 +66,19 @@ def largest_root_null_sample(d: int, m: int, nu: int, r: int,
     """Sorted replicates of the largest eigenvalue of Z W^{-1} Z'.
 
     Z is d x m standard normal (substream 1), W an m x m identity-scale
-    Wishart with nu degrees of freedom (substream 0). Block keying
-    matches the tube engine: fixed blocks of 8192 keyed by their first
-    replicate index, full blocks always drawn.
+    Wishart with nu degrees of freedom (substream 0). Draws, block size
+    and whitening are the tube engine's: fixed blocks keyed by their
+    first replicate index, full blocks always drawn, and Z whitened by
+    W's Bartlett factor L, since Z W^{-1} Z' = (L^{-1}Z')'(L^{-1}Z').
     """
     if r < 1:
         raise TooFewReplicates(f"need at least one replicate, got {r}")
     out = np.empty(r)
-    pos = 0
-    while pos < r:
+    for pos in range(0, r, _BLOCK):
         count = min(_BLOCK, r - pos)
         lw = wishart_factor_block(m, nu, StreamKey(seed, pos, 0), _BLOCK)[:count]
         z = normal_block(d, m, StreamKey(seed, pos, 1), _BLOCK)[:count]
-        v = np.linalg.solve(lw, z.transpose(0, 2, 1))
-        out[pos:pos + count] = _lam_max_gram(v)
-        pos += count
+        out[pos:pos + count] = _lam_max_gram(_whiten(lw, z))
     out.sort()
     return out
 

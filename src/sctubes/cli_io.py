@@ -30,6 +30,7 @@ from .errors import (
     DegeneracyError,
     EmptyGroup,
     InputDataError,
+    InvalidArgument,
     MalformedHeader,
     NonNumericCell,
     NotUnivariate,
@@ -82,7 +83,7 @@ class RunConfig:
         if self.bounds is not None:
             try:
                 CovariateBox(self.bounds)
-            except ValueError as exc:
+            except InvalidArgument as exc:
                 raise ConfigError(str(exc)) from None
         return self
 
@@ -141,10 +142,18 @@ def _split_header(cells: list[str]) -> tuple[int, int]:
     return p, m
 
 
+def _decoded_lines(fh, path):
+    """The lines of an open text file; a decoding failure is bad input."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raise InputDataError(f"{path}: cannot decode as text ({exc})") from None
+
+
 def ingest_csv(path) -> GroupedDataset:
     """Read a dataset, preserving group order of first appearance."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(_decoded_lines(fh, path))
         try:
             header = [c.strip() for c in next(reader)]
         except StopIteration:
@@ -684,7 +693,7 @@ def main(argv=None) -> int:
     except DegeneracyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (UsageError, ValueError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     return 0

@@ -102,3 +102,11 @@ class NotTwoGroups(UsageError):
 
 class ConfigError(UsageError):
     """A run configuration field is out of range or inconsistent."""
+
+
+class InvalidArgument(UsageError, ValueError):
+    """An argument that can come from the command line is out of range.
+
+    Also a ValueError, so library callers that catch ValueError keep
+    working; only this subclass, never a bare ValueError, counts as a
+    usage error at the command line."""

@@ -12,17 +12,12 @@ streams (substream 0 carries the Wishart noise, substream i >= 1 the
 i-th group's normal matrix), while the counter jumps straight to a
 replicate without generating its predecessors.
 
-Two layers share that mapping:
-
-* scalar ops (``normal_matrix``, ``chi_square``, ``wishart_identity``)
-  draw one object from the generator at ``replicate_index``;
-* block ops (``normal_block``, ``wishart_factor_block``) draw a whole
-  batch from the generator at the batch's first replicate index. A
-  normal block fills element by element, so a shorter block is a prefix
-  of a longer one; a Wishart factor block draws all diagonals before
-  all off-diagonals, so its content is pinned only for a fixed batch
-  size. The engine therefore always draws full fixed-size blocks and
-  slices off what it needs.
+Each block function draws a whole batch from the generator at the
+batch's first replicate index. A normal block fills element by
+element, so a shorter block is a prefix of a longer one; a Wishart
+factor block draws all diagonals before all off-diagonals, so its
+content is pinned only for a fixed batch size. The engine therefore
+always draws full fixed-size blocks and slices off what it needs.
 
 Within one generator the draw order is pinned and documented per
 function; changing it would silently change every downstream result.
@@ -75,62 +70,6 @@ class StreamKey:
         return np.random.Generator(bits)
 
 
-def normal_matrix(rows: int, cols: int, key: StreamKey) -> np.ndarray:
-    """Draw a rows x cols matrix of independent standard normals."""
-    if rows < 1 or cols < 1:
-        raise ValueError(f"matrix dimensions must be positive, got {rows}x{cols}")
-    return key.generator().standard_normal((rows, cols))
-
-
-def chi_square(dof: int, key: StreamKey) -> float:
-    """Draw one chi-square variate with ``dof`` degrees of freedom.
-
-    Uses a single gamma(dof/2) draw scaled by 2, so the cost does not
-    grow with dof.
-    """
-    if not isinstance(dof, (int, np.integer)) or isinstance(dof, bool) or dof < 1:
-        raise ValueError(f"dof must be a positive integer, got {dof!r}")
-    return float(key.generator().standard_gamma(dof / 2.0) * 2.0)
-
-
-def _bartlett_factor(rng: np.random.Generator, m: int, nu: int,
-                     count: int | None = None) -> np.ndarray:
-    """Lower-triangular Bartlett factor(s) L with L L' ~ Wishart(I_m, nu).
-
-    Draw order within the generator: first the m diagonal chi-square
-    variates (as gammas, all at once), then the m(m-1)/2 strict
-    lower-triangle normals, row-major.
-    """
-    shape = (m,) if count is None else (count, m)
-    dofs = nu - np.arange(m)
-    chi = rng.standard_gamma(np.broadcast_to(dofs / 2.0, shape)) * 2.0
-    n = 1 if count is None else count
-    L = np.zeros((n, m, m))
-    L[:, np.arange(m), np.arange(m)] = np.sqrt(chi.reshape(n, m))
-    if m > 1:
-        ii, jj = np.tril_indices(m, -1)
-        L[:, ii, jj] = rng.standard_normal((n, ii.size))
-    return L[0] if count is None else L
-
-
-def wishart_factor(m: int, nu: int, key: StreamKey) -> np.ndarray:
-    """Lower-triangular L with L L' distributed Wishart(identity, nu)."""
-    if m < 1:
-        raise ValueError(f"dimension must be positive, got {m}")
-    if nu < m:
-        raise DegreesOfFreedomTooSmall(
-            f"Wishart needs dof >= dimension, got dof={nu}, dimension={m}")
-    return _bartlett_factor(key.generator(), m, nu)
-
-
-def wishart_identity(m: int, nu: int, key: StreamKey) -> np.ndarray:
-    """Draw an m x m Wishart(identity scale, nu dof) matrix."""
-    L = wishart_factor(m, nu, key)
-    return L @ L.T
-
-
-# --- block layer -------------------------------------------------------
-#
 # Blocks draw `count` objects from the single generator at `key`; entry
 # b is attributed to replicate key.replicate_index + b. Entry values are
 # a pure function of (key, count), and for normals of key alone.
@@ -143,10 +82,25 @@ def normal_block(rows: int, cols: int, key: StreamKey, count: int) -> np.ndarray
 
 
 def wishart_factor_block(m: int, nu: int, key: StreamKey, count: int) -> np.ndarray:
-    """Draw ``count`` stacked Bartlett factors (see wishart_factor)."""
+    """Draw ``count`` stacked lower-triangular Bartlett factors L, each
+    with L L' distributed Wishart(identity, nu).
+
+    Draw order within the generator: first all count x m diagonal
+    chi-square variates (as gammas, replicate by replicate), then all
+    count x m(m-1)/2 strict lower-triangle normals, row-major within
+    each replicate.
+    """
     if m < 1 or count < 1:
         raise ValueError("block dimensions must be positive")
     if nu < m:
         raise DegreesOfFreedomTooSmall(
             f"Wishart needs dof >= dimension, got dof={nu}, dimension={m}")
-    return _bartlett_factor(key.generator(), m, nu, count=count)
+    rng = key.generator()
+    dofs = nu - np.arange(m)
+    chi = rng.standard_gamma(np.broadcast_to(dofs / 2.0, (count, m))) * 2.0
+    L = np.zeros((count, m, m))
+    L[:, np.arange(m), np.arange(m)] = np.sqrt(chi)
+    if m > 1:
+        ii, jj = np.tril_indices(m, -1)
+        L[:, ii, jj] = rng.standard_normal((count, ii.size))
+    return L

@@ -13,10 +13,16 @@ for every pair's p-value.
 Simulated and observed statistics go through the same exact solver,
 face enumeration of the covariate box (``sup_solver.FacePlan``), for
 every region: a point, a finite box, or the whole space. Per pair the
-face constants and D's Cholesky factor are prepared once; each block of
-replicates then costs one batched whitening solve plus closed forms
-(or, for faces with two or more free coordinates, one batched
-eigendecomposition) over the whole block.
+face constants and D's Cholesky factor are prepared once. Each block of
+replicates whitens every group's normal matrices by the block's Wishart
+factor once (``_whiten``, a forward substitution vectorized over the
+block); the whitening is linear, so a pair's factor is a difference of
+two whitened group matrices, each mapped by a fixed (p+1) x (p+1)
+matrix. The supremum then costs closed forms (or, for faces with two
+or more free coordinates, one batched eigendecomposition) over the
+whole block. Per-replicate arrays keep the replicate index last, so
+each matrix entry is one contiguous vector. Roy's null sampler in
+``classical_tests`` uses the same whitening and block size.
 
 Replicate j of a run is a pure function of (seed, j). Draws are made in
 fixed blocks of 8192 replicates; the block holding replicate j is keyed
@@ -38,7 +44,7 @@ import numpy as np
 import scipy.linalg
 from scipy.special import bdtr, bdtrik
 
-from .errors import EmptyFamily, MetaMismatch, TooFewReplicates
+from .errors import EmptyFamily, InvalidArgument, MetaMismatch, TooFewReplicates
 from .model_core import FittedModels
 from .rand_engine import StreamKey, normal_block, wishart_factor_block
 from .sup_solver import CovariateBox, FacePlan, QuadraticRatio, sup_ratio
@@ -66,11 +72,11 @@ class ComparisonFamily:
         seen = set()
         for i, j in pairs:
             if i < 1 or j < 1:
-                raise ValueError(f"group indices are 1-based, got ({i}, {j})")
+                raise InvalidArgument(f"group indices are 1-based, got ({i}, {j})")
             if i == j:
-                raise ValueError(f"pair ({i}, {j}) compares a group with itself")
+                raise InvalidArgument(f"pair ({i}, {j}) compares a group with itself")
             if (i, j) in seen:
-                raise ValueError(f"duplicate pair ({i}, {j})")
+                raise InvalidArgument(f"duplicate pair ({i}, {j})")
             seen.add((i, j))
 
     @classmethod
@@ -83,7 +89,7 @@ class ComparisonFamily:
     def vs_control(cls, k: int, control: int) -> "ComparisonFamily":
         """Each non-control group against the control group."""
         if not 1 <= control <= k:
-            raise ValueError(f"control index {control} outside 1..{k}")
+            raise InvalidArgument(f"control index {control} outside 1..{k}")
         pairs = tuple((i, control) for i in range(1, k + 1) if i != control)
         return cls(pairs=pairs, kind="vs_control", control=control)
 
@@ -100,7 +106,7 @@ class ComparisonFamily:
     def validate_for(self, k: int) -> None:
         for i, j in self.pairs:
             if i > k or j > k:
-                raise ValueError(f"pair ({i}, {j}) outside the {k} fitted groups")
+                raise InvalidArgument(f"pair ({i}, {j}) outside the {k} fitted groups")
 
 
 @dataclass(frozen=True)
@@ -160,7 +166,7 @@ def quantile_rank(r: int, alpha: float) -> int:
     above an integer through rounding.
     """
     if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+        raise InvalidArgument(f"alpha must be in (0, 1), got {alpha}")
     target = (1.0 - alpha) * r
     rank = math.ceil(target - 1e-12 * max(1.0, target))
     return min(max(rank, 1), r)
@@ -208,6 +214,22 @@ class _SimPlan:
             self.pair_ops.append((i, j, pi, pj, plan))
 
 
+def _whiten(lw: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Z = L^{-1} U' for each replicate, laid out (m, rows, count).
+
+    ``lw`` stacks lower-triangular factors as (count, m, m) and ``u``
+    the matrices as (count, rows, m). Forward substitution runs over
+    the m rows of L; each step is vector arithmetic over the block.
+    """
+    lt = lw.transpose(1, 2, 0)
+    z = u.transpose(2, 1, 0).copy()
+    for k in range(lt.shape[0]):
+        for col in range(k):
+            z[k] -= lt[k, col] * z[col]
+        z[k] /= lt[k, k]
+    return z
+
+
 def _block_values(plan: _SimPlan, seed: int, start: int, count: int) -> np.ndarray:
     """Pivotal statistic for replicates start .. start+count-1.
 
@@ -217,18 +239,17 @@ def _block_values(plan: _SimPlan, seed: int, start: int, count: int) -> np.ndarr
     m, p, nu = plan.m, plan.p, plan.nu
     lw = wishart_factor_block(
         m, nu, StreamKey(seed, start, 0), _BLOCK)[:count]
-    us = {
-        g: normal_block(p + 1, m, StreamKey(seed, start, g + 1), _BLOCK)[:count]
+    z = {
+        g: _whiten(lw, normal_block(
+            p + 1, m, StreamKey(seed, start, g + 1), _BLOCK)[:count])
         for g in plan.needed
     }
 
     out = np.full(count, -np.inf)
     for i, j, pi, pj, faces in plan.pair_ops:
-        mt = pi @ us[i] - pj @ us[j]
-        v = np.linalg.solve(lw, mt.transpose(0, 2, 1))
-        # Replicates last: v'v per replicate as (p+1, p+1, count).
-        vt = np.ascontiguousarray(v.transpose(1, 2, 0))
-        np.maximum(out, faces.sup(np.einsum("kib,kjb->ijb", vt, vt)), out=out)
+        # L^{-1}(P_i U_i - P_j U_j)' = Z_i P_i' - Z_j P_j', as (m, p+1, count).
+        v = pi @ z[i] - pj @ z[j]
+        np.maximum(out, faces.sup(np.einsum("kib,kjb->ijb", v, v)), out=out)
     return out
 
 

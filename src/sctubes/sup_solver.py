@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import UnboundedBox
+from .errors import InvalidArgument, UnboundedBox
 
 _SYM_RTOL = 1e-8
 # Relative gap within which face values count as tied when choosing an
@@ -100,12 +100,12 @@ class CovariateBox:
         for pair in self.bounds:
             lo, hi = (float(v) for v in pair)
             if math.isnan(lo) or math.isnan(hi):
-                raise ValueError("box bounds cannot be NaN")
+                raise InvalidArgument("box bounds cannot be NaN")
             if lo > hi:
-                raise ValueError(f"box bound ({lo}, {hi}) has low > high")
+                raise InvalidArgument(f"box bound ({lo}, {hi}) has low > high")
             cleaned.append((lo, hi))
         if not cleaned:
-            raise ValueError("box needs at least one coordinate")
+            raise InvalidArgument("box needs at least one coordinate")
         object.__setattr__(self, "bounds", tuple(cleaned))
 
     @classmethod

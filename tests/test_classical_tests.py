@@ -17,6 +17,7 @@ from sctubes.classical_tests import (
 )
 from sctubes.errors import DegenerateScatter, NotTwoGroups, TooFewReplicates
 from sctubes.model_core import GroupData, GroupedDataset, fit_models
+from sctubes.rand_engine import StreamKey, normal_block, wishart_factor_block
 from sctubes.sct_engine import ComparisonFamily, critical_constant, simulate_pivot
 from sctubes.sup_solver import CovariateBox
 
@@ -115,6 +116,19 @@ def test_null_sample_is_deterministic_and_sorted():
     assert np.all(np.isfinite(a)) and a[0] >= 0.0
     c = largest_root_null_sample(2, 2, 50, 10_000, seed=4)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("d, m", [(2, 2), (8, 3), (4, 1), (1, 3)])
+def test_null_sample_matches_per_replicate_eigenvalues(d, m):
+    # The same draws through the Wishart matrix itself: the top
+    # eigenvalue of Z W^{-1} Z' with a generic solve per replicate.
+    nu, r, seed = 30, 300, 12
+    got = largest_root_null_sample(d, m, nu, r, seed)
+    lw = wishart_factor_block(m, nu, StreamKey(seed, 0, 0), 8192)[:r]
+    z = normal_block(d, m, StreamKey(seed, 0, 1), 8192)[:r]
+    want = [np.linalg.eigvalsh(z[b] @ np.linalg.solve(lw[b] @ lw[b].T, z[b].T))[-1]
+            for b in range(r)]
+    np.testing.assert_allclose(got, np.sort(want), rtol=1e-12)
 
 
 def test_null_sample_rejects_zero_replicates():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import make_dataset
+from sctubes import sct_engine
 from sctubes.cli_io import (
     RunConfig,
     ingest_csv,
@@ -22,9 +23,11 @@ from sctubes.cli_io import (
 from sctubes.errors import (
     ConfigError,
     EmptyGroup,
+    InvalidArgument,
     MalformedHeader,
     NonNumericCell,
 )
+from sctubes.sup_solver import CovariateBox
 from sctubes.model_core import fit_models
 from sctubes.tube_geometry import cross_section
 
@@ -358,6 +361,9 @@ def test_exit_codes(tmp_path, capsys):
     bad_cell = tmp_path / "bad.csv"
     write_lines(bad_cell, ["group,x1,y1", "a,1,oops"])
     assert main(["compare", str(bad_cell)]) == 2
+    not_text = tmp_path / "binary.csv"
+    not_text.write_bytes(b"group,x1,y1\na,1,\xff\xfe\n")
+    assert main(["compare", str(not_text)]) == 2
 
     exact = tmp_path / "exact.csv"
     lines = ["group,x1,y1"]
@@ -374,6 +380,42 @@ def test_exit_codes(tmp_path, capsys):
                  "--family", "control:missing"]) == 4
     assert main(["compare", str(good), "--reps", "1000",
                  "--range", "0:1,2:3"]) == 4
+
+
+def test_internal_value_error_is_not_a_usage_error(tmp_path, monkeypatch):
+    good = tmp_path / "good.csv"
+    synthetic_csv(good, m=1)
+    argv = ["compare", str(good), "--reps", "1000"]
+
+    def fail_with(exc):
+        def compare(*args, **kwargs):
+            raise exc
+        return compare
+
+    monkeypatch.setattr(sct_engine, "compare", fail_with(ValueError("bug")))
+    with pytest.raises(ValueError, match="bug"):
+        main(argv)
+    monkeypatch.setattr(sct_engine, "compare",
+                        fail_with(InvalidArgument("bad argument")))
+    assert main(argv) == 4
+
+
+@pytest.mark.parametrize("check", [
+    lambda: sct_engine.ComparisonFamily.custom([(1, 1)]),
+    lambda: sct_engine.ComparisonFamily.custom([(0, 1)]),
+    lambda: sct_engine.ComparisonFamily.custom([(1, 2), (1, 2)]),
+    lambda: sct_engine.ComparisonFamily.vs_control(3, 4),
+    lambda: sct_engine.ComparisonFamily.pairwise(3).validate_for(2),
+    lambda: CovariateBox(((1.0, 0.0),)),
+    lambda: CovariateBox(((float("nan"), 1.0),)),
+    lambda: CovariateBox(()),
+    lambda: sct_engine.quantile_rank(100, 1.5),
+])
+def test_argument_checks_raise_typed_usage_errors(check):
+    # Typed for the exit code, and still a ValueError for library callers.
+    with pytest.raises(InvalidArgument) as info:
+        check()
+    assert isinstance(info.value, ValueError)
 
 
 def test_fit_subcommand(tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""Keyed stream determinism and distributional sanity of the samplers."""
+"""Keyed stream determinism and distributional sanity of the block samplers
+the simulation engine draws from."""
 
 from __future__ import annotations
 
@@ -7,51 +8,53 @@ import pytest
 import scipy.stats as st
 
 from sctubes.errors import DegreesOfFreedomTooSmall
-from sctubes.rand_engine import (
-    StreamKey,
-    chi_square,
-    normal_block,
-    normal_matrix,
-    wishart_factor,
-    wishart_factor_block,
-    wishart_identity,
-)
+from sctubes.rand_engine import StreamKey, normal_block, wishart_factor_block
+
+
+def chi_square_block(dof: int, key: StreamKey, count: int) -> np.ndarray:
+    """Squared m = 1 Bartlett factors: chi-square(dof) variates."""
+    return wishart_factor_block(1, dof, key, count)[:, 0, 0] ** 2
 
 
 def test_normal_matrix_deterministic():
     key = StreamKey(seed=123, replicate_index=45, substream=6)
-    a = normal_matrix(3, 4, key)
-    b = normal_matrix(3, 4, key)
-    assert a.shape == (3, 4)
+    a = normal_block(3, 4, key, 5)
+    b = normal_block(3, 4, key, 5)
+    assert a.shape == (5, 3, 4)
     np.testing.assert_array_equal(a, b)
 
 
 def test_normal_matrix_varies_with_replicate():
-    a = normal_matrix(2, 2, StreamKey(seed=1, replicate_index=0))
-    b = normal_matrix(2, 2, StreamKey(seed=1, replicate_index=1))
+    a = normal_block(2, 2, StreamKey(seed=1, replicate_index=0), 3)
+    b = normal_block(2, 2, StreamKey(seed=1, replicate_index=1), 3)
     assert not np.array_equal(a, b)
 
 
 def test_normal_matrix_varies_with_seed_and_substream():
-    base = normal_matrix(2, 2, StreamKey(seed=1, replicate_index=0, substream=0))
+    base = normal_block(2, 2, StreamKey(seed=1, replicate_index=0, substream=0), 3)
     assert not np.array_equal(
-        base, normal_matrix(2, 2, StreamKey(seed=2, replicate_index=0, substream=0)))
+        base, normal_block(2, 2, StreamKey(seed=2, replicate_index=0, substream=0), 3))
     assert not np.array_equal(
-        base, normal_matrix(2, 2, StreamKey(seed=1, replicate_index=0, substream=1)))
+        base, normal_block(2, 2, StreamKey(seed=1, replicate_index=0, substream=1), 3))
 
 
 def test_normal_moments():
-    # 10^6 pooled entries; bounds are generous multiples of the CLT sd.
-    draws = normal_matrix(1000, 1000, StreamKey(seed=9))
+    # 1.2 x 10^6 pooled entries; bounds are generous multiples of the CLT sd.
+    draws = normal_block(2, 3, StreamKey(seed=9), 200_000)
     assert abs(draws.mean()) <= 0.005
     assert abs(draws.var() - 1.0) <= 0.01
+    # Entries of one matrix are independent: no correlation across cells.
+    cells = draws.reshape(-1, 6)
+    assert np.abs(np.corrcoef(cells.T) - np.eye(6)).max() <= 0.015
 
 
 def test_normal_matrix_rejects_bad_shapes():
     with pytest.raises(ValueError):
-        normal_matrix(0, 3, StreamKey(seed=0))
+        normal_block(0, 3, StreamKey(seed=0), 1)
     with pytest.raises(ValueError):
-        normal_matrix(3, -1, StreamKey(seed=0))
+        normal_block(3, -1, StreamKey(seed=0), 1)
+    with pytest.raises(ValueError):
+        normal_block(3, 2, StreamKey(seed=0), 0)
 
 
 def test_stream_key_validation():
@@ -65,66 +68,77 @@ def test_stream_key_validation():
 
 def test_chi_square_deterministic():
     key = StreamKey(seed=5, replicate_index=17)
-    assert chi_square(244, key) == chi_square(244, key)
+    np.testing.assert_array_equal(chi_square_block(244, key, 16),
+                                  chi_square_block(244, key, 16))
 
 
 def test_chi_square_rejects_bad_dof():
+    with pytest.raises(DegreesOfFreedomTooSmall):
+        wishart_factor_block(1, 0, StreamKey(seed=0), 4)
+    with pytest.raises(DegreesOfFreedomTooSmall):
+        wishart_factor_block(1, -3, StreamKey(seed=0), 4)
     with pytest.raises(ValueError):
-        chi_square(0, StreamKey(seed=0))
-    with pytest.raises(ValueError):
-        chi_square(2.5, StreamKey(seed=0))
+        wishart_factor_block(0, 5, StreamKey(seed=0), 4)
 
 
 def test_chi_square_moments_dof_244():
-    # One million draws, each on its own replicate stream. Bounds from
-    # the stated +-2.1 / +-7 envelopes (far beyond 3 sigma for this n).
-    n = 1_000_000
-    draws = np.fromiter(
-        (chi_square(244, StreamKey(seed=3, replicate_index=j)) for j in range(n)),
-        dtype=float, count=n)
+    # One million draws. Bounds from the stated +-2.1 / +-7 envelopes
+    # (far beyond 3 sigma for this n).
+    draws = chi_square_block(244, StreamKey(seed=3), 1_000_000)
     assert abs(draws.mean() - 244.0) <= 2.1
     assert abs(draws.var() - 488.0) <= 7.0
 
 
 def test_chi_square_dof1_matches_analytic_cdf():
-    n = 100_000
-    draws = np.fromiter(
-        (chi_square(1, StreamKey(seed=8, replicate_index=j)) for j in range(n)),
-        dtype=float, count=n)
+    draws = chi_square_block(1, StreamKey(seed=8), 100_000)
     stat = st.kstest(draws, st.chi2(1).cdf)
     assert stat.pvalue > 0.01
 
 
 def test_wishart_m1_is_a_chi_square_draw():
-    # For m=1 the Bartlett factor collapses; the very first stream draw
-    # is the same gamma either way, so the match is exact.
+    # For m = 1 the Bartlett factor collapses to the square root of one
+    # gamma draw per replicate, the first draws of the stream, so the
+    # match with a direct chi-square draw is exact.
     key = StreamKey(seed=7, replicate_index=3)
-    w = wishart_identity(1, 50, key)
-    assert w.shape == (1, 1)
-    assert w[0, 0] == chi_square(50, key)
+    lf = wishart_factor_block(1, 50, key, 32)
+    assert lf.shape == (32, 1, 1)
+    chi = key.generator().standard_gamma(np.full(32, 25.0)) * 2.0
+    np.testing.assert_array_equal(lf[:, 0, 0], np.sqrt(chi))
 
 
 def test_wishart_deterministic_and_pd():
     key = StreamKey(seed=2, replicate_index=9)
-    w1 = wishart_identity(3, 10, key)
-    w2 = wishart_identity(3, 10, key)
-    np.testing.assert_array_equal(w1, w2)
-    np.testing.assert_allclose(w1, w1.T)
-    assert np.linalg.eigvalsh(w1).min() > 0
+    l1 = wishart_factor_block(3, 10, key, 64)
+    l2 = wishart_factor_block(3, 10, key, 64)
+    np.testing.assert_array_equal(l1, l2)
+    w = l1 @ np.transpose(l1, (0, 2, 1))
+    np.testing.assert_allclose(w, np.transpose(w, (0, 2, 1)))
+    assert np.linalg.eigvalsh(w).min() > 0
 
 
 def test_wishart_rejects_small_dof():
     with pytest.raises(DegreesOfFreedomTooSmall):
-        wishart_identity(3, 2, StreamKey(seed=0))
+        wishart_factor_block(3, 2, StreamKey(seed=0), 10)
     with pytest.raises(DegreesOfFreedomTooSmall):
         wishart_factor_block(4, 3, StreamKey(seed=0), 10)
 
 
 def test_wishart_factor_matches_identity():
+    # L L' is the identity-scale Wishart of the Bartlett decomposition,
+    # rebuilt here from the documented draw order: all diagonal
+    # chi-squares (dof nu - i in row i), then the strict lower triangle
+    # row by row.
     key = StreamKey(seed=11, replicate_index=4)
-    lf = wishart_factor(3, 20, key)
+    m, nu, count = 3, 20, 8
+    lf = wishart_factor_block(m, nu, key, count)
     assert np.allclose(lf, np.tril(lf))
-    np.testing.assert_allclose(lf @ lf.T, wishart_identity(3, 20, key))
+    rng = key.generator()
+    chi = rng.standard_gamma(np.tile((nu - np.arange(m)) / 2.0, (count, 1))) * 2.0
+    below = rng.standard_normal((count, 3))
+    for b in range(count):
+        ref = np.diag(np.sqrt(chi[b]))
+        ref[1, 0], ref[2, 0], ref[2, 1] = below[b]
+        np.testing.assert_array_equal(lf[b], ref)
 
 
 def test_wishart_mean_and_trace_m2_nu244():

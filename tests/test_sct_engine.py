@@ -23,10 +23,14 @@ from sctubes.errors import (
 from sctubes.model_core import fit_models
 from sctubes.rand_engine import StreamKey, normal_block, wishart_factor_block
 from sctubes.sct_engine import (
+    _BLOCK,
     ComparisonFamily,
     SampleMeta,
     SimulatedSample,
     _binom_ppf,
+    _block_values,
+    _SimPlan,
+    _whiten,
     adjusted_p_values,
     compare,
     critical_constant,
@@ -234,6 +238,56 @@ def test_box_kernel_reaches_dense_grid_maxima():
         tops.append(scipy.linalg.eigh(a, d, eigvals_only=True)[-1])
     assert np.all(sample.values >= np.sort(grid_max) * (1 - 1e-9))
     assert np.all(sample.values <= np.sort(tops) * (1 + 1e-9))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("rows", [1, 2, 8])
+def test_whiten_matches_a_generic_solve(m, rows):
+    """Forward substitution over the block equals a per-replicate solve
+    of L Z = U', laid out replicate-last."""
+    count = 500
+    lw = wishart_factor_block(m, m + 4, StreamKey(31, 0, 0), count)
+    u = normal_block(rows, m, StreamKey(31, 0, 1), count)
+    z = _whiten(lw, u)
+    assert z.shape == (m, rows, count)
+    for b in range(count):
+        ref = np.linalg.solve(lw[b], u[b].T)
+        np.testing.assert_allclose(z[:, :, b], ref,
+                                   rtol=1e-13, atol=1e-13 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("box", [CovariateBox.whole_space(1),
+                                 CovariateBox.interval(1.0, 8.0)],
+                         ids=["whole", "interval"])
+def test_pairwise_k5_m3_kernel_matches_per_replicate_reference(box):
+    """Ten pairs sharing one Wishart draw and five groups' normals: each
+    replicate is the largest pair supremum, rebuilt from the same draws
+    with a generic solve per pair and an independent supremum."""
+    rng = np.random.default_rng(57)
+    coef = rng.standard_normal((2, 3))
+    fit = fit_models(make_dataset(rng, (12, 14, 16, 18, 20), [coef] * 5))
+    assert (fit.k, fit.p, fit.m) == (5, 1, 3)
+    fam = ComparisonFamily.pairwise(5)
+    seed, count = 19, 40
+    got = _block_values(_SimPlan(fit, fam, box), seed, 0, count)
+
+    lw = wishart_factor_block(3, fit.nu, StreamKey(seed, 0, 0), _BLOCK)[:count]
+    u = [normal_block(2, 3, StreamKey(seed, 0, g + 1), _BLOCK)[:count]
+         for g in range(5)]
+    chol = [np.linalg.cholesky(gi) for gi in fit.gram_inv]
+    want = np.full(count, -np.inf)
+    for i, j in fam.pairs:
+        d = fit.delta(i, j)
+        for b in range(count):
+            v = np.linalg.solve(lw[b], (chol[i - 1] @ u[i - 1][b]
+                                        - chol[j - 1] @ u[j - 1][b]).T)
+            a = v.T @ v
+            if box.is_whole_space:
+                val = scipy.linalg.eigh(a, d, eigvals_only=True)[-1]
+            else:
+                val = interval_sup_reference(a, d, *box.bounds[0])
+            want[b] = max(want[b], val)
+    np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 # --- distributional oracles ------------------------------------------------
