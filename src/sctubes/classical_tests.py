@@ -24,6 +24,7 @@ from .errors import NotTwoGroups, TooFewReplicates
 from .model_core import FittedModels
 from .rand_engine import StreamKey, normal_block, wishart_factor_block
 from .sct_engine import _BLOCK, _whiten, quantile_rank
+from .sup_solver import top_eigenvalue
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,22 +44,14 @@ def _lam_max_gram(z: np.ndarray) -> np.ndarray:
     """Largest eigenvalue of Z'Z (equivalently ZZ') for each replicate of
     a (rows, cols, count) stack.
 
-    Forms the smaller-side Gram matrix; its nonzero spectrum matches
-    the other side's. Sizes 1 and 2 use closed forms.
+    Forms the smaller-side Gram matrix, whose nonzero spectrum matches
+    the other side's, and takes its top eigenvalue with
+    ``sup_solver.top_eigenvalue`` (closed forms up to size 3).
     """
     rows, cols, _ = z.shape
     if rows <= cols:
-        s = np.einsum("iab,jab->ijb", z, z)
-    else:
-        s = np.einsum("aib,ajb->ijb", z, z)
-    side = s.shape[0]
-    if side == 1:
-        return s[0, 0]
-    if side == 2:
-        tr = s[0, 0] + s[1, 1]
-        det = s[0, 0] * s[1, 1] - s[0, 1] * s[1, 0]
-        return 0.5 * (tr + np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0)))
-    return np.linalg.eigvalsh(s.transpose(2, 0, 1))[:, -1]
+        return top_eigenvalue(np.einsum("iab,jab->ijb", z, z))
+    return top_eigenvalue(np.einsum("aib,ajb->ijb", z, z))
 
 
 def largest_root_null_sample(d: int, m: int, nu: int, r: int,

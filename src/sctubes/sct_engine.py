@@ -18,10 +18,12 @@ replicates whitens every group's normal matrices by the block's Wishart
 factor once (``_whiten``, a forward substitution vectorized over the
 block); the whitening is linear, so a pair's factor is a difference of
 two whitened group matrices, each mapped by a fixed (p+1) x (p+1)
-matrix. The supremum then costs closed forms (or, for faces with two
-or more free coordinates, one batched eigendecomposition) over the
-whole block. Per-replicate arrays keep the replicate index last, so
-each matrix entry is one contiguous vector. Roy's null sampler in
+matrix. The supremum then costs closed forms over the whole block
+(``sup_solver.top_eigenvalue`` up to size 3), except for the checked
+faces of a finite box with two or more free coordinates, whose top
+eigenvectors come from one batched eigendecomposition. Per-replicate
+arrays keep the replicate index last, so each matrix entry is one
+contiguous vector. Roy's null sampler in
 ``classical_tests`` uses the same whitening and block size.
 
 Replicate j of a run is a pure function of (seed, j). Draws are made in

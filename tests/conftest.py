@@ -4,8 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from sctubes.model_core import GroupData, GroupedDataset, fit_models
+
+# Every property test draws the same examples on every run (seeded from
+# the test itself, no example database), so a suite run is repeatable;
+# each test keeps its own max_examples.
+settings.register_profile("deterministic", derandomize=True)
+settings.load_profile("deterministic")
 
 
 def make_group(rng, label, n, coef, noise=1.0, p=None, chol=None, x_range=(0.0, 10.0)):

@@ -9,6 +9,7 @@ import scipy.stats
 
 from conftest import make_dataset
 from sctubes.classical_tests import (
+    _lam_max_gram,
     f_quantile,
     largest_root_null_sample,
     pointwise_constant,
@@ -129,6 +130,15 @@ def test_null_sample_matches_per_replicate_eigenvalues(d, m):
     want = [np.linalg.eigvalsh(z[b] @ np.linalg.solve(lw[b] @ lw[b].T, z[b].T))[-1]
             for b in range(r)]
     np.testing.assert_allclose(got, np.sort(want), rtol=1e-12)
+
+
+def test_lam_max_gram_resolves_nearly_equal_roots():
+    # Z Z' = [[1, 1e-9], [1e-9, 1]] exactly; its roots are 1 +- 1e-9. The
+    # trace/determinant form tr^2 - 4 det cancels to 0 here and returns 1.
+    z = np.array([[1.0, 0.0], [1e-9, 1.0]])[:, :, None]
+    top = _lam_max_gram(z)
+    np.testing.assert_allclose(top, [1.000000001], rtol=1e-15)
+    np.testing.assert_allclose(_lam_max_gram(z.transpose(1, 0, 2)), top, rtol=1e-15)
 
 
 def test_null_sample_rejects_zero_replicates():

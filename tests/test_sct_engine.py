@@ -290,6 +290,34 @@ def test_pairwise_k5_m3_kernel_matches_per_replicate_reference(box):
     np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
+def test_whole_space_p2_kernel_matches_per_replicate_reference():
+    """Three pairs over the whole space with p = 2, where the one face is
+    3 x 3 and needs no eigenvector: each replicate is the largest pair's
+    top generalized eigenvalue, rebuilt with a generic solve per pair."""
+    rng = np.random.default_rng(58)
+    coef = rng.standard_normal((3, 2))
+    fit = fit_models(make_dataset(rng, (12, 15, 18), [coef] * 3))
+    assert (fit.k, fit.p, fit.m) == (3, 2, 2)
+    fam = ComparisonFamily.pairwise(3)
+    seed, count = 23, 400
+    got = _block_values(_SimPlan(fit, fam, CovariateBox.whole_space(2)),
+                        seed, 0, count)
+
+    lw = wishart_factor_block(2, fit.nu, StreamKey(seed, 0, 0), _BLOCK)[:count]
+    u = [normal_block(3, 2, StreamKey(seed, 0, g + 1), _BLOCK)[:count]
+         for g in range(3)]
+    chol = [np.linalg.cholesky(gi) for gi in fit.gram_inv]
+    want = np.full(count, -np.inf)
+    for i, j in fam.pairs:
+        d = fit.delta(i, j)
+        for b in range(count):
+            v = np.linalg.solve(lw[b], (chol[i - 1] @ u[i - 1][b]
+                                        - chol[j - 1] @ u[j - 1][b]).T)
+            want[b] = max(want[b],
+                          scipy.linalg.eigh(v.T @ v, d, eigvals_only=True)[-1])
+    np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
 # --- distributional oracles ------------------------------------------------
 
 def test_point_box_statistic_follows_scaled_f_law():

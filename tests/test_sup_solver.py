@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import interval_sup_reference
+from sctubes import sup_solver
 from sctubes.errors import UnboundedBox
 from sctubes.sup_solver import CovariateBox, QuadraticRatio, sup_ratio
 
@@ -306,3 +307,71 @@ def test_region_order_point_interval_box_whole(case):
         CovariateBox.whole_space(q.p))]
     for inner, outer in zip(values, values[1:]):
         assert inner <= outer * (1 + 1e-9)
+
+
+# --- top eigenvalue of stacked symmetric matrices -----------------------------
+
+def lapack_top(mats):
+    """Per-matrix top eigenvalue of a (count, n, n) stack."""
+    return np.linalg.eigvalsh(mats)[:, -1]
+
+
+def stacked_top(mats):
+    """``sup_solver.top_eigenvalue`` on the replicate-last layout."""
+    return sup_solver.top_eigenvalue(np.ascontiguousarray(mats.transpose(1, 2, 0)))
+
+
+def with_spectrum(rng, spectra):
+    """Symmetric matrices with the given spectra (one row each) in random
+    orthonormal bases."""
+    count, n = spectra.shape
+    q = np.linalg.qr(rng.standard_normal((count, n, n)))[0]
+    mats = np.einsum("bij,bj,bkj->bik", q, spectra, q)
+    return 0.5 * (mats + mats.transpose(0, 2, 1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("dof_extra", [0, 2, 27])
+def test_top_eigenvalue_matches_lapack_on_wishart_grams(n, dof_extra):
+    rng = np.random.default_rng(100 * n + dof_extra)
+    z = rng.standard_normal((4000, n + dof_extra, n))
+    grams = np.einsum("bai,baj->bij", z, z)
+    np.testing.assert_allclose(stacked_top(grams), lapack_top(grams), rtol=1e-13)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       gap=st.sampled_from([1e-1, 1e-2, 1e-3, 1e-4, 1e-6, 1e-8, 1e-11, 1e-14,
+                            0.0]),
+       scale=st.integers(-50, 50))
+def test_top_eigenvalue_matches_lapack_for_any_top_gap(n, seed, gap, scale):
+    """Positive semidefinite spectra whose top two eigenvalues are a
+    relative ``gap`` apart, at overall scales 1e-50 to 1e50: the 3 x 3
+    closed form must not lose accuracy as the gap closes."""
+    rng = np.random.default_rng(seed)
+    top = rng.uniform(0.5, 2.0, size=64)
+    spectra = np.column_stack([top, top * (1.0 - gap),
+                               top * (1.0 - gap) * rng.uniform(size=64)])[:, :n]
+    mats = with_spectrum(rng, spectra * 10.0 ** scale)
+    np.testing.assert_allclose(stacked_top(mats), lapack_top(mats), rtol=1e-13)
+
+
+def special_matrices(n):
+    rng = np.random.default_rng(n)
+    v = rng.standard_normal((4, n))
+    diag = [np.diag(d) for d in ([3.0, 1.0, 2.0][:n], [1.0, 1.0, 0.5][:n],
+                                 [0.0, 0.0, 7.0][:n], [2.0, 5.0, 5.0][:n])]
+    return np.array([c * np.eye(n) for c in (1.0, 2.5, -3.0)]
+                    + [np.outer(u, u) for u in v]
+                    + diag
+                    + [np.zeros((n, n))])
+
+
+@pytest.mark.parametrize("scale", [1e-50, 1e-7, 1.0, 1e9, 1e50])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_top_eigenvalue_on_special_matrices(n, scale):
+    """Multiples of the identity, rank-1, diagonal and zero matrices,
+    where the 3 x 3 closed form's acos argument sits at -1, at 1, or is
+    undefined."""
+    mats = special_matrices(n) * scale
+    np.testing.assert_allclose(stacked_top(mats), lapack_top(mats), rtol=1e-13)
