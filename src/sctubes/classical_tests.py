@@ -23,7 +23,7 @@ from scipy.special import fdtri
 from .errors import NotTwoGroups, TooFewReplicates
 from .model_core import FittedModels
 from .rand_engine import StreamKey, normal_block, wishart_factor_block
-from .sct_engine import _BLOCK, _whiten, quantile_rank
+from .sct_engine import _BLOCK, _whiten, tail_p_value, tail_rank
 from .sup_solver import top_eigenvalue
 
 
@@ -78,15 +78,10 @@ def largest_root_null_sample(d: int, m: int, nu: int, r: int,
 
 def _finish(statistic: float, null_sample: np.ndarray, alpha: float,
             r: int, seed: int, d: int) -> RoyResult:
-    rank = quantile_rank(r, alpha)
-    if alpha * r < 10.0:
-        raise TooFewReplicates(
-            f"alpha * r = {alpha * r:.3g} < 10; increase replicates")
-    critical = float(null_sample[rank - 1])
-    idx = int(np.searchsorted(null_sample, statistic, side="right"))
+    critical = float(null_sample[tail_rank(r, alpha) - 1])
     return RoyResult(statistic=statistic, critical=critical,
-                     p_value=(r - idx) / r, alpha=alpha, null_reps=r,
-                     seed=seed, null_dimension=d)
+                     p_value=tail_p_value(null_sample, statistic), alpha=alpha,
+                     null_reps=r, seed=seed, null_dimension=d)
 
 
 def roy_two_sample(fit: FittedModels, alpha: float, r: int,

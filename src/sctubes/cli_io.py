@@ -11,6 +11,13 @@ ordered by first appearance and indexed from 1 in that order everywhere
 Reports are emitted through a small JSON writer of our own: keys
 sorted, floats at 17 significant digits, so rerunning a command with
 the same inputs produces byte-identical output.
+
+Commands: ``critical``, ``pvalues``, ``compare`` and ``tube`` start with
+``_prepare`` (fit, which validates the data; check the config; resolve
+family and box), so a data error (exit 2) wins over a config error (exit
+4), and their JSON reports share one header. ``pvalues`` needs no
+critical constant, so it runs at any alpha. Numerical degeneracy exits
+3; any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -37,9 +44,8 @@ from .errors import (
     UnboundedBox,
     UsageError,
 )
-from .model_core import FittedModels, GroupData, GroupedDataset, fit_models, \
-    validate_dataset
-from .sct_engine import ComparisonFamily, ComparisonReport
+from .model_core import FittedModels, GroupData, GroupedDataset, fit_models
+from .sct_engine import ComparisonFamily, ComparisonReport, CriticalConstantResult
 from .sup_solver import CovariateBox
 
 _FAMILY_KINDS = ("pairwise", "vs_control", "successive")
@@ -278,8 +284,26 @@ def _family_dict(family: ComparisonFamily) -> dict:
     return d
 
 
+def _header(alpha: float, reps: int, seed: int, dims,
+            family: ComparisonFamily, box: CovariateBox) -> dict:
+    """Fields every simulating report carries; ``dims`` is anything with
+    ``nu``, ``p`` and ``m`` (a fit or a comparison report)."""
+    return {"alpha": alpha, "reps": reps, "seed": seed,
+            "family": _family_dict(family), "box": _box_strings(box),
+            "nu": dims.nu, "p": dims.p, "m": dims.m}
+
+
+def _critical_dict(crit: CriticalConstantResult) -> dict:
+    return {"c_hat": crit.c_hat, "rank": crit.rank,
+            "order_stat_interval": list(crit.order_stat_interval),
+            "eb_coverage_interval": list(crit.eb_coverage_interval)}
+
+
+def _pair_line(labels, statistic: float, p_value: float) -> str:
+    return f"{labels[0]} vs {labels[1]}: statistic {statistic:.6g}, p={p_value:.6g}"
+
+
 def report_dict(report: ComparisonReport) -> dict:
-    crit = report.critical
     pairs = []
     for pc in report.pairs:
         entry = {
@@ -298,23 +322,12 @@ def report_dict(report: ComparisonReport) -> dict:
                 for reg in pc.significance_regions]
         pairs.append(entry)
     return {
-        "alpha": report.alpha,
-        "reps": report.r,
-        "seed": report.seed,
+        **_header(report.alpha, report.r, report.seed, report,
+                  report.family, report.box),
         "groups": [{"index": idx + 1, "label": lab, "n": n}
                    for idx, (lab, n) in enumerate(
                        zip(report.labels, report.group_sizes))],
-        "nu": report.nu,
-        "p": report.p,
-        "m": report.m,
-        "family": _family_dict(report.family),
-        "box": _box_strings(report.box),
-        "critical": {
-            "c_hat": crit.c_hat,
-            "rank": crit.rank,
-            "order_stat_interval": list(crit.order_stat_interval),
-            "eb_coverage_interval": list(crit.eb_coverage_interval),
-        },
+        "critical": _critical_dict(report.critical),
         "pairs": pairs,
     }
 
@@ -344,9 +357,7 @@ def _human_compare(report: ComparisonReport) -> str:
     ]
     for pc in report.pairs:
         verdict = "reject" if pc.reject else "no difference shown"
-        lines.append(
-            f"  {pc.labels[0]} vs {pc.labels[1]}: statistic {pc.statistic:.6g},"
-            f" p={pc.p_value:.6g}, {verdict}")
+        lines.append(f"  {_pair_line(pc.labels, pc.statistic, pc.p_value)}, {verdict}")
         if pc.significance_regions:
             for reg in pc.significance_regions:
                 if reg.intervals:
@@ -381,12 +392,28 @@ def _box_for(config: RunConfig, p: int) -> CovariateBox:
     return CovariateBox(config.bounds)
 
 
+def _prepare(config: RunConfig, data: GroupedDataset
+             ) -> tuple[FittedModels, ComparisonFamily, CovariateBox]:
+    """Fit, check the configuration, then resolve the family and box.
+
+    Fitting first (it validates the dataset) makes a data error win over
+    a configuration error; the family and box need the fitted labels and p.
+    """
+    fit = fit_models(data)
+    config.validate()
+    return fit, _family_for(config, fit), _box_for(config, fit.p)
+
+
+def _critical(config: RunConfig, fit: FittedModels, family: ComparisonFamily,
+              box: CovariateBox) -> CriticalConstantResult:
+    sample = sct_engine.simulate_pivot(fit, family, box, config.reps,
+                                       config.seed, workers=config.workers)
+    return sct_engine.critical_constant(sample, config.alpha)
+
+
 def run_compare(config: RunConfig, data: GroupedDataset) -> int:
     """Fit, simulate, test every pair, and write or print the report."""
-    config.validate()
-    fit = fit_models(data)
-    family = _family_for(config, fit)
-    box = _box_for(config, fit.p)
+    fit, family, box = _prepare(config, data)
     report = sct_engine.compare(
         fit, family, box, config.alpha, config.reps, config.seed,
         workers=config.workers)
@@ -425,61 +452,42 @@ def export_tube(config: RunConfig, data: GroupedDataset,
     """Write one pair's band along a grid as CSV plus a JSON sidecar.
 
     Columns: x, the m center coordinates, the squared ellipsoid radius,
-    then lower/upper band edges per response coordinate. The sidecar
-    carries the critical constant, the scatter matrix, and enough
-    configuration to reproduce the run.
+    then lower/upper band edges per response coordinate, all read off
+    one cross-section per grid point. The sidecar carries the critical
+    constant, the scatter matrix, and enough configuration to reproduce
+    the run.
     """
-    config.validate()
-    fit = fit_models(data)
+    fit, family, box = _prepare(config, data)
     if fit.p != 1:
         raise NotUnivariate("tube export draws along one covariate; "
                             f"data has p = {fit.p}")
-    family = _family_for(config, fit)
-    box = _box_for(config, fit.p)
     if not box.is_finite:
         raise UnboundedBox("tube export needs --range with finite bounds")
     pair = _resolve_pair(pair_text, family, fit)
     if pair not in family.pairs and (pair[1], pair[0]) not in family.pairs:
         raise ConfigError(
             f"pair {pair} is not in the {family.kind} family being adjusted for")
+    crit = _critical(config, fit, family, box)
 
-    sample = sct_engine.simulate_pivot(fit, family, box, config.reps,
-                                       config.seed, workers=config.workers)
-    crit = sct_engine.critical_constant(sample, config.alpha)
-
-    low, high = box.bounds[0]
-    xs = np.linspace(low, high, config.grid)
     out_path = Path(config.out if config.out is not None else "tube.csv")
     header = (["x"] + [f"center{q}" for q in range(1, fit.m + 1)]
               + ["radius_sq"]
               + [c for q in range(1, fit.m + 1) for c in (f"lower{q}", f"upper{q}")])
-    bands = [tube_geometry.projected_band(fit, pair, crit.c_hat, q, xs)
-             for q in range(1, fit.m + 1)]
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for gi, x in enumerate(xs):
+        for x in np.linspace(*box.bounds[0], config.grid):
             section = tube_geometry.cross_section(fit, pair, crit.c_hat, [x])
-            row = [_fnum(x)]
-            row += [_fnum(v) for v in section.center]
-            row.append(_fnum(section.radius_sq))
-            for q in range(fit.m):
-                row.append(_fnum(bands[q][gi][1]))
-                row.append(_fnum(bands[q][gi][2]))
-            writer.writerow(row)
+            row = [x, *section.center, section.radius_sq]
+            for q in range(1, fit.m + 1):
+                row += section.coordinate_interval(q)
+            writer.writerow([_fnum(v) for v in row])
 
     sidecar = {
-        "alpha": config.alpha,
-        "reps": config.reps,
-        "seed": config.seed,
+        **_header(config.alpha, config.reps, config.seed, fit, family, box),
         "pair": list(pair),
         "pair_labels": [fit.labels[pair[0] - 1], fit.labels[pair[1] - 1]],
-        "family": _family_dict(family),
-        "box": _box_strings(box),
         "grid": config.grid,
-        "nu": fit.nu,
-        "p": fit.p,
-        "m": fit.m,
         "c_hat": crit.c_hat,
         "order_stat_interval": list(crit.order_stat_interval),
         "pooled_scatter": _matrix(fit.pooled_scatter),
@@ -512,71 +520,39 @@ def _cmd_fit(config: RunConfig, data: GroupedDataset) -> int:
 
 
 def _cmd_critical(config: RunConfig, data: GroupedDataset) -> int:
-    config.validate()
-    fit = fit_models(data)
-    family = _family_for(config, fit)
-    box = _box_for(config, fit.p)
-    sample = sct_engine.simulate_pivot(fit, family, box, config.reps,
-                                       config.seed, workers=config.workers)
-    crit = sct_engine.critical_constant(sample, config.alpha)
-    report = {
-        "alpha": config.alpha,
-        "reps": config.reps,
-        "seed": config.seed,
-        "family": _family_dict(family),
-        "box": _box_strings(box),
-        "nu": fit.nu,
-        "p": fit.p,
-        "m": fit.m,
-        "c_hat": crit.c_hat,
-        "rank": crit.rank,
-        "order_stat_interval": list(crit.order_stat_interval),
-        "eb_coverage_interval": list(crit.eb_coverage_interval),
-    }
+    fit, family, box = _prepare(config, data)
+    crit = _critical(config, fit, family, box)
     print(f"critical constant {crit.c_hat:.6g} at alpha={config.alpha:g} "
           f"(r={config.reps}, seed={config.seed}); "
           f"99% order-stat CI {crit.order_stat_interval[0]:.6g}.."
           f"{crit.order_stat_interval[1]:.6g}")
-    _emit(report, config.out)
+    _emit({**_header(config.alpha, config.reps, config.seed, fit, family, box),
+           **_critical_dict(crit)}, config.out)
     return 0
 
 
-def _cmd_compare(config: RunConfig, data: GroupedDataset) -> int:
-    return run_compare(config, data)
-
-
 def _cmd_pvalues(config: RunConfig, data: GroupedDataset) -> int:
-    config.validate()
-    fit = fit_models(data)
-    family = _family_for(config, fit)
-    box = _box_for(config, fit.p)
+    """Observed statistics and adjusted p-values from one simulated sample;
+    no critical constant is estimated, so alpha * reps may be below 10."""
+    fit, family, box = _prepare(config, data)
     sample = sct_engine.simulate_pivot(fit, family, box, config.reps,
                                        config.seed, workers=config.workers)
-    pvals = sct_engine.adjusted_p_values(fit, family, box, sample)
     pairs = []
-    for (i, j), pv in pvals.items():
+    for i, j in family.pairs:
         t, _ = sct_engine.observed_statistic(fit, (i, j), box)
-        pairs.append({"i": i, "j": j,
-                      "labels": [fit.labels[i - 1], fit.labels[j - 1]],
+        pv = sct_engine.tail_p_value(sample.values, t)
+        labels = [fit.labels[i - 1], fit.labels[j - 1]]
+        pairs.append({"i": i, "j": j, "labels": labels,
                       "statistic": t, "p_value": pv})
-        print(f"{fit.labels[i - 1]} vs {fit.labels[j - 1]}: "
-              f"statistic {t:.6g}, p={pv:.6g}")
-    report = {
-        "alpha": config.alpha,
-        "reps": config.reps,
-        "seed": config.seed,
-        "family": _family_dict(family),
-        "box": _box_strings(box),
-        "nu": fit.nu,
-        "pairs": pairs,
-    }
-    _emit(report, config.out)
+        print(_pair_line(labels, t, pv))
+    _emit({**_header(config.alpha, config.reps, config.seed, fit, family, box),
+           "pairs": pairs}, config.out)
     return 0
 
 
 def _cmd_roy(config: RunConfig, data: GroupedDataset) -> int:
-    config.validate()
     fit = fit_models(data)
+    config.validate()
     if fit.k == 2:
         res = classical_tests.roy_two_sample(fit, config.alpha, config.reps,
                                              config.seed)
@@ -602,11 +578,6 @@ def _cmd_roy(config: RunConfig, data: GroupedDataset) -> int:
           f"critical {res.critical:.6g}, p={res.p_value:.6g}, {verdict}")
     _emit(report, config.out)
     return 0
-
-
-def _cmd_tube(config: RunConfig, data: GroupedDataset,
-              pair_text: str | None) -> int:
-    return export_tube(config, data, pair_text)
 
 
 # --- argument parsing ----------------------------------------------------
@@ -664,39 +635,21 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
         grid=args.grid, out=args.out, workers=args.workers)
 
 
+_COMMANDS = {"fit": _cmd_fit, "critical": _cmd_critical, "compare": run_compare,
+             "pvalues": _cmd_pvalues, "roy": _cmd_roy, "tube": export_tube}
+_EXIT_CODES = {OSError: 2, InputDataError: 2, DegeneracyError: 3, UsageError: 4}
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    extra = (args.pair,) if args.command == "tube" else ()
     try:
-        config = _config_from(args)
-        data = ingest_csv(args.data)
-        validate_dataset(data)
-        if args.command == "fit":
-            return _cmd_fit(config, data)
-        if args.command == "critical":
-            return _cmd_critical(config, data)
-        if args.command == "compare":
-            return _cmd_compare(config, data)
-        if args.command == "pvalues":
-            return _cmd_pvalues(config, data)
-        if args.command == "roy":
-            return _cmd_roy(config, data)
-        if args.command == "tube":
-            return _cmd_tube(config, data, args.pair)
-        parser.error(f"unknown command {args.command!r}")
-    except OSError as exc:
+        return _COMMANDS[args.command](
+            _config_from(args), ingest_csv(args.data), *extra)
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InputDataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DegeneracyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    return 0
+        return next(code for kind, code in _EXIT_CODES.items()
+                    if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

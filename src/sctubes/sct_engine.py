@@ -174,6 +174,27 @@ def quantile_rank(r: int, alpha: float) -> int:
     return min(max(rank, 1), r)
 
 
+def tail_rank(r: int, alpha: float) -> int:
+    """Rank of the simulated (1 - alpha) upper quantile among r replicates.
+
+    The one check order for every simulated critical value (tube and
+    largest-root): alpha in (0, 1) first (``InvalidArgument``), then
+    alpha * r >= 10 (``TooFewReplicates``), since with fewer expected
+    tail exceedances the quantile estimate is noise.
+    """
+    rank = quantile_rank(r, alpha)
+    if alpha * r < 10.0:
+        raise TooFewReplicates(
+            f"alpha * r = {alpha * r:.3g} < 10; increase replicates")
+    return rank
+
+
+def tail_p_value(values: np.ndarray, statistic: float) -> float:
+    """Fraction of the sorted replicates ``values`` strictly above the statistic."""
+    idx = int(np.searchsorted(values, statistic, side="right"))
+    return (values.size - idx) / values.size
+
+
 def _binom_ppf(q: float, r: int, prob: float) -> int:
     """Smallest k with P(Binomial(r, prob) <= k) >= q.
 
@@ -304,14 +325,11 @@ def simulate_pivot(fit: FittedModels, family: ComparisonFamily,
 def critical_constant(sample: SimulatedSample, alpha: float) -> CriticalConstantResult:
     """Order-statistic estimate of the level (1 - alpha) critical constant.
 
-    Raises TooFewReplicates unless alpha * r >= 10: with fewer expected
-    tail exceedances the quantile estimate is noise.
+    The rank comes from ``tail_rank``, so alpha must lie in (0, 1) and
+    alpha * r must reach 10.
     """
     r = sample.r
-    if alpha * r < 10.0:
-        raise TooFewReplicates(
-            f"alpha * r = {alpha * r:.3g} < 10; increase replicates")
-    rank = quantile_rank(r, alpha)
+    rank = tail_rank(r, alpha)
     c_hat = float(sample.values[rank - 1])
 
     prob = 1.0 - alpha
@@ -359,12 +377,6 @@ def _check_meta(fit: FittedModels, family: ComparisonFamily,
             "fit/family/region combination")
 
 
-def _p_value(sample: SimulatedSample, statistic: float) -> float:
-    """Fraction of the simulated replicates strictly above the statistic."""
-    idx = int(np.searchsorted(sample.values, statistic, side="right"))
-    return (sample.r - idx) / sample.r
-
-
 def adjusted_p_values(fit: FittedModels, family: ComparisonFamily,
                       box: CovariateBox, sample: SimulatedSample
                       ) -> dict[tuple[int, int], float]:
@@ -375,7 +387,8 @@ def adjusted_p_values(fit: FittedModels, family: ComparisonFamily,
     p <= alpha holds exactly when the statistic reaches the constant.
     """
     _check_meta(fit, family, box, sample)
-    return {pair: _p_value(sample, observed_statistic(fit, pair, box)[0])
+    return {pair: tail_p_value(sample.values,
+                               observed_statistic(fit, pair, box)[0])
             for pair in family.pairs}
 
 
@@ -435,7 +448,7 @@ def compare(fit: FittedModels, family: ComparisonFamily, box: CovariateBox,
             labels=(fit.labels[pair[0] - 1], fit.labels[pair[1] - 1]),
             statistic=t,
             argmax=None if argmax is None else np.asarray(argmax, dtype=float),
-            p_value=_p_value(sample, t),
+            p_value=tail_p_value(sample.values, t),
             reject=t >= crit.c_hat,
             significance_regions=regions,
         ))

@@ -141,14 +141,6 @@ class CovariateBox:
     def is_point(self) -> bool:
         return all(lo == hi for lo, hi in self.bounds)
 
-    def corner_point(self) -> np.ndarray:
-        if not self.is_point:
-            raise ValueError("box is not a single point")
-        return np.array([lo for lo, _ in self.bounds])
-
-    def describe(self) -> tuple[str, ...]:
-        return tuple(f"{lo:g}:{hi:g}" for lo, hi in self.bounds)
-
 
 def _top_2x2(a, b, c, vector: bool):
     """Top eigenvalue of [[a, b], [b, c]], elementwise, and (if asked) an

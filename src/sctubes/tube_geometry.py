@@ -64,19 +64,17 @@ class SignificanceRegion:
     intervals: tuple[tuple[float, float], ...]
 
 
-def _halfwidth_sq_coeffs(fit: FittedModels, pair: tuple[int, int], c: float):
+def _check_constant(c: float) -> None:
     if c < 0.0:
         raise ValueError(f"critical constant must be nonnegative, got {c}")
-    delta = fit.delta(*pair)
-    db = fit.coef_difference(*pair)
-    return db, delta
 
 
 def cross_section(fit: FittedModels, pair: tuple[int, int], c: float,
                   x) -> TubeCrossSection:
     """Band cross-section for one pair at covariate point x."""
     fit.require_scatter()
-    db, delta = _halfwidth_sq_coeffs(fit, pair, c)
+    _check_constant(c)
+    delta, db = fit.delta(*pair), fit.coef_difference(*pair)
     e = np.concatenate(([1.0], np.atleast_1d(np.asarray(x, dtype=float))))
     if e.size != fit.p + 1:
         raise ValueError(f"point has {e.size - 1} coordinates, expected {fit.p}")
@@ -98,7 +96,8 @@ def projected_band(fit: FittedModels, pair: tuple[int, int], c: float,
     fit.require_scatter()
     if not 1 <= q <= fit.m:
         raise ValueError(f"response index {q} outside 1..{fit.m}")
-    db, delta = _halfwidth_sq_coeffs(fit, pair, c)
+    _check_constant(c)
+    delta, db = fit.delta(*pair), fit.coef_difference(*pair)
     omega_qq = fit.pooled_scatter[q - 1, q - 1]
     out = []
     for point in grid:
@@ -122,8 +121,7 @@ def contains_zero_line(fit: FittedModels, pair: tuple[int, int], c: float,
     below the critical constant, so this is the acceptance view of the
     same test ``compare`` reports as ``reject``.
     """
-    if c < 0.0:
-        raise ValueError(f"critical constant must be nonnegative, got {c}")
+    _check_constant(c)
     t, _ = observed_statistic(fit, pair, box)
     return t <= c
 
@@ -145,7 +143,8 @@ def significance_region(fit: FittedModels, pair: tuple[int, int], c: float,
     if not 1 <= q <= fit.m:
         raise ValueError(f"response index {q} outside 1..{fit.m}")
 
-    db, delta = _halfwidth_sq_coeffs(fit, pair, c)
+    _check_constant(c)
+    delta, db = fit.delta(*pair), fit.coef_difference(*pair)
     b0, b1 = db[:, q - 1]
     scale = c * fit.pooled_scatter[q - 1, q - 1]
     # excess(t) = a2 t^2 + 2 h t + a0 > 0 marks the region.

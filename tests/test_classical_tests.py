@@ -16,7 +16,12 @@ from sctubes.classical_tests import (
     roy_k_sample,
     roy_two_sample,
 )
-from sctubes.errors import DegenerateScatter, NotTwoGroups, TooFewReplicates
+from sctubes.errors import (
+    DegenerateScatter,
+    InvalidArgument,
+    NotTwoGroups,
+    TooFewReplicates,
+)
 from sctubes.model_core import GroupData, GroupedDataset, fit_models
 from sctubes.rand_engine import StreamKey, normal_block, wishart_factor_block
 from sctubes.sct_engine import ComparisonFamily, critical_constant, simulate_pivot
@@ -208,6 +213,19 @@ def test_too_few_tail_replicates():
     fit = random_two_group_fit(rng)
     with pytest.raises(TooFewReplicates):
         roy_two_sample(fit, alpha=0.05, r=100, seed=0)
+
+
+@pytest.mark.parametrize("alpha", [-0.1, 0.0])
+def test_alpha_range_is_checked_before_the_tail_guard(alpha):
+    # Roy and the tube constant share one check order: an alpha outside
+    # (0, 1) is a bad argument, not a call for more replicates.
+    fit = random_two_group_fit(np.random.default_rng(93))
+    with pytest.raises(InvalidArgument, match="alpha must be in"):
+        roy_two_sample(fit, alpha=alpha, r=100, seed=0)
+    sample = simulate_pivot(fit, ComparisonFamily.pairwise(2),
+                            CovariateBox.whole_space(1), 100, seed=0)
+    with pytest.raises(InvalidArgument, match="alpha must be in"):
+        critical_constant(sample, alpha)
 
 
 # --- k-sample test ----------------------------------------------------------

@@ -29,7 +29,7 @@ from sctubes.errors import (
 )
 from sctubes.sup_solver import CovariateBox
 from sctubes.model_core import fit_models
-from sctubes.tube_geometry import cross_section
+from sctubes.tube_geometry import cross_section, projected_band
 
 
 def write_lines(path, lines):
@@ -373,6 +373,13 @@ def test_exit_codes(tmp_path, capsys):
     write_lines(exact, lines)
     assert main(["compare", str(exact), "--reps", "1000"]) == 3
 
+    # A data error wins over a config error in every command.
+    flat = tmp_path / "flat.csv"
+    write_lines(flat, ["group,x1,y1"] + [f"{label},1.0,{i}.5" for label in "AB"
+                                         for i in range(5)])
+    for command in ("critical", "pvalues", "compare", "roy", "tube"):
+        assert main([command, str(flat), "--alpha", "1.5"]) == 2
+
     assert main(["compare", str(good), "--family", "bogus"]) == 4
     assert main(["compare", str(good), "--range", "10:0"]) == 4
     assert main(["compare", str(good), "--reps", "10"]) == 4
@@ -453,6 +460,73 @@ def test_pvalues_subcommand(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert len(doc["pairs"]) == 1
     assert 0.0 <= doc["pairs"][0]["p_value"] <= 1.0
+
+
+def three_group_csv(path):
+    rng = np.random.default_rng(16)
+    coef = np.array([[1.0, 2.0], [0.5, -0.3]])
+    write_csv(make_dataset(rng, (8, 9, 10), (coef, coef + 0.3, coef - 0.2)), path)
+
+
+def test_pvalues_needs_no_critical_constant(tmp_path):
+    path = tmp_path / "data.csv"
+    synthetic_csv(path, m=1, offset=0.5)
+    small = ["--reps", "1000", "--alpha", "0.005"]   # alpha * r = 5 < 10
+    assert main(["pvalues", str(path), *small]) == 0
+    assert main(["critical", str(path), *small]) == 4
+    assert main(["compare", str(path), *small]) == 4
+
+
+def test_pvalues_computes_each_observed_statistic_once(tmp_path, monkeypatch):
+    path = tmp_path / "three.csv"
+    three_group_csv(path)
+    calls = []
+    real = sct_engine.observed_statistic
+
+    def counting(fit, pair, box):
+        calls.append(pair)
+        return real(fit, pair, box)
+
+    monkeypatch.setattr(sct_engine, "observed_statistic", counting)
+    assert main(["pvalues", str(path), "--reps", "1000"]) == 0
+    assert calls == [(1, 2), (1, 3), (2, 3)]
+
+
+@pytest.mark.parametrize("box", [[], ["--range", "0:10"]])
+def test_subcommands_agree_with_compare(tmp_path, box):
+    path = tmp_path / "three.csv"
+    three_group_csv(path)
+
+    def run(command):
+        out = tmp_path / f"{command}.out"
+        assert main([command, str(path), "--reps", "4000", "--seed", "6",
+                     *box, "--out", str(out)]) == 0
+        return out
+
+    full = json.loads(run("compare").read_text())
+    crit = json.loads(run("critical").read_text())
+    pvals = json.loads(run("pvalues").read_text())
+    header = ("alpha", "reps", "seed", "family", "box", "nu", "p", "m")
+    for doc in (crit, pvals):
+        assert {key: doc[key] for key in header} == {key: full[key] for key in header}
+    assert {key: crit[key] for key in full["critical"]} == full["critical"]
+    assert [(p["i"], p["j"], p["statistic"], p["p_value"]) for p in pvals["pairs"]] \
+        == [(p["i"], p["j"], p["statistic"], p["p_value"]) for p in full["pairs"]]
+    if not box:
+        return
+    tube = run("tube")
+    meta = json.loads((tmp_path / "tube.out.meta.json").read_text())
+    assert {key: meta[key] for key in header} == {key: full[key] for key in header}
+    assert meta["c_hat"] == full["critical"]["c_hat"]
+    # The band edges, read off cross-sections, match projected_band exactly.
+    fit = fit_models(ingest_csv(path))
+    with open(tube, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    xs = [float(row[0]) for row in rows]
+    for q in (1, 2):
+        band = projected_band(fit, tuple(meta["pair"]), meta["c_hat"], q, xs)
+        assert [row[2 + 2 * q:4 + 2 * q] for row in rows] \
+            == [[format(lo, ".17g"), format(hi, ".17g")] for _, lo, hi in band]
 
 
 def test_roy_subcommand(tmp_path, capsys):

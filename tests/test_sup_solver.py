@@ -220,8 +220,7 @@ def test_covariate_box_helpers():
     assert CovariateBox.whole_space(3).is_whole_space
     assert not CovariateBox.whole_space(3).is_finite
     assert CovariateBox.point(1.0, 2.0).is_point
-    np.testing.assert_array_equal(CovariateBox.point(1.0, 2.0).corner_point(),
-                                  [1.0, 2.0])
+    assert CovariateBox.point(1.0, 2.0).bounds == ((1.0, 1.0), (2.0, 2.0))
     assert CovariateBox.interval(0.0, 1.0).is_finite
     with pytest.raises(ValueError):
         CovariateBox(((2.0, 1.0),))
