@@ -4,7 +4,7 @@ Fit one multivariate linear regression per group, then compare the
 groups' coefficient matrices jointly over a covariate region: simulate
 the pivotal sup statistic, take its upper quantile as the critical
 constant, and read off per-pair statistics, adjusted p-values, and the
-band geometry itself. Largest-root tests and the pointwise F constant
+band geometry itself. The largest-root test and the pointwise F constant
 are included for reference.
 """
 
@@ -13,7 +13,6 @@ from .classical_tests import (
     f_quantile,
     pointwise_constant,
     roy_k_sample,
-    roy_two_sample,
 )
 from .cli_io import RunConfig, export_tube, ingest_csv, run_compare, write_csv
 from .errors import (
@@ -123,7 +122,6 @@ __all__ = [
     "pointwise_constant",
     "projected_band",
     "roy_k_sample",
-    "roy_two_sample",
     "run_compare",
     "significance_region",
     "simulate_pivot",

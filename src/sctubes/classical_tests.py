@@ -1,12 +1,11 @@
-"""Largest-root tests and F-based pointwise constants.
+"""The largest-root test and F-based pointwise constants.
 
-Two procedures share a simulated null: the two-sample largest-root
-test of equal coefficient matrices, and its k-sample analogue built on
-the restricted (common-coefficient) fit. Under the null both statistics
-are distributed as the largest eigenvalue of Z W^{-1} Z' with Z a
-d x m standard normal matrix (d = p+1 for two samples, (k-1)(p+1) for
-k samples) and W an identity-scale Wishart with the pooled degrees of
-freedom, regardless of the designs.
+One largest-root test of equal coefficient matrices across k >= 2
+groups, built on the restricted (common-coefficient) fit. Under the
+null its statistic is distributed as the largest eigenvalue of
+Z W^{-1} Z' with Z a d x m standard normal matrix, d = (k-1)(p+1)
+(p+1 for two groups), and W an identity-scale Wishart with the pooled
+degrees of freedom, regardless of the designs.
 
 The F quantile comes from ``scipy.special.fdtri``, the inverse of the
 F distribution function.
@@ -20,10 +19,10 @@ import numpy as np
 import scipy.linalg
 from scipy.special import fdtri
 
-from .errors import NotTwoGroups, TooFewReplicates
+from .errors import NotTwoGroups
 from .model_core import FittedModels
 from .rand_engine import StreamKey, normal_block, wishart_factor_block
-from .sct_engine import _BLOCK, _whiten, tail_p_value, tail_rank
+from .sct_engine import _BLOCK, _replicates, _whiten, tail_p_value, tail_rank
 from .sup_solver import top_eigenvalue
 
 
@@ -54,80 +53,56 @@ def _lam_max_gram(z: np.ndarray) -> np.ndarray:
     return top_eigenvalue(np.einsum("aib,ajb->ijb", z, z))
 
 
-def largest_root_null_sample(d: int, m: int, nu: int, r: int,
-                             seed: int) -> np.ndarray:
+def largest_root_null_sample(d: int, m: int, nu: int, r: int, seed: int,
+                             workers: int = 1) -> np.ndarray:
     """Sorted replicates of the largest eigenvalue of Z W^{-1} Z'.
 
     Z is d x m standard normal (substream 1), W an m x m identity-scale
-    Wishart with nu degrees of freedom (substream 0). Draws, block size
-    and whitening are the tube engine's: fixed blocks keyed by their
-    first replicate index, full blocks always drawn, and Z whitened by
-    W's Bartlett factor L, since Z W^{-1} Z' = (L^{-1}Z')'(L^{-1}Z').
+    Wishart with nu degrees of freedom (substream 0). Draws, blocks,
+    threads and whitening are the tube engine's: fixed blocks keyed by
+    their first replicate index, full blocks always drawn, and Z
+    whitened by W's Bartlett factor L, since Z W^{-1} Z' =
+    (L^{-1}Z')'(L^{-1}Z'). ``workers`` cannot change the result.
     """
-    if r < 1:
-        raise TooFewReplicates(f"need at least one replicate, got {r}")
-    out = np.empty(r)
-    for pos in range(0, r, _BLOCK):
-        count = min(_BLOCK, r - pos)
-        lw = wishart_factor_block(m, nu, StreamKey(seed, pos, 0), _BLOCK)[:count]
-        z = normal_block(d, m, StreamKey(seed, pos, 1), _BLOCK)[:count]
-        out[pos:pos + count] = _lam_max_gram(_whiten(lw, z))
-    out.sort()
-    return out
+    def block(start: int, count: int) -> np.ndarray:
+        lw = wishart_factor_block(m, nu, StreamKey(seed, start, 0), _BLOCK)[:count]
+        z = normal_block(d, m, StreamKey(seed, start, 1), _BLOCK)[:count]
+        return _lam_max_gram(_whiten(lw, z))
+
+    return _replicates(r, workers, block)
 
 
-def _finish(statistic: float, null_sample: np.ndarray, alpha: float,
-            r: int, seed: int, d: int) -> RoyResult:
-    critical = float(null_sample[tail_rank(r, alpha) - 1])
-    return RoyResult(statistic=statistic, critical=critical,
-                     p_value=tail_p_value(null_sample, statistic), alpha=alpha,
-                     null_reps=r, seed=seed, null_dimension=d)
-
-
-def roy_two_sample(fit: FittedModels, alpha: float, r: int,
-                   seed: int) -> RoyResult:
-    """Largest-root test of equal coefficient matrices across two groups.
-
-    The statistic is the top eigenvalue of the coefficient difference
-    standardized by the pooled scatter and the summed cross-product
-    inverses; it equals the whole-space supremum of the tube statistic,
-    so this test and an unrestricted two-group tube agree.
-    """
-    if fit.k != 2:
-        raise NotTwoGroups(f"two-sample test needs exactly 2 groups, got {fit.k}")
-    lfac = fit.require_scatter()
-    db = fit.coef_difference(1, 2)
-    v = scipy.linalg.solve_triangular(lfac, db.T, lower=True)
-    numer = v.T @ v
-    w = scipy.linalg.eigh(numer, fit.delta(1, 2), eigvals_only=True)
-    statistic = max(float(w[-1]), 0.0)
-
-    null = largest_root_null_sample(fit.p + 1, fit.m, fit.nu, r, seed)
-    return _finish(statistic, null, alpha, r, seed, fit.p + 1)
-
-
-def roy_k_sample(fit: FittedModels, alpha: float, r: int,
-                 seed: int) -> RoyResult:
-    """Largest-root test that all k coefficient matrices coincide.
+def roy_k_sample(fit: FittedModels, alpha: float, r: int, seed: int,
+                 workers: int = 1) -> RoyResult:
+    """Largest-root test that all k >= 2 coefficient matrices coincide.
 
     The hypothesis scatter comes from the restricted common-coefficient
     fit, which only needs the per-group cross-products and estimates
-    already in ``fit``; the null dimension is (k-1)(p+1).
+    already in ``fit``; the null dimension is (k-1)(p+1). For k = 2 the
+    statistic is the top eigenvalue of the coefficient difference
+    standardized by the pooled scatter and the summed cross-product
+    inverses, the whole-space supremum of the tube statistic, so this
+    test and an unrestricted two-group tube agree.
     """
     if fit.k < 2:
         raise NotTwoGroups(f"need at least 2 groups, got {fit.k}")
     fit.require_scatter()
+    rank = tail_rank(r, alpha)
 
+    # The common fit is solved as a shift from group 1's estimate, so the
+    # deviations carry no rounding from a large common level, and equal
+    # estimates give exactly zero.
+    ref = fit.bhat[0]
     gram_sum = np.zeros_like(fit.gram[0])
-    xty_sum = np.zeros_like(fit.bhat[0])
+    rhs = np.zeros_like(ref)
     for g, b in zip(fit.gram, fit.bhat):
         gram_sum += g
-        xty_sum += g @ b
-    b_common = np.linalg.solve(gram_sum, xty_sum)
+        rhs += g @ (b - ref)
+    shift = np.linalg.solve(gram_sum, rhs)
 
     hmat = np.zeros((fit.m, fit.m))
     for g, b in zip(fit.gram, fit.bhat):
-        diff = b - b_common
+        diff = b - ref - shift
         hmat += diff.T @ g @ diff
     hmat = 0.5 * (hmat + hmat.T)
 
@@ -137,8 +112,10 @@ def roy_k_sample(fit: FittedModels, alpha: float, r: int,
     statistic = max(float(w[-1]), 0.0)
 
     d = (fit.k - 1) * (fit.p + 1)
-    null = largest_root_null_sample(d, fit.m, fit.nu, r, seed)
-    return _finish(statistic, null, alpha, r, seed, d)
+    null = largest_root_null_sample(d, fit.m, fit.nu, r, seed, workers=workers)
+    return RoyResult(statistic=statistic, critical=float(null[rank - 1]),
+                     p_value=tail_p_value(null, statistic), alpha=alpha,
+                     null_reps=r, seed=seed, null_dimension=d)
 
 
 def f_quantile(d1: int, d2: int, prob: float) -> float:

@@ -53,7 +53,8 @@ _FAMILY_KINDS = ("pairwise", "vs_control", "successive")
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Knobs shared by every subcommand.
+    """Run settings; each subcommand takes flags only for the fields it
+    acts on, and the rest keep these defaults.
 
     ``bounds`` of None means the whole covariate space. ``reps`` has a
     floor of 1000: below that the tail quantile is meaningless and the
@@ -95,7 +96,11 @@ class RunConfig:
 
 
 def parse_range(text: str) -> tuple[tuple[float, float], ...]:
-    """Parse 'a:b[,a:b...]' into bound pairs; inf/-inf are accepted."""
+    """Parse 'a:b[,a:b...]' into bound pairs; inf/-inf are accepted.
+
+    Only the syntax is checked here; ``RunConfig.validate`` checks the
+    bounds themselves (no NaN, low <= high) through ``CovariateBox``.
+    """
     out = []
     for part in text.split(","):
         pieces = part.split(":")
@@ -105,10 +110,6 @@ def parse_range(text: str) -> tuple[tuple[float, float], ...]:
             lo, hi = float(pieces[0]), float(pieces[1])
         except ValueError:
             raise ConfigError(f"range piece {part!r} has non-numeric bounds") from None
-        if math.isnan(lo) or math.isnan(hi):
-            raise ConfigError(f"range piece {part!r} has NaN bounds")
-        if lo > hi:
-            raise ConfigError(f"range piece {part!r} has low > high")
         out.append((lo, hi))
     return tuple(out)
 
@@ -406,6 +407,7 @@ def _prepare(config: RunConfig, data: GroupedDataset
 
 def _critical(config: RunConfig, fit: FittedModels, family: ComparisonFamily,
               box: CovariateBox) -> CriticalConstantResult:
+    sct_engine.tail_rank(config.reps, config.alpha)  # before any draw
     sample = sct_engine.simulate_pivot(fit, family, box, config.reps,
                                        config.seed, workers=config.workers)
     return sct_engine.critical_constant(sample, config.alpha)
@@ -553,14 +555,9 @@ def _cmd_pvalues(config: RunConfig, data: GroupedDataset) -> int:
 def _cmd_roy(config: RunConfig, data: GroupedDataset) -> int:
     fit = fit_models(data)
     config.validate()
-    if fit.k == 2:
-        res = classical_tests.roy_two_sample(fit, config.alpha, config.reps,
-                                             config.seed)
-        which = "two-sample"
-    else:
-        res = classical_tests.roy_k_sample(fit, config.alpha, config.reps,
-                                           config.seed)
-        which = f"{fit.k}-sample"
+    res = classical_tests.roy_k_sample(fit, config.alpha, config.reps,
+                                       config.seed, workers=config.workers)
+    which = "two-sample" if fit.k == 2 else f"{fit.k}-sample"
     report = {
         "test": which,
         "statistic": res.statistic,
@@ -582,6 +579,13 @@ def _cmd_roy(config: RunConfig, data: GroupedDataset) -> int:
 
 # --- argument parsing ----------------------------------------------------
 
+def _flag_group() -> argparse.ArgumentParser:
+    """A parent parser for one group of flags. Flags left off the command
+    line stay out of the namespace, so the ``RunConfig`` defaults apply."""
+    return argparse.ArgumentParser(add_help=False,
+                                   argument_default=argparse.SUPPRESS)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sctubes",
@@ -589,50 +593,50 @@ def _build_parser() -> argparse.ArgumentParser:
                     "multivariate regression models across groups.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("data", help="CSV file: group,x1..xp,y1..ym")
-    common.add_argument("--alpha", type=float, default=0.05,
-                        help="simultaneous error rate (default 0.05)")
-    common.add_argument("--reps", type=int, default=1_000_000,
-                        help="Monte Carlo replicates (default 1000000)")
-    common.add_argument("--seed", type=int, default=0,
-                        help="random stream seed (default 0)")
-    common.add_argument("--family", default="pairwise",
-                        help="pairwise, successive, or control:LABEL")
-    common.add_argument("--range", dest="range_text", default=None,
+    io = _flag_group()
+    io.add_argument("data", help="CSV file: group,x1..xp,y1..ym")
+    io.add_argument("--out", help="write the JSON report (or tube CSV) here")
+    sim = _flag_group()
+    sim.add_argument("--alpha", type=float,
+                     help="simultaneous error rate (default 0.05)")
+    sim.add_argument("--reps", type=int,
+                     help="Monte Carlo replicates (default 1000000)")
+    sim.add_argument("--seed", type=int, help="random stream seed (default 0)")
+    sim.add_argument("--workers", type=int,
+                     help="simulation threads (results identical for any value)")
+    region = _flag_group()
+    region.add_argument("--family", help="pairwise, successive, or control:LABEL")
+    region.add_argument("--range", dest="range_text",
                         help="covariate box a:b[,a:b...]; default whole space")
-    common.add_argument("--grid", type=int, default=201,
-                        help="grid resolution for tube export")
-    common.add_argument("--workers", type=int, default=1,
-                        help="simulation threads (results identical for any value)")
-    common.add_argument("--out", default=None,
-                        help="write the JSON report (or tube CSV) here")
+    band = _flag_group()
+    band.add_argument("--grid", type=int, help="grid resolution for tube export")
+    band.add_argument("--pair", help="which pair, as labels or 1-based indices "
+                                     "A:B (default: first pair of the family)")
 
-    sub.add_parser("fit", parents=[common],
-                   help="fit the per-group regressions and report estimates")
-    sub.add_parser("critical", parents=[common],
-                   help="simulate the joint critical constant")
-    sub.add_parser("compare", parents=[common],
-                   help="full run: constant, statistics, p-values, regions")
-    sub.add_parser("pvalues", parents=[common],
-                   help="observed statistics and adjusted p-values")
-    sub.add_parser("roy", parents=[common],
-                   help="largest-root test (two-sample or k-sample)")
-    tube = sub.add_parser("tube", parents=[common],
-                          help="export one pair's band along a covariate grid")
-    tube.add_argument("--pair", default=None,
-                      help="which pair, as labels or 1-based indices A:B "
-                           "(default: first pair of the family)")
+    for name, groups, text in (
+            ("fit", [io], "fit the per-group regressions and report estimates"),
+            ("critical", [io, sim, region], "simulate the joint critical constant"),
+            ("compare", [io, sim, region],
+             "full run: constant, statistics, p-values, regions"),
+            ("pvalues", [io, sim, region],
+             "observed statistics and adjusted p-values"),
+            ("roy", [io, sim], "largest-root test (two-sample or k-sample)"),
+            ("tube", [io, sim, region, band],
+             "export one pair's band along a covariate grid")):
+        sub.add_parser(name, parents=groups, help=text)
     return parser
 
 
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    kind, control = parse_family(args.family)
-    bounds = None if args.range_text is None else parse_range(args.range_text)
-    return RunConfig(
-        alpha=args.alpha, reps=args.reps, seed=args.seed,
-        family_kind=kind, control_label=control, bounds=bounds,
-        grid=args.grid, out=args.out, workers=args.workers)
+def _config_from(flags: dict) -> RunConfig:
+    """The run settings given on the command line; absent flags keep the
+    ``RunConfig`` defaults."""
+    fields = dict(flags)
+    if "family" in fields:
+        fields["family_kind"], fields["control_label"] = parse_family(
+            fields.pop("family"))
+    if "range_text" in fields:
+        fields["bounds"] = parse_range(fields.pop("range_text"))
+    return RunConfig(**fields)
 
 
 _COMMANDS = {"fit": _cmd_fit, "critical": _cmd_critical, "compare": run_compare,
@@ -641,11 +645,11 @@ _EXIT_CODES = {OSError: 2, InputDataError: 2, DegeneracyError: 3, UsageError: 4}
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    extra = (args.pair,) if args.command == "tube" else ()
+    flags = vars(_build_parser().parse_args(argv))
+    command, path = flags.pop("command"), flags.pop("data")
+    extra = (flags.pop("pair", None),) if command == "tube" else ()
     try:
-        return _COMMANDS[args.command](
-            _config_from(args), ingest_csv(args.data), *extra)
+        return _COMMANDS[command](_config_from(flags), ingest_csv(path), *extra)
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items()

@@ -24,15 +24,15 @@ faces of a finite box with two or more free coordinates, whose top
 eigenvectors come from one batched eigendecomposition. Per-replicate
 arrays keep the replicate index last, so each matrix entry is one
 contiguous vector. Roy's null sampler in
-``classical_tests`` uses the same whitening and block size.
+``classical_tests`` uses the same whitening and block driver.
 
 Replicate j of a run is a pure function of (seed, j). Draws are made in
 fixed blocks of 8192 replicates; the block holding replicate j is keyed
 by the block's first index, full blocks are always drawn even when r
 cuts the last one short, and each group's normal matrices live on their
 own substream (the Wishart noise on substream 0). Workers therefore
-cannot change results: blocks are handed to threads and written back by
-position.
+cannot change results: ``_replicates``, the one block driver, hands
+blocks to threads and writes them back by position.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ import hashlib
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.linalg
@@ -276,6 +277,36 @@ def _block_values(plan: _SimPlan, seed: int, start: int, count: int) -> np.ndarr
     return out
 
 
+def _replicates(r: int, workers: int, block_values) -> np.ndarray:
+    """Sorted values of replicates 0 .. r-1, computed block by block.
+
+    ``block_values(start, count)`` returns the values of replicates
+    start .. start+count-1; ``start`` is a multiple of the fixed block
+    size, so a block's draws are keyed by its first index. Blocks are
+    written back by position, so ``workers`` threads cannot change the
+    result.
+    """
+    if r < 1:
+        raise TooFewReplicates(f"need at least one replicate, got {r}")
+    if workers < 1:
+        raise ValueError(f"workers must be positive, got {workers}")
+    values = np.empty(r)
+
+    def fill(start: int) -> None:
+        count = min(_BLOCK, r - start)
+        values[start:start + count] = block_values(start, count)
+
+    starts = range(0, r, _BLOCK)
+    if workers == 1 or len(starts) == 1:
+        for start in starts:
+            fill(start)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(fill, starts))
+    values.sort()
+    return values
+
+
 def simulate_pivot(fit: FittedModels, family: ComparisonFamily,
                    box: CovariateBox, r: int, seed: int,
                    workers: int = 1) -> SimulatedSample:
@@ -292,31 +323,11 @@ def simulate_pivot(fit: FittedModels, family: ComparisonFamily,
         Replicate count and stream seed. Output is a pure function of
         these two (plus the fit's designs); worker count cannot affect it.
     """
-    if r < 1:
-        raise TooFewReplicates(f"need at least one replicate, got {r}")
-    if workers < 1:
-        raise ValueError(f"workers must be positive, got {workers}")
     # The null law itself never touches the scatter, but a degenerate
     # fit cannot be tested against the sample either, so refuse early.
     fit.require_scatter()
     plan = _SimPlan(fit, family, box)
-
-    nblocks = (r + _BLOCK - 1) // _BLOCK
-    values = np.empty(r)
-
-    def fill(block: int) -> None:
-        start = block * _BLOCK
-        count = min(_BLOCK, r - start)
-        values[start:start + count] = _block_values(plan, seed, start, count)
-
-    if workers == 1 or nblocks == 1:
-        for block in range(nblocks):
-            fill(block)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, range(nblocks)))
-
-    values.sort()
+    values = _replicates(r, workers, partial(_block_values, plan, seed))
     meta = SampleMeta(nu=fit.nu, m=fit.m, p=fit.p, family=family, box=box,
                       design_digest=design_digest(fit))
     return SimulatedSample(values=values, r=r, seed=seed, meta=meta)
@@ -430,6 +441,7 @@ def compare(fit: FittedModels, family: ComparisonFamily, box: CovariateBox,
     where they are well defined intervals.
     """
     fit.require_scatter()
+    tail_rank(r, alpha)  # refuse too small an alpha * r before drawing
     sample = simulate_pivot(fit, family, box, r, seed, workers=workers)
     crit = critical_constant(sample, alpha)
 

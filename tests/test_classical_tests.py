@@ -14,7 +14,6 @@ from sctubes.classical_tests import (
     largest_root_null_sample,
     pointwise_constant,
     roy_k_sample,
-    roy_two_sample,
 )
 from sctubes.errors import (
     DegenerateScatter,
@@ -24,7 +23,12 @@ from sctubes.errors import (
 )
 from sctubes.model_core import GroupData, GroupedDataset, fit_models
 from sctubes.rand_engine import StreamKey, normal_block, wishart_factor_block
-from sctubes.sct_engine import ComparisonFamily, critical_constant, simulate_pivot
+from sctubes.sct_engine import (
+    ComparisonFamily,
+    critical_constant,
+    observed_statistic,
+    simulate_pivot,
+)
 from sctubes.sup_solver import CovariateBox
 
 
@@ -151,7 +155,15 @@ def test_null_sample_rejects_zero_replicates():
         largest_root_null_sample(2, 2, 50, 0, seed=0)
 
 
-# --- two-sample test --------------------------------------------------------
+def test_null_sample_is_the_same_for_any_worker_count():
+    # Three blocks, the last one cut short.
+    r = 2 * 8192 + 1234
+    serial = largest_root_null_sample(3, 2, 40, r, seed=6, workers=1)
+    threaded = largest_root_null_sample(3, 2, 40, r, seed=6, workers=3)
+    assert np.array_equal(serial, threaded)
+
+
+# --- two groups --------------------------------------------------------------
 
 def test_equal_coefficient_groups_score_zero():
     rng = np.random.default_rng(90)
@@ -164,37 +176,33 @@ def test_equal_coefficient_groups_score_zero():
         GroupData(label="A", design=design, response=y),
         GroupData(label="B", design=design, response=y.copy()),
     ))
-    res = roy_two_sample(fit_models(data), alpha=0.05, r=1000, seed=1)
+    res = roy_k_sample(fit_models(data), alpha=0.05, r=1000, seed=1)
     assert res.statistic == 0.0
     assert res.p_value == 1.0
 
 
 def test_two_sample_critical_value_nu244(two_group_fit):
-    res = roy_two_sample(two_group_fit, alpha=0.05, r=1_000_000, seed=7)
+    res = roy_k_sample(two_group_fit, alpha=0.05, r=1_000_000, seed=7)
     assert res.critical == pytest.approx(0.0360, abs=0.0015)
     assert res.null_dimension == 2
 
 
 def test_both_eigenvalue_formulations_agree():
-    # The implementation standardizes the (p+1)-sided product; the
-    # oracle takes the m-sided transposed product through a generic
-    # eigensolver. Their nonzero spectra must coincide.
+    # The implementation takes the top root of the restricted fit's
+    # hypothesis scatter against the pooled scatter; the oracle takes
+    # the m-sided product of the coefficient difference through a
+    # generic eigensolver. Their nonzero spectra must coincide.
     rng = np.random.default_rng(91)
     for _ in range(100):
         p = int(rng.integers(1, 3))
         m = int(rng.integers(1, 4))
         fit = random_two_group_fit(rng, p=p, m=m)
-        res = roy_two_sample(fit, alpha=0.5, r=100, seed=2)
+        res = roy_k_sample(fit, alpha=0.5, r=100, seed=2)
         db = fit.coef_difference(1, 2)
         prod = np.linalg.solve(fit.pooled_scatter,
                                db.T @ np.linalg.solve(fit.delta(1, 2), db))
         oracle = max(float(np.max(scipy.linalg.eig(prod)[0].real)), 0.0)
         assert res.statistic == pytest.approx(oracle, rel=1e-10, abs=1e-300)
-
-
-def test_two_sample_needs_two_groups(three_group_fit):
-    with pytest.raises(NotTwoGroups):
-        roy_two_sample(three_group_fit, alpha=0.05, r=1000, seed=0)
 
 
 def test_degenerate_scatter_is_refused():
@@ -203,8 +211,6 @@ def test_degenerate_scatter_is_refused():
     data = make_dataset(rng, (8, 9), (coef, coef), noise=0.0)
     fit = fit_models(data)
     with pytest.raises(DegenerateScatter):
-        roy_two_sample(fit, alpha=0.05, r=1000, seed=0)
-    with pytest.raises(DegenerateScatter):
         roy_k_sample(fit, alpha=0.05, r=1000, seed=0)
 
 
@@ -212,7 +218,7 @@ def test_too_few_tail_replicates():
     rng = np.random.default_rng(93)
     fit = random_two_group_fit(rng)
     with pytest.raises(TooFewReplicates):
-        roy_two_sample(fit, alpha=0.05, r=100, seed=0)
+        roy_k_sample(fit, alpha=0.05, r=100, seed=0)
 
 
 @pytest.mark.parametrize("alpha", [-0.1, 0.0])
@@ -221,7 +227,7 @@ def test_alpha_range_is_checked_before_the_tail_guard(alpha):
     # (0, 1) is a bad argument, not a call for more replicates.
     fit = random_two_group_fit(np.random.default_rng(93))
     with pytest.raises(InvalidArgument, match="alpha must be in"):
-        roy_two_sample(fit, alpha=alpha, r=100, seed=0)
+        roy_k_sample(fit, alpha=alpha, r=100, seed=0)
     sample = simulate_pivot(fit, ComparisonFamily.pairwise(2),
                             CovariateBox.whole_space(1), 100, seed=0)
     with pytest.raises(InvalidArgument, match="alpha must be in"):
@@ -231,15 +237,36 @@ def test_alpha_range_is_checked_before_the_tail_guard(alpha):
 # --- k-sample test ----------------------------------------------------------
 
 def test_k2_reduction_to_two_sample():
+    # At k = 2 the statistic is the whole-space supremum of the tube
+    # statistic, and the null dimension is p + 1.
     rng = np.random.default_rng(94)
     for _ in range(20):
         fit = random_two_group_fit(rng, p=int(rng.integers(1, 3)),
                                    m=int(rng.integers(1, 3)))
-        two = roy_two_sample(fit, alpha=0.1, r=200, seed=5)
-        gen = roy_k_sample(fit, alpha=0.1, r=200, seed=5)
-        assert gen.statistic == pytest.approx(two.statistic, rel=1e-8)
-        assert gen.null_dimension == two.null_dimension
-        assert gen.critical == two.critical
+        res = roy_k_sample(fit, alpha=0.1, r=200, seed=5)
+        want, _ = observed_statistic(fit, (1, 2), CovariateBox.whole_space(fit.p))
+        assert res.statistic == pytest.approx(want, rel=1e-12)
+        assert res.null_dimension == fit.p + 1
+
+
+def test_k_sample_statistic_survives_a_large_common_level():
+    # Coefficients near 100, noise 3e-7 (just above the degenerate-scatter
+    # floor): the oracle is the contrast form D' V^{-1} D over differences
+    # from the last group. A common fit solved from the raw estimates is
+    # off by about 2e-11 relative here.
+    rng = np.random.default_rng(96)
+    coef = 100.0 * rng.standard_normal((2, 2))
+    for _ in range(10):
+        data = make_dataset(rng, (9, 11, 13), (coef, coef, coef), noise=3e-7)
+        fit = fit_models(data)
+        diffs = np.vstack([fit.bhat[g] - fit.bhat[2] for g in range(2)])
+        cov = np.kron(np.ones((2, 2)), fit.gram_inv[2])
+        cov[:2, :2] += fit.gram_inv[0]
+        cov[2:, 2:] += fit.gram_inv[1]
+        hmat = diffs.T @ np.linalg.solve(cov, diffs)
+        want = scipy.linalg.eigh(hmat, fit.pooled_scatter, eigvals_only=True)[-1]
+        res = roy_k_sample(fit, alpha=0.1, r=200, seed=0)
+        assert res.statistic == pytest.approx(want, rel=1e-12)
 
 
 def test_k_sample_critical_value_nu242(three_group_fit):
@@ -275,6 +302,6 @@ def test_two_sample_matches_unbounded_tube_constant(two_group_fit):
     sample = simulate_pivot(fit, ComparisonFamily.pairwise(2),
                             CovariateBox.whole_space(1), r, seed=12)
     tube = critical_constant(sample, 0.05)
-    roy = roy_two_sample(fit, alpha=0.05, r=r, seed=13)
+    roy = roy_k_sample(fit, alpha=0.05, r=r, seed=13)
     width = tube.order_stat_interval[1] - tube.order_stat_interval[0]
     assert abs(roy.critical - tube.c_hat) <= 3 * width + 1e-4

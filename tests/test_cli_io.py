@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from conftest import make_dataset
-from sctubes import sct_engine
+from sctubes import classical_tests, sct_engine
 from sctubes.cli_io import (
     RunConfig,
     ingest_csv,
@@ -26,6 +27,7 @@ from sctubes.errors import (
     InvalidArgument,
     MalformedHeader,
     NonNumericCell,
+    TooFewReplicates,
 )
 from sctubes.sup_solver import CovariateBox
 from sctubes.model_core import fit_models
@@ -154,7 +156,7 @@ def test_round_trip_is_exact(tmp_path):
 def test_parse_range_forms():
     assert parse_range("0:10") == ((0.0, 10.0),)
     assert parse_range("-inf:inf,0:1") == ((-np.inf, np.inf), (0.0, 1.0))
-    for bad in ("5", "a:b", "3:1", "nan:1", "1:2:3"):
+    for bad in ("5", "a:b", "1:2:3"):
         with pytest.raises(ConfigError):
             parse_range(bad)
 
@@ -379,9 +381,13 @@ def test_exit_codes(tmp_path, capsys):
                                          for i in range(5)])
     for command in ("critical", "pvalues", "compare", "roy", "tube"):
         assert main([command, str(flat), "--alpha", "1.5"]) == 2
+    # Bounds that parse but make no box are a config error, checked once
+    # by RunConfig.validate, so they too lose to a data error.
+    for bounds in ("10:0", "3:1", "nan:1"):
+        assert main(["compare", str(good), "--range", bounds]) == 4
+        assert main(["compare", str(flat), "--range", bounds]) == 2
 
     assert main(["compare", str(good), "--family", "bogus"]) == 4
-    assert main(["compare", str(good), "--range", "10:0"]) == 4
     assert main(["compare", str(good), "--reps", "10"]) == 4
     assert main(["compare", str(good), "--reps", "1000",
                  "--family", "control:missing"]) == 4
@@ -535,12 +541,79 @@ def test_roy_subcommand(tmp_path, capsys):
     coef = np.array([[1.0], [0.5]])
     write_csv(make_dataset(rng, (8, 9, 10), (coef, coef, coef)), path)
     out = tmp_path / "roy.json"
-    assert main(["roy", str(path), "--reps", "2000", "--out", str(out)]) == 0
+    assert main(["roy", str(path), "--reps", "2000", "--seed", "1",
+                 "--out", str(out)]) == 0
     assert "3-sample" in capsys.readouterr().out
     doc = json.loads(out.read_text())
     assert doc["null_dimension"] == 4
     assert doc["statistic"] >= 0.0
     assert 0.0 <= doc["p_value"] <= 1.0
+
+
+def test_roy_report_is_the_same_for_any_worker_count(tmp_path, capsys):
+    path = tmp_path / "two.csv"
+    synthetic_csv(path, sizes=(9, 11), m=2, offset=0.2)
+    digests = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"roy{workers}.json"
+        assert main(["roy", str(path), "--reps", "20000", "--seed", "3",
+                     "--workers", workers, "--out", str(out)]) == 0
+        digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+    assert digests[0] == digests[1]
+    assert "largest-root two-sample test" in capsys.readouterr().out
+    doc = json.loads((tmp_path / "roy1.json").read_text())
+    assert doc["test"] == "two-sample" and doc["null_dimension"] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["roy", "--reps", "1000", "--family", "control:Z", "--range", "0:1,5:6",
+     "--grid", "3"],
+    ["roy", "--family", "pairwise"],
+    ["roy", "--range", "0:1"],
+    ["roy", "--grid", "3"],
+    ["roy", "--pair", "A:B"],
+    ["fit", "--alpha", "1.5"],
+    ["fit", "--reps", "1000"],
+    ["fit", "--seed", "1"],
+    ["fit", "--workers", "2"],
+    ["fit", "--family", "pairwise"],
+    ["fit", "--range", "0:1"],
+    ["fit", "--grid", "3"],
+    ["critical", "--grid", "3"],
+    ["pvalues", "--pair", "A:B"],
+    ["compare", "--grid", "3"],
+    ["compare", "--pair", "A:B"],
+    ["compare", "--bogus"],
+    ["compare", "--reps", "lots"],
+])
+def test_flags_a_command_does_not_act_on_are_refused(tmp_path, argv):
+    path = tmp_path / "three.csv"
+    synthetic_csv(path, sizes=(8, 9, 10))
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], str(path), *argv[1:]])
+    assert exc.value.code == 2
+
+
+def test_tail_guard_runs_before_simulating(tmp_path, monkeypatch):
+    # alpha * r = 8 < 10: refused from r and alpha alone, before any draw.
+    path = tmp_path / "data.csv"
+    data = synthetic_csv(path, sizes=(9, 11))
+
+    def never(*args, **kwargs):
+        raise AssertionError("sampler called")
+
+    monkeypatch.setattr(sct_engine, "simulate_pivot", never)
+    monkeypatch.setattr(classical_tests, "largest_root_null_sample", never)
+    fit = fit_models(data)
+    with pytest.raises(TooFewReplicates):
+        sct_engine.compare(fit, sct_engine.ComparisonFamily.pairwise(2),
+                           CovariateBox.whole_space(1), 4e-6, 2_000_000, 0)
+    with pytest.raises(TooFewReplicates):
+        classical_tests.roy_k_sample(fit, 4e-6, 2_000_000, 0)
+    flags = ["--reps", "2000000", "--alpha", "4e-6", "--range", "0:10"]
+    for command in ("critical", "compare", "tube"):
+        assert main([command, str(path), *flags]) == 4
+    assert main(["roy", str(path), *flags[:4]]) == 4
 
 
 def test_whole_space_report_has_inf_box(tmp_path):
