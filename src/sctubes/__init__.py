@@ -55,6 +55,7 @@ from .sct_engine import (
     compare,
     critical_constant,
     observed_statistic,
+    pair_comparisons,
     simulate_pivot,
 )
 from .sup_solver import (
@@ -65,7 +66,6 @@ from .sup_solver import (
 from .tube_geometry import (
     SignificanceRegion,
     TubeCrossSection,
-    contains_zero_line,
     cross_section,
     projected_band,
     significance_region,
@@ -111,7 +111,6 @@ __all__ = [
     "UsageError",
     "adjusted_p_values",
     "compare",
-    "contains_zero_line",
     "critical_constant",
     "cross_section",
     "export_tube",
@@ -119,6 +118,7 @@ __all__ = [
     "fit_models",
     "ingest_csv",
     "observed_statistic",
+    "pair_comparisons",
     "pointwise_constant",
     "projected_band",
     "roy_k_sample",

@@ -8,9 +8,10 @@ with at least one covariate column and one response column. Groups are
 ordered by first appearance and indexed from 1 in that order everywhere
 (reports, --family control:LABEL resolution, tube pair selection).
 
-Reports are emitted through a small JSON writer of our own: keys
-sorted, floats at 17 significant digits, so rerunning a command with
-the same inputs produces byte-identical output.
+Reports are written by ``json.dumps`` with sorted keys, two-space
+indents and UTF-8 text; floats print in Python's shortest round-trip
+form, so rerunning a command with the same inputs produces
+byte-identical output. The tube CSV keeps 17 significant digits.
 
 Commands: ``critical``, ``pvalues``, ``compare`` and ``tube`` start with
 ``_prepare`` (fit, which validates the data; check the config; resolve
@@ -24,7 +25,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -159,7 +162,7 @@ def _decoded_lines(fh, path):
 
 def ingest_csv(path) -> GroupedDataset:
     """Read a dataset, preserving group order of first appearance."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(_decoded_lines(fh, path))
         try:
             header = [c.strip() for c in next(reader)]
@@ -202,7 +205,7 @@ def ingest_csv(path) -> GroupedDataset:
 def write_csv(data: GroupedDataset, path) -> None:
     """Serialize a dataset back to the ingestion layout, round-trip exact."""
     p, m = data.p, data.m
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["group"] + [f"x{i + 1}" for i in range(p)]
                         + [f"y{i + 1}" for i in range(m)])
@@ -212,7 +215,7 @@ def write_csv(data: GroupedDataset, path) -> None:
                                 + [repr(float(v)) for v in yrow])
 
 
-# --- deterministic JSON -------------------------------------------------
+# --- reports ----------------------------------------------------------
 
 def _fnum(v: float) -> str:
     if not math.isfinite(v):
@@ -220,62 +223,15 @@ def _fnum(v: float) -> str:
     return format(float(v), ".17g")
 
 
-def _escape(s: str) -> str:
-    out = ['"']
-    for ch in s:
-        if ch in ('"', "\\"):
-            out.append("\\" + ch)
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
-
-
-def to_json(obj, indent: int = 0) -> str:
-    """Tiny JSON emitter with sorted keys and pinned float formatting."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if obj is None:
-        return "null"
-    if obj is True or obj is False:
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fnum(float(obj))
-    if isinstance(obj, str):
-        return _escape(obj)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [f"{inner}{_escape(str(k))}: {to_json(obj[k], indent + 1)}"
-                 for k in sorted(obj)]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        seq = list(obj)
-        if not seq:
-            return "[]"
-        items = [f"{inner}{to_json(v, indent + 1)}" for v in seq]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def _matrix(a: np.ndarray) -> list:
-    return [[float(v) for v in row] for row in np.atleast_2d(a)]
+def to_json(obj) -> str:
+    """Report text: sorted keys, two-space indents, finite numbers only."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False,
+                      ensure_ascii=False)
 
 
 def _box_strings(box: CovariateBox) -> list[str]:
-    return [f"{_bound(lo)}:{_bound(hi)}" for lo, hi in box.bounds]
-
-
-def _bound(v: float) -> str:
-    if v == math.inf:
-        return "inf"
-    if v == -math.inf:
-        return "-inf"
-    return _fnum(v)
+    """'low:high' per coordinate; infinite bounds print as inf and -inf."""
+    return [f"{lo:.17g}:{hi:.17g}" for lo, hi in box.bounds]
 
 
 def _family_dict(family: ComparisonFamily) -> dict:
@@ -304,24 +260,24 @@ def _pair_line(labels, statistic: float, p_value: float) -> str:
     return f"{labels[0]} vs {labels[1]}: statistic {statistic:.6g}, p={p_value:.6g}"
 
 
+def _pair_dict(pc: sct_engine.PairComparison) -> dict:
+    """One pair's report entry; ``reject`` and the significance regions
+    are written only when the pair carries them."""
+    entry = {"i": pc.pair[0], "j": pc.pair[1], "labels": list(pc.labels),
+             "statistic": pc.statistic,
+             "argmax": None if pc.argmax is None else pc.argmax.tolist(),
+             "p_value": pc.p_value}
+    if pc.reject is not None:
+        entry["reject"] = pc.reject
+    if pc.significance_regions is not None:
+        entry["significance_regions"] = [
+            {"response": reg.response,
+             "intervals": [list(span) for span in reg.intervals]}
+            for reg in pc.significance_regions]
+    return entry
+
+
 def report_dict(report: ComparisonReport) -> dict:
-    pairs = []
-    for pc in report.pairs:
-        entry = {
-            "i": pc.pair[0],
-            "j": pc.pair[1],
-            "labels": list(pc.labels),
-            "statistic": pc.statistic,
-            "argmax": None if pc.argmax is None else [float(v) for v in pc.argmax],
-            "p_value": pc.p_value,
-            "reject": bool(pc.reject),
-        }
-        if pc.significance_regions is not None:
-            entry["significance_regions"] = [
-                {"response": reg.response,
-                 "intervals": [[a, b] for a, b in reg.intervals]}
-                for reg in pc.significance_regions]
-        pairs.append(entry)
     return {
         **_header(report.alpha, report.r, report.seed, report,
                   report.family, report.box),
@@ -329,7 +285,7 @@ def report_dict(report: ComparisonReport) -> dict:
                    for idx, (lab, n) in enumerate(
                        zip(report.labels, report.group_sizes))],
         "critical": _critical_dict(report.critical),
-        "pairs": pairs,
+        "pairs": [_pair_dict(pc) for pc in report.pairs],
     }
 
 
@@ -340,7 +296,7 @@ def _emit(report: dict, out: str | None) -> None:
     clean either way.
     """
     if out is not None:
-        Path(out).write_text(to_json(report) + "\n")
+        Path(out).write_text(to_json(report) + "\n", encoding="utf-8")
 
 
 def _human_compare(report: ComparisonReport) -> str:
@@ -475,7 +431,7 @@ def export_tube(config: RunConfig, data: GroupedDataset,
     header = (["x"] + [f"center{q}" for q in range(1, fit.m + 1)]
               + ["radius_sq"]
               + [c for q in range(1, fit.m + 1) for c in (f"lower{q}", f"upper{q}")])
-    with open(out_path, "w", newline="") as fh:
+    with open(out_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for x in np.linspace(*box.bounds[0], config.grid):
@@ -492,9 +448,9 @@ def export_tube(config: RunConfig, data: GroupedDataset,
         "grid": config.grid,
         "c_hat": crit.c_hat,
         "order_stat_interval": list(crit.order_stat_interval),
-        "pooled_scatter": _matrix(fit.pooled_scatter),
+        "pooled_scatter": fit.pooled_scatter.tolist(),
     }
-    Path(str(out_path) + ".meta.json").write_text(to_json(sidecar) + "\n")
+    _emit(sidecar, f"{out_path}.meta.json")
     print(f"wrote {out_path} and {out_path}.meta.json "
           f"({config.grid} points, c={crit.c_hat:.6g})")
     return 0
@@ -504,13 +460,13 @@ def _cmd_fit(config: RunConfig, data: GroupedDataset) -> int:
     fit = fit_models(data)
     report = {
         "groups": [{"index": i + 1, "label": lab, "n": n,
-                    "coefficients": _matrix(b)}
+                    "coefficients": b.tolist()}
                    for i, (lab, n, b) in enumerate(
                        zip(fit.labels, fit.group_sizes, fit.bhat))],
         "nu": fit.nu,
         "p": fit.p,
         "m": fit.m,
-        "pooled_scatter": _matrix(fit.pooled_scatter),
+        "pooled_scatter": fit.pooled_scatter.tolist(),
         "scatter_degenerate": fit.scatter_degenerate,
     }
     degen = " (scatter degenerate)" if fit.scatter_degenerate else ""
@@ -539,16 +495,11 @@ def _cmd_pvalues(config: RunConfig, data: GroupedDataset) -> int:
     fit, family, box = _prepare(config, data)
     sample = sct_engine.simulate_pivot(fit, family, box, config.reps,
                                        config.seed, workers=config.workers)
-    pairs = []
-    for i, j in family.pairs:
-        t, _ = sct_engine.observed_statistic(fit, (i, j), box)
-        pv = sct_engine.tail_p_value(sample.values, t)
-        labels = [fit.labels[i - 1], fit.labels[j - 1]]
-        pairs.append({"i": i, "j": j, "labels": labels,
-                      "statistic": t, "p_value": pv})
-        print(_pair_line(labels, t, pv))
+    pairs = sct_engine.pair_comparisons(fit, family, box, sample)
+    for pc in pairs:
+        print(_pair_line(pc.labels, pc.statistic, pc.p_value))
     _emit({**_header(config.alpha, config.reps, config.seed, fit, family, box),
-           "pairs": pairs}, config.out)
+           "pairs": [_pair_dict(pc) for pc in pairs]}, config.out)
     return 0
 
 
@@ -644,8 +595,19 @@ _COMMANDS = {"fit": _cmd_fit, "critical": _cmd_critical, "compare": run_compare,
 _EXIT_CODES = {OSError: 2, InputDataError: 2, DegeneracyError: 3, UsageError: 4}
 
 
+def _bind_negative_range(argv: list[str]) -> list[str]:
+    """Rewrite ``--range -5:5`` as ``--range=-5:5``: argparse would read
+    a separate value starting with '-' as a flag."""
+    args = list(argv)
+    for idx in range(len(args) - 1, 0, -1):
+        if args[idx - 1] == "--range" and re.fullmatch(r"-[^-].*:.*", args[idx]):
+            args[idx - 1:idx + 1] = [f"--range={args[idx]}"]
+    return args
+
+
 def main(argv=None) -> int:
-    flags = vars(_build_parser().parse_args(argv))
+    argv = sys.argv[1:] if argv is None else argv
+    flags = vars(_build_parser().parse_args(_bind_negative_range(argv)))
     command, path = flags.pop("command"), flags.pop("data")
     extra = (flags.pop("pair", None),) if command == "tube" else ()
     try:

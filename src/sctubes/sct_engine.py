@@ -8,7 +8,7 @@ through the design cross-products and whose denominator is a common
 Wishart draw. The law depends on the designs only through the
 cross-product inverses and the pooled degrees of freedom, never on the
 fitted coefficients, which is what makes one simulated sample reusable
-for every pair's p-value.
+for every pair's p-value (``pair_comparisons``).
 
 Simulated and observed statistics go through the same exact solver,
 face enumeration of the covariate box (``sup_solver.FacePlan``), for
@@ -47,6 +47,7 @@ import numpy as np
 import scipy.linalg
 from scipy.special import bdtr, bdtrik
 
+from . import tube_geometry
 from .errors import EmptyFamily, InvalidArgument, MetaMismatch, TooFewReplicates
 from .model_core import FittedModels
 from .rand_engine import StreamKey, normal_block, wishart_factor_block
@@ -388,6 +389,57 @@ def _check_meta(fit: FittedModels, family: ComparisonFamily,
             "fit/family/region combination")
 
 
+@dataclass(frozen=True, eq=False)
+class PairComparison:
+    """One pair tested against a simulated sample.
+
+    ``reject`` (statistic >= constant) and ``significance_regions`` are
+    None when no critical constant was given; the regions are also None
+    unless the box is a finite interval in one covariate.
+    """
+
+    pair: tuple[int, int]
+    labels: tuple[str, str]
+    statistic: float
+    argmax: np.ndarray | None
+    p_value: float
+    reject: bool | None
+    significance_regions: tuple | None
+
+
+def pair_comparisons(fit: FittedModels, family: ComparisonFamily,
+                     box: CovariateBox, sample: SimulatedSample,
+                     c_hat: float | None = None) -> tuple[PairComparison, ...]:
+    """Observed statistic, its argmax and the adjusted p-value of every pair.
+
+    The sample must have been simulated for this fit, family and box.
+    With a critical constant ``c_hat`` each pair also gets its decision
+    and, on a finite interval with p = 1, the significance region of
+    every response coordinate.
+    """
+    _check_meta(fit, family, box, sample)
+    want_regions = (c_hat is not None and fit.p == 1 and box.is_finite
+                    and not box.is_point)
+    results = []
+    for pair in family.pairs:
+        t, argmax = observed_statistic(fit, pair, box)
+        regions = None
+        if want_regions:
+            regions = tuple(
+                tube_geometry.significance_region(fit, pair, c_hat, q, box)
+                for q in range(1, fit.m + 1))
+        results.append(PairComparison(
+            pair=pair,
+            labels=(fit.labels[pair[0] - 1], fit.labels[pair[1] - 1]),
+            statistic=t,
+            argmax=None if argmax is None else np.asarray(argmax, dtype=float),
+            p_value=tail_p_value(sample.values, t),
+            reject=None if c_hat is None else bool(t >= c_hat),
+            significance_regions=regions,
+        ))
+    return tuple(results)
+
+
 def adjusted_p_values(fit: FittedModels, family: ComparisonFamily,
                       box: CovariateBox, sample: SimulatedSample
                       ) -> dict[tuple[int, int], float]:
@@ -397,21 +449,8 @@ def adjusted_p_values(fit: FittedModels, family: ComparisonFamily,
     With the order-statistic convention for the critical constant,
     p <= alpha holds exactly when the statistic reaches the constant.
     """
-    _check_meta(fit, family, box, sample)
-    return {pair: tail_p_value(sample.values,
-                               observed_statistic(fit, pair, box)[0])
-            for pair in family.pairs}
-
-
-@dataclass(frozen=True, eq=False)
-class PairComparison:
-    pair: tuple[int, int]
-    labels: tuple[str, str]
-    statistic: float
-    argmax: np.ndarray | None
-    p_value: float
-    reject: bool
-    significance_regions: tuple | None
+    return {pc.pair: pc.p_value
+            for pc in pair_comparisons(fit, family, box, sample)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -444,28 +483,8 @@ def compare(fit: FittedModels, family: ComparisonFamily, box: CovariateBox,
     tail_rank(r, alpha)  # refuse too small an alpha * r before drawing
     sample = simulate_pivot(fit, family, box, r, seed, workers=workers)
     crit = critical_constant(sample, alpha)
-
-    want_regions = fit.p == 1 and box.is_finite and not box.is_point
-    results = []
-    for pair in family.pairs:
-        t, argmax = observed_statistic(fit, pair, box)
-        regions = None
-        if want_regions:
-            from .tube_geometry import significance_region
-            regions = tuple(
-                significance_region(fit, pair, crit.c_hat, q, box)
-                for q in range(1, fit.m + 1))
-        results.append(PairComparison(
-            pair=pair,
-            labels=(fit.labels[pair[0] - 1], fit.labels[pair[1] - 1]),
-            statistic=t,
-            argmax=None if argmax is None else np.asarray(argmax, dtype=float),
-            p_value=tail_p_value(sample.values, t),
-            reject=t >= crit.c_hat,
-            significance_regions=regions,
-        ))
-
     return ComparisonReport(
         labels=fit.labels, group_sizes=fit.group_sizes, nu=fit.nu,
         p=fit.p, m=fit.m, family=family, box=box, alpha=alpha, r=r,
-        seed=seed, critical=crit, pairs=tuple(results))
+        seed=seed, critical=crit,
+        pairs=pair_comparisons(fit, family, box, sample, crit.c_hat))

@@ -1,5 +1,5 @@
 """Geometry of the simultaneous band: cross-sections, coordinate bands,
-zero-line checks, and significance regions.
+and significance regions.
 
 At a covariate point x the band for a pair of groups is an ellipsoid in
 response space: center x'(bhat_i - bhat_j), shape given by the pooled
@@ -20,7 +20,6 @@ import scipy.linalg
 
 from .errors import NotUnivariate, UnboundedBox
 from .model_core import FittedModels
-from .sct_engine import observed_statistic
 from .sup_solver import CovariateBox
 
 
@@ -111,19 +110,6 @@ def projected_band(fit: FittedModels, pair: tuple[int, int], c: float,
         key = float(coords[0]) if fit.p == 1 else tuple(float(v) for v in coords)
         out.append((key, mid - h, mid + h))
     return out
-
-
-def contains_zero_line(fit: FittedModels, pair: tuple[int, int], c: float,
-                       box: CovariateBox) -> bool:
-    """Does the band cover the zero difference everywhere on the region?
-
-    True exactly when the pair's observed sup statistic stays at or
-    below the critical constant, so this is the acceptance view of the
-    same test ``compare`` reports as ``reject``.
-    """
-    _check_constant(c)
-    t, _ = observed_statistic(fit, pair, box)
-    return t <= c
 
 
 def significance_region(fit: FittedModels, pair: tuple[int, int], c: float,

@@ -36,6 +36,7 @@ from sctubes.sct_engine import (
     critical_constant,
     design_digest,
     observed_statistic,
+    pair_comparisons,
     quantile_rank,
     simulate_pivot,
 )
@@ -586,3 +587,15 @@ def test_compare_report_is_complete(three_group_fit):
         assert len(pc.significance_regions) == fit.m
     lo, hi = report.critical.order_stat_interval
     assert lo <= report.critical.c_hat <= hi
+
+    # Without a constant the same record carries no decision or regions.
+    sample = simulate_pivot(fit, fam, box, 2000, seed=80)
+    bare = pair_comparisons(fit, fam, box, sample)
+    for pc, full in zip(bare, report.pairs, strict=True):
+        assert (pc.pair, pc.statistic, pc.p_value) \
+            == (full.pair, full.statistic, full.p_value)
+        np.testing.assert_array_equal(pc.argmax, full.argmax)
+        assert pc.reject is None and pc.significance_regions is None
+    other = simulate_pivot(fit, fam, CovariateBox.interval(0.0, 5.0), 2000, seed=80)
+    with pytest.raises(MetaMismatch):
+        pair_comparisons(fit, fam, box, other)

@@ -1,4 +1,9 @@
-"""Cross-sections, projected bands, zero-line checks, significance regions."""
+"""Cross-sections, projected bands, zero-line checks, significance regions.
+
+The band covers the zero line on a region exactly when the observed sup
+statistic stays at or below the constant, so zero-line checks read
+``observed_statistic(fit, pair, box)[0] <= c``.
+"""
 
 from __future__ import annotations
 
@@ -12,7 +17,6 @@ from sctubes.model_core import FittedModels, GroupData, GroupedDataset, fit_mode
 from sctubes.sct_engine import observed_statistic
 from sctubes.sup_solver import CovariateBox
 from sctubes.tube_geometry import (
-    contains_zero_line,
     cross_section,
     projected_band,
     significance_region,
@@ -171,15 +175,15 @@ def test_nested_tubes():
 
 def test_zero_line_inside_for_equal_fit():
     fit = equal_fit()
-    assert contains_zero_line(fit, (1, 2), 0.01, CovariateBox.interval(0, 10))
-    assert contains_zero_line(fit, (1, 2), 0.01, CovariateBox.whole_space(1))
+    for box in (CovariateBox.interval(0, 10), CovariateBox.whole_space(1)):
+        assert observed_statistic(fit, (1, 2), box)[0] <= 0.01
 
 
 def test_zero_line_outside_when_constant_undershoots_midpoint():
     fit = offset_fit(offset=0.6)
     box = CovariateBox.interval(0.0, 10.0)
     mid_ratio, _ = observed_statistic(fit, (1, 2), CovariateBox.point(5.0))
-    assert not contains_zero_line(fit, (1, 2), 0.5 * mid_ratio, box)
+    assert not observed_statistic(fit, (1, 2), box)[0] <= 0.5 * mid_ratio
 
 
 def test_zero_line_agrees_with_grid_membership():
@@ -203,7 +207,7 @@ def test_zero_line_agrees_with_grid_membership():
         num = np.einsum("it,ij,jt->t", e, a, e)
         den = np.einsum("it,ij,jt->t", e, delta, e)
         grid_inside = bool(np.all(num / den <= c))
-        assert contains_zero_line(fit, (1, 2), c, box) == grid_inside
+        assert (t_sup <= c) == grid_inside
 
 
 # --- significance regions ----------------------------------------------------
