@@ -5,7 +5,8 @@ groups, built on the restricted (common-coefficient) fit. Under the
 null its statistic is distributed as the largest eigenvalue of
 Z W^{-1} Z' with Z a d x m standard normal matrix, d = (k-1)(p+1)
 (p+1 for two groups), and W an identity-scale Wishart with the pooled
-degrees of freedom, regardless of the designs.
+degrees of freedom, regardless of the designs. For d >= m the null
+sampler draws Z'Z as a second Wishart factor instead of Z.
 
 The F quantile comes from ``scipy.special.fdtri``, the inverse of the
 F distribution function.
@@ -57,17 +58,25 @@ def largest_root_null_sample(d: int, m: int, nu: int, r: int, seed: int,
                              workers: int = 1) -> np.ndarray:
     """Sorted replicates of the largest eigenvalue of Z W^{-1} Z'.
 
-    Z is d x m standard normal (substream 1), W an m x m identity-scale
-    Wishart with nu degrees of freedom (substream 0). Draws, blocks,
-    threads and whitening are the tube engine's: fixed blocks keyed by
-    their first replicate index, full blocks always drawn, and Z
-    whitened by W's Bartlett factor L, since Z W^{-1} Z' =
-    (L^{-1}Z')'(L^{-1}Z'). ``workers`` cannot change the result.
+    Z is d x m standard normal and W an m x m identity-scale Wishart
+    with nu degrees of freedom (substream 0). The statistic sees Z only
+    through Z'Z, which for d >= m is Wishart with d degrees of freedom;
+    so substream 1 then carries a second Bartlett factor B, Z'Z = B B',
+    and the replicate is the top eigenvalue of B' W^{-1} B. For d < m it
+    carries Z itself. Draws, blocks, threads and whitening are the tube
+    engine's: fixed blocks keyed by their first replicate index, full
+    blocks always drawn, and B (or Z') whitened by W's Bartlett factor
+    L, since B' W^{-1} B = (L^{-1}B)'(L^{-1}B). ``workers`` cannot change
+    the result.
     """
     def block(start: int, count: int) -> np.ndarray:
         lw = wishart_factor_block(m, nu, StreamKey(seed, start, 0), _BLOCK)[:count]
-        z = normal_block(d, m, StreamKey(seed, start, 1), _BLOCK)[:count]
-        return _lam_max_gram(_whiten(lw, z))
+        key = StreamKey(seed, start, 1)
+        if d >= m:
+            u = wishart_factor_block(m, d, key, _BLOCK)[:count].transpose(0, 2, 1)
+        else:
+            u = normal_block(d, m, key, _BLOCK)[:count]
+        return _lam_max_gram(_whiten(lw, u))
 
     return _replicates(r, workers, block)
 

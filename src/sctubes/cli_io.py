@@ -48,6 +48,7 @@ from .errors import (
     UsageError,
 )
 from .model_core import FittedModels, GroupData, GroupedDataset, fit_models
+from .rand_engine import STREAM_VERSION
 from .sct_engine import ComparisonFamily, ComparisonReport, CriticalConstantResult
 from .sup_solver import CovariateBox
 
@@ -244,8 +245,9 @@ def _family_dict(family: ComparisonFamily) -> dict:
 def _header(alpha: float, reps: int, seed: int, dims,
             family: ComparisonFamily, box: CovariateBox) -> dict:
     """Fields every simulating report carries; ``dims`` is anything with
-    ``nu``, ``p`` and ``m`` (a fit or a comparison report)."""
-    return {"alpha": alpha, "reps": reps, "seed": seed,
+    ``nu``, ``p`` and ``m`` (a fit or a comparison report). ``stream``
+    is the random stream version the replicates were drawn under."""
+    return {"alpha": alpha, "reps": reps, "seed": seed, "stream": STREAM_VERSION,
             "family": _family_dict(family), "box": _box_strings(box),
             "nu": dims.nu, "p": dims.p, "m": dims.m}
 
@@ -517,6 +519,7 @@ def _cmd_roy(config: RunConfig, data: GroupedDataset) -> int:
         "alpha": res.alpha,
         "reps": res.null_reps,
         "seed": res.seed,
+        "stream": STREAM_VERSION,
         "null_dimension": res.null_dimension,
         "nu": fit.nu,
         "m": fit.m,

@@ -1,26 +1,32 @@
 """Reproducible random sources for the Monte Carlo machinery.
 
-Everything here is counter-based: a draw is a pure function of a
-``(seed, replicate_index, substream)`` triple, never of how many draws
-came before it. That is what lets the simulation engine run replicates
-in any order, on any number of workers, sliced into any batch sizes,
-and still produce bit-identical output.
+Every draw is a pure function of a ``(seed, substream, replicate_index)``
+key, never of how many draws came before it. That is what lets the
+simulation engine run replicates in any order, on any number of
+workers, sliced into any batch sizes, and still produce bit-identical
+output.
 
-The mapping onto numpy is ``Philox(key=[seed, substream],
-counter=[0, 0, 0, replicate_index])``: the key separates logical
-streams (substream 0 carries the Wishart noise, substream i >= 1 the
-i-th group's normal matrix), while the counter jumps straight to a
-replicate without generating its predecessors.
+Each key seeds its own generator: ``SFC64(SeedSequence(words))``, where
+``words`` are the three 64-bit key fields written as six little-endian
+32-bit words. The width is fixed so that no two keys share entropy:
+``SeedSequence`` given the plain tuples ``(2**32, 0, 5)`` and
+``(0, 1, 5 * 2**32)`` sees the same words and yields the same stream.
+The engine keys every block by its first replicate index, so no
+generator ever has to skip ahead; substream 0 carries the Wishart
+noise and substream i >= 1 the i-th group's normal matrices.
 
-Each block function draws a whole batch from the generator at the
-batch's first replicate index. A normal block fills element by
-element, so a shorter block is a prefix of a longer one; a Wishart
-factor block draws all diagonals before all off-diagonals, so its
-content is pinned only for a fixed batch size. The engine therefore
-always draws full fixed-size blocks and slices off what it needs.
+Each block function draws a whole batch from the generator at its key.
+A normal block fills element by element, so a shorter block is a prefix
+of a longer one; a Wishart factor block draws one diagonal's variates
+for the whole batch before the next, so its content is pinned only for
+a fixed batch size. The engine therefore always draws full fixed-size
+blocks and slices off what it needs.
 
 Within one generator the draw order is pinned and documented per
-function; changing it would silently change every downstream result.
+function. ``STREAM_VERSION`` names this scheme: a change to any draw
+order, the generator or the key changes every downstream result, so it
+must come with a new version, which simulated samples and reports
+carry.
 """
 
 from __future__ import annotations
@@ -31,20 +37,22 @@ import numpy as np
 
 from .errors import DegreesOfFreedomTooSmall
 
+STREAM_VERSION = 2
+
 _U64 = 1 << 64
 
 
 @dataclass(frozen=True)
 class StreamKey:
-    """Address of one random stream position.
+    """Address of one random stream.
 
     Parameters
     ----------
     seed : int
         Run-level seed, 0 <= seed < 2**64.
     replicate_index : int
-        Counter position, i.e. which Monte Carlo replicate (or which
-        block start) this draw belongs to.
+        Which Monte Carlo replicate (or which block start) this draw
+        belongs to.
     substream : int
         Logical channel within the run. The simulation engine uses 0
         for the shared Wishart draw and i for group i's normal matrix.
@@ -63,11 +71,9 @@ class StreamKey:
                 raise ValueError(f"{name} out of range [0, 2**64): {v}")
 
     def generator(self) -> np.random.Generator:
-        bits = np.random.Philox(
-            key=[self.seed, self.substream],
-            counter=[0, 0, 0, self.replicate_index],
-        )
-        return np.random.Generator(bits)
+        words = np.array([self.seed, self.substream, self.replicate_index],
+                         dtype="<u8").view("<u4")
+        return np.random.Generator(np.random.SFC64(np.random.SeedSequence(words)))
 
 
 # Blocks draw `count` objects from the single generator at `key`; entry
@@ -85,10 +91,11 @@ def wishart_factor_block(m: int, nu: int, key: StreamKey, count: int) -> np.ndar
     """Draw ``count`` stacked lower-triangular Bartlett factors L, each
     with L L' distributed Wishart(identity, nu).
 
-    Draw order within the generator: first all count x m diagonal
-    chi-square variates (as gammas, replicate by replicate), then all
-    count x m(m-1)/2 strict lower-triangle normals, row-major within
-    each replicate.
+    Draw order within the generator: for each diagonal k = 0 .. m-1 in
+    turn, ``count`` gamma variates of shape (nu - k) / 2, one per
+    replicate (doubled, their square roots are the chi(nu - k)
+    diagonal); then all count x m(m-1)/2 strict lower-triangle normals,
+    row-major within each replicate.
     """
     if m < 1 or count < 1:
         raise ValueError("block dimensions must be positive")
@@ -96,10 +103,12 @@ def wishart_factor_block(m: int, nu: int, key: StreamKey, count: int) -> np.ndar
         raise DegreesOfFreedomTooSmall(
             f"Wishart needs dof >= dimension, got dof={nu}, dimension={m}")
     rng = key.generator()
-    dofs = nu - np.arange(m)
-    chi = rng.standard_gamma(np.broadcast_to(dofs / 2.0, (count, m))) * 2.0
     L = np.zeros((count, m, m))
-    L[:, np.arange(m), np.arange(m)] = np.sqrt(chi)
+    chi = np.empty(count)
+    for k in range(m):
+        rng.standard_gamma((nu - k) / 2.0, out=chi)
+        chi *= 2.0
+        np.sqrt(chi, out=L[:, k, k])
     if m > 1:
         ii, jj = np.tril_indices(m, -1)
         L[:, ii, jj] = rng.standard_normal((count, ii.size))

@@ -50,7 +50,7 @@ from scipy.special import bdtr, bdtrik
 from . import tube_geometry
 from .errors import EmptyFamily, InvalidArgument, MetaMismatch, TooFewReplicates
 from .model_core import FittedModels
-from .rand_engine import StreamKey, normal_block, wishart_factor_block
+from .rand_engine import STREAM_VERSION, StreamKey, normal_block, wishart_factor_block
 from .sup_solver import CovariateBox, FacePlan, QuadraticRatio, sup_ratio
 
 _BLOCK = 8192
@@ -115,7 +115,9 @@ class ComparisonFamily:
 
 @dataclass(frozen=True)
 class SampleMeta:
-    """Fingerprint of what a simulated sample is valid for."""
+    """Fingerprint of what a simulated sample is valid for, including
+    the random stream scheme (``rand_engine.STREAM_VERSION``) it was
+    drawn under."""
 
     nu: int
     m: int
@@ -123,6 +125,7 @@ class SampleMeta:
     family: ComparisonFamily
     box: CovariateBox
     design_digest: str
+    stream_version: int = STREAM_VERSION
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,7 +229,7 @@ class _SimPlan:
                  box: CovariateBox):
         family.validate_for(fit.k)
         if box.p != fit.p:
-            raise ValueError(f"box has p = {box.p}, fit has p = {fit.p}")
+            raise InvalidArgument(f"box has p = {box.p}, fit has p = {fit.p}")
         self.nu, self.m, self.p = fit.nu, fit.m, fit.p
         pairs0 = [(i - 1, j - 1) for i, j in family.pairs]
         self.needed = sorted({g for pair in pairs0 for g in pair})
@@ -290,7 +293,7 @@ def _replicates(r: int, workers: int, block_values) -> np.ndarray:
     if r < 1:
         raise TooFewReplicates(f"need at least one replicate, got {r}")
     if workers < 1:
-        raise ValueError(f"workers must be positive, got {workers}")
+        raise InvalidArgument(f"workers must be positive, got {workers}")
     values = np.empty(r)
 
     def fill(start: int) -> None:
@@ -383,6 +386,10 @@ def _check_meta(fit: FittedModels, family: ComparisonFamily,
     meta = sample.meta
     want = SampleMeta(nu=fit.nu, m=fit.m, p=fit.p, family=family, box=box,
                       design_digest=design_digest(fit))
+    if meta.stream_version != want.stream_version:
+        raise MetaMismatch(
+            f"simulated sample was drawn under random stream version "
+            f"{meta.stream_version}, this build draws version {want.stream_version}")
     if meta != want:
         raise MetaMismatch(
             "simulated sample was generated for a different "

@@ -236,7 +236,7 @@ class FacePlan:
     def __init__(self, denominator, box: CovariateBox):
         d = np.asarray(denominator, dtype=float)
         if d.shape != (box.p + 1, box.p + 1):
-            raise ValueError(f"box has p = {box.p}, matrices are {d.shape}")
+            raise InvalidArgument(f"box has p = {box.p}, matrices are {d.shape}")
         whole = box.is_whole_space
         if not (whole or box.is_finite):
             raise UnboundedBox(

@@ -130,15 +130,42 @@ def test_null_sample_is_deterministic_and_sorted():
 
 @pytest.mark.parametrize("d, m", [(2, 2), (8, 3), (4, 1), (1, 3)])
 def test_null_sample_matches_per_replicate_eigenvalues(d, m):
-    # The same draws through the Wishart matrix itself: the top
-    # eigenvalue of Z W^{-1} Z' with a generic solve per replicate.
+    # The same draws through the Wishart matrix itself, with a generic
+    # solve per replicate. For d >= m substream 1 holds a Bartlett factor
+    # B with B B' standing in for Z'Z, and the replicate is the top
+    # eigenvalue of B' W^{-1} B; for d < m it holds Z, and the replicate
+    # is the top eigenvalue of Z W^{-1} Z'.
     nu, r, seed = 30, 300, 12
     got = largest_root_null_sample(d, m, nu, r, seed)
     lw = wishart_factor_block(m, nu, StreamKey(seed, 0, 0), 8192)[:r]
-    z = normal_block(d, m, StreamKey(seed, 0, 1), 8192)[:r]
-    want = [np.linalg.eigvalsh(z[b] @ np.linalg.solve(lw[b] @ lw[b].T, z[b].T))[-1]
-            for b in range(r)]
+    if d >= m:
+        u = wishart_factor_block(m, d, StreamKey(seed, 0, 1), 8192)[:r]
+        want = [np.linalg.eigvalsh(u[b].T @ np.linalg.solve(lw[b] @ lw[b].T, u[b]))[-1]
+                for b in range(r)]
+    else:
+        u = normal_block(d, m, StreamKey(seed, 0, 1), 8192)[:r]
+        want = [np.linalg.eigvalsh(u[b] @ np.linalg.solve(lw[b] @ lw[b].T, u[b].T))[-1]
+                for b in range(r)]
     np.testing.assert_allclose(got, np.sort(want), rtol=1e-12)
+
+
+@pytest.mark.parametrize("d, m", [(8, 3), (3, 3), (4, 1)])
+def test_null_sample_has_the_law_of_the_normal_matrix_path(d, m):
+    # Drawing Z'Z as a Wishart factor must not change the law: compare
+    # with the top eigenvalue of Z W^{-1} Z' built here from an explicit
+    # d x m normal Z, on keys the sampler does not use.
+    nu, r, block = 30, 100_000, 8192
+    bartlett = largest_root_null_sample(d, m, nu, r, seed=41)
+    explicit = []
+    for start in range(0, r, block):
+        count = min(block, r - start)
+        lw = wishart_factor_block(m, nu, StreamKey(42, start, 0), count)
+        z = normal_block(d, m, StreamKey(42, start, 1), count)
+        v = np.linalg.solve(lw, np.transpose(z, (0, 2, 1)))
+        explicit.append(np.linalg.eigvalsh(
+            np.transpose(v, (0, 2, 1)) @ v)[:, -1])
+    stat = scipy.stats.ks_2samp(bartlett, np.concatenate(explicit))
+    assert stat.pvalue > 0.01
 
 
 def test_lam_max_gram_resolves_nearly_equal_roots():
@@ -153,6 +180,11 @@ def test_lam_max_gram_resolves_nearly_equal_roots():
 def test_null_sample_rejects_zero_replicates():
     with pytest.raises(TooFewReplicates):
         largest_root_null_sample(2, 2, 50, 0, seed=0)
+
+
+def test_roy_refuses_zero_workers(three_group_fit):
+    with pytest.raises(InvalidArgument):
+        roy_k_sample(three_group_fit, alpha=0.05, r=2000, seed=1, workers=0)
 
 
 def test_null_sample_is_the_same_for_any_worker_count():

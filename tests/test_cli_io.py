@@ -31,6 +31,7 @@ from sctubes.errors import (
 )
 from sctubes.sup_solver import CovariateBox
 from sctubes.model_core import fit_models
+from sctubes.rand_engine import STREAM_VERSION
 from sctubes.tube_geometry import cross_section, projected_band
 
 
@@ -604,6 +605,22 @@ def test_roy_report_is_the_same_for_any_worker_count(tmp_path, capsys):
     assert "largest-root two-sample test" in capsys.readouterr().out
     doc = json.loads((tmp_path / "roy1.json").read_text())
     assert doc["test"] == "two-sample" and doc["null_dimension"] == 2
+
+
+@pytest.mark.parametrize("command", ["compare", "roy"])
+def test_reports_carry_the_stream_version(tmp_path, command):
+    # Three groups with m = 2: Roy's null dimension is 4 >= m, so its
+    # null sample comes from two Wishart factors.
+    path = tmp_path / "three.csv"
+    three_group_csv(path)
+    blobs = []
+    for workers in ("1", "2", "1", "2"):
+        out = tmp_path / f"{command}{len(blobs)}.json"
+        assert main([command, str(path), "--reps", "20000", "--seed", "4",
+                     "--workers", workers, "--out", str(out)]) == 0
+        blobs.append(out.read_bytes())
+    assert len(set(blobs)) == 1
+    assert json.loads(blobs[0])["stream"] == STREAM_VERSION == 2
 
 
 @pytest.mark.parametrize("argv", [

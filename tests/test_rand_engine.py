@@ -3,12 +3,24 @@ the simulation engine draws from."""
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.stats as st
 
+from conftest import make_dataset
+from sctubes.classical_tests import largest_root_null_sample
 from sctubes.errors import DegreesOfFreedomTooSmall
-from sctubes.rand_engine import StreamKey, normal_block, wishart_factor_block
+from sctubes.model_core import fit_models
+from sctubes.rand_engine import (
+    STREAM_VERSION,
+    StreamKey,
+    normal_block,
+    wishart_factor_block,
+)
+from sctubes.sct_engine import ComparisonFamily, simulate_pivot
+from sctubes.sup_solver import CovariateBox
 
 
 def chi_square_block(dof: int, key: StreamKey, count: int) -> np.ndarray:
@@ -125,15 +137,16 @@ def test_wishart_rejects_small_dof():
 
 def test_wishart_factor_matches_identity():
     # L L' is the identity-scale Wishart of the Bartlett decomposition,
-    # rebuilt here from the documented draw order: all diagonal
-    # chi-squares (dof nu - i in row i), then the strict lower triangle
-    # row by row.
+    # rebuilt here from the documented draw order: the diagonal
+    # chi-squares one row at a time (dof nu - i in row i, one draw per
+    # replicate), then the strict lower triangle row by row.
     key = StreamKey(seed=11, replicate_index=4)
     m, nu, count = 3, 20, 8
     lf = wishart_factor_block(m, nu, key, count)
     assert np.allclose(lf, np.tril(lf))
     rng = key.generator()
-    chi = rng.standard_gamma(np.tile((nu - np.arange(m)) / 2.0, (count, 1))) * 2.0
+    chi = np.column_stack([rng.standard_gamma((nu - i) / 2.0, count) * 2.0
+                           for i in range(m)])
     below = rng.standard_normal((count, 3))
     for b in range(count):
         ref = np.diag(np.sqrt(chi[b]))
@@ -179,4 +192,60 @@ def test_wishart_block_fixed_count_deterministic():
 def test_block_draws_differ_across_substreams():
     a = normal_block(2, 2, StreamKey(seed=1, replicate_index=0, substream=1), 4)
     b = normal_block(2, 2, StreamKey(seed=1, replicate_index=0, substream=2), 4)
+    assert not np.array_equal(a, b)
+
+
+# --- stream version pin -----------------------------------------------------
+
+def _digest(values: np.ndarray, dtype: str) -> str:
+    return hashlib.sha256(np.ascontiguousarray(values, dtype=dtype).tobytes()).hexdigest()
+
+
+def _pinned_outputs() -> dict[str, np.ndarray]:
+    """Two blocks and two samples whose values fix every draw order."""
+    key = StreamKey(seed=2020, replicate_index=8192, substream=3)
+    rng = np.random.default_rng(505)
+    coef = np.array([[1.0, 2.0], [0.5, -0.3]])
+    fit = fit_models(make_dataset(rng, (20, 24), (coef, coef)))
+    sample = simulate_pivot(fit, ComparisonFamily.pairwise(2),
+                            CovariateBox.interval(0.0, 10.0), 20_000, seed=7)
+    return {
+        "normal_block": normal_block(2, 3, key, 16),
+        "wishart_factor_block": wishart_factor_block(3, 160, key, 16),
+        "simulate_pivot": sample.values,
+        "largest_root_null_sample": largest_root_null_sample(8, 3, 40, 20_000, seed=7),
+    }
+
+
+# sha256 of each output's little-endian bytes, per stream version. A
+# change to a generator, a key or a draw order fails here until
+# STREAM_VERSION is bumped and the new digests are pinned under it. The
+# blocks are hashed as float64. The samples also pass through BLAS and
+# libm, whose last bits may differ between platforms, so they are hashed
+# rounded to float32: a draw change moves every replicate far more.
+PINNED = {
+    2: {
+        "normal_block":
+            "4339750d98172a722ea3d347553233c73a23e2395a5a8b0e54f02b6d9a20d873",
+        "wishart_factor_block":
+            "09b44095836ae3e2466bc2831eda9febbed491edf6b49191f1fdbc254e1f9272",
+        "simulate_pivot":
+            "c30604257ecdc87e5f72a434e6a3e6c8e83a471397324f330b3dbac89773b8de",
+        "largest_root_null_sample":
+            "371efd553ef4d00aa43b0bd014e005ac356e1d680afd358a341b781caf0718bf",
+    },
+}
+
+
+def test_stream_version_pins_every_draw_order():
+    got = {name: _digest(values, "<f8" if name.endswith("block") else "<f4")
+           for name, values in _pinned_outputs().items()}
+    assert got == PINNED[STREAM_VERSION]
+
+
+def test_keys_that_alias_as_plain_seed_tuples_give_different_streams():
+    # SeedSequence((2**32, 0, 5)) and SeedSequence((0, 1, 5 * 2**32)) see
+    # the same 32-bit words; the fixed-width key keeps them apart.
+    a = normal_block(2, 3, StreamKey(seed=2 ** 32, replicate_index=5, substream=0), 16)
+    b = normal_block(2, 3, StreamKey(seed=0, replicate_index=5 * 2 ** 32, substream=1), 16)
     assert not np.array_equal(a, b)

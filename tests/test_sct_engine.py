@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -17,11 +18,17 @@ from sctubes.classical_tests import f_quantile, pointwise_constant
 from sctubes.errors import (
     DegenerateScatter,
     EmptyFamily,
+    InvalidArgument,
     MetaMismatch,
     TooFewReplicates,
 )
 from sctubes.model_core import fit_models
-from sctubes.rand_engine import StreamKey, normal_block, wishart_factor_block
+from sctubes.rand_engine import (
+    STREAM_VERSION,
+    StreamKey,
+    normal_block,
+    wishart_factor_block,
+)
 from sctubes.sct_engine import (
     _BLOCK,
     ComparisonFamily,
@@ -534,6 +541,34 @@ def test_meta_mismatch_detection(two_group_fit):
     other = univariate_fit()
     with pytest.raises(MetaMismatch):
         adjusted_p_values(other, fam, box, sample)
+
+
+def test_pair_comparisons_refuses_a_sample_from_another_stream_version(two_group_fit):
+    fit = two_group_fit
+    fam = ComparisonFamily.pairwise(2)
+    box = CovariateBox.interval(0.0, 10.0)
+    sample = simulate_pivot(fit, fam, box, 200, seed=70)
+    assert sample.meta.stream_version == STREAM_VERSION
+    old = SimulatedSample(
+        values=sample.values, r=sample.r, seed=sample.seed,
+        meta=dataclasses.replace(sample.meta, stream_version=STREAM_VERSION - 1))
+    with pytest.raises(MetaMismatch, match="stream version"):
+        pair_comparisons(fit, fam, box, old)
+
+
+def test_misuse_raises_invalid_argument(two_group_fit):
+    # A box of the wrong dimension or no workers is a usage error, still
+    # a ValueError for library callers.
+    fit = two_group_fit
+    fam = ComparisonFamily.pairwise(2)
+    plane = CovariateBox(((0.0, 1.0), (0.0, 1.0)))
+    with pytest.raises(InvalidArgument):
+        simulate_pivot(fit, fam, plane, 200, seed=1)
+    with pytest.raises(InvalidArgument):
+        observed_statistic(fit, (1, 2), plane)
+    with pytest.raises(InvalidArgument):
+        simulate_pivot(fit, fam, CovariateBox.whole_space(1), 200, seed=1, workers=0)
+    assert issubclass(InvalidArgument, ValueError)
 
 
 # --- calibration experiments -----------------------------------------------
