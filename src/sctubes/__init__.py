@@ -32,7 +32,6 @@ from .errors import (
     NotUnivariate,
     RankDeficientDesign,
     ShapeMismatch,
-    SingularGram,
     TooFewReplicates,
     TubeError,
     UnboundedBox,
@@ -102,7 +101,6 @@ __all__ = [
     "ShapeMismatch",
     "SignificanceRegion",
     "SimulatedSample",
-    "SingularGram",
     "StreamKey",
     "TooFewReplicates",
     "TubeCrossSection",

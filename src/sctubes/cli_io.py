@@ -13,12 +13,18 @@ indents and UTF-8 text; floats print in Python's shortest round-trip
 form, so rerunning a command with the same inputs produces
 byte-identical output. The tube CSV keeps 17 significant digits.
 
-Commands: ``critical``, ``pvalues``, ``compare`` and ``tube`` start with
-``_prepare`` (fit, which validates the data; check the config; resolve
-family and box), so a data error (exit 2) wins over a config error (exit
-4), and their JSON reports share one header. ``pvalues`` needs no
-critical constant, so it runs at any alpha. Numerical degeneracy exits
-3; any other exception is a bug and propagates.
+``main`` puts the flags, as typed, into a ``RunConfig``: the --family,
+--range and --pair texts stay text until a command resolves them. The
+one ordering rule: nothing in the config is judged before the data are
+read and fitted, so a data error (exit 2) wins over every flag error
+(exit 4). Commands ``critical``, ``pvalues``, ``compare`` and ``tube``
+start with ``_prepare`` (fit, which validates the data; check the
+config; parse and resolve family and box against the fit), and their
+JSON reports share one header; ``roy`` fits, then checks the config.
+The seed and the worker count are checked where they are used, by the
+random stream and the block driver. ``pvalues`` needs no critical
+constant, so it runs at any alpha. Numerical degeneracy exits 3; any
+other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -40,7 +46,6 @@ from .errors import (
     DegeneracyError,
     EmptyGroup,
     InputDataError,
-    InvalidArgument,
     MalformedHeader,
     NonNumericCell,
     NotUnivariate,
@@ -52,58 +57,49 @@ from .rand_engine import STREAM_VERSION
 from .sct_engine import ComparisonFamily, ComparisonReport, CriticalConstantResult
 from .sup_solver import CovariateBox
 
-_FAMILY_KINDS = ("pairwise", "vs_control", "successive")
-
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Run settings; each subcommand takes flags only for the fields it
-    acts on, and the rest keep these defaults.
+    """Run settings as typed on the command line; each subcommand takes
+    flags only for the fields it acts on, and the rest keep these
+    defaults.
 
-    ``bounds`` of None means the whole covariate space. ``reps`` has a
-    floor of 1000: below that the tail quantile is meaningless and the
-    run refuses to start.
+    ``family`` is ``pairwise``, ``successive`` or ``control:LABEL``;
+    ``range_text`` is ``a:b[,a:b...]``, or None for the whole covariate
+    space; ``pair`` is ``A:B`` by labels or 1-based indices, or None for
+    the family's first pair. These texts are parsed and resolved only
+    after the data are fitted, so any data error wins over them.
     """
 
     alpha: float = 0.05
     reps: int = 1_000_000
     seed: int = 0
-    family_kind: str = "pairwise"
-    control_label: str | None = None
-    bounds: tuple[tuple[float, float], ...] | None = None
+    family: str = "pairwise"
+    range_text: str | None = None
     grid: int = 201
     out: str | None = None
     workers: int = 1
+    pair: str | None = None
 
     def validate(self) -> "RunConfig":
+        """Check the settings that no library call checks on every
+        command: alpha (``pvalues`` estimates no constant), the
+        replicate floor of 1000, below which the tail quantile is
+        meaningless, and the tube grid."""
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.reps < 1000:
             raise ConfigError(f"reps must be at least 1000, got {self.reps}")
-        if not 0 <= self.seed < 2 ** 64:
-            raise ConfigError(f"seed out of range [0, 2**64): {self.seed}")
         if self.grid < 2:
             raise ConfigError(f"grid must be at least 2, got {self.grid}")
-        if self.family_kind not in _FAMILY_KINDS:
-            raise ConfigError(f"unknown family kind {self.family_kind!r}")
-        if (self.family_kind == "vs_control") != (self.control_label is not None):
-            raise ConfigError("control label goes with, and only with, "
-                              "the vs_control family")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be positive, got {self.workers}")
-        if self.bounds is not None:
-            try:
-                CovariateBox(self.bounds)
-            except InvalidArgument as exc:
-                raise ConfigError(str(exc)) from None
         return self
 
 
 def parse_range(text: str) -> tuple[tuple[float, float], ...]:
     """Parse 'a:b[,a:b...]' into bound pairs; inf/-inf are accepted.
 
-    Only the syntax is checked here; ``RunConfig.validate`` checks the
-    bounds themselves (no NaN, low <= high) through ``CovariateBox``.
+    Only the syntax is checked here; ``CovariateBox`` checks the bounds
+    themselves (no NaN, low <= high).
     """
     out = []
     for part in text.split(","):
@@ -116,20 +112,6 @@ def parse_range(text: str) -> tuple[tuple[float, float], ...]:
             raise ConfigError(f"range piece {part!r} has non-numeric bounds") from None
         out.append((lo, hi))
     return tuple(out)
-
-
-def parse_family(text: str) -> tuple[str, str | None]:
-    """Parse --family values: pairwise, successive, or control:LABEL."""
-    if text in ("pairwise", "successive"):
-        return text, None
-    if text.startswith("control:"):
-        label = text[len("control:"):]
-        if not label:
-            raise ConfigError("control family needs a group label, "
-                              "as in control:placebo")
-        return "vs_control", label
-    raise ConfigError(
-        f"unknown family {text!r}; use pairwise, successive, or control:LABEL")
 
 
 # --- CSV ---------------------------------------------------------------
@@ -329,26 +311,33 @@ def _human_compare(report: ComparisonReport) -> str:
 # --- command implementations --------------------------------------------
 
 def _family_for(config: RunConfig, fit: FittedModels) -> ComparisonFamily:
-    if config.family_kind == "pairwise":
+    """The --family text (pairwise, successive or control:LABEL) as a
+    family over the fitted groups."""
+    if config.family == "pairwise":
         return ComparisonFamily.pairwise(fit.k)
-    if config.family_kind == "successive":
+    if config.family == "successive":
         return ComparisonFamily.successive(fit.k)
+    label = config.family.removeprefix("control:")
+    if label == config.family:
+        raise ConfigError(f"unknown family {config.family!r}; "
+                          "use pairwise, successive, or control:LABEL")
     try:
-        control = fit.labels.index(config.control_label) + 1
+        control = fit.labels.index(label) + 1
     except ValueError:
         raise ConfigError(
-            f"control label {config.control_label!r} is not a group; "
+            f"control label {label!r} is not a group; "
             f"groups are {', '.join(fit.labels)}") from None
     return ComparisonFamily.vs_control(fit.k, control)
 
 
 def _box_for(config: RunConfig, p: int) -> CovariateBox:
-    if config.bounds is None:
+    """The --range text as a box in the data's p covariates."""
+    if config.range_text is None:
         return CovariateBox.whole_space(p)
-    if len(config.bounds) != p:
-        raise ConfigError(
-            f"--range lists {len(config.bounds)} coordinates, data has {p}")
-    return CovariateBox(config.bounds)
+    bounds = parse_range(config.range_text)
+    if len(bounds) != p:
+        raise ConfigError(f"--range lists {len(bounds)} coordinates, data has {p}")
+    return CovariateBox(bounds)
 
 
 def _prepare(config: RunConfig, data: GroupedDataset
@@ -356,7 +345,7 @@ def _prepare(config: RunConfig, data: GroupedDataset
     """Fit, check the configuration, then resolve the family and box.
 
     Fitting first (it validates the dataset) makes a data error win over
-    a configuration error; the family and box need the fitted labels and p.
+    every flag error; the family and box need the fitted labels and p.
     """
     fit = fit_models(data)
     config.validate()
@@ -384,6 +373,8 @@ def run_compare(config: RunConfig, data: GroupedDataset) -> int:
 
 def _resolve_pair(pair_text: str | None, family: ComparisonFamily,
                   fit: FittedModels) -> tuple[int, int]:
+    """The --pair text as 1-based group indices; None is the family's
+    first pair."""
     if pair_text is None:
         return family.pairs[0]
     pieces = pair_text.split(":")
@@ -407,8 +398,7 @@ def _resolve_pair(pair_text: str | None, family: ComparisonFamily,
     return idx[0], idx[1]
 
 
-def export_tube(config: RunConfig, data: GroupedDataset,
-                pair_text: str | None = None) -> int:
+def export_tube(config: RunConfig, data: GroupedDataset) -> int:
     """Write one pair's band along a grid as CSV plus a JSON sidecar.
 
     Columns: x, the m center coordinates, the squared ellipsoid radius,
@@ -423,7 +413,7 @@ def export_tube(config: RunConfig, data: GroupedDataset,
                             f"data has p = {fit.p}")
     if not box.is_finite:
         raise UnboundedBox("tube export needs --range with finite bounds")
-    pair = _resolve_pair(pair_text, family, fit)
+    pair = _resolve_pair(config.pair, family, fit)
     if pair not in family.pairs and (pair[1], pair[0]) not in family.pairs:
         raise ConfigError(
             f"pair {pair} is not in the {family.kind} family being adjusted for")
@@ -581,18 +571,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from(flags: dict) -> RunConfig:
-    """The run settings given on the command line; absent flags keep the
-    ``RunConfig`` defaults."""
-    fields = dict(flags)
-    if "family" in fields:
-        fields["family_kind"], fields["control_label"] = parse_family(
-            fields.pop("family"))
-    if "range_text" in fields:
-        fields["bounds"] = parse_range(fields.pop("range_text"))
-    return RunConfig(**fields)
-
-
 _COMMANDS = {"fit": _cmd_fit, "critical": _cmd_critical, "compare": run_compare,
              "pvalues": _cmd_pvalues, "roy": _cmd_roy, "tube": export_tube}
 _EXIT_CODES = {OSError: 2, InputDataError: 2, DegeneracyError: 3, UsageError: 4}
@@ -612,9 +590,8 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     flags = vars(_build_parser().parse_args(_bind_negative_range(argv)))
     command, path = flags.pop("command"), flags.pop("data")
-    extra = (flags.pop("pair", None),) if command == "tube" else ()
     try:
-        return _COMMANDS[command](_config_from(flags), ingest_csv(path), *extra)
+        return _COMMANDS[command](RunConfig(**flags), ingest_csv(path))
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items()

@@ -17,8 +17,8 @@ class InputDataError(TubeError):
 
 
 class DegeneracyError(TubeError):
-    """A numerical precondition failed: rank, positive definiteness,
-    or degrees of freedom (exit code 3)."""
+    """A numerical precondition failed: positive definiteness or
+    degrees of freedom (exit code 3)."""
 
 
 class UsageError(TubeError):
@@ -60,10 +60,6 @@ class InsufficientObservations(InputDataError):
 
 # --- numerical degeneracy ---------------------------------------------
 
-class SingularGram(DegeneracyError):
-    """A cross-product matrix X'X could not be inverted."""
-
-
 class DegenerateScatter(DegeneracyError):
     """The pooled residual scatter is not positive definite, so nothing
     that needs its inverse can run."""
@@ -97,7 +93,7 @@ class MetaMismatch(UsageError):
 
 
 class NotTwoGroups(UsageError):
-    """A two-sample procedure was given some other number of groups."""
+    """A k-sample procedure was given fewer than two groups."""
 
 
 class ConfigError(UsageError):

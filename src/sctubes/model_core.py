@@ -19,10 +19,17 @@ from .errors import (
     InsufficientObservations,
     RankDeficientDesign,
     ShapeMismatch,
-    SingularGram,
 )
 
-_RANK_RTOL = 1e-10
+# Smallest singular value ratio accepted for a design with its columns
+# scaled to unit norm. Least squares does not depend on the units of a
+# covariate, and unit-norm columns bring the condition number within a
+# factor sqrt(p + 1) of its minimum over all column scalings (van der
+# Sluis, "Condition numbers and equilibration of matrices", 1969). The
+# cross-product inverses, scaled alike, have the square of that
+# condition number; below this ratio their Cholesky factorizations in
+# the simulation can fail.
+_RANK_RTOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -101,7 +108,9 @@ def validate_dataset(data: GroupedDataset) -> GroupedDataset:
     InsufficientObservations
         Some group has fewer than p + 2 rows.
     RankDeficientDesign
-        Some design matrix is column rank deficient.
+        Some design matrix is numerically column rank deficient once its
+        columns are scaled to unit norm; this is the one rank check, and
+        a design that passes it can be fitted and simulated.
     """
     p, m = data.p, data.m
     for g in data.groups:
@@ -117,11 +126,15 @@ def validate_dataset(data: GroupedDataset) -> GroupedDataset:
         if g.n < p + 2:
             raise InsufficientObservations(
                 f"group {g.label!r} has {g.n} rows, needs at least {p + 2}")
-        sv = np.linalg.svd(g.design, compute_uv=False)
+        # A zero column keeps its zeros, so its singular value is 0.
+        norms = np.linalg.norm(g.design, axis=0)
+        sv = np.linalg.svd(g.design / np.where(norms > 0.0, norms, 1.0),
+                           compute_uv=False)
         if sv[-1] <= _RANK_RTOL * sv[0]:
             raise RankDeficientDesign(
                 f"group {g.label!r}: design is rank deficient "
-                f"(singular value ratio {sv[-1] / sv[0]:.2e})")
+                f"(singular value ratio {sv[-1] / sv[0]:.2e} "
+                "with columns scaled to unit norm)")
     return data
 
 
@@ -192,8 +205,8 @@ def fit_models(data: GroupedDataset) -> FittedModels:
     design; the cross-product inverse comes from the R factor, so no
     normal-equations matrix is ever inverted directly.
 
-    Raises everything ``validate_dataset`` raises, plus ``SingularGram``
-    if an R factor turns out numerically singular despite the rank check.
+    Raises what ``validate_dataset`` raises; a design that passes its
+    rank check factorizes here and in the simulation.
     """
     validate_dataset(data)
     p, m = data.p, data.m
@@ -203,10 +216,6 @@ def fit_models(data: GroupedDataset) -> FittedModels:
     nu = 0
     for g in data.groups:
         q, r = np.linalg.qr(g.design, mode="reduced")
-        diag = np.abs(np.diag(r))
-        if diag.min() <= _RANK_RTOL * diag.max() * g.n:
-            raise SingularGram(
-                f"group {g.label!r}: cross-product matrix is numerically singular")
         bhat = np.linalg.solve(r, q.T @ g.response)
         rinv = np.linalg.solve(r, np.eye(p + 1))
         bhats.append(bhat)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegreesOfFreedomTooSmall
+from .errors import DegreesOfFreedomTooSmall, InvalidArgument
 
 STREAM_VERSION = 2
 
@@ -68,7 +68,7 @@ class StreamKey:
             if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
                 raise TypeError(f"{name} must be an integer, got {v!r}")
             if not 0 <= v < _U64:
-                raise ValueError(f"{name} out of range [0, 2**64): {v}")
+                raise InvalidArgument(f"{name} out of range [0, 2**64): {v}")
 
     def generator(self) -> np.random.Generator:
         words = np.array([self.seed, self.substream, self.replicate_index],

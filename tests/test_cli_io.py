@@ -13,9 +13,9 @@ from conftest import make_dataset
 from sctubes import classical_tests, sct_engine
 from sctubes.cli_io import (
     RunConfig,
+    _family_for,
     ingest_csv,
     main,
-    parse_family,
     parse_range,
     run_compare,
     to_json,
@@ -162,13 +162,18 @@ def test_parse_range_forms():
             parse_range(bad)
 
 
-def test_parse_family_forms():
-    assert parse_family("pairwise") == ("pairwise", None)
-    assert parse_family("successive") == ("successive", None)
-    assert parse_family("control:placebo") == ("vs_control", "placebo")
-    for bad in ("control:", "banana"):
+def test_parse_family_forms(three_group_fit):
+    def family(text):
+        return _family_for(RunConfig(family=text), three_group_fit)
+
+    assert family("pairwise").pairs == ((1, 2), (1, 3), (2, 3))
+    assert family("successive").pairs == ((1, 2), (2, 3))
+    control = family("control:B")
+    assert (control.kind, control.control, control.pairs) == (
+        "vs_control", 2, ((1, 2), (3, 2)))
+    for bad in ("control:", "control:Z", "banana", "Pairwise"):
         with pytest.raises(ConfigError):
-            parse_family(bad)
+            family(bad)
 
 
 def test_config_validation():
@@ -177,13 +182,7 @@ def test_config_validation():
         dict(alpha=0.0),
         dict(alpha=1.0),
         dict(reps=999),
-        dict(seed=-1),
         dict(grid=1),
-        dict(family_kind="bogus"),
-        dict(family_kind="vs_control"),                    # missing label
-        dict(family_kind="pairwise", control_label="A"),   # stray label
-        dict(workers=0),
-        dict(bounds=((3.0, 1.0),)),
     ]
     for overrides in cases:
         with pytest.raises(ConfigError):
@@ -198,8 +197,7 @@ def test_rerun_is_byte_identical(tmp_path):
     outs = []
     for name in ("a.json", "b.json"):
         out = tmp_path / name
-        config = RunConfig(reps=2000, seed=5, bounds=((0.0, 10.0),),
-                           out=str(out))
+        config = RunConfig(reps=2000, seed=5, range_text="0:10", out=str(out))
         assert run_compare(config, ingest_csv(path)) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
@@ -225,8 +223,7 @@ def test_vs_control_on_two_groups_gives_single_reversed_pair(tmp_path):
     path = tmp_path / "data.csv"
     synthetic_csv(path, m=1)
     out = tmp_path / "report.json"
-    config = RunConfig(reps=1000, family_kind="vs_control", control_label="A",
-                       out=str(out))
+    config = RunConfig(reps=1000, family="control:A", out=str(out))
     run_compare(config, ingest_csv(path))
     doc = json.loads(out.read_text())
     assert doc["family"]["kind"] == "vs_control"
@@ -239,8 +236,7 @@ def test_alpha_half_smoke_report(tmp_path):
     path = tmp_path / "data.csv"
     synthetic_csv(path, sizes=(8, 9), m=2, offset=0.2)
     out = tmp_path / "report.json"
-    config = RunConfig(alpha=0.5, reps=1000, bounds=((0.0, 10.0),),
-                       out=str(out))
+    config = RunConfig(alpha=0.5, reps=1000, range_text="0:10", out=str(out))
     run_compare(config, ingest_csv(path))
     doc = json.loads(out.read_text())
     for key in ("alpha", "reps", "seed", "groups", "nu", "p", "m", "family",
@@ -376,17 +372,28 @@ def test_exit_codes(tmp_path, capsys):
     write_lines(exact, lines)
     assert main(["compare", str(exact), "--reps", "1000"]) == 3
 
-    # A data error wins over a config error in every command.
+    # A data error wins over every flag error in every command: family
+    # and range texts are parsed only after the data are fitted.
     flat = tmp_path / "flat.csv"
     write_lines(flat, ["group,x1,y1"] + [f"{label},1.0,{i}.5" for label in "AB"
                                          for i in range(5)])
     for command in ("critical", "pvalues", "compare", "roy", "tube"):
         assert main([command, str(flat), "--alpha", "1.5"]) == 2
-    # Bounds that parse but make no box are a config error, checked once
-    # by RunConfig.validate, so they too lose to a data error.
+    for command in ("critical", "pvalues", "compare", "tube"):
+        for flag in (["--family", "foo"], ["--family", "control:"],
+                     ["--range", "1:2:3"], ["--range", "0:1,2"]):
+            assert main([command, str(flat), "--reps", "1000", *flag]) == 2
+            assert main([command, str(good), "--reps", "1000", *flag]) == 4
+    # Bounds that parse but make no box are refused by CovariateBox.
     for bounds in ("10:0", "3:1", "nan:1"):
         assert main(["compare", str(good), "--range", bounds]) == 4
         assert main(["compare", str(flat), "--range", bounds]) == 2
+    # The seed and the worker count are checked where they are used.
+    for command in ("compare", "critical", "pvalues", "tube", "roy"):
+        box = [] if command == "roy" else ["--range", "0:10"]
+        for flag in (["--seed", "-1"], ["--seed", str(2 ** 64)],
+                     ["--workers", "0"]):
+            assert main([command, str(good), "--reps", "1000", *box, *flag]) == 4
 
     assert main(["compare", str(good), "--family", "bogus"]) == 4
     assert main(["compare", str(good), "--reps", "10"]) == 4
@@ -450,6 +457,12 @@ def test_internal_value_error_is_not_a_usage_error(tmp_path, monkeypatch):
     assert main(argv) == 4
 
 
+def small_fit():
+    rng = np.random.default_rng(3)
+    coef = np.array([[1.0], [0.5]])
+    return fit_models(make_dataset(rng, (8, 9), (coef, coef)))
+
+
 @pytest.mark.parametrize("check", [
     lambda: sct_engine.ComparisonFamily.custom([(1, 1)]),
     lambda: sct_engine.ComparisonFamily.custom([(0, 1)]),
@@ -460,6 +473,10 @@ def test_internal_value_error_is_not_a_usage_error(tmp_path, monkeypatch):
     lambda: CovariateBox(((float("nan"), 1.0),)),
     lambda: CovariateBox(()),
     lambda: sct_engine.quantile_rank(100, 1.5),
+    lambda: sct_engine.simulate_pivot(
+        small_fit(), sct_engine.ComparisonFamily.pairwise(2),
+        CovariateBox.whole_space(1), 1000, seed=-1),
+    lambda: classical_tests.roy_k_sample(small_fit(), 0.05, 1000, seed=2 ** 64),
 ])
 def test_argument_checks_raise_typed_usage_errors(check):
     # Typed for the exit code, and still a ValueError for library callers.

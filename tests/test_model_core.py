@@ -19,6 +19,8 @@ from sctubes.model_core import (
     fit_models,
     validate_dataset,
 )
+from sctubes.sct_engine import ComparisonFamily, compare
+from sctubes.sup_solver import CovariateBox
 
 
 def test_minimal_dataset_accepted():
@@ -35,6 +37,44 @@ def test_duplicated_covariate_is_rank_deficient():
     g = GroupData("dup", design, np.arange(6.0).reshape(-1, 1))
     with pytest.raises(RankDeficientDesign):
         validate_dataset(GroupedDataset((g,)))
+
+
+def test_numerically_collinear_design_is_rank_deficient():
+    # [1, x, x + 5.6e-9 z] factorizes by QR, but the Cholesky factor of
+    # its cross-product inverse, which the simulation needs, can fail.
+    rng = np.random.default_rng(7)
+    x, z = rng.uniform(0.0, 1.0, 12), rng.standard_normal(12)
+    design = np.column_stack([np.ones(12), x, x + 5.6e-9 * z])
+    groups = tuple(GroupData(label, design, rng.standard_normal((12, 1)))
+                   for label in "AB")
+    with pytest.raises(RankDeficientDesign):
+        fit_models(GroupedDataset(groups))
+
+
+def test_zero_covariate_column_is_rank_deficient():
+    design = np.column_stack([np.ones(6), np.linspace(0, 1, 6), np.zeros(6)])
+    g = GroupData("zero", design, np.arange(6.0).reshape(-1, 1))
+    with pytest.raises(RankDeficientDesign):
+        validate_dataset(GroupedDataset((g,)))
+
+
+@pytest.mark.parametrize("degree, low, high", [(2, 0.0, 1e4), (1, 1e6, 1e6 + 10)])
+def test_raw_unit_designs_fit_and_compare(degree, low, high):
+    # Columns of very different size, or a covariate far from zero: the
+    # raw singular value ratio is tiny, but with columns scaled to unit
+    # norm the design is well conditioned, so it fits and simulates.
+    rng = np.random.default_rng(11)
+    groups = []
+    for label in "AB":
+        x = rng.uniform(low, high, 30)
+        design = np.column_stack([x ** d for d in range(degree + 1)])
+        groups.append(GroupData(label, design, rng.standard_normal((30, 1))))
+    fit = fit_models(GroupedDataset(tuple(groups)))
+    box = (CovariateBox.interval(low, high) if degree == 1
+           else CovariateBox.whole_space(degree))
+    report = compare(fit, ComparisonFamily.pairwise(2), box, 0.05, 1000, 0)
+    assert np.isfinite(report.critical.c_hat)
+    assert 0.0 <= report.pairs[0].p_value <= 1.0
 
 
 def test_mismatched_response_counts():

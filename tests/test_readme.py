@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import argparse
 import re
 from pathlib import Path
 
 import sctubes
+from sctubes.cli_io import _build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -22,3 +24,36 @@ def test_every_listed_function_exists():
     assert "roy_k_sample" in names and "sup_ratio" in names
     missing = [n for n in names if not callable(getattr(sctubes, n, None))]
     assert missing == []
+
+
+def documented_flags() -> dict[str, set[str]]:
+    """Each subcommand's flags from the "Subcommand | Flags" table, with
+    "those of `cmd`, plus ..." expanded from an earlier row."""
+    text = README.read_text()
+    table = text.split("| Subcommand | Flags |", 1)[1].split("\n\n", 1)[0]
+    flags: dict[str, set[str]] = {}
+    for line in table.splitlines()[2:]:
+        names, cell = line.strip("| ").split(" | ")
+        own = set(re.findall(r"`(--[\w-]+)`", cell))
+        inherited = re.match(r"those of `(\w+)`", cell)
+        if inherited:
+            own |= flags[inherited.group(1)]
+        for name in re.findall(r"`(\w+)`", names):
+            flags[name] = own
+    return flags
+
+
+def parser_flags() -> dict[str, set[str]]:
+    """Each subcommand's long options as the command-line parser has them."""
+    sub = next(action for action in _build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    return {name: {opt for action in parser._actions
+                   for opt in action.option_strings if opt != "--help"
+                   and opt.startswith("--")}
+            for name, parser in sub.choices.items()}
+
+
+def test_flag_table_matches_parser():
+    documented = documented_flags()
+    assert documented["tube"] >= {"--alpha", "--family", "--pair"}
+    assert documented == parser_flags()
