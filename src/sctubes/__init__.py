@@ -3,9 +3,9 @@
 Fit one multivariate linear regression per group, then compare the
 groups' coefficient matrices jointly over a covariate region: simulate
 the pivotal sup statistic, take its upper quantile as the critical
-constant, and read off per-pair statistics, adjusted p-values, and the
-band geometry itself. The largest-root test and the pointwise F constant
-are included for reference.
+constant, and read off each pair's record (``pair_comparisons``) and
+band (``cross_section``). The largest-root test and the pointwise F
+constant are included for reference; ``cli_io.main`` is the CLI.
 """
 
 from .classical_tests import (
@@ -14,7 +14,7 @@ from .classical_tests import (
     pointwise_constant,
     roy_k_sample,
 )
-from .cli_io import RunConfig, export_tube, ingest_csv, run_compare, write_csv
+from .cli_io import ingest_csv
 from .errors import (
     ConfigError,
     DegeneracyError,
@@ -50,7 +50,6 @@ from .sct_engine import (
     ComparisonReport,
     CriticalConstantResult,
     SimulatedSample,
-    adjusted_p_values,
     compare,
     critical_constant,
     observed_statistic,
@@ -66,7 +65,6 @@ from .tube_geometry import (
     SignificanceRegion,
     TubeCrossSection,
     cross_section,
-    projected_band,
     significance_region,
 )
 
@@ -97,7 +95,6 @@ __all__ = [
     "QuadraticRatio",
     "RankDeficientDesign",
     "RoyResult",
-    "RunConfig",
     "ShapeMismatch",
     "SignificanceRegion",
     "SimulatedSample",
@@ -107,23 +104,18 @@ __all__ = [
     "TubeError",
     "UnboundedBox",
     "UsageError",
-    "adjusted_p_values",
     "compare",
     "critical_constant",
     "cross_section",
-    "export_tube",
     "f_quantile",
     "fit_models",
     "ingest_csv",
     "observed_statistic",
     "pair_comparisons",
     "pointwise_constant",
-    "projected_band",
     "roy_k_sample",
-    "run_compare",
     "significance_region",
     "simulate_pivot",
     "sup_ratio",
     "validate_dataset",
-    "write_csv",
 ]

@@ -13,18 +13,19 @@ indents and UTF-8 text; floats print in Python's shortest round-trip
 form, so rerunning a command with the same inputs produces
 byte-identical output. The tube CSV keeps 17 significant digits.
 
-``main`` puts the flags, as typed, into a ``RunConfig``: the --family,
---range and --pair texts stay text until a command resolves them. The
-one ordering rule: nothing in the config is judged before the data are
-read and fitted, so a data error (exit 2) wins over every flag error
-(exit 4). Commands ``critical``, ``pvalues``, ``compare`` and ``tube``
-start with ``_prepare`` (fit, which validates the data; check the
-config; parse and resolve family and box against the fit), and their
-JSON reports share one header; ``roy`` fits, then checks the config.
-The seed and the worker count are checked where they are used, by the
-random stream and the block driver. ``pvalues`` needs no critical
-constant, so it runs at any alpha. Numerical degeneracy exits 3; any
-other exception is a bug and propagates.
+``main``, the one entry point, puts the flags as typed into a
+``RunConfig`` and hands it with the data to the subcommand's private
+``_cmd_*`` handler. The one ordering rule: nothing in the config is
+judged before the data are read and fitted, so a data error (exit 2)
+wins over every flag error (exit 4). Every command but ``fit`` starts
+with ``_prepare``: fit, which validates the data; refuse fewer than
+two groups; check the config; parse and resolve the --family and
+--range texts (``tube`` then its --pair) against the fit. The JSON
+reports of ``critical``, ``pvalues``, ``compare`` and ``tube`` share
+one header. The seed and the worker count are checked where they are
+used, by the random stream and the block driver. ``pvalues`` needs no
+critical constant, so it runs at any alpha. Numerical degeneracy exits
+3; any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .errors import (
     InputDataError,
     MalformedHeader,
     NonNumericCell,
+    NotTwoGroups,
     NotUnivariate,
     UnboundedBox,
     UsageError,
@@ -183,19 +185,6 @@ def ingest_csv(path) -> GroupedDataset:
         design = np.column_stack([np.ones(len(rows)), mat[:, :p]])
         groups.append(GroupData(label=label, design=design, response=mat[:, p:]))
     return GroupedDataset(groups=tuple(groups))
-
-
-def write_csv(data: GroupedDataset, path) -> None:
-    """Serialize a dataset back to the ingestion layout, round-trip exact."""
-    p, m = data.p, data.m
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["group"] + [f"x{i + 1}" for i in range(p)]
-                        + [f"y{i + 1}" for i in range(m)])
-        for g in data.groups:
-            for xrow, yrow in zip(g.design[:, 1:], g.response):
-                writer.writerow([g.label] + [repr(float(v)) for v in xrow]
-                                + [repr(float(v)) for v in yrow])
 
 
 # --- reports ----------------------------------------------------------
@@ -344,10 +333,13 @@ def _prepare(config: RunConfig, data: GroupedDataset
              ) -> tuple[FittedModels, ComparisonFamily, CovariateBox]:
     """Fit, check the configuration, then resolve the family and box.
 
-    Fitting first (it validates the dataset) makes a data error win over
-    every flag error; the family and box need the fitted labels and p.
+    Fitting first (it validates the dataset) and counting the groups
+    makes a data error win over every flag error; the family and box
+    need the fitted labels and p.
     """
     fit = fit_models(data)
+    if fit.k < 2:
+        raise NotTwoGroups(f"need at least 2 groups to compare, got {fit.k}")
     config.validate()
     return fit, _family_for(config, fit), _box_for(config, fit.p)
 
@@ -360,7 +352,7 @@ def _critical(config: RunConfig, fit: FittedModels, family: ComparisonFamily,
     return sct_engine.critical_constant(sample, config.alpha)
 
 
-def run_compare(config: RunConfig, data: GroupedDataset) -> int:
+def _cmd_compare(config: RunConfig, data: GroupedDataset) -> int:
     """Fit, simulate, test every pair, and write or print the report."""
     fit, family, box = _prepare(config, data)
     report = sct_engine.compare(
@@ -398,7 +390,7 @@ def _resolve_pair(pair_text: str | None, family: ComparisonFamily,
     return idx[0], idx[1]
 
 
-def export_tube(config: RunConfig, data: GroupedDataset) -> int:
+def _cmd_tube(config: RunConfig, data: GroupedDataset) -> int:
     """Write one pair's band along a grid as CSV plus a JSON sidecar.
 
     Columns: x, the m center coordinates, the squared ellipsoid radius,
@@ -496,8 +488,7 @@ def _cmd_pvalues(config: RunConfig, data: GroupedDataset) -> int:
 
 
 def _cmd_roy(config: RunConfig, data: GroupedDataset) -> int:
-    fit = fit_models(data)
-    config.validate()
+    fit, _, _ = _prepare(config, data)  # roy takes no --family or --range
     res = classical_tests.roy_k_sample(fit, config.alpha, config.reps,
                                        config.seed, workers=config.workers)
     which = "two-sample" if fit.k == 2 else f"{fit.k}-sample"
@@ -571,8 +562,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMMANDS = {"fit": _cmd_fit, "critical": _cmd_critical, "compare": run_compare,
-             "pvalues": _cmd_pvalues, "roy": _cmd_roy, "tube": export_tube}
+_COMMANDS = {"fit": _cmd_fit, "critical": _cmd_critical, "compare": _cmd_compare,
+             "pvalues": _cmd_pvalues, "roy": _cmd_roy, "tube": _cmd_tube}
 _EXIT_CODES = {OSError: 2, InputDataError: 2, DegeneracyError: 3, UsageError: 4}
 
 

@@ -58,6 +58,10 @@ class InsufficientObservations(InputDataError):
     """A group has fewer rows than regression coefficients plus one."""
 
 
+class NotTwoGroups(InputDataError):
+    """Groups are to be compared, but the data hold fewer than two."""
+
+
 # --- numerical degeneracy ---------------------------------------------
 
 class DegenerateScatter(DegeneracyError):
@@ -90,10 +94,6 @@ class TooFewReplicates(UsageError):
 class MetaMismatch(UsageError):
     """A simulated sample was produced under different models, family,
     or region than the one it is being used with."""
-
-
-class NotTwoGroups(UsageError):
-    """A k-sample procedure was given fewer than two groups."""
 
 
 class ConfigError(UsageError):

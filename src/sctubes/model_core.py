@@ -149,11 +149,9 @@ class FittedModels:
     gram_inv : tuple of (X'X)^{-1} matrices.
     pooled_scatter : m x m sum of residual cross-products over groups.
     nu : pooled error degrees of freedom, sum of (n_i - p - 1).
-    scatter_degenerate : True when pooled_scatter is not positive
-        definite (for example a saturated or noise-free fit). Any
-        operation needing its inverse refuses to run in that case.
     scatter_factor : lower Cholesky factor of pooled_scatter, or None
-        when degenerate.
+        when it is not positive definite (for example a saturated or
+        noise-free fit); see ``scatter_degenerate``.
     """
 
     labels: tuple[str, ...]
@@ -165,12 +163,17 @@ class FittedModels:
     nu: int
     p: int
     m: int
-    scatter_degenerate: bool
     scatter_factor: np.ndarray | None
 
     @property
     def k(self) -> int:
         return len(self.bhat)
+
+    @property
+    def scatter_degenerate(self) -> bool:
+        """True when pooled_scatter is not positive definite; any
+        operation needing its inverse then refuses to run."""
+        return self.scatter_factor is None
 
     def _check_index(self, i: int) -> int:
         if not 1 <= i <= self.k:
@@ -187,7 +190,7 @@ class FittedModels:
 
     def require_scatter(self) -> np.ndarray:
         """Return the Cholesky factor of pooled_scatter or refuse."""
-        if self.scatter_degenerate or self.scatter_factor is None:
+        if self.scatter_degenerate:
             raise DegenerateScatter(
                 "pooled residual scatter is not positive definite "
                 f"(nu={self.nu}, m={self.m}); cannot invert it")
@@ -231,13 +234,9 @@ def fit_models(data: GroupedDataset) -> FittedModels:
     # not just against the scatter's own largest eigenvalue.
     response_ss = float(sum(np.sum(g.response ** 2) for g in data.groups))
     factor = None
-    degenerate = nu < m
-    if not degenerate:
+    if nu >= m:
         w = np.linalg.eigvalsh(scatter)
-        floor = max(1e-12 * w[-1], 1e-20 * response_ss)
-        if w[0] <= floor:
-            degenerate = True
-        else:
+        if w[0] > max(1e-12 * w[-1], 1e-20 * response_ss):
             factor = np.linalg.cholesky(scatter)
 
     return FittedModels(
@@ -250,6 +249,5 @@ def fit_models(data: GroupedDataset) -> FittedModels:
         nu=nu,
         p=p,
         m=m,
-        scatter_degenerate=degenerate,
         scatter_factor=factor,
     )

@@ -60,8 +60,9 @@ _BLOCK = 8192
 class ComparisonFamily:
     """Which ordered group pairs (i, j), 1-based, are compared jointly.
 
-    Use the factory methods; ``kind`` records which construction was
-    asked for so reports can echo it.
+    Use a factory method, or pass any other pairs directly (kind
+    ``custom``); ``kind`` records which construction was asked for so
+    reports can echo it.
     """
 
     pairs: tuple[tuple[int, int], ...]
@@ -102,10 +103,6 @@ class ComparisonFamily:
         """Each group against the next one: (1,2), (2,3), ..."""
         pairs = tuple((i, i + 1) for i in range(1, k))
         return cls(pairs=pairs, kind="successive")
-
-    @classmethod
-    def custom(cls, pairs) -> "ComparisonFamily":
-        return cls(pairs=tuple(tuple(p) for p in pairs), kind="custom")
 
     def validate_for(self, k: int) -> None:
         for i, j in self.pairs:
@@ -419,10 +416,12 @@ def pair_comparisons(fit: FittedModels, family: ComparisonFamily,
                      c_hat: float | None = None) -> tuple[PairComparison, ...]:
     """Observed statistic, its argmax and the adjusted p-value of every pair.
 
-    The sample must have been simulated for this fit, family and box.
-    With a critical constant ``c_hat`` each pair also gets its decision
-    and, on a finite interval with p = 1, the significance region of
-    every response coordinate.
+    A p-value counts the replicates strictly above the statistic, so
+    p <= alpha exactly when t reaches the constant. The sample must have
+    been simulated for this fit, family and box. With a critical
+    constant ``c_hat`` each pair also gets its decision and, on a finite
+    interval with p = 1, the significance region of every response
+    coordinate.
     """
     _check_meta(fit, family, box, sample)
     want_regions = (c_hat is not None and fit.p == 1 and box.is_finite
@@ -445,19 +444,6 @@ def pair_comparisons(fit: FittedModels, family: ComparisonFamily,
             significance_regions=regions,
         ))
     return tuple(results)
-
-
-def adjusted_p_values(fit: FittedModels, family: ComparisonFamily,
-                      box: CovariateBox, sample: SimulatedSample
-                      ) -> dict[tuple[int, int], float]:
-    """Joint p-value for each pair: the fraction of simulated replicates
-    strictly exceeding the pair's observed statistic.
-
-    With the order-statistic convention for the critical constant,
-    p <= alpha holds exactly when the statistic reaches the constant.
-    """
-    return {pc.pair: pc.p_value
-            for pc in pair_comparisons(fit, family, box, sample)}
 
 
 @dataclass(frozen=True, eq=False)

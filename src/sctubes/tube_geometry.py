@@ -1,5 +1,5 @@
-"""Geometry of the simultaneous band: cross-sections, coordinate bands,
-and significance regions.
+"""Geometry of the simultaneous band: cross-sections, their coordinate
+intervals, and significance regions.
 
 At a covariate point x the band for a pair of groups is an ellipsoid in
 response space: center x'(bhat_i - bhat_j), shape given by the pooled
@@ -49,6 +49,8 @@ class TubeCrossSection:
 
     def coordinate_interval(self, q: int) -> tuple[float, float]:
         """Extent of the ellipsoid along response coordinate q (1-based)."""
+        if not 1 <= q <= self.center.size:
+            raise ValueError(f"response index {q} outside 1..{self.center.size}")
         h = np.sqrt(max(self.radius_sq, 0.0) * self.shape[q - 1, q - 1])
         c = self.center[q - 1]
         return float(c - h), float(c + h)
@@ -83,33 +85,6 @@ def cross_section(fit: FittedModels, pair: tuple[int, int], c: float,
         shape=fit.pooled_scatter,
         radius_sq=c * float(e @ delta @ e),
     )
-
-
-def projected_band(fit: FittedModels, pair: tuple[int, int], c: float,
-                   q: int, grid) -> list[tuple[float, float, float]]:
-    """Band for response coordinate q along a grid of covariate points.
-
-    Returns (x, lower, upper) triples; for p >= 2 the x slot holds a
-    tuple of coordinates.
-    """
-    fit.require_scatter()
-    if not 1 <= q <= fit.m:
-        raise ValueError(f"response index {q} outside 1..{fit.m}")
-    _check_constant(c)
-    delta, db = fit.delta(*pair), fit.coef_difference(*pair)
-    omega_qq = fit.pooled_scatter[q - 1, q - 1]
-    out = []
-    for point in grid:
-        coords = np.atleast_1d(np.asarray(point, dtype=float))
-        e = np.concatenate(([1.0], coords))
-        if e.size != fit.p + 1:
-            raise ValueError(
-                f"grid point has {e.size - 1} coordinates, expected {fit.p}")
-        mid = float(e @ db[:, q - 1])
-        h = float(np.sqrt(c * (e @ delta @ e) * omega_qq))
-        key = float(coords[0]) if fit.p == 1 else tuple(float(v) for v in coords)
-        out.append((key, mid - h, mid + h))
-    return out
 
 
 def significance_region(fit: FittedModels, pair: tuple[int, int], c: float,

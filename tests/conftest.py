@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -39,6 +41,18 @@ def make_dataset(rng, sizes, coefs, noise=1.0, chol=None, x_range=(0.0, 10.0)):
         make_group(rng, lab, n, c, noise=noise, chol=chol, x_range=x_range)
         for lab, n, c in zip(labels, sizes, coefs))
     return GroupedDataset(groups=groups)
+
+
+def write_csv(data, path):
+    """Write a dataset in the layout ``ingest_csv`` reads, round-trip exact."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["group"] + [f"x{i + 1}" for i in range(data.p)]
+                        + [f"y{i + 1}" for i in range(data.m)])
+        for g in data.groups:
+            for xrow, yrow in zip(g.design[:, 1:], g.response):
+                writer.writerow([g.label] + [repr(float(v)) for v in xrow]
+                                + [repr(float(v)) for v in yrow])
 
 
 def interval_sup_reference(a, d, low, high):

@@ -24,9 +24,9 @@ from sctubes.classical_tests import f_quantile, pointwise_constant, roy_k_sample
 from sctubes.model_core import GroupData, GroupedDataset, fit_models
 from sctubes.sct_engine import (
     ComparisonFamily,
-    adjusted_p_values,
     critical_constant,
     observed_statistic,
+    pair_comparisons,
     simulate_pivot,
 )
 from sctubes.sup_solver import CovariateBox, QuadraticRatio, sup_ratio
@@ -239,7 +239,8 @@ def test_10_p_value_rejection_duality(capsys):
         box = CovariateBox.interval(0.0, 10.0)
         sample = simulate_pivot(fit, fam, box, 2000, seed=trial)
         c_hat = critical_constant(sample, alpha).c_hat
-        pvals = adjusted_p_values(fit, fam, box, sample)
+        pvals = {pc.pair: pc.p_value
+                 for pc in pair_comparisons(fit, fam, box, sample)}
         for pair in fam.pairs:
             t, _ = observed_statistic(fit, pair, box)
             pairs_checked += 1

@@ -9,17 +9,16 @@ import json
 import numpy as np
 import pytest
 
-from conftest import make_dataset
+from conftest import make_dataset, write_csv
 from sctubes import classical_tests, sct_engine
 from sctubes.cli_io import (
     RunConfig,
+    _cmd_compare,
     _family_for,
     ingest_csv,
     main,
     parse_range,
-    run_compare,
     to_json,
-    write_csv,
 )
 from sctubes.errors import (
     ConfigError,
@@ -32,7 +31,7 @@ from sctubes.errors import (
 from sctubes.sup_solver import CovariateBox
 from sctubes.model_core import fit_models
 from sctubes.rand_engine import STREAM_VERSION
-from sctubes.tube_geometry import cross_section, projected_band
+from sctubes.tube_geometry import cross_section
 
 
 def write_lines(path, lines):
@@ -198,7 +197,7 @@ def test_rerun_is_byte_identical(tmp_path):
     for name in ("a.json", "b.json"):
         out = tmp_path / name
         config = RunConfig(reps=2000, seed=5, range_text="0:10", out=str(out))
-        assert run_compare(config, ingest_csv(path)) == 0
+        assert _cmd_compare(config, ingest_csv(path)) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
     # And the report is real JSON with the advertised fields.
@@ -214,7 +213,7 @@ def test_worker_count_leaves_reports_unchanged(tmp_path):
     for workers, name in ((1, "w1.json"), (4, "w4.json")):
         out = tmp_path / name
         config = RunConfig(reps=20_000, seed=2, workers=workers, out=str(out))
-        run_compare(config, ingest_csv(path))
+        _cmd_compare(config, ingest_csv(path))
         blobs.append(out.read_bytes())
     assert blobs[0] == blobs[1]
 
@@ -224,7 +223,7 @@ def test_vs_control_on_two_groups_gives_single_reversed_pair(tmp_path):
     synthetic_csv(path, m=1)
     out = tmp_path / "report.json"
     config = RunConfig(reps=1000, family="control:A", out=str(out))
-    run_compare(config, ingest_csv(path))
+    _cmd_compare(config, ingest_csv(path))
     doc = json.loads(out.read_text())
     assert doc["family"]["kind"] == "vs_control"
     assert doc["family"]["control"] == 1
@@ -237,7 +236,7 @@ def test_alpha_half_smoke_report(tmp_path):
     synthetic_csv(path, sizes=(8, 9), m=2, offset=0.2)
     out = tmp_path / "report.json"
     config = RunConfig(alpha=0.5, reps=1000, range_text="0:10", out=str(out))
-    run_compare(config, ingest_csv(path))
+    _cmd_compare(config, ingest_csv(path))
     doc = json.loads(out.read_text())
     for key in ("alpha", "reps", "seed", "groups", "nu", "p", "m", "family",
                 "box", "critical", "pairs"):
@@ -388,6 +387,17 @@ def test_exit_codes(tmp_path, capsys):
     for bounds in ("10:0", "3:1", "nan:1"):
         assert main(["compare", str(good), "--range", bounds]) == 4
         assert main(["compare", str(flat), "--range", bounds]) == 2
+    # One group is a data error for every command that compares groups,
+    # and so beats a flag error too; fitting it still works.
+    one = tmp_path / "one.csv"
+    write_lines(one, ["group,x1,y1", "A,0,1.2", "A,1,2.9", "A,2,5.1", "A,3,7.2"])
+    assert main(["fit", str(one)]) == 0
+    capsys.readouterr()
+    for command in ("critical", "pvalues", "compare", "roy", "tube"):
+        for flag in ([], ["--alpha", "1.5"]):
+            assert main([command, str(one), "--reps", "1000", *flag]) == 2
+            assert "need at least 2 groups to compare, got 1" \
+                in capsys.readouterr().err
     # The seed and the worker count are checked where they are used.
     for command in ("compare", "critical", "pvalues", "tube", "roy"):
         box = [] if command == "roy" else ["--range", "0:10"]
@@ -464,9 +474,9 @@ def small_fit():
 
 
 @pytest.mark.parametrize("check", [
-    lambda: sct_engine.ComparisonFamily.custom([(1, 1)]),
-    lambda: sct_engine.ComparisonFamily.custom([(0, 1)]),
-    lambda: sct_engine.ComparisonFamily.custom([(1, 2), (1, 2)]),
+    lambda: sct_engine.ComparisonFamily(pairs=[(1, 1)]),
+    lambda: sct_engine.ComparisonFamily(pairs=[(0, 1)]),
+    lambda: sct_engine.ComparisonFamily(pairs=[(1, 2), (1, 2)]),
     lambda: sct_engine.ComparisonFamily.vs_control(3, 4),
     lambda: sct_engine.ComparisonFamily.pairwise(3).validate_for(2),
     lambda: CovariateBox(((1.0, 0.0),)),
@@ -583,15 +593,19 @@ def test_subcommands_agree_with_compare(tmp_path, box):
     meta = json.loads((tmp_path / "tube.out.meta.json").read_text())
     assert {key: meta[key] for key in header} == {key: full[key] for key in header}
     assert meta["c_hat"] == full["critical"]["c_hat"]
-    # The band edges, read off cross-sections, match projected_band exactly.
+    # Each band edge is mid +- sqrt(c * e' delta e * omega_qq), e = (1, x).
     fit = fit_models(ingest_csv(path))
+    db, delta = fit.coef_difference(*meta["pair"]), fit.delta(*meta["pair"])
     with open(tube, newline="") as fh:
         rows = list(csv.reader(fh))[1:]
-    xs = [float(row[0]) for row in rows]
-    for q in (1, 2):
-        band = projected_band(fit, tuple(meta["pair"]), meta["c_hat"], q, xs)
-        assert [row[2 + 2 * q:4 + 2 * q] for row in rows] \
-            == [[format(lo, ".17g"), format(hi, ".17g")] for _, lo, hi in band]
+    for row in rows:
+        e = np.array([1.0, float(row[0])])
+        for q in (1, 2):
+            mid = e @ db[:, q - 1]
+            h = np.sqrt(meta["c_hat"] * (e @ delta @ e)
+                        * fit.pooled_scatter[q - 1, q - 1])
+            assert row[2 + 2 * q:4 + 2 * q] \
+                == [format(mid - h, ".17g"), format(mid + h, ".17g")]
 
 
 def test_roy_subcommand(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""The README documents only what the package provides."""
+"""The README documents what the package provides, and only that."""
 
 from __future__ import annotations
 
@@ -24,6 +24,13 @@ def test_every_listed_function_exists():
     assert "roy_k_sample" in names and "sup_ratio" in names
     missing = [n for n in names if not callable(getattr(sctubes, n, None))]
     assert missing == []
+
+
+def test_listed_functions_are_the_exported_functions():
+    exported = {name for name in sctubes.__all__
+                if callable(obj := getattr(sctubes, name))
+                and not isinstance(obj, type)}
+    assert set(documented_functions()) == exported
 
 
 def documented_flags() -> dict[str, set[str]]:

@@ -38,7 +38,6 @@ from sctubes.sct_engine import (
     _block_values,
     _SimPlan,
     _whiten,
-    adjusted_p_values,
     compare,
     critical_constant,
     design_digest,
@@ -88,13 +87,13 @@ def test_successive_pairs():
 
 def test_family_validation():
     with pytest.raises(EmptyFamily):
-        ComparisonFamily.custom([])
+        ComparisonFamily(pairs=[])
     with pytest.raises(ValueError):
-        ComparisonFamily.custom([(1, 1)])
+        ComparisonFamily(pairs=[(1, 1)])
     with pytest.raises(ValueError):
-        ComparisonFamily.custom([(1, 2), (1, 2)])
+        ComparisonFamily(pairs=[(1, 2), (1, 2)])
     with pytest.raises(ValueError):
-        ComparisonFamily.custom([(0, 1)])
+        ComparisonFamily(pairs=[(0, 1)])
     with pytest.raises(ValueError):
         ComparisonFamily.pairwise(3).validate_for(2)
 
@@ -186,9 +185,9 @@ def test_worker_count_cannot_change_results(two_group_fit):
 
 def test_reversed_pair_gives_identical_sample(two_group_fit):
     box = CovariateBox.interval(0.0, 10.0)
-    fwd = simulate_pivot(two_group_fit, ComparisonFamily.custom([(1, 2)]),
+    fwd = simulate_pivot(two_group_fit, ComparisonFamily(pairs=[(1, 2)]),
                          box, 300, seed=6)
-    rev = simulate_pivot(two_group_fit, ComparisonFamily.custom([(2, 1)]),
+    rev = simulate_pivot(two_group_fit, ComparisonFamily(pairs=[(2, 1)]),
                          box, 300, seed=6)
     assert np.array_equal(fwd.values, rev.values)
 
@@ -507,10 +506,10 @@ def test_p_value_extremes():
     box = CovariateBox.interval(0.0, 10.0)
     sample = simulate_pivot(identical, fam, box, 2000, seed=64)
 
-    p_same = adjusted_p_values(identical, fam, box, sample)[(1, 2)]
-    assert p_same == 1.0  # statistic is exactly zero, every replicate exceeds it
-    p_far = adjusted_p_values(separated, fam, box, sample)[(1, 2)]
-    assert p_far == 0.0
+    (same,) = pair_comparisons(identical, fam, box, sample)
+    assert same.p_value == 1.0  # statistic is exactly zero, every replicate exceeds it
+    (far,) = pair_comparisons(separated, fam, box, sample)
+    assert far.p_value == 0.0
 
 
 def test_rejection_duality_is_exact():
@@ -523,7 +522,8 @@ def test_rejection_duality_is_exact():
                              offset=float(rng.uniform(0.0, 0.8)))
         sample = simulate_pivot(fit, fam, box, 2000, seed=trial)
         c_hat = critical_constant(sample, alpha).c_hat
-        pvals = adjusted_p_values(fit, fam, box, sample)
+        pvals = {pc.pair: pc.p_value
+                 for pc in pair_comparisons(fit, fam, box, sample)}
         for pair in fam.pairs:
             t, _ = observed_statistic(fit, pair, box)
             assert (pvals[pair] <= alpha) == (t >= c_hat)
@@ -535,12 +535,12 @@ def test_meta_mismatch_detection(two_group_fit):
     box = CovariateBox.interval(0.0, 10.0)
     sample = simulate_pivot(fit, fam, box, 200, seed=70)
     with pytest.raises(MetaMismatch):
-        adjusted_p_values(fit, fam, CovariateBox.interval(0.0, 9.0), sample)
+        pair_comparisons(fit, fam, CovariateBox.interval(0.0, 9.0), sample)
     with pytest.raises(MetaMismatch):
-        adjusted_p_values(fit, ComparisonFamily.custom([(2, 1)]), box, sample)
+        pair_comparisons(fit, ComparisonFamily(pairs=[(2, 1)]), box, sample)
     other = univariate_fit()
     with pytest.raises(MetaMismatch):
-        adjusted_p_values(other, fam, box, sample)
+        pair_comparisons(other, fam, box, sample)
 
 
 def test_pair_comparisons_refuses_a_sample_from_another_stream_version(two_group_fit):

@@ -1,4 +1,4 @@
-"""Cross-sections, projected bands, zero-line checks, significance regions.
+"""Cross-sections, coordinate bands, zero-line checks, significance regions.
 
 The band covers the zero line on a region exactly when the observed sup
 statistic stays at or below the constant, so zero-line checks read
@@ -16,11 +16,7 @@ from sctubes.errors import NotUnivariate, UnboundedBox
 from sctubes.model_core import FittedModels, GroupData, GroupedDataset, fit_models
 from sctubes.sct_engine import observed_statistic
 from sctubes.sup_solver import CovariateBox
-from sctubes.tube_geometry import (
-    cross_section,
-    projected_band,
-    significance_region,
-)
+from sctubes.tube_geometry import cross_section, significance_region
 
 
 def equal_fit(seed=100, m=2):
@@ -94,7 +90,7 @@ def test_cross_section_checks_point_dimension():
         cross_section(fit, (1, 2), -0.01, 1.0)
 
 
-# --- projected bands --------------------------------------------------------
+# --- coordinate bands --------------------------------------------------------
 
 def test_m1_band_is_the_classical_hyperbolic_band():
     rng = np.random.default_rng(103)
@@ -102,16 +98,14 @@ def test_m1_band_is_the_classical_hyperbolic_band():
     data = make_dataset(rng, (15, 17), (coef, coef + 0.4))
     fit = fit_models(data)
     c = 0.08
-    grid = np.linspace(0.0, 10.0, 11)
-    band = projected_band(fit, (1, 2), c, 1, grid)
     db = fit.coef_difference(1, 2)
     delta = fit.delta(1, 2)
     s2 = fit.pooled_scatter[0, 0]
-    for (x, lower, upper), t in zip(band, grid):
+    for t in np.linspace(0.0, 10.0, 11):
+        lower, upper = cross_section(fit, (1, 2), c, t).coordinate_interval(1)
         e = np.array([1.0, t])
         mid = e @ db[:, 0]
         h = np.sqrt(c * (e @ delta @ e) * s2)
-        assert x == t
         assert lower == pytest.approx(mid - h, rel=1e-12, abs=1e-12)
         assert upper == pytest.approx(mid + h, rel=1e-12, abs=1e-12)
 
@@ -122,10 +116,7 @@ def test_band_equals_ellipsoid_coordinate_extent():
         section = cross_section(fit, (1, 2), 0.05, x)
         pts = boundary_points(section, count=100_000)
         for q in (1, 2):
-            (_, lower, upper), = projected_band(fit, (1, 2), 0.05, q, [x])
-            lo_q, hi_q = section.coordinate_interval(q)
-            assert lower == pytest.approx(lo_q, rel=1e-12)
-            assert upper == pytest.approx(hi_q, rel=1e-12)
+            lower, upper = section.coordinate_interval(q)
             scale = max(abs(upper - lower), 1e-6)
             assert abs(pts[q - 1].max() - upper) <= 1e-6 * scale
             assert abs(pts[q - 1].min() - lower) <= 1e-6 * scale
@@ -143,20 +134,17 @@ def test_projection_consistency_for_boundary_points():
 
 def test_doubling_the_constant_scales_widths_by_sqrt2():
     fit = offset_fit(offset=0.1)
-    grid = np.linspace(0.0, 10.0, 7)
-    narrow = projected_band(fit, (1, 2), 0.03, 2, grid)
-    wide = projected_band(fit, (1, 2), 0.06, 2, grid)
-    for (x1, lo1, hi1), (x2, lo2, hi2) in zip(narrow, wide):
-        assert x1 == x2
+    for x in np.linspace(0.0, 10.0, 7):
+        lo1, hi1 = cross_section(fit, (1, 2), 0.03, x).coordinate_interval(2)
+        lo2, hi2 = cross_section(fit, (1, 2), 0.06, x).coordinate_interval(2)
         assert hi2 - lo2 == pytest.approx(np.sqrt(2.0) * (hi1 - lo1), rel=1e-12)
 
 
 def test_band_validates_response_index():
-    fit = offset_fit()
-    with pytest.raises(ValueError):
-        projected_band(fit, (1, 2), 0.05, 3, [1.0])
-    with pytest.raises(ValueError):
-        projected_band(fit, (1, 2), 0.05, 0, [1.0])
+    section = cross_section(offset_fit(), (1, 2), 0.05, 1.0)
+    for q in (0, 3):
+        with pytest.raises(ValueError):
+            section.coordinate_interval(q)
 
 
 def test_nested_tubes():
@@ -295,8 +283,7 @@ def test_region_narrower_than_any_grid_step():
         labels=("A", "B"), group_sizes=(10, 10),
         bhat=(np.array([[0.0102], [0.0]]), np.zeros((2, 1))),
         gram=tuple(np.linalg.inv(g) for g in gram_inv), gram_inv=gram_inv,
-        pooled_scatter=np.eye(1), nu=16, p=1, m=1,
-        scatter_degenerate=False, scatter_factor=np.eye(1))
+        pooled_scatter=np.eye(1), nu=16, p=1, m=1, scatter_factor=np.eye(1))
     region = significance_region(fit, (1, 2), 1.0, 1,
                                  CovariateBox.interval(0.0, 10.0))
     half = np.sqrt(0.0102 ** 2 - 1e-4)
