@@ -4,16 +4,12 @@ Fit one multivariate linear regression per group, then compare the
 groups' coefficient matrices jointly over a covariate region: simulate
 the pivotal sup statistic, take its upper quantile as the critical
 constant, and read off each pair's record (``pair_comparisons``) and
-band (``cross_section``). The largest-root test and the pointwise F
-constant are included for reference; ``cli_io.main`` is the CLI.
+band (``cross_section``). The largest-root test (``roy_k_sample``)
+tests all k coefficient matrices for equality at once; ``cli_io.main``
+is the CLI.
 """
 
-from .classical_tests import (
-    RoyResult,
-    f_quantile,
-    pointwise_constant,
-    roy_k_sample,
-)
+from .classical_tests import RoyResult, roy_k_sample
 from .cli_io import ingest_csv
 from .errors import (
     ConfigError,
@@ -107,12 +103,10 @@ __all__ = [
     "compare",
     "critical_constant",
     "cross_section",
-    "f_quantile",
     "fit_models",
     "ingest_csv",
     "observed_statistic",
     "pair_comparisons",
-    "pointwise_constant",
     "roy_k_sample",
     "significance_region",
     "simulate_pivot",

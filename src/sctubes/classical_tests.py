@@ -1,4 +1,4 @@
-"""The largest-root test and F-based pointwise constants.
+"""The largest-root test of equal coefficient matrices.
 
 One largest-root test of equal coefficient matrices across k >= 2
 groups, built on the restricted (common-coefficient) fit. Under the
@@ -7,9 +7,6 @@ Z W^{-1} Z' with Z a d x m standard normal matrix, d = (k-1)(p+1)
 (p+1 for two groups), and W an identity-scale Wishart with the pooled
 degrees of freedom, regardless of the designs. For d >= m the null
 sampler draws Z'Z as a second Wishart factor instead of Z.
-
-The F quantile comes from ``scipy.special.fdtri``, the inverse of the
-F distribution function.
 """
 
 from __future__ import annotations
@@ -17,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.special import fdtri
 
 from .errors import NotTwoGroups
 from .model_core import FittedModels
@@ -95,7 +90,7 @@ def roy_k_sample(fit: FittedModels, alpha: float, r: int, seed: int,
     """
     if fit.k < 2:
         raise NotTwoGroups(f"need at least 2 groups, got {fit.k}")
-    fit.require_scatter()
+    lfac = fit.require_scatter()
     rank = tail_rank(r, alpha)
 
     # The common fit is solved as a shift from group 1's estimate, so the
@@ -115,9 +110,9 @@ def roy_k_sample(fit: FittedModels, alpha: float, r: int, seed: int,
         hmat += diff.T @ g @ diff
     hmat = 0.5 * (hmat + hmat.T)
 
-    # eigh(H, S) returns eigenvalues of S^{-1} H, which shares its
-    # spectrum with H S^{-1}.
-    w = scipy.linalg.eigh(hmat, fit.pooled_scatter, eigvals_only=True)
+    # S^{-1} H shares its spectrum with L^{-1} H L^{-T}, S = L L'.
+    half = np.linalg.solve(lfac, hmat)
+    w = np.linalg.eigvalsh(np.linalg.solve(lfac, half.T))
     statistic = max(float(w[-1]), 0.0)
 
     d = (fit.k - 1) * (fit.p + 1)
@@ -125,26 +120,3 @@ def roy_k_sample(fit: FittedModels, alpha: float, r: int, seed: int,
     return RoyResult(statistic=statistic, critical=float(null[rank - 1]),
                      p_value=tail_p_value(null, statistic), alpha=alpha,
                      null_reps=r, seed=seed, null_dimension=d)
-
-
-def f_quantile(d1: int, d2: int, prob: float) -> float:
-    """Quantile of the F distribution with (d1, d2) degrees of freedom."""
-    if d1 < 1 or d2 < 1:
-        raise ValueError(f"degrees of freedom must be positive, got ({d1}, {d2})")
-    if not 0.0 < prob < 1.0:
-        raise ValueError(f"prob must be in (0, 1), got {prob}")
-    return float(fdtri(d1, d2, prob))
-
-
-def pointwise_constant(m: int, nu: int, alpha: float) -> float:
-    """Critical constant for one fixed covariate point and one pair.
-
-    The statistic at a single point is an F variate scaled by m/nu, so
-    no simulation is involved. Useful as the floor every simultaneous
-    constant must exceed.
-    """
-    if m < 1:
-        raise ValueError(f"m must be positive, got {m}")
-    if nu < m:
-        raise ValueError(f"need nu >= m, got nu={nu}, m={m}")
-    return (m / nu) * f_quantile(m, nu, 1.0 - alpha)

@@ -17,6 +17,7 @@ from .errors import (
     DegenerateScatter,
     InputDataError,
     InsufficientObservations,
+    InvalidArgument,
     RankDeficientDesign,
     ShapeMismatch,
 )
@@ -177,7 +178,7 @@ class FittedModels:
 
     def _check_index(self, i: int) -> int:
         if not 1 <= i <= self.k:
-            raise IndexError(f"group index {i} outside 1..{self.k}")
+            raise InvalidArgument(f"group index {i} outside 1..{self.k}")
         return i - 1
 
     def coef_difference(self, i: int, j: int) -> np.ndarray:

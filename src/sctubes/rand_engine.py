@@ -34,6 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+# Imported here, not on a block's first draw: numpy loads numpy.random
+# lazily, and the import then lands in the first simulation's time.
+from numpy.random import SFC64, Generator, SeedSequence
 
 from .errors import DegreesOfFreedomTooSmall, InvalidArgument
 
@@ -70,10 +73,10 @@ class StreamKey:
             if not 0 <= v < _U64:
                 raise InvalidArgument(f"{name} out of range [0, 2**64): {v}")
 
-    def generator(self) -> np.random.Generator:
+    def generator(self) -> Generator:
         words = np.array([self.seed, self.substream, self.replicate_index],
                          dtype="<u8").view("<u4")
-        return np.random.Generator(np.random.SFC64(np.random.SeedSequence(words)))
+        return Generator(SFC64(SeedSequence(words)))
 
 
 # Blocks draw `count` objects from the single generator at `key`; entry

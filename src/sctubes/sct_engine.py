@@ -44,8 +44,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-import scipy.linalg
-from scipy.special import bdtr, bdtrik
 
 from . import tube_geometry
 from .errors import EmptyFamily, InvalidArgument, MetaMismatch, TooFewReplicates
@@ -200,15 +198,22 @@ def tail_p_value(values: np.ndarray, statistic: float) -> float:
 def _binom_ppf(q: float, r: int, prob: float) -> int:
     """Smallest k with P(Binomial(r, prob) <= k) >= q.
 
-    Rounds up the continuous inverse of the binomial CDF, then steps
-    down once if the rank below already reaches q. A q lying exactly on
-    a CDF value can land one rank high through rounding; the tail
-    probabilities asked for here are not such values.
+    Sums the pmf over the window mean +- (40 sd + 40), which holds all
+    but a negligible share of the mass: the log-pmf is one cumulative
+    sum of the log ratios pmf(k+1)/pmf(k), anchored at the window's low
+    end by ``math.lgamma``. A q lying exactly on a CDF value can land
+    one rank off through rounding; the tail probabilities asked for here
+    are not such values.
     """
-    k = math.ceil(bdtrik(q, r, prob))
-    if k >= 1 and bdtr(k - 1, r, prob) >= q:
-        k -= 1
-    return k
+    spread = 40.0 * math.sqrt(r * prob * (1.0 - prob)) + 40.0
+    lo = max(0, math.floor(r * prob - spread))
+    hi = min(r, math.ceil(r * prob + spread))
+    k = np.arange(lo, hi)
+    steps = np.log((r - k) / (k + 1.0)) + math.log(prob / (1.0 - prob))
+    anchor = (math.lgamma(r + 1) - math.lgamma(lo + 1) - math.lgamma(r - lo + 1)
+              + lo * math.log(prob) + (r - lo) * math.log1p(-prob))
+    cdf = np.cumsum(np.exp(anchor + np.concatenate(([0.0], np.cumsum(steps)))))
+    return lo + int(np.searchsorted(cdf, q))
 
 
 # --- simulation kernel --------------------------------------------------
@@ -234,8 +239,8 @@ class _SimPlan:
         self.pair_ops = []
         for i, j in pairs0:
             plan = FacePlan(fit.gram_inv[i] + fit.gram_inv[j], box)
-            pi = scipy.linalg.solve_triangular(plan.lower, gfac[i], lower=True)
-            pj = scipy.linalg.solve_triangular(plan.lower, gfac[j], lower=True)
+            pi = np.linalg.solve(plan.lower, gfac[i])
+            pj = np.linalg.solve(plan.lower, gfac[j])
             self.pair_ops.append((i, j, pi, pj, plan))
 
 
@@ -374,7 +379,7 @@ def observed_statistic(fit: FittedModels, pair: tuple[int, int],
     lfac = fit.require_scatter()
     i, j = pair
     db = fit.coef_difference(i, j)
-    v = scipy.linalg.solve_triangular(lfac, db.T, lower=True)
+    v = np.linalg.solve(lfac, db.T)
     return sup_ratio(QuadraticRatio(v.T @ v, fit.delta(i, j)), box)
 
 

@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvalidArgument, UnboundedBox
 
@@ -80,13 +79,6 @@ class QuadraticRatio:
     @property
     def p(self) -> int:
         return self.numerator.shape[0] - 1
-
-    def value_at(self, point) -> float:
-        """Evaluate the ratio at a covariate point (without the leading 1)."""
-        e = np.concatenate(([1.0], np.atleast_1d(np.asarray(point, dtype=float))))
-        if e.size != self.p + 1:
-            raise ValueError(f"point has {e.size - 1} coordinates, expected {self.p}")
-        return float((e @ self.numerator @ e) / (e @ self.denominator @ e))
 
 
 @dataclass(frozen=True)
@@ -265,7 +257,7 @@ class FacePlan:
             n = (1 + free.size) ** 2
             self.faces.append(_Face(
                 free=free, fixed_point=fixed_point, rows=slice(start, start + n),
-                rinv=scipy.linalg.solve_triangular(r, np.eye(1 + free.size)),
+                rinv=np.linalg.inv(r),
                 low=np.array([box.bounds[k][0] for k in free]),
                 high=np.array([box.bounds[k][1] for k in free]),
                 checked=not whole))
@@ -274,8 +266,8 @@ class FacePlan:
 
     def fold(self, numerator) -> np.ndarray:
         """A' = L^{-1} A L^{-T} for one numerator A."""
-        half = scipy.linalg.solve_triangular(self.lower, numerator, lower=True)
-        folded = scipy.linalg.solve_triangular(self.lower, half.T, lower=True)
+        half = np.linalg.solve(self.lower, numerator)
+        folded = np.linalg.solve(self.lower, half.T)
         return 0.5 * (folded + folded.T)
 
     def _candidates(self, folded: np.ndarray, vectors: bool):

@@ -13,10 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NotUnivariate, UnboundedBox
 from .model_core import FittedModels
@@ -36,13 +34,9 @@ class TubeCrossSection:
     shape: np.ndarray
     radius_sq: float
 
-    @cached_property
-    def _factor(self):
-        return scipy.linalg.cho_factor(self.shape, lower=True)
-
     def mahalanobis_sq(self, z) -> float:
         d = np.asarray(z, dtype=float) - self.center
-        return float(d @ scipy.linalg.cho_solve(self._factor, d))
+        return float(d @ np.linalg.solve(self.shape, d))
 
     def contains(self, z) -> bool:
         return self.mahalanobis_sq(z) <= self.radius_sq

@@ -1,4 +1,9 @@
-"""Shared synthetic-data builders for the test suite."""
+"""Shared synthetic-data builders and scipy-backed oracles for the test suite.
+
+The library needs numpy only; scipy stays on the test side, as an
+independent oracle for the F quantiles and generalized eigenvalues the
+library's results are checked against.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +11,7 @@ import csv
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import settings
 
 from sctubes.model_core import GroupData, GroupedDataset, fit_models
@@ -53,6 +59,40 @@ def write_csv(data, path):
             for xrow, yrow in zip(g.design[:, 1:], g.response):
                 writer.writerow([g.label] + [repr(float(v)) for v in xrow]
                                 + [repr(float(v)) for v in yrow])
+
+
+def f_quantile(d1: int, d2: int, prob: float) -> float:
+    """Quantile of the F distribution with (d1, d2) degrees of freedom."""
+    if d1 < 1 or d2 < 1:
+        raise ValueError(f"degrees of freedom must be positive, got ({d1}, {d2})")
+    if not 0.0 < prob < 1.0:
+        raise ValueError(f"prob must be in (0, 1), got {prob}")
+    return float(scipy.special.fdtri(d1, d2, prob))
+
+
+def pointwise_constant(m: int, nu: int, alpha: float) -> float:
+    """Closed-form constant (m/nu) F_{1-alpha}(m, nu) for one pair at one
+    fixed covariate point.
+
+    Exact for m = 1, where the pointwise statistic is F(1, nu) / nu. For
+    m >= 2 the pointwise statistic is Hotelling's, m/(nu-m+1) F(m, nu-m+1),
+    whose constant is slightly larger (0.02496 against 0.02486 at m = 2,
+    nu = 244).
+    """
+    if m < 1:
+        raise ValueError(f"m must be positive, got {m}")
+    if nu < m:
+        raise ValueError(f"need nu >= m, got nu={nu}, m={m}")
+    return (m / nu) * f_quantile(m, nu, 1.0 - alpha)
+
+
+def ratio_at(q, point) -> float:
+    """R(t) = (e'Ae)/(e'De), e = (1, t), for a ``QuadraticRatio`` q at a
+    covariate point t (without the leading 1)."""
+    e = np.concatenate(([1.0], np.atleast_1d(np.asarray(point, dtype=float))))
+    if e.size != q.p + 1:
+        raise ValueError(f"point has {e.size - 1} coordinates, expected {q.p}")
+    return float((e @ q.numerator @ e) / (e @ q.denominator @ e))
 
 
 def interval_sup_reference(a, d, low, high):

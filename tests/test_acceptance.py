@@ -19,8 +19,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import make_dataset
-from sctubes.classical_tests import f_quantile, pointwise_constant, roy_k_sample
+from conftest import f_quantile, make_dataset, pointwise_constant, ratio_at
+from sctubes.classical_tests import roy_k_sample
 from sctubes.model_core import GroupData, GroupedDataset, fit_models
 from sctubes.sct_engine import (
     ComparisonFamily,
@@ -45,14 +45,20 @@ def fit_244_m2():
 
 
 def test_01_pointwise_constant_value_and_speed(capsys):
+    fit = fit_244_m2()
     start = time.perf_counter()
     c = pointwise_constant(2, 244, 0.05)
+    sample = simulate_pivot(fit, ComparisonFamily.pairwise(2),
+                            CovariateBox.point(5.0), 100_000, seed=1)
+    lo, hi = critical_constant(sample, 0.05).order_stat_interval
     elapsed = time.perf_counter() - start
-    ok = round(c, 4) == 0.0249 and elapsed < 1.0
+    ok = round(c, 4) == 0.0249 and lo <= c <= hi and elapsed < 1.0
     announce(capsys, 1, ok,
-             f"pointwise constant m=2 nu=244: {c:.6f} (target 0.0249, "
-             f"{elapsed * 1000:.1f} ms)")
+             f"pointwise constant m=2 nu=244: {c:.6f} (target 0.0249), inside "
+             f"the point-box 99% interval [{lo:.6f}, {hi:.6f}] at 10^5 "
+             f"replicates ({elapsed * 1000:.1f} ms)")
     assert round(c, 4) == 0.0249
+    assert lo <= c <= hi
     assert elapsed < 1.0
 
 
@@ -279,7 +285,7 @@ def test_11_box_supremum_against_dense_grids(capsys):
         assert value >= gmax * (1 - 1e-9)
         assert value <= top * (1 + 1e-9)
         assert np.all((argmax >= lows) & (argmax <= highs))
-        assert q.value_at(argmax) == pytest.approx(value, rel=1e-9)
+        assert ratio_at(q, argmax) == pytest.approx(value, rel=1e-9)
         worst = max(worst, (value - gmax) / gmax)
     elapsed = time.perf_counter() - start
     ok = elapsed < 60.0

@@ -1,4 +1,4 @@
-"""Largest-root tests and the F quantile machinery."""
+"""Largest-root tests, and the F-quantile oracles the suite checks against."""
 
 from __future__ import annotations
 
@@ -7,12 +7,10 @@ import pytest
 import scipy.linalg
 import scipy.stats
 
-from conftest import make_dataset
+from conftest import f_quantile, make_dataset, pointwise_constant
 from sctubes.classical_tests import (
     _lam_max_gram,
-    f_quantile,
     largest_root_null_sample,
-    pointwise_constant,
     roy_k_sample,
 )
 from sctubes.errors import (
@@ -42,7 +40,7 @@ def random_two_group_fit(rng, p=1, m=2):
     return fit_models(data)
 
 
-# --- F quantiles ------------------------------------------------------------
+# --- F quantiles (the conftest oracle) ---------------------------------------
 
 def test_equal_dof_median_is_one():
     for d in (1, 2, 7, 244):
@@ -86,7 +84,7 @@ def test_f_quantile_validation():
         f_quantile(1, 10, 1.0)
 
 
-# --- pointwise constant -----------------------------------------------------
+# --- pointwise constant (the conftest oracle) ---------------------------------
 
 def test_pointwise_constant_reference_value():
     c = pointwise_constant(2, 244, 0.05)

@@ -31,7 +31,7 @@ from sctubes.errors import (
 from sctubes.sup_solver import CovariateBox
 from sctubes.model_core import fit_models
 from sctubes.rand_engine import STREAM_VERSION
-from sctubes.tube_geometry import cross_section
+from sctubes.tube_geometry import cross_section, significance_region
 
 
 def write_lines(path, lines):
@@ -487,6 +487,11 @@ def small_fit():
         small_fit(), sct_engine.ComparisonFamily.pairwise(2),
         CovariateBox.whole_space(1), 1000, seed=-1),
     lambda: classical_tests.roy_k_sample(small_fit(), 0.05, 1000, seed=2 ** 64),
+    lambda: cross_section(small_fit(), (1, 3), 0.1, 1.0),
+    lambda: sct_engine.observed_statistic(small_fit(), (0, 1),
+                                          CovariateBox.interval(0, 1)),
+    lambda: significance_region(small_fit(), (1, 3), 0.1, 1,
+                                CovariateBox.interval(0, 1)),
 ])
 def test_argument_checks_raise_typed_usage_errors(check):
     # Typed for the exit code, and still a ValueError for library callers.

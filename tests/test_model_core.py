@@ -10,6 +10,7 @@ from sctubes.errors import (
     DegenerateScatter,
     InputDataError,
     InsufficientObservations,
+    InvalidArgument,
     RankDeficientDesign,
     ShapeMismatch,
 )
@@ -205,9 +206,9 @@ def test_delta_and_coef_difference_are_one_based():
                                fit.gram_inv[0] + fit.gram_inv[1])
     np.testing.assert_allclose(fit.coef_difference(2, 1),
                                fit.bhat[1] - fit.bhat[0])
-    with pytest.raises(IndexError):
+    with pytest.raises(InvalidArgument):
         fit.delta(0, 1)
-    with pytest.raises(IndexError):
+    with pytest.raises(InvalidArgument):
         fit.coef_difference(1, 3)
 
 

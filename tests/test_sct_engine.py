@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +15,13 @@ import pytest
 import scipy.linalg
 import scipy.stats
 
-from conftest import interval_sup_reference, make_dataset
-from sctubes.classical_tests import f_quantile, pointwise_constant
+from conftest import (
+    f_quantile,
+    interval_sup_reference,
+    make_dataset,
+    pointwise_constant,
+    write_csv,
+)
 from sctubes.errors import (
     DegenerateScatter,
     EmptyFamily,
@@ -123,23 +130,46 @@ def test_critical_constant_is_rank_order_statistic():
 
 def test_order_statistic_ranks_match_binomial_quantiles():
     # The two tail probabilities critical_constant asks for.
-    for r in (10, 37, 200, 1000, 9999, 12_345, 100_000, 1_000_000):
+    for r in (10, 37, 200, 1000, 9999, 12_345, 100_000, 200_000, 1_000_000,
+              4_000_000):
         for alpha in (0.001, 0.01, 0.05, 0.1, 0.2, 0.37, 0.5, 0.9):
             for q in (0.005, 0.995):
                 want = int(scipy.stats.binom.ppf(q, r, 1.0 - alpha))
                 assert _binom_ppf(q, r, 1.0 - alpha) == want, (r, alpha, q)
 
 
-def test_import_skips_scipy_stats_and_optimize():
+def test_no_scipy_after_import_or_any_subcommand(tmp_path):
+    # numpy is the only runtime dependency. Running every subcommand
+    # after the import also catches a scipy import made lazily.
     import sctubes
-    code = ("import sys, sctubes; "
-            "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') "
-            "if m in sys.modules))")
+    rng = np.random.default_rng(12)
+    coef = np.array([[1.0, 2.0], [0.5, -0.3]])
+    csv_path = tmp_path / "data.csv"
+    write_csv(make_dataset(rng, (12, 14), (coef, coef + 0.3)), csv_path)
+    code = textwrap.dedent("""
+        import json, sys
+        def scipy_modules():
+            return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        import sctubes
+        from sctubes.cli_io import main
+        after_import = scipy_modules()
+        data, out = sys.argv[1], sys.argv[2]
+        sim = ["--reps", "1000", "--seed", "3"]
+        codes = [main(["fit", data, "--out", f"{out}/fit.json"])]
+        for cmd in ("critical", "pvalues", "compare", "roy"):
+            codes.append(main([cmd, data, *sim, "--out", f"{out}/{cmd}.json"]))
+        codes.append(main(["tube", data, *sim, "--range", "0:10",
+                           "--out", f"{out}/tube.csv"]))
+        print(json.dumps([after_import, codes, scipy_modules()]))
+        """)
     root = str(Path(sctubes.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": root}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env=env)
-    assert out.stdout.strip() == "[]"
+    out = subprocess.run([sys.executable, "-c", code, str(csv_path), str(tmp_path)],
+                         capture_output=True, text=True, check=True, env=env)
+    after_import, codes, after_run = json.loads(out.stdout.splitlines()[-1])
+    assert after_import == []
+    assert codes == [0] * 6
+    assert after_run == []
 
 
 def test_critical_constant_needs_enough_tail_mass():

@@ -8,7 +8,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import interval_sup_reference
+from conftest import interval_sup_reference, ratio_at
 from sctubes import sup_solver
 from sctubes.errors import UnboundedBox
 from sctubes.sup_solver import CovariateBox, QuadraticRatio, sup_ratio
@@ -68,7 +68,7 @@ def test_point_interval_evaluates_exactly():
         t = float(rng.uniform(-5, 5))
         value, argmax = sup_interval(q, t, t)
         assert argmax == t
-        assert value == pytest.approx(q.value_at([t]), rel=1e-12)
+        assert value == pytest.approx(ratio_at(q, [t]), rel=1e-12)
 
 
 def test_interval_matches_grid_oracle():
@@ -82,7 +82,7 @@ def test_interval_matches_grid_oracle():
         assert value >= gval - 1e-12 * max(gval, 1.0)
         assert value == pytest.approx(gval, rel=1e-6)
         assert low <= argmax <= high
-        assert value == pytest.approx(q.value_at([argmax]), rel=1e-12)
+        assert value == pytest.approx(ratio_at(q, [argmax]), rel=1e-12)
         assert value == pytest.approx(
             interval_sup_reference(q.numerator, q.denominator, low, high),
             rel=1e-12)
@@ -152,7 +152,7 @@ def test_box_p2_between_grid_and_eigen_bounds():
                 / np.einsum("it,ij,jt->t", e, q.denominator, e))
         assert value >= vals.max() - 1e-9
         assert value <= top_eigenvalue(q) + 1e-9
-        assert q.value_at(argmax) == pytest.approx(value, rel=1e-10)
+        assert ratio_at(q, argmax) == pytest.approx(value, rel=1e-10)
 
 
 def test_box_rejects_infinite_bounds():
@@ -204,7 +204,7 @@ def test_unbounded_argmax_attains_value():
         top, arg = sup_unbounded(q)
         if arg is None:
             continue
-        assert q.value_at(arg) == pytest.approx(top, rel=1e-8)
+        assert ratio_at(q, arg) == pytest.approx(top, rel=1e-8)
 
 
 def test_quadratic_ratio_validation():
@@ -230,10 +230,10 @@ def test_covariate_box_helpers():
         CovariateBox(())
 
 
-def test_value_at_checks_dimensions():
+def test_ratio_at_checks_dimensions():
     q = QuadraticRatio(np.eye(3), np.eye(3))
     with pytest.raises(ValueError):
-        q.value_at([1.0])
+        ratio_at(q, [1.0])
 
 
 def test_top_eigenvector_at_infinity_has_no_argmax():
@@ -251,7 +251,7 @@ def test_point_box_is_direct_evaluation():
         x = rng.uniform(-4, 4, size=p)
         value, argmax = sup_ratio(q, CovariateBox.point(*x))
         np.testing.assert_array_equal(argmax, x)
-        assert value == pytest.approx(q.value_at(x), rel=1e-12)
+        assert value == pytest.approx(ratio_at(q, x), rel=1e-12)
 
 
 def test_degenerate_coordinate_is_never_free():
@@ -261,9 +261,9 @@ def test_degenerate_coordinate_is_never_free():
         q = random_ratio(rng, 2)
         value, argmax = sup_ratio(q, CovariateBox(((-2.0, 3.0), (1.5, 1.5))))
         assert argmax[1] == 1.5
-        vals = [q.value_at([t, 1.5]) for t in np.linspace(-2.0, 3.0, 1001)]
+        vals = [ratio_at(q, [t, 1.5]) for t in np.linspace(-2.0, 3.0, 1001)]
         assert value >= max(vals) - 1e-12 * max(vals)
-        assert q.value_at(argmax) == pytest.approx(value, rel=1e-10)
+        assert ratio_at(q, argmax) == pytest.approx(value, rel=1e-10)
 
 
 def test_p3_box_between_grid_and_eigen_bounds():
@@ -279,7 +279,7 @@ def test_p3_box_between_grid_and_eigen_bounds():
         assert value >= vals.max() * (1 - 1e-12)
         assert value <= top_eigenvalue(q) * (1 + 1e-9)
         assert np.all((argmax >= 0.0) & (argmax <= 1.0))
-        assert q.value_at(argmax) == pytest.approx(value, rel=1e-10)
+        assert ratio_at(q, argmax) == pytest.approx(value, rel=1e-10)
 
 
 @st.composite
