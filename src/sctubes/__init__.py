@@ -52,11 +52,7 @@ from .sct_engine import (
     pair_comparisons,
     simulate_pivot,
 )
-from .sup_solver import (
-    CovariateBox,
-    QuadraticRatio,
-    sup_ratio,
-)
+from .sup_solver import CovariateBox
 from .tube_geometry import (
     SignificanceRegion,
     TubeCrossSection,
@@ -88,7 +84,6 @@ __all__ = [
     "NonNumericCell",
     "NotTwoGroups",
     "NotUnivariate",
-    "QuadraticRatio",
     "RankDeficientDesign",
     "RoyResult",
     "ShapeMismatch",
@@ -110,6 +105,5 @@ __all__ = [
     "roy_k_sample",
     "significance_region",
     "simulate_pivot",
-    "sup_ratio",
     "validate_dataset",
 ]

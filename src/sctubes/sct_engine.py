@@ -10,21 +10,22 @@ cross-product inverses and the pooled degrees of freedom, never on the
 fitted coefficients, which is what makes one simulated sample reusable
 for every pair's p-value (``pair_comparisons``).
 
-Simulated and observed statistics go through the same exact solver,
-face enumeration of the covariate box (``sup_solver.FacePlan``), for
-every region: a point, a finite box, or the whole space. Per pair the
-face constants and D's Cholesky factor are prepared once. Each block of
-replicates whitens every group's normal matrices by the block's Wishart
-factor once (``_whiten``, a forward substitution vectorized over the
-block); the whitening is linear, so a pair's factor is a difference of
-two whitened group matrices, each mapped by a fixed (p+1) x (p+1)
-matrix. The supremum then costs closed forms over the whole block
-(``sup_solver.top_eigenvalue`` up to size 3), except for the checked
-faces of a finite box with two or more free coordinates, whose top
-eigenvectors come from one batched eigendecomposition. Per-replicate
+Simulated and observed statistics go through the same exact solver, face
+enumeration of the covariate box (``sup_solver.FacePlan``), for every
+region: a point, a finite box, or the whole space, and reach it the same
+way, as numerator factors already whitened and folded by D's Cholesky
+factor. Per pair the face constants and that factor are prepared once.
+Each block of replicates whitens every group's normal matrices by the
+block's Wishart factor once (``_whiten``, a forward substitution
+vectorized over the block); the whitening is linear, so a pair's factor
+is a difference of two whitened group matrices, each mapped by a fixed
+(p+1) x (p+1) matrix. The supremum then costs closed forms over the
+whole block (``sup_solver.top_eigenvalue`` up to size 3), except for the
+checked faces of a finite box with two or more free coordinates, whose
+top eigenvectors come from one batched eigendecomposition. Per-replicate
 arrays keep the replicate index last, so each matrix entry is one
-contiguous vector. Roy's null sampler in
-``classical_tests`` uses the same whitening and block driver.
+contiguous vector. Roy's null sampler in ``classical_tests`` uses the
+same whitening and block driver.
 
 Replicate j of a run is a pure function of (seed, j). Draws are made in
 fixed blocks of 8192 replicates; the block holding replicate j is keyed
@@ -49,7 +50,7 @@ from . import tube_geometry
 from .errors import EmptyFamily, InvalidArgument, MetaMismatch, TooFewReplicates
 from .model_core import FittedModels
 from .rand_engine import STREAM_VERSION, StreamKey, normal_block, wishart_factor_block
-from .sup_solver import CovariateBox, FacePlan, QuadraticRatio, sup_ratio
+from .sup_solver import CovariateBox, FacePlan
 
 _BLOCK = 8192
 
@@ -224,7 +225,7 @@ class _SimPlan:
     Per pair, the face plan of its denominator D = (X_i'X_i)^{-1} +
     (X_j'X_j)^{-1} over the box, and the group factors with D's Cholesky
     factor L folded in: with G G' = (X'X)^{-1}, the simulated numerator
-    comes out already folded as L^{-1} A L^{-T}.
+    factor comes out already folded, as ``FacePlan.sup`` takes it.
     """
 
     def __init__(self, fit: FittedModels, family: ComparisonFamily,
@@ -233,15 +234,14 @@ class _SimPlan:
         if box.p != fit.p:
             raise InvalidArgument(f"box has p = {box.p}, fit has p = {fit.p}")
         self.nu, self.m, self.p = fit.nu, fit.m, fit.p
-        pairs0 = [(i - 1, j - 1) for i, j in family.pairs]
-        self.needed = sorted({g for pair in pairs0 for g in pair})
+        self.needed = sorted({g - 1 for pair in family.pairs for g in pair})
         gfac = {g: np.linalg.cholesky(fit.gram_inv[g]) for g in self.needed}
         self.pair_ops = []
-        for i, j in pairs0:
-            plan = FacePlan(fit.gram_inv[i] + fit.gram_inv[j], box)
-            pi = np.linalg.solve(plan.lower, gfac[i])
-            pj = np.linalg.solve(plan.lower, gfac[j])
-            self.pair_ops.append((i, j, pi, pj, plan))
+        for i, j in family.pairs:
+            plan = FacePlan(fit.delta(i, j), box)
+            pi = np.linalg.solve(plan.lower, gfac[i - 1])
+            pj = np.linalg.solve(plan.lower, gfac[j - 1])
+            self.pair_ops.append((i - 1, j - 1, pi, pj, plan))
 
 
 def _whiten(lw: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -278,8 +278,7 @@ def _block_values(plan: _SimPlan, seed: int, start: int, count: int) -> np.ndarr
     out = np.full(count, -np.inf)
     for i, j, pi, pj, faces in plan.pair_ops:
         # L^{-1}(P_i U_i - P_j U_j)' = Z_i P_i' - Z_j P_j', as (m, p+1, count).
-        v = pi @ z[i] - pj @ z[j]
-        np.maximum(out, faces.sup(np.einsum("kib,kjb->ijb", v, v)), out=out)
+        np.maximum(out, faces.sup(pi @ z[i] - pj @ z[j]), out=out)
     return out
 
 
@@ -372,15 +371,21 @@ def observed_statistic(fit: FittedModels, pair: tuple[int, int],
                        box: CovariateBox) -> tuple[float, np.ndarray | None]:
     """Supremum of the observed standardized difference for one pair.
 
-    Returns the statistic and the covariate point attaining it; the
-    point is None when the whole-space supremum is only approached in
-    a limit. Requires a positive definite pooled scatter.
+    The statistic is the sup over the box of e'B S^{-1} B'e / e'De, with
+    B the coefficient difference, S the pooled scatter and D the pair's
+    denominator: the simulated pivot with (B, S) observed. It takes the
+    kernel's path into the same face solver, one numerator factor
+    whitened by S's Cholesky factor and folded by D's. Returns the
+    statistic and the covariate point attaining it; the point is None
+    when the whole-space supremum is only approached in a limit.
+    Requires a positive definite pooled scatter.
     """
     lfac = fit.require_scatter()
     i, j = pair
     db = fit.coef_difference(i, j)
-    v = np.linalg.solve(lfac, db.T)
-    return sup_ratio(QuadraticRatio(v.T @ v, fit.delta(i, j)), box)
+    faces = FacePlan(fit.delta(i, j), box)
+    v = np.linalg.solve(lfac, np.linalg.solve(faces.lower, db).T)
+    return faces.sup_with_argmax(v)
 
 
 def _check_meta(fit: FittedModels, family: ComparisonFamily,

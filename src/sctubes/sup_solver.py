@@ -21,9 +21,11 @@ inside check, whose value is the top eigenvalue of (A, D). In general a
 box has up to 3^p faces, and a coordinate with low == high is never free.
 
 Everything about a face that depends only on D and the box is computed
-once in a ``FacePlan``, which then evaluates the supremum for a whole
-stack of numerators at a time: the Monte Carlo engine passes thousands
-of simulated numerators, ``sup_ratio`` a stack of one.
+once in a ``FacePlan``. Numerators arrive as factors V with
+A' = L^{-1} A L^{-T} = V'V (D = LL'), so both statistics reach the
+solver the same way: the Monte Carlo engine passes a stack of thousands
+of simulated factors, ``sct_engine.observed_statistic`` one observed
+factor, and the Gram V'V is formed here.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ import numpy as np
 
 from .errors import InvalidArgument, UnboundedBox
 
-_SYM_RTOL = 1e-8
 # Relative gap within which face values count as tied when choosing an
 # argmax: ties go to the face with the fewest free coordinates.
 _TIE_RTOL = 1e-12
@@ -45,40 +46,6 @@ _TIE_RTOL = 1e-12
 # relative of LAPACK for top gaps from 1e-1 down to 0, and under 1% of
 # Wishart Grams are recomputed.
 _NEAR_DOUBLE_TOP = 1e-2
-
-
-@dataclass(frozen=True)
-class QuadraticRatio:
-    """The pair (A, D) defining R(t) = (e'Ae)/(e'De), e = (1, t).
-
-    Both matrices are (p+1) x (p+1) and symmetric; they are copied and
-    symmetrized on construction. Positive definiteness of D is the
-    caller's contract and is only discovered lazily by the solvers.
-    """
-
-    numerator: np.ndarray
-    denominator: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.numerator, dtype=float)
-        d = np.asarray(self.denominator, dtype=float)
-        for name, mat in (("numerator", a), ("denominator", d)):
-            if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-                raise ValueError(f"{name} must be square, got shape {mat.shape}")
-            if not np.isfinite(mat).all():
-                raise ValueError(f"{name} contains non-finite entries")
-            scale = np.abs(mat).max()
-            if scale > 0 and np.abs(mat - mat.T).max() > _SYM_RTOL * scale:
-                raise ValueError(f"{name} is not symmetric")
-        if a.shape != d.shape:
-            raise ValueError(
-                f"numerator {a.shape} and denominator {d.shape} differ in shape")
-        object.__setattr__(self, "numerator", 0.5 * (a + a.T))
-        object.__setattr__(self, "denominator", 0.5 * (d + d.T))
-
-    @property
-    def p(self) -> int:
-        return self.numerator.shape[0] - 1
 
 
 @dataclass(frozen=True)
@@ -199,9 +166,9 @@ class _Face:
 
     With f = L'e (D = LL') and the face written as f = Q y with Q'Q = I,
     R on the face is y'(Q'A'Q)y / y'y for the folded numerator
-    A' = L^{-1} A L^{-T}. ``rows`` locates the entries of Q'A'Q among the
-    plan's reduced entries; ``rinv`` maps y back to w = (w_0, free
-    coordinates times w_0).
+    A' = L^{-1} A L^{-T} = V'V. ``rows`` locates the entries of Q'A'Q
+    among the plan's reduced entries; ``rinv`` maps y back to
+    w = (w_0, free coordinates times w_0).
     """
 
     free: np.ndarray
@@ -220,9 +187,10 @@ class _Face:
 class FacePlan:
     """Face enumeration of one box for one denominator D.
 
-    ``lower`` is the Cholesky factor L of D. Numerators are passed
-    folded, as A' = L^{-1} A L^{-T}, so a caller that builds A from
-    factors can fold L into them once instead of once per numerator.
+    ``lower`` is the Cholesky factor L of D. A numerator A = W'W is
+    passed as its folded factor V = W L^{-T}, m rows by p+1 columns, so
+    that A' = L^{-1} A L^{-T} = V'V; a caller that builds W from fixed
+    maps can fold L into the maps once instead of once per numerator.
     """
 
     def __init__(self, denominator, box: CovariateBox):
@@ -264,18 +232,14 @@ class FacePlan:
             start += n
         self._coef = np.vstack(blocks)
 
-    def fold(self, numerator) -> np.ndarray:
-        """A' = L^{-1} A L^{-T} for one numerator A."""
-        half = np.linalg.solve(self.lower, numerator)
-        folded = np.linalg.solve(self.lower, half.T)
-        return 0.5 * (folded + folded.T)
-
-    def _candidates(self, folded: np.ndarray, vectors: bool):
+    def _candidates(self, v: np.ndarray, vectors: bool):
         """Per face: its candidate values (-inf where it has none) and
-        its top vectors w in face coordinates. w is None for vertices,
-        and for the unchecked whole-space face unless ``vectors`` asks."""
-        count = folded.shape[2]
-        entries = self._coef @ folded.reshape(-1, count)
+        its top vectors w in face coordinates, for an (m, p+1, count)
+        stack of folded factors. w is None for vertices, and for the
+        unchecked whole-space face unless ``vectors`` asks."""
+        count = v.shape[2]
+        gram = np.einsum("kib,kjb->ijb", v, v)
+        entries = self._coef @ gram.reshape(-1, count)
         for face in self.faces:
             rows = entries[face.rows]
             size = face.size
@@ -295,19 +259,19 @@ class FacePlan:
                 lam = np.where(inside, lam, -np.inf)
             yield face, lam, w
 
-    def sup(self, folded: np.ndarray) -> np.ndarray:
-        """Supremum for each folded numerator in a (p+1, p+1, count) array.
+    def sup(self, v: np.ndarray) -> np.ndarray:
+        """Supremum for each folded factor in an (m, p+1, count) stack.
 
         The replicate index runs last so that each matrix entry is one
         contiguous vector.
         """
         out = None
-        for _, lam, _ in self._candidates(folded, vectors=False):
+        for _, lam, _ in self._candidates(v, vectors=False):
             out = lam.copy() if out is None else np.maximum(out, lam, out=out)
         return out
 
-    def sup_with_argmax(self, folded: np.ndarray) -> tuple[float, np.ndarray | None]:
-        """Supremum and argmax for a single folded numerator.
+    def sup_with_argmax(self, v: np.ndarray) -> tuple[float, np.ndarray | None]:
+        """Supremum and argmax for one (m, p+1) folded factor.
 
         Ties, to within rounding, go to the face with the fewest free
         coordinates, and among those to the earlier one (low bounds
@@ -316,9 +280,9 @@ class FacePlan:
         case the supremum is a limit along a direction, not a point.
         """
         cands = [(float(lam[0]), face, None if w is None else w[0])
-                 for face, lam, w in self._candidates(folded[:, :, None],
+                 for face, lam, w in self._candidates(v[:, :, None],
                                                       vectors=True)]
-        best = max(v for v, _, _ in cands)
+        best = max(value for value, _, _ in cands)
         for value, face, w in cands:
             if value >= best - _TIE_RTOL * abs(best):
                 break
@@ -328,15 +292,3 @@ class FacePlan:
                 return best, None
             point[face.free] = w[1:] / w[0]
         return best, point
-
-
-def sup_ratio(q: QuadraticRatio, box: CovariateBox) -> tuple[float, np.ndarray | None]:
-    """Exact supremum of the ratio over a box, with a point attaining it.
-
-    The box may be a point, finite, or the whole space. Over the whole
-    space the point is None when the supremum is only approached in a
-    limit. Raises UnboundedBox for boxes mixing finite and infinite
-    bounds.
-    """
-    plan = FacePlan(q.denominator, box)
-    return plan.sup_with_argmax(plan.fold(q.numerator))

@@ -15,6 +15,7 @@ import scipy.special
 from hypothesis import settings
 
 from sctubes.model_core import GroupData, GroupedDataset, fit_models
+from sctubes.sup_solver import FacePlan
 
 # Every property test draws the same examples on every run (seeded from
 # the test itself, no example database), so a suite run is repeatable;
@@ -86,13 +87,41 @@ def pointwise_constant(m: int, nu: int, alpha: float) -> float:
     return (m / nu) * f_quantile(m, nu, 1.0 - alpha)
 
 
-def ratio_at(q, point) -> float:
-    """R(t) = (e'Ae)/(e'De), e = (1, t), for a ``QuadraticRatio`` q at a
-    covariate point t (without the leading 1)."""
+def hotelling_point_constant(m: int, nu: int, alpha: float) -> float:
+    """Exact constant for one pair at one fixed covariate point.
+
+    There the statistic is z' S^{-1} z with z ~ N(0, Sigma) and
+    S ~ W(Sigma, nu), Hotelling's T^2 / nu, whose law is
+    m/(nu-m+1) F(m, nu-m+1). It equals ``pointwise_constant`` at m = 1.
+    """
+    if m < 1:
+        raise ValueError(f"m must be positive, got {m}")
+    if nu < m:
+        raise ValueError(f"need nu >= m, got nu={nu}, m={m}")
+    return m / (nu - m + 1) * f_quantile(m, nu - m + 1, 1.0 - alpha)
+
+
+def ratio_at(a, d, point) -> float:
+    """R(t) = (e'ae)/(e'de), e = (1, t), at a covariate point t (without
+    the leading 1)."""
     e = np.concatenate(([1.0], np.atleast_1d(np.asarray(point, dtype=float))))
-    if e.size != q.p + 1:
-        raise ValueError(f"point has {e.size - 1} coordinates, expected {q.p}")
-    return float((e @ q.numerator @ e) / (e @ q.denominator @ e))
+    if e.size != len(a):
+        raise ValueError(f"point has {e.size - 1} coordinates, expected {len(a) - 1}")
+    return float((e @ a @ e) / (e @ d @ e))
+
+
+def sup_of(a, d, box):
+    """Supremum of (e'ae)/(e'de) over a box, and a point attaining it,
+    through ``FacePlan``.
+
+    The solver takes a numerator as its folded factor, so a is factored
+    as W'W by ``eigh`` (negative rounding clipped to 0), and W is folded
+    by D's Cholesky factor L into W L^{-T}.
+    """
+    plan = FacePlan(d, box)
+    vals, vecs = np.linalg.eigh(a)
+    w = np.sqrt(np.clip(vals, 0.0, None))[:, None] * vecs.T
+    return plan.sup_with_argmax(np.linalg.solve(plan.lower, w.T).T)
 
 
 def interval_sup_reference(a, d, low, high):

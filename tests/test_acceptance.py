@@ -19,7 +19,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import f_quantile, make_dataset, pointwise_constant, ratio_at
+from conftest import (
+    f_quantile,
+    make_dataset,
+    pointwise_constant,
+    ratio_at,
+    sup_of,
+)
 from sctubes.classical_tests import roy_k_sample
 from sctubes.model_core import GroupData, GroupedDataset, fit_models
 from sctubes.sct_engine import (
@@ -29,7 +35,7 @@ from sctubes.sct_engine import (
     pair_comparisons,
     simulate_pivot,
 )
-from sctubes.sup_solver import CovariateBox, QuadraticRatio, sup_ratio
+from sctubes.sup_solver import CovariateBox
 
 
 def announce(capsys, num, ok, text):
@@ -187,15 +193,14 @@ def test_08_interval_supremum_against_dense_grids(capsys):
         a = half @ half.T
         half = rng.standard_normal((2, 2))
         d = half @ half.T + 0.1 * np.eye(2)
-        q = QuadraticRatio(a, d)
         low = float(rng.uniform(-10, 5))
         high = low + float(rng.uniform(0.1, 15))
         grid = low + (high - low) * ts
         e = np.vstack([np.ones_like(grid), grid])
-        num = np.einsum("it,ij,jt->t", e, q.numerator, e)
-        den = np.einsum("it,ij,jt->t", e, q.denominator, e)
+        num = np.einsum("it,ij,jt->t", e, a, e)
+        den = np.einsum("it,ij,jt->t", e, d, e)
         gmax = float(np.max(num / den))
-        value, _ = sup_ratio(q, CovariateBox.interval(low, high))
+        value, _ = sup_of(a, d, CovariateBox.interval(low, high))
         assert value >= gmax - 1e-9 * max(abs(gmax), 1.0)
         worst = max(worst, (value - gmax) / max(abs(gmax), 1e-12))
     elapsed = time.perf_counter() - start
@@ -270,22 +275,20 @@ def test_11_box_supremum_against_dense_grids(capsys):
         a = half @ half.T
         half = rng.standard_normal((3, 3))
         d = half @ half.T + 0.1 * np.eye(3)
-        q = QuadraticRatio(a, d)
         lows = rng.uniform(-10, 5, size=2)
         highs = lows + rng.uniform(0.1, 15, size=2)
         box = CovariateBox(tuple(zip(lows, highs)))
         e = np.vstack([np.ones_like(ux), lows[0] + (highs[0] - lows[0]) * ux,
                        lows[1] + (highs[1] - lows[1]) * uy])
-        num = np.einsum("it,ij,jt->t", e, q.numerator, e)
-        den = np.einsum("it,ij,jt->t", e, q.denominator, e)
+        num = np.einsum("it,ij,jt->t", e, a, e)
+        den = np.einsum("it,ij,jt->t", e, d, e)
         gmax = float(np.max(num / den))
-        top = float(scipy.linalg.eigh(q.numerator, q.denominator,
-                                      eigvals_only=True)[-1])
-        value, argmax = sup_ratio(q, box)
+        top = float(scipy.linalg.eigh(a, d, eigvals_only=True)[-1])
+        value, argmax = sup_of(a, d, box)
         assert value >= gmax * (1 - 1e-9)
         assert value <= top * (1 + 1e-9)
         assert np.all((argmax >= lows) & (argmax <= highs))
-        assert ratio_at(q, argmax) == pytest.approx(value, rel=1e-9)
+        assert ratio_at(a, d, argmax) == pytest.approx(value, rel=1e-9)
         worst = max(worst, (value - gmax) / gmax)
     elapsed = time.perf_counter() - start
     ok = elapsed < 60.0

@@ -14,12 +14,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     f_quantile,
+    hotelling_point_constant,
     interval_sup_reference,
     make_dataset,
-    pointwise_constant,
+    ratio_at,
     write_csv,
 )
 from sctubes.errors import (
@@ -372,9 +375,24 @@ def test_point_constant_matches_f_identity(two_group_fit):
     sample = simulate_pivot(fit, ComparisonFamily.pairwise(2),
                             CovariateBox.point(4.0), 40_000, seed=22)
     res = critical_constant(sample, 0.05)
-    exact = pointwise_constant(fit.m, fit.nu, 0.05)
+    exact = hotelling_point_constant(fit.m, fit.nu, 0.05)
     lo, hi = res.order_stat_interval
     assert lo <= exact <= hi
+
+
+def test_point_constant_is_hotellings_at_small_nu():
+    # At m = 2 and nu = 10 the point statistic's law, m/(nu-m+1)
+    # F(m, nu-m+1), sits well above (m/nu) F(m, nu), which is exact only
+    # for m = 1; at nu = 244 the two differ by 0.4%, too little to see.
+    rng = np.random.default_rng(1313)
+    coef = np.array([[1.0, 2.0], [0.5, -0.3]])
+    fit = fit_models(make_dataset(rng, (7, 7), (coef, coef)))
+    assert (fit.m, fit.nu) == (2, 10)
+    sample = simulate_pivot(fit, ComparisonFamily.pairwise(2),
+                            CovariateBox.point(4.0), 100_000, seed=24)
+    lo, hi = critical_constant(sample, 0.05).order_stat_interval
+    assert lo <= hotelling_point_constant(2, 10, 0.05) <= hi
+    assert (2 / 10) * f_quantile(2, 10, 0.95) < lo
 
 
 def test_whole_space_m1_reduces_to_scaled_f_quantile():
@@ -491,6 +509,55 @@ def test_point_box_statistic_is_direct_evaluation(two_group_fit):
     den = e @ fit.delta(1, 2) @ e
     assert t == pytest.approx(num / den, rel=1e-12)
     assert arg[0] == x0
+
+
+@st.composite
+def observed_cases(draw):
+    """A random fit with p, m in 1..3 and k in {2, 3}, one of its pairs,
+    and a finite box inside the covariate range."""
+    p, m, k = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(2, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = tuple(int(rng.integers(p + m + 3, 16)) for _ in range(k))
+    coefs = tuple(rng.normal(size=(p + 1, m)) for _ in range(k))
+    fit = fit_models(make_dataset(rng, sizes, coefs))
+    pair = draw(st.sampled_from(ComparisonFamily.pairwise(k).pairs))
+    lows = rng.uniform(0.0, 5.0, size=p)
+    highs = lows + rng.uniform(0.5, 5.0, size=p)
+    return fit, pair, lows, highs
+
+
+@settings(max_examples=80, deadline=None)
+@given(observed_cases())
+def test_observed_statistic_matches_independent_oracles(case):
+    fit, pair, lows, highs = case
+    db = fit.coef_difference(*pair)
+    a = db @ scipy.linalg.solve(fit.pooled_scatter, db.T, assume_a="pos")
+    d = fit.delta(*pair)
+
+    whole, _ = observed_statistic(fit, pair, CovariateBox.whole_space(fit.p))
+    top = scipy.linalg.eigh(a, d, eigvals_only=True)[-1]
+    np.testing.assert_allclose(whole, top, rtol=1e-10)
+
+    x = 0.5 * (lows + highs)
+    t, arg = observed_statistic(fit, pair, CovariateBox.point(*x))
+    np.testing.assert_array_equal(arg, x)
+    assert t == pytest.approx(ratio_at(a, d, x), rel=1e-12)
+
+    box = CovariateBox(tuple(zip(lows, highs)))
+    t, arg = observed_statistic(fit, pair, box)
+    assert np.all((arg >= lows) & (arg <= highs))
+    assert ratio_at(a, d, arg) == pytest.approx(t, rel=1e-10)
+    assert t <= whole * (1 + 1e-10)
+    if fit.p == 1:
+        assert t == pytest.approx(
+            interval_sup_reference(a, d, lows[0], highs[0]), rel=1e-10)
+    elif fit.p == 2:
+        axes = [np.linspace(lo, hi, 201) for lo, hi in zip(lows, highs)]
+        gx, gy = (g.ravel() for g in np.meshgrid(*axes))
+        e = np.vstack([np.ones_like(gx), gx, gy])
+        grid = (np.einsum("it,ij,jt->t", e, a, e)
+                / np.einsum("it,ij,jt->t", e, d, e))
+        assert t >= grid.max() * (1 - 1e-12)
 
 
 def test_planted_offset_grows_the_statistic():

@@ -8,38 +8,37 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import interval_sup_reference, ratio_at
+from conftest import interval_sup_reference, ratio_at, sup_of
 from sctubes import sup_solver
-from sctubes.errors import UnboundedBox
-from sctubes.sup_solver import CovariateBox, QuadraticRatio, sup_ratio
+from sctubes.errors import InvalidArgument, UnboundedBox
+from sctubes.sup_solver import CovariateBox
 
 
 def random_ratio(rng, p):
-    """A random PSD/PD pair of size (p+1)."""
+    """A random PSD/PD pair (A, D) of size (p+1)."""
     half = rng.standard_normal((p + 1, p + 1))
     a = half @ half.T * rng.uniform(0.1, 10.0)
     half = rng.standard_normal((p + 1, p + 1))
     d = half @ half.T + (p + 1) * 0.05 * np.eye(p + 1)
-    return QuadraticRatio(a, d)
+    return a, d
 
 
-def sup_interval(q, low, high):
+def sup_interval(a, d, low, high):
     """Supremum and scalar argmax over [low, high]."""
-    value, argmax = sup_ratio(q, CovariateBox.interval(low, high))
+    value, argmax = sup_of(a, d, CovariateBox.interval(low, high))
     return value, float(argmax[0])
 
 
-def top_eigenvalue(q):
+def top_eigenvalue(a, d):
     """Whole-space supremum straight from the pencil's spectrum."""
-    return float(scipy.linalg.eigh(q.numerator, q.denominator,
-                                   eigvals_only=True)[-1])
+    return float(scipy.linalg.eigh(a, d, eigvals_only=True)[-1])
 
 
-def grid_max_1d(q, low, high, points=100_001):
+def grid_max_1d(a, d, low, high, points=100_001):
     ts = np.linspace(low, high, points)
     e = np.vstack([np.ones_like(ts), ts])
-    num = np.einsum("it,ij,jt->t", e, q.numerator, e)
-    den = np.einsum("it,ij,jt->t", e, q.denominator, e)
+    num = np.einsum("it,ij,jt->t", e, a, e)
+    den = np.einsum("it,ij,jt->t", e, d, e)
     vals = num / den
     idx = int(np.argmax(vals))
     return float(vals[idx]), float(ts[idx])
@@ -47,16 +46,14 @@ def grid_max_1d(q, low, high, points=100_001):
 
 def test_identical_forms_give_one_at_left_endpoint():
     half = np.array([[2.0, 0.3], [0.3, 1.0]])
-    q = QuadraticRatio(half @ half.T, half @ half.T)
-    value, argmax = sup_interval(q, -3.0, 7.0)
+    value, argmax = sup_interval(half @ half.T, half @ half.T, -3.0, 7.0)
     assert value == pytest.approx(1.0, rel=1e-12)
     assert argmax == -3.0
 
 
 def test_known_unimodal_ratio():
     # R(t) = 1 / (1 + t^2), maximized at the left endpoint of [0, 5].
-    q = QuadraticRatio(np.diag([1.0, 0.0]), np.eye(2))
-    value, argmax = sup_interval(q, 0.0, 5.0)
+    value, argmax = sup_interval(np.diag([1.0, 0.0]), np.eye(2), 0.0, 5.0)
     assert value == pytest.approx(1.0, rel=1e-12)
     assert argmax == 0.0
 
@@ -64,39 +61,37 @@ def test_known_unimodal_ratio():
 def test_point_interval_evaluates_exactly():
     rng = np.random.default_rng(0)
     for _ in range(20):
-        q = random_ratio(rng, 1)
+        a, d = random_ratio(rng, 1)
         t = float(rng.uniform(-5, 5))
-        value, argmax = sup_interval(q, t, t)
+        value, argmax = sup_interval(a, d, t, t)
         assert argmax == t
-        assert value == pytest.approx(ratio_at(q, [t]), rel=1e-12)
+        assert value == pytest.approx(ratio_at(a, d, [t]), rel=1e-12)
 
 
 def test_interval_matches_grid_oracle():
     rng = np.random.default_rng(1)
     for _ in range(200):
-        q = random_ratio(rng, 1)
+        a, d = random_ratio(rng, 1)
         low = float(rng.uniform(-10, 5))
         high = low + float(rng.uniform(0.1, 15))
-        value, argmax = sup_interval(q, low, high)
-        gval, _ = grid_max_1d(q, low, high)
+        value, argmax = sup_interval(a, d, low, high)
+        gval, _ = grid_max_1d(a, d, low, high)
         assert value >= gval - 1e-12 * max(gval, 1.0)
         assert value == pytest.approx(gval, rel=1e-6)
         assert low <= argmax <= high
-        assert value == pytest.approx(ratio_at(q, [argmax]), rel=1e-12)
+        assert value == pytest.approx(ratio_at(a, d, [argmax]), rel=1e-12)
         assert value == pytest.approx(
-            interval_sup_reference(q.numerator, q.denominator, low, high),
-            rel=1e-12)
+            interval_sup_reference(a, d, low, high), rel=1e-12)
 
 
 def test_argmax_is_endpoint_or_stationary():
     rng = np.random.default_rng(2)
     for _ in range(100):
-        q = random_ratio(rng, 1)
+        a, d = random_ratio(rng, 1)
         low, high = -2.0, 4.0
-        _, t = sup_interval(q, low, high)
+        _, t = sup_interval(a, d, low, high)
         if t in (low, high):
             continue
-        a, d = q.numerator, q.denominator
         n = np.array([a[0, 0], 2 * a[0, 1], a[1, 1]])
         dd = np.array([d[0, 0], 2 * d[0, 1], d[1, 1]])
         nder = np.polynomial.polynomial.polyval(t, [n[1], 2 * n[2]])
@@ -109,31 +104,27 @@ def test_argmax_is_endpoint_or_stationary():
 
 def test_interval_requires_univariate():
     # An interval is a p = 1 box; a p = 2 ratio does not fit it.
-    q = QuadraticRatio(np.eye(3), np.eye(3))
-    with pytest.raises(ValueError):
-        sup_ratio(q, CovariateBox.interval(0.0, 1.0))
+    with pytest.raises(InvalidArgument):
+        sup_of(np.eye(3), np.eye(3), CovariateBox.interval(0.0, 1.0))
 
 
 def test_interval_rejects_infinite_endpoints():
-    q = QuadraticRatio(np.eye(2), np.eye(2))
     with pytest.raises(UnboundedBox):
-        sup_interval(q, 0.0, np.inf)
+        sup_interval(np.eye(2), np.eye(2), 0.0, np.inf)
 
 
 def test_scale_invariance():
     rng = np.random.default_rng(3)
-    q = random_ratio(rng, 1)
-    scaled = QuadraticRatio(5.0 * q.numerator, 5.0 * q.denominator)
-    v1, t1 = sup_interval(q, -1.0, 2.0)
-    v2, t2 = sup_interval(scaled, -1.0, 2.0)
+    a, d = random_ratio(rng, 1)
+    v1, t1 = sup_interval(a, d, -1.0, 2.0)
+    v2, t2 = sup_interval(5.0 * a, 5.0 * d, -1.0, 2.0)
     assert v1 == pytest.approx(v2, rel=1e-12)
     assert t1 == t2
 
 
 def test_box_identity_ratio_is_one():
-    q = QuadraticRatio(np.eye(3), np.eye(3))
     box = CovariateBox(((-1.0, 2.0), (0.0, 5.0)))
-    value, argmax = sup_ratio(q, box)
+    value, argmax = sup_of(np.eye(3), np.eye(3), box)
     assert value == pytest.approx(1.0, rel=1e-10)
     assert argmax.shape == (2,)
 
@@ -141,58 +132,57 @@ def test_box_identity_ratio_is_one():
 def test_box_p2_between_grid_and_eigen_bounds():
     rng = np.random.default_rng(5)
     for _ in range(10):
-        q = random_ratio(rng, 2)
+        a, d = random_ratio(rng, 2)
         box = CovariateBox(((-3.0, 2.0), (-1.0, 4.0)))
-        value, argmax = sup_ratio(q, box)
+        value, argmax = sup_of(a, d, box)
         xs = np.linspace(-3.0, 2.0, 200)
         ys = np.linspace(-1.0, 4.0, 200)
         gx, gy = np.meshgrid(xs, ys)
         e = np.stack([np.ones_like(gx), gx, gy]).reshape(3, -1)
-        vals = (np.einsum("it,ij,jt->t", e, q.numerator, e)
-                / np.einsum("it,ij,jt->t", e, q.denominator, e))
+        vals = (np.einsum("it,ij,jt->t", e, a, e)
+                / np.einsum("it,ij,jt->t", e, d, e))
         assert value >= vals.max() - 1e-9
-        assert value <= top_eigenvalue(q) + 1e-9
-        assert ratio_at(q, argmax) == pytest.approx(value, rel=1e-10)
+        assert value <= top_eigenvalue(a, d) + 1e-9
+        assert ratio_at(a, d, argmax) == pytest.approx(value, rel=1e-10)
 
 
 def test_box_rejects_infinite_bounds():
-    q = QuadraticRatio(np.eye(2), np.eye(2))
     with pytest.raises(UnboundedBox):
-        sup_ratio(q, CovariateBox(((-np.inf, 1.0),)))
+        sup_of(np.eye(2), np.eye(2), CovariateBox(((-np.inf, 1.0),)))
 
 
 def test_region_monotonicity():
     rng = np.random.default_rng(6)
     for _ in range(50):
-        q = random_ratio(rng, 1)
-        inner, _ = sup_interval(q, 0.0, 1.0)
-        outer, _ = sup_interval(q, -1.0, 2.0)
-        top, _ = sup_ratio(q, CovariateBox.whole_space(1))
+        a, d = random_ratio(rng, 1)
+        inner, _ = sup_interval(a, d, 0.0, 1.0)
+        outer, _ = sup_interval(a, d, -1.0, 2.0)
+        top, _ = sup_of(a, d, CovariateBox.whole_space(1))
         assert inner <= outer + 1e-12
         assert outer <= top + 1e-10 * max(top, 1.0)
 
 
-def sup_unbounded(q):
-    return sup_ratio(q, CovariateBox.whole_space(q.p))
+def sup_unbounded(a, d):
+    return sup_of(a, d, CovariateBox.whole_space(len(a) - 1))
 
 
 def test_unbounded_identity_and_diagonal():
-    assert sup_unbounded(QuadraticRatio(np.eye(2), np.eye(2)))[0] == pytest.approx(1.0)
-    q = QuadraticRatio(np.diag([3.0, 1.0]), np.eye(2))
-    assert sup_unbounded(q)[0] == pytest.approx(3.0, rel=1e-12)
+    assert sup_unbounded(np.eye(2), np.eye(2))[0] == pytest.approx(1.0)
+    assert sup_unbounded(np.diag([3.0, 1.0]), np.eye(2))[0] == pytest.approx(
+        3.0, rel=1e-12)
 
 
 def test_unbounded_agrees_with_huge_box():
     rng = np.random.default_rng(7)
     hits = 0
     for _ in range(50):
-        q = random_ratio(rng, 1)
-        top, arg = sup_unbounded(q)
-        assert top == pytest.approx(top_eigenvalue(q), rel=1e-12)
+        a, d = random_ratio(rng, 1)
+        top, arg = sup_unbounded(a, d)
+        assert top == pytest.approx(top_eigenvalue(a, d), rel=1e-12)
         if arg is None:
             continue
         hits += 1
-        boxed, _ = sup_interval(q, -1e4, 1e4)
+        boxed, _ = sup_interval(a, d, -1e4, 1e4)
         assert boxed == pytest.approx(top, rel=1e-4)
     assert hits >= 40  # degenerate vertical directions are rare for random forms
 
@@ -200,20 +190,11 @@ def test_unbounded_agrees_with_huge_box():
 def test_unbounded_argmax_attains_value():
     rng = np.random.default_rng(8)
     for _ in range(20):
-        q = random_ratio(rng, 2)
-        top, arg = sup_unbounded(q)
+        a, d = random_ratio(rng, 2)
+        top, arg = sup_unbounded(a, d)
         if arg is None:
             continue
-        assert ratio_at(q, arg) == pytest.approx(top, rel=1e-8)
-
-
-def test_quadratic_ratio_validation():
-    with pytest.raises(ValueError):
-        QuadraticRatio(np.eye(2), np.eye(3))
-    with pytest.raises(ValueError):
-        QuadraticRatio(np.array([[1.0, 5.0], [0.0, 1.0]]), np.eye(2))
-    with pytest.raises(ValueError):
-        QuadraticRatio(np.full((2, 2), np.nan), np.eye(2))
+        assert ratio_at(a, d, arg) == pytest.approx(top, rel=1e-8)
 
 
 def test_covariate_box_helpers():
@@ -231,15 +212,13 @@ def test_covariate_box_helpers():
 
 
 def test_ratio_at_checks_dimensions():
-    q = QuadraticRatio(np.eye(3), np.eye(3))
     with pytest.raises(ValueError):
-        ratio_at(q, [1.0])
+        ratio_at(np.eye(3), np.eye(3), [1.0])
 
 
 def test_top_eigenvector_at_infinity_has_no_argmax():
     # R(t) = t^2 / (1 + t^2) only approaches its supremum 1 as |t| grows.
-    q = QuadraticRatio(np.diag([0.0, 1.0]), np.eye(2))
-    value, argmax = sup_unbounded(q)
+    value, argmax = sup_unbounded(np.diag([0.0, 1.0]), np.eye(2))
     assert value == pytest.approx(1.0, rel=1e-12)
     assert argmax is None
 
@@ -247,23 +226,23 @@ def test_top_eigenvector_at_infinity_has_no_argmax():
 def test_point_box_is_direct_evaluation():
     rng = np.random.default_rng(9)
     for p in (1, 2, 3):
-        q = random_ratio(rng, p)
+        a, d = random_ratio(rng, p)
         x = rng.uniform(-4, 4, size=p)
-        value, argmax = sup_ratio(q, CovariateBox.point(*x))
+        value, argmax = sup_of(a, d, CovariateBox.point(*x))
         np.testing.assert_array_equal(argmax, x)
-        assert value == pytest.approx(ratio_at(q, x), rel=1e-12)
+        assert value == pytest.approx(ratio_at(a, d, x), rel=1e-12)
 
 
 def test_degenerate_coordinate_is_never_free():
     # A box flat in its second coordinate is the interval it reduces to.
     rng = np.random.default_rng(10)
     for _ in range(30):
-        q = random_ratio(rng, 2)
-        value, argmax = sup_ratio(q, CovariateBox(((-2.0, 3.0), (1.5, 1.5))))
+        a, d = random_ratio(rng, 2)
+        value, argmax = sup_of(a, d, CovariateBox(((-2.0, 3.0), (1.5, 1.5))))
         assert argmax[1] == 1.5
-        vals = [ratio_at(q, [t, 1.5]) for t in np.linspace(-2.0, 3.0, 1001)]
+        vals = [ratio_at(a, d, [t, 1.5]) for t in np.linspace(-2.0, 3.0, 1001)]
         assert value >= max(vals) - 1e-12 * max(vals)
-        assert ratio_at(q, argmax) == pytest.approx(value, rel=1e-10)
+        assert ratio_at(a, d, argmax) == pytest.approx(value, rel=1e-10)
 
 
 def test_p3_box_between_grid_and_eigen_bounds():
@@ -272,14 +251,14 @@ def test_p3_box_between_grid_and_eigen_bounds():
     grid = np.stack(np.meshgrid(axis, axis, axis), axis=-1).reshape(-1, 3)
     e = np.column_stack([np.ones(len(grid)), grid])
     for _ in range(10):
-        q = random_ratio(rng, 3)
-        value, argmax = sup_ratio(q, CovariateBox(((0.0, 1.0),) * 3))
-        vals = (np.einsum("ti,ij,tj->t", e, q.numerator, e)
-                / np.einsum("ti,ij,tj->t", e, q.denominator, e))
+        a, d = random_ratio(rng, 3)
+        value, argmax = sup_of(a, d, CovariateBox(((0.0, 1.0),) * 3))
+        vals = (np.einsum("ti,ij,tj->t", e, a, e)
+                / np.einsum("ti,ij,tj->t", e, d, e))
         assert value >= vals.max() * (1 - 1e-12)
-        assert value <= top_eigenvalue(q) * (1 + 1e-9)
+        assert value <= top_eigenvalue(a, d) * (1 + 1e-9)
         assert np.all((argmax >= 0.0) & (argmax <= 1.0))
-        assert ratio_at(q, argmax) == pytest.approx(value, rel=1e-10)
+        assert ratio_at(a, d, argmax) == pytest.approx(value, rel=1e-10)
 
 
 @st.composite
@@ -288,22 +267,22 @@ def nested_regions(draw):
     p = draw(st.integers(1, 3))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
-    q = random_ratio(rng, p)
+    a, d = random_ratio(rng, p)
     lows = rng.uniform(-5.0, 0.0, size=p)
     highs = lows + rng.uniform(0.1, 8.0, size=p)
     x = lows + rng.uniform(0.0, 1.0, size=p) * (highs - lows)
     segment = [(v, v) for v in x]
     segment[0] = (lows[0], highs[0])
-    return q, x, tuple(segment), tuple(zip(lows, highs))
+    return a, d, x, tuple(segment), tuple(zip(lows, highs))
 
 
 @settings(max_examples=150, deadline=None)
 @given(nested_regions())
 def test_region_order_point_interval_box_whole(case):
-    q, x, segment, bounds = case
-    values = [sup_ratio(q, box)[0] for box in (
+    a, d, x, segment, bounds = case
+    values = [sup_of(a, d, box)[0] for box in (
         CovariateBox.point(*x), CovariateBox(segment), CovariateBox(bounds),
-        CovariateBox.whole_space(q.p))]
+        CovariateBox.whole_space(len(x)))]
     for inner, outer in zip(values, values[1:]):
         assert inner <= outer * (1 + 1e-9)
 
