@@ -6,7 +6,8 @@ The expected CSV layout is one observation per row:
 
 with at least one covariate column and one response column. Groups are
 ordered by first appearance and indexed from 1 in that order everywhere
-(reports, --family control:LABEL resolution, tube pair selection).
+(reports, and the groups that --family control:GROUP and --pair A:B
+name, each by its label or that index). Blank lines are skipped.
 
 Reports are written by ``json.dumps`` with sorted keys, two-space
 indents and UTF-8 text; floats print in Python's shortest round-trip
@@ -66,7 +67,7 @@ class RunConfig:
     flags only for the fields it acts on, and the rest keep these
     defaults.
 
-    ``family`` is ``pairwise``, ``successive`` or ``control:LABEL``;
+    ``family`` is ``pairwise``, ``successive`` or ``control:GROUP``;
     ``range_text`` is ``a:b[,a:b...]``, or None for the whole covariate
     space; ``pair`` is ``A:B`` by labels or 1-based indices, or None for
     the family's first pair. These texts are parsed and resolved only
@@ -158,6 +159,8 @@ def ingest_csv(path) -> GroupedDataset:
 
         by_group: dict[str, list[list[float]]] = {}
         for row_no, row in enumerate(reader, start=2):
+            if not row:  # a blank line
+                continue
             if len(row) != width:
                 raise MalformedHeader(
                     f"row {row_no} has {len(row)} cells, expected {width}")
@@ -299,24 +302,31 @@ def _human_compare(report: ComparisonReport) -> str:
 
 # --- command implementations --------------------------------------------
 
+def _group_index(text: str, fit: FittedModels) -> int:
+    """A group's 1-based index from its label or else from that index."""
+    if text in fit.labels:
+        return fit.labels.index(text) + 1
+    try:
+        index = int(text)
+    except ValueError:
+        raise ConfigError(f"{text!r} is neither a group label nor an index") from None
+    if not 1 <= index <= fit.k:
+        raise ConfigError(f"group index {index} outside 1..{fit.k}")
+    return index
+
+
 def _family_for(config: RunConfig, fit: FittedModels) -> ComparisonFamily:
-    """The --family text (pairwise, successive or control:LABEL) as a
+    """The --family text (pairwise, successive or control:GROUP) as a
     family over the fitted groups."""
     if config.family == "pairwise":
         return ComparisonFamily.pairwise(fit.k)
     if config.family == "successive":
         return ComparisonFamily.successive(fit.k)
-    label = config.family.removeprefix("control:")
-    if label == config.family:
+    control = config.family.removeprefix("control:")
+    if control == config.family:
         raise ConfigError(f"unknown family {config.family!r}; "
-                          "use pairwise, successive, or control:LABEL")
-    try:
-        control = fit.labels.index(label) + 1
-    except ValueError:
-        raise ConfigError(
-            f"control label {label!r} is not a group; "
-            f"groups are {', '.join(fit.labels)}") from None
-    return ComparisonFamily.vs_control(fit.k, control)
+                          "use pairwise, successive, or control:GROUP")
+    return ComparisonFamily.vs_control(fit.k, _group_index(control, fit))
 
 
 def _box_for(config: RunConfig, p: int) -> CovariateBox:
@@ -372,22 +382,7 @@ def _resolve_pair(pair_text: str | None, family: ComparisonFamily,
     pieces = pair_text.split(":")
     if len(pieces) != 2:
         raise ConfigError(f"pair {pair_text!r} is not of the form A:B")
-    idx = []
-    for piece in pieces:
-        if piece in fit.labels:
-            idx.append(fit.labels.index(piece) + 1)
-        else:
-            try:
-                num = int(piece)
-            except ValueError:
-                raise ConfigError(
-                    f"{piece!r} is neither a group label nor an index") from None
-            if not 1 <= num <= fit.k:
-                raise ConfigError(f"group index {num} outside 1..{fit.k}")
-            idx.append(num)
-    if idx[0] == idx[1]:
-        raise ConfigError("a tube compares two different groups")
-    return idx[0], idx[1]
+    return tuple(_group_index(piece, fit) for piece in pieces)
 
 
 def _cmd_tube(config: RunConfig, data: GroupedDataset) -> int:
@@ -540,7 +535,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--workers", type=int,
                      help="simulation threads (results identical for any value)")
     region = _flag_group()
-    region.add_argument("--family", help="pairwise, successive, or control:LABEL")
+    region.add_argument("--family", help="pairwise, successive, or control:GROUP")
     region.add_argument("--range", dest="range_text",
                         help="covariate box a:b[,a:b...]; default whole space")
     band = _flag_group()

@@ -86,7 +86,7 @@ class StreamKey:
 def normal_block(rows: int, cols: int, key: StreamKey, count: int) -> np.ndarray:
     """Draw ``count`` stacked rows x cols standard normal matrices."""
     if rows < 1 or cols < 1 or count < 1:
-        raise ValueError("block dimensions must be positive")
+        raise InvalidArgument("block dimensions must be positive")
     return key.generator().standard_normal((count, rows, cols))
 
 
@@ -101,7 +101,7 @@ def wishart_factor_block(m: int, nu: int, key: StreamKey, count: int) -> np.ndar
     row-major within each replicate.
     """
     if m < 1 or count < 1:
-        raise ValueError("block dimensions must be positive")
+        raise InvalidArgument("block dimensions must be positive")
     if nu < m:
         raise DegreesOfFreedomTooSmall(
             f"Wishart needs dof >= dimension, got dof={nu}, dimension={m}")

@@ -103,21 +103,13 @@ class ComparisonFamily:
         pairs = tuple((i, i + 1) for i in range(1, k))
         return cls(pairs=pairs, kind="successive")
 
-    def validate_for(self, k: int) -> None:
-        for i, j in self.pairs:
-            if i > k or j > k:
-                raise InvalidArgument(f"pair ({i}, {j}) outside the {k} fitted groups")
-
 
 @dataclass(frozen=True)
 class SampleMeta:
-    """Fingerprint of what a simulated sample is valid for, including
-    the random stream scheme (``rand_engine.STREAM_VERSION``) it was
-    drawn under."""
+    """Fingerprint of what a simulated sample is valid for: family, box,
+    designs (``design_digest`` also hashes nu, m, p and k) and the random
+    stream scheme (``rand_engine.STREAM_VERSION``) it was drawn under."""
 
-    nu: int
-    m: int
-    p: int
     family: ComparisonFamily
     box: CovariateBox
     design_digest: str
@@ -162,32 +154,24 @@ def design_digest(fit: FittedModels) -> str:
     return h.hexdigest()[:16]
 
 
-def quantile_rank(r: int, alpha: float) -> int:
-    """Order-statistic rank for the (1 - alpha) upper quantile.
-
-    ceil((1 - alpha) * r), guarded against the product landing a hair
-    above an integer through rounding.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise InvalidArgument(f"alpha must be in (0, 1), got {alpha}")
-    target = (1.0 - alpha) * r
-    rank = math.ceil(target - 1e-12 * max(1.0, target))
-    return min(max(rank, 1), r)
-
-
 def tail_rank(r: int, alpha: float) -> int:
-    """Rank of the simulated (1 - alpha) upper quantile among r replicates.
+    """Rank of the simulated (1 - alpha) upper quantile among r replicates:
+    ceil((1 - alpha) * r) in 1..r, guarded against the product landing a
+    hair above an integer through rounding.
 
     The one check order for every simulated critical value (tube and
     largest-root): alpha in (0, 1) first (``InvalidArgument``), then
     alpha * r >= 10 (``TooFewReplicates``), since with fewer expected
     tail exceedances the quantile estimate is noise.
     """
-    rank = quantile_rank(r, alpha)
+    if not 0.0 < alpha < 1.0:
+        raise InvalidArgument(f"alpha must be in (0, 1), got {alpha}")
     if alpha * r < 10.0:
         raise TooFewReplicates(
             f"alpha * r = {alpha * r:.3g} < 10; increase replicates")
-    return rank
+    target = (1.0 - alpha) * r
+    rank = math.ceil(target - 1e-12 * max(1.0, target))
+    return min(max(rank, 1), r)
 
 
 def tail_p_value(values: np.ndarray, statistic: float) -> float:
@@ -226,15 +210,13 @@ class _SimPlan:
     (X_j'X_j)^{-1} over the box, and the group factors with D's Cholesky
     factor L folded in: with G G' = (X'X)^{-1}, the simulated numerator
     factor comes out already folded, as ``FacePlan.sup`` takes it.
+    The fit checks the family's group indices, ``FacePlan`` the box.
     """
 
     def __init__(self, fit: FittedModels, family: ComparisonFamily,
                  box: CovariateBox):
-        family.validate_for(fit.k)
-        if box.p != fit.p:
-            raise InvalidArgument(f"box has p = {box.p}, fit has p = {fit.p}")
         self.nu, self.m, self.p = fit.nu, fit.m, fit.p
-        self.needed = sorted({g - 1 for pair in family.pairs for g in pair})
+        self.needed = sorted({fit._check_index(g) for ij in family.pairs for g in ij})
         gfac = {g: np.linalg.cholesky(fit.gram_inv[g]) for g in self.needed}
         self.pair_ops = []
         for i, j in family.pairs:
@@ -333,9 +315,7 @@ def simulate_pivot(fit: FittedModels, family: ComparisonFamily,
     fit.require_scatter()
     plan = _SimPlan(fit, family, box)
     values = _replicates(r, workers, partial(_block_values, plan, seed))
-    meta = SampleMeta(nu=fit.nu, m=fit.m, p=fit.p, family=family, box=box,
-                      design_digest=design_digest(fit))
-    return SimulatedSample(values=values, r=r, seed=seed, meta=meta)
+    return SimulatedSample(values, r, seed, SampleMeta(family, box, design_digest(fit)))
 
 
 def critical_constant(sample: SimulatedSample, alpha: float) -> CriticalConstantResult:
@@ -391,8 +371,7 @@ def observed_statistic(fit: FittedModels, pair: tuple[int, int],
 def _check_meta(fit: FittedModels, family: ComparisonFamily,
                 box: CovariateBox, sample: SimulatedSample) -> None:
     meta = sample.meta
-    want = SampleMeta(nu=fit.nu, m=fit.m, p=fit.p, family=family, box=box,
-                      design_digest=design_digest(fit))
+    want = SampleMeta(family, box, design_digest(fit))
     if meta.stream_version != want.stream_version:
         raise MetaMismatch(
             f"simulated sample was drawn under random stream version "
@@ -429,11 +408,13 @@ def pair_comparisons(fit: FittedModels, family: ComparisonFamily,
     A p-value counts the replicates strictly above the statistic, so
     p <= alpha exactly when t reaches the constant. The sample must have
     been simulated for this fit, family and box. With a critical
-    constant ``c_hat`` each pair also gets its decision and, on a finite
-    interval with p = 1, the significance region of every response
-    coordinate.
+    constant ``c_hat`` (finite, >= 0) each pair also gets its decision
+    and, on a finite interval with p = 1, the significance region of
+    every response coordinate.
     """
     _check_meta(fit, family, box, sample)
+    if c_hat is not None:
+        tube_geometry._check_constant(c_hat)
     want_regions = (c_hat is not None and fit.p == 1 and box.is_finite
                     and not box.is_point)
     results = []

@@ -4,7 +4,7 @@ The object being maximized is R(t) = (e' A e) / (e' D e) where
 e = (1, t_1, ..., t_p) prepends an intercept to the covariate point,
 A is positive semidefinite and D positive definite. The region is a box:
 a single point, a finite box (an interval when p = 1), or the whole
-space. Boxes mixing finite and infinite bounds are refused.
+space. Boxes mixing finite and infinite bounds cannot be built.
 
 One method serves every region: enumerate the faces of the box. A
 maximum of R over the box lies in the relative interior of exactly one
@@ -53,8 +53,8 @@ class CovariateBox:
     """A product of closed coordinate intervals, possibly infinite.
 
     Each bound pair is (low, high) with low <= high; (-inf, inf) in
-    every coordinate means the whole space. Mixed finite/infinite
-    coordinates are representable but rejected by the solver.
+    every coordinate means the whole space. A box mixing finite and
+    infinite bounds is refused when it is built (``UnboundedBox``).
     """
 
     bounds: tuple[tuple[float, float], ...]
@@ -71,6 +71,10 @@ class CovariateBox:
         if not cleaned:
             raise InvalidArgument("box needs at least one coordinate")
         object.__setattr__(self, "bounds", tuple(cleaned))
+        if not (self.is_finite or self.is_whole_space):
+            raise UnboundedBox(
+                "box must be a point, finite, or the whole space; "
+                f"got bounds {self.bounds}")
 
     @classmethod
     def interval(cls, low: float, high: float) -> "CovariateBox":
@@ -195,14 +199,10 @@ class FacePlan:
 
     def __init__(self, denominator, box: CovariateBox):
         d = np.asarray(denominator, dtype=float)
-        if d.shape != (box.p + 1, box.p + 1):
-            raise InvalidArgument(f"box has p = {box.p}, matrices are {d.shape}")
-        whole = box.is_whole_space
-        if not (whole or box.is_finite):
-            raise UnboundedBox(
-                "box must be a point, finite, or the whole space; "
-                f"got bounds {box.bounds}")
         p = box.p
+        if d.shape != (p + 1, p + 1):
+            raise InvalidArgument(f"box has p = {p}, denominator has p = {len(d) - 1}")
+        whole = box.is_whole_space
         self.lower = np.linalg.cholesky(d)
         # Per coordinate: its fixed values, then None for free.
         choices = [(None,) if whole else (lo,) if lo == hi else (lo, hi, None)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotUnivariate, UnboundedBox
+from .errors import InvalidArgument, NotUnivariate, UnboundedBox
 from .model_core import FittedModels
 from .sup_solver import CovariateBox
 
@@ -43,8 +43,7 @@ class TubeCrossSection:
 
     def coordinate_interval(self, q: int) -> tuple[float, float]:
         """Extent of the ellipsoid along response coordinate q (1-based)."""
-        if not 1 <= q <= self.center.size:
-            raise ValueError(f"response index {q} outside 1..{self.center.size}")
+        _check_response(q, self.center.size)
         h = np.sqrt(max(self.radius_sq, 0.0) * self.shape[q - 1, q - 1])
         c = self.center[q - 1]
         return float(c - h), float(c + h)
@@ -60,8 +59,13 @@ class SignificanceRegion:
 
 
 def _check_constant(c: float) -> None:
-    if c < 0.0:
-        raise ValueError(f"critical constant must be nonnegative, got {c}")
+    if not (math.isfinite(c) and c >= 0.0):
+        raise InvalidArgument(f"critical constant must be finite and >= 0, got {c}")
+
+
+def _check_response(q: int, m: int) -> None:
+    if not 1 <= q <= m:
+        raise InvalidArgument(f"response index {q} outside 1..{m}")
 
 
 def cross_section(fit: FittedModels, pair: tuple[int, int], c: float,
@@ -72,7 +76,7 @@ def cross_section(fit: FittedModels, pair: tuple[int, int], c: float,
     delta, db = fit.delta(*pair), fit.coef_difference(*pair)
     e = np.concatenate(([1.0], np.atleast_1d(np.asarray(x, dtype=float))))
     if e.size != fit.p + 1:
-        raise ValueError(f"point has {e.size - 1} coordinates, expected {fit.p}")
+        raise InvalidArgument(f"point has {e.size - 1} coordinates, expected {fit.p}")
     return TubeCrossSection(
         x=e[1:].copy(),
         center=e @ db,
@@ -93,11 +97,11 @@ def significance_region(fit: FittedModels, pair: tuple[int, int], c: float,
     fit.require_scatter()
     if fit.p != 1:
         raise NotUnivariate(f"significance regions need p = 1, got p = {fit.p}")
+    if box.p != fit.p:
+        raise InvalidArgument(f"box has p = {box.p}, fit has p = {fit.p}")
     if not box.is_finite:
         raise UnboundedBox("significance regions need a finite interval")
-    if not 1 <= q <= fit.m:
-        raise ValueError(f"response index {q} outside 1..{fit.m}")
-
+    _check_response(q, fit.m)
     _check_constant(c)
     delta, db = fit.delta(*pair), fit.coef_difference(*pair)
     b0, b1 = db[:, q - 1]

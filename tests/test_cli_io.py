@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -30,7 +31,12 @@ from sctubes.errors import (
 )
 from sctubes.sup_solver import CovariateBox
 from sctubes.model_core import fit_models
-from sctubes.rand_engine import STREAM_VERSION
+from sctubes.rand_engine import (
+    STREAM_VERSION,
+    StreamKey,
+    normal_block,
+    wishart_factor_block,
+)
 from sctubes.tube_geometry import cross_section, significance_region
 
 
@@ -86,11 +92,14 @@ def test_ingest_preserves_first_appearance_order(tmp_path):
 
 def test_blank_cell_position_is_reported(tmp_path):
     path = tmp_path / "blank.csv"
-    write_lines(path, ["group,x1,y1,y2", "a,1.0,2.0,3.0", "a,1.5,,3.5"])
-    with pytest.raises(NonNumericCell) as err:
-        ingest_csv(path)
-    assert err.value.row == 3
-    assert err.value.col == 3
+    rows = ["a,1.0,2.0,3.0", "a,1.5,,3.5"]
+    # A skipped blank line still counts: rows are file line numbers.
+    for lines, row in (([], 3), ([""], 4)):
+        write_lines(path, ["group,x1,y1,y2"] + lines + rows)
+        with pytest.raises(NonNumericCell) as err:
+            ingest_csv(path)
+        assert err.value.row == row
+        assert err.value.col == 3
 
 
 def test_non_finite_cells_are_rejected(tmp_path):
@@ -122,9 +131,26 @@ def test_malformed_headers(tmp_path):
 
 def test_row_width_mismatch(tmp_path):
     path = tmp_path / "width.csv"
-    write_lines(path, ["group,x1,y1", "a,1,2,9"])
-    with pytest.raises(MalformedHeader):
-        ingest_csv(path)
+    # A line of spaces is a one-cell row, not a blank line.
+    for row in ("a,1,2,9", "  "):
+        write_lines(path, ["group,x1,y1", row])
+        with pytest.raises(MalformedHeader):
+            ingest_csv(path)
+
+
+def test_blank_data_lines_are_skipped(tmp_path, capsys):
+    plain = tmp_path / "plain.csv"
+    synthetic_csv(plain, sizes=(10, 12), m=2)
+    lines = plain.read_text().splitlines()
+    spaced = tmp_path / "spaced.csv"
+    # A blank line between the two groups and a trailing one.
+    write_lines(spaced, lines[:11] + [""] + lines[11:] + [""])
+    outputs = []
+    for path in (plain, spaced):
+        out = tmp_path / f"{path.stem}.json"
+        assert main(["fit", str(path), "--out", str(out)]) == 0
+        outputs.append((capsys.readouterr().out, out.read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def test_empty_group_errors(tmp_path):
@@ -170,7 +196,9 @@ def test_parse_family_forms(three_group_fit):
     control = family("control:B")
     assert (control.kind, control.control, control.pairs) == (
         "vs_control", 2, ((1, 2), (3, 2)))
-    for bad in ("control:", "control:Z", "banana", "Pairwise"):
+    assert family("control:2") == control
+    for bad in ("control:", "control:Z", "control:0", "control:4", "banana",
+                "Pairwise"):
         with pytest.raises(ConfigError):
             family(bad)
 
@@ -473,16 +501,25 @@ def small_fit():
     return fit_models(make_dataset(rng, (8, 9), (coef, coef)))
 
 
+def nan_constant_comparison():
+    fit, family = small_fit(), sct_engine.ComparisonFamily.pairwise(2)
+    box = CovariateBox.interval(0, 10)
+    sample = sct_engine.simulate_pivot(fit, family, box, 1000, seed=0)
+    return sct_engine.pair_comparisons(fit, family, box, sample, c_hat=math.nan)
+
+
 @pytest.mark.parametrize("check", [
     lambda: sct_engine.ComparisonFamily(pairs=[(1, 1)]),
     lambda: sct_engine.ComparisonFamily(pairs=[(0, 1)]),
     lambda: sct_engine.ComparisonFamily(pairs=[(1, 2), (1, 2)]),
     lambda: sct_engine.ComparisonFamily.vs_control(3, 4),
-    lambda: sct_engine.ComparisonFamily.pairwise(3).validate_for(2),
+    lambda: sct_engine.simulate_pivot(
+        small_fit(), sct_engine.ComparisonFamily.pairwise(3),
+        CovariateBox.whole_space(1), 1000, seed=0),
     lambda: CovariateBox(((1.0, 0.0),)),
     lambda: CovariateBox(((float("nan"), 1.0),)),
     lambda: CovariateBox(()),
-    lambda: sct_engine.quantile_rank(100, 1.5),
+    lambda: sct_engine.tail_rank(100, 1.5),
     lambda: sct_engine.simulate_pivot(
         small_fit(), sct_engine.ComparisonFamily.pairwise(2),
         CovariateBox.whole_space(1), 1000, seed=-1),
@@ -492,6 +529,17 @@ def small_fit():
                                           CovariateBox.interval(0, 1)),
     lambda: significance_region(small_fit(), (1, 3), 0.1, 1,
                                 CovariateBox.interval(0, 1)),
+    lambda: significance_region(small_fit(), (1, 2), 0.1, 1,
+                                CovariateBox(((0, 10), (5, 6)))),
+    lambda: significance_region(small_fit(), (1, 2), math.inf, 1,
+                                CovariateBox.interval(0, 10)),
+    lambda: significance_region(small_fit(), (1, 2), 0.1, 2,
+                                CovariateBox.interval(0, 10)),
+    nan_constant_comparison,
+    lambda: cross_section(small_fit(), (1, 2), 0.1, 1.0).coordinate_interval(2),
+    lambda: cross_section(small_fit(), (1, 2), 0.1, [1.0, 2.0]),
+    lambda: normal_block(0, 1, StreamKey(0, 0, 0), 1),
+    lambda: wishart_factor_block(0, 5, StreamKey(0, 0, 0), 1),
 ])
 def test_argument_checks_raise_typed_usage_errors(check):
     # Typed for the exit code, and still a ValueError for library callers.

@@ -53,8 +53,8 @@ from sctubes.sct_engine import (
     design_digest,
     observed_statistic,
     pair_comparisons,
-    quantile_rank,
     simulate_pivot,
+    tail_rank,
 )
 from sctubes.sup_solver import CovariateBox
 
@@ -68,7 +68,7 @@ def univariate_fit(seed=5, sizes=(20, 26), offset=0.0, noise=1.0):
 
 def fake_sample(values):
     values = np.sort(np.asarray(values, dtype=float))
-    meta = SampleMeta(nu=10, m=1, p=1, family=ComparisonFamily.pairwise(2),
+    meta = SampleMeta(family=ComparisonFamily.pairwise(2),
                       box=CovariateBox.whole_space(1), design_digest="0" * 16)
     return SimulatedSample(values=values, r=len(values), seed=0, meta=meta)
 
@@ -104,20 +104,25 @@ def test_family_validation():
         ComparisonFamily(pairs=[(1, 2), (1, 2)])
     with pytest.raises(ValueError):
         ComparisonFamily(pairs=[(0, 1)])
+    # A family naming a group the fit lacks is refused by the fit.
     with pytest.raises(ValueError):
-        ComparisonFamily.pairwise(3).validate_for(2)
+        simulate_pivot(univariate_fit(), ComparisonFamily.pairwise(3),
+                       CovariateBox.whole_space(1), 1000, seed=0)
 
 
 # --- quantile convention --------------------------------------------------
 
 def test_quantile_rank_convention():
-    assert quantile_rank(100, 0.05) == 95
-    assert quantile_rank(1_000_000, 0.05) == 950_000
+    assert tail_rank(200, 0.05) == 190
+    assert tail_rank(1_000_000, 0.05) == 950_000
     # 0.95 * 1000 is not exactly representable; the guard keeps it at 950.
-    assert quantile_rank(1000, 0.05) == 950
-    assert quantile_rank(10, 0.999) == 1
+    assert tail_rank(1000, 0.05) == 950
+    # ceil(0.001 * 10_000) = 10, not 11.
+    assert tail_rank(10_000, 0.999) == 10
+    # The smallest rank, at an alpha * r (19.98) that clears the floor of 10.
+    assert tail_rank(20, 0.999) == 1
     with pytest.raises(ValueError):
-        quantile_rank(100, 0.0)
+        tail_rank(100, 0.0)
 
 
 def test_critical_constant_is_rank_order_statistic():

@@ -147,8 +147,10 @@ def test_box_p2_between_grid_and_eigen_bounds():
 
 
 def test_box_rejects_infinite_bounds():
-    with pytest.raises(UnboundedBox):
-        sup_of(np.eye(2), np.eye(2), CovariateBox(((-np.inf, 1.0),)))
+    # A box mixing finite and infinite bounds is refused when it is built.
+    for bounds in (((-np.inf, 1.0),), ((0.0, 1.0), (-np.inf, np.inf))):
+        with pytest.raises(UnboundedBox):
+            CovariateBox(bounds)
 
 
 def test_region_monotonicity():
