@@ -54,6 +54,7 @@ from .errors import (
     NotUnivariate,
     UnboundedBox,
     UsageError,
+    pair_of,
 )
 from .model_core import FittedModels, GroupData, GroupedDataset, fit_models
 from .rand_engine import STREAM_VERSION
@@ -104,17 +105,9 @@ def parse_range(text: str) -> tuple[tuple[float, float], ...]:
     Only the syntax is checked here; ``CovariateBox`` checks the bounds
     themselves (no NaN, low <= high).
     """
-    out = []
-    for part in text.split(","):
-        pieces = part.split(":")
-        if len(pieces) != 2:
-            raise ConfigError(f"range piece {part!r} is not of the form a:b")
-        try:
-            lo, hi = float(pieces[0]), float(pieces[1])
-        except ValueError:
-            raise ConfigError(f"range piece {part!r} has non-numeric bounds") from None
-        out.append((lo, hi))
-    return tuple(out)
+    return tuple(pair_of(part.split(":"), float,
+                         "a --range piece must be a:b with numeric bounds", ConfigError)
+                 for part in text.split(","))
 
 
 # --- CSV ---------------------------------------------------------------
@@ -379,10 +372,8 @@ def _resolve_pair(pair_text: str | None, family: ComparisonFamily,
     first pair."""
     if pair_text is None:
         return family.pairs[0]
-    pieces = pair_text.split(":")
-    if len(pieces) != 2:
-        raise ConfigError(f"pair {pair_text!r} is not of the form A:B")
-    return tuple(_group_index(piece, fit) for piece in pieces)
+    return pair_of(pair_text.split(":"), lambda text: _group_index(text, fit),
+                   "--pair must be of the form A:B", ConfigError)
 
 
 def _cmd_tube(config: RunConfig, data: GroupedDataset) -> int:

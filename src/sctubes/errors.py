@@ -106,3 +106,16 @@ class InvalidArgument(UsageError, ValueError):
     Also a ValueError, so library callers that catch ValueError keep
     working; only this subclass, never a bare ValueError, counts as a
     usage error at the command line."""
+
+
+def pair_of(values, convert, rule: str, error=InvalidArgument) -> tuple:
+    """``values`` unpacked as exactly two items, each passed through
+    ``convert``: the one reading of a pair, for box bounds, family pairs
+    and their command-line texts. Anything else (another length, not a
+    sequence, an item that ``convert`` refuses with a TypeError or
+    ValueError) raises ``error`` stating ``rule``."""
+    try:
+        first, second = (convert(v) for v in values)
+    except (TypeError, ValueError):
+        raise error(f"{rule}, got {values!r}") from None
+    return first, second

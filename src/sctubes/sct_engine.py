@@ -13,19 +13,19 @@ for every pair's p-value (``pair_comparisons``).
 Simulated and observed statistics go through the same exact solver, face
 enumeration of the covariate box (``sup_solver.FacePlan``), for every
 region: a point, a finite box, or the whole space, and reach it the same
-way, as numerator factors already whitened and folded by D's Cholesky
-factor. Per pair the face constants and that factor are prepared once.
-Each block of replicates whitens every group's normal matrices by the
+way, as whitened numerator factors; the pair's denominator D never
+leaves the solver. Per pair the face constants are prepared once. Each
+block of replicates whitens every group's normal matrices by the
 block's Wishart factor once (``_whiten``, a forward substitution
 vectorized over the block); the whitening is linear, so a pair's factor
-is a difference of two whitened group matrices, each mapped by a fixed
-(p+1) x (p+1) matrix. The supremum then costs closed forms over the
-whole block (``sup_solver.top_eigenvalue`` up to size 3), except for the
-checked faces of a finite box with two or more free coordinates, whose
-top eigenvectors come from one batched eigendecomposition. Per-replicate
-arrays keep the replicate index last, so each matrix entry is one
-contiguous vector. Roy's null sampler in ``classical_tests`` uses the
-same whitening and block driver.
+is a difference of two whitened group matrices, each mapped by its
+group's fixed (p+1) x (p+1) factor. The supremum then costs closed
+forms over the whole block (``sup_solver.top_eigenvalue`` up to size
+3), except for the checked faces of a finite box with two or more free
+coordinates, whose top eigenvectors come from one batched
+eigendecomposition. Per-replicate arrays keep the replicate index last,
+so each matrix entry is one contiguous vector. Roy's null sampler in
+``classical_tests`` uses the same whitening and block driver.
 
 Replicate j of a run is a pure function of (seed, j). Draws are made in
 fixed blocks of 8192 replicates; the block holding replicate j is keyed
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -47,7 +48,8 @@ from functools import partial
 import numpy as np
 
 from . import tube_geometry
-from .errors import EmptyFamily, InvalidArgument, MetaMismatch, TooFewReplicates
+from .errors import (EmptyFamily, InvalidArgument, MetaMismatch, TooFewReplicates,
+                     pair_of)
 from .model_core import FittedModels
 from .rand_engine import STREAM_VERSION, StreamKey, normal_block, wishart_factor_block
 from .sup_solver import CovariateBox, FacePlan
@@ -69,7 +71,9 @@ class ComparisonFamily:
     control: int | None = None
 
     def __post_init__(self):
-        pairs = tuple((int(i), int(j)) for i, j in self.pairs)
+        pairs = tuple(pair_of(pair, operator.index,
+                              "a pair must be two integer group indices (i, j)")
+                      for pair in self.pairs)
         object.__setattr__(self, "pairs", pairs)
         if not pairs:
             raise EmptyFamily("comparison family has no pairs")
@@ -206,24 +210,19 @@ def _binom_ppf(q: float, r: int, prob: float) -> int:
 class _SimPlan:
     """Design-dependent constants hoisted out of the replicate loop.
 
-    Per pair, the face plan of its denominator D = (X_i'X_i)^{-1} +
-    (X_j'X_j)^{-1} over the box, and the group factors with D's Cholesky
-    factor L folded in: with G G' = (X'X)^{-1}, the simulated numerator
-    factor comes out already folded, as ``FacePlan.sup`` takes it.
-    The fit checks the family's group indices, ``FacePlan`` the box.
+    Per group the family uses, the factor G with G G' = (X'X)^{-1}, keyed
+    by 0-based group index; per pair, the face plan of its denominator
+    D = (X_i'X_i)^{-1} + (X_j'X_j)^{-1} over the box. The fit checks the
+    family's group indices, ``FacePlan`` the box.
     """
 
     def __init__(self, fit: FittedModels, family: ComparisonFamily,
                  box: CovariateBox):
         self.nu, self.m, self.p = fit.nu, fit.m, fit.p
-        self.needed = sorted({fit._check_index(g) for ij in family.pairs for g in ij})
-        gfac = {g: np.linalg.cholesky(fit.gram_inv[g]) for g in self.needed}
-        self.pair_ops = []
-        for i, j in family.pairs:
-            plan = FacePlan(fit.delta(i, j), box)
-            pi = np.linalg.solve(plan.lower, gfac[i - 1])
-            pj = np.linalg.solve(plan.lower, gfac[j - 1])
-            self.pair_ops.append((i - 1, j - 1, pi, pj, plan))
+        self.gfac = {g: np.linalg.cholesky(fit.gram_inv[g]) for g in sorted(
+            {fit._check_index(g) for ij in family.pairs for g in ij})}
+        self.pair_faces = [(i - 1, j - 1, FacePlan(fit.delta(i, j), box))
+                           for i, j in family.pairs]
 
 
 def _whiten(lw: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -254,13 +253,15 @@ def _block_values(plan: _SimPlan, seed: int, start: int, count: int) -> np.ndarr
     z = {
         g: _whiten(lw, normal_block(
             p + 1, m, StreamKey(seed, start, g + 1), _BLOCK)[:count])
-        for g in plan.needed
+        for g in plan.gfac
     }
 
     out = np.full(count, -np.inf)
-    for i, j, pi, pj, faces in plan.pair_ops:
-        # L^{-1}(P_i U_i - P_j U_j)' = Z_i P_i' - Z_j P_j', as (m, p+1, count).
-        np.maximum(out, faces.sup(pi @ z[i] - pj @ z[j]), out=out)
+    for i, j, faces in plan.pair_faces:
+        # L_W^{-1}(G_i U_i - G_j U_j)' = Z_i G_i' - Z_j G_j', as (m, p+1, count).
+        w = plan.gfac[i] @ z[i]
+        w -= plan.gfac[j] @ z[j]
+        np.maximum(out, faces.sup(w), out=out)
     return out
 
 
@@ -355,17 +356,16 @@ def observed_statistic(fit: FittedModels, pair: tuple[int, int],
     B the coefficient difference, S the pooled scatter and D the pair's
     denominator: the simulated pivot with (B, S) observed. It takes the
     kernel's path into the same face solver, one numerator factor
-    whitened by S's Cholesky factor and folded by D's. Returns the
-    statistic and the covariate point attaining it; the point is None
-    when the whole-space supremum is only approached in a limit.
+    whitened by S's Cholesky factor. Returns the statistic and the
+    covariate point attaining it; the point is None when the
+    whole-space supremum is only approached in a limit.
     Requires a positive definite pooled scatter.
     """
     lfac = fit.require_scatter()
     i, j = pair
     db = fit.coef_difference(i, j)
     faces = FacePlan(fit.delta(i, j), box)
-    v = np.linalg.solve(lfac, np.linalg.solve(faces.lower, db).T)
-    return faces.sup_with_argmax(v)
+    return faces.sup_with_argmax(np.linalg.solve(lfac, db.T))
 
 
 def _check_meta(fit: FittedModels, family: ComparisonFamily,

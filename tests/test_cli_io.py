@@ -540,6 +540,11 @@ def nan_constant_comparison():
     lambda: cross_section(small_fit(), (1, 2), 0.1, [1.0, 2.0]),
     lambda: normal_block(0, 1, StreamKey(0, 0, 0), 1),
     lambda: wishart_factor_block(0, 5, StreamKey(0, 0, 0), 1),
+    lambda: sct_engine.ComparisonFamily(pairs=[(1.5, 2)]),
+    lambda: sct_engine.ComparisonFamily(pairs=[(1, 2, 3)]),
+    lambda: CovariateBox(((0.0,),)),
+    lambda: CovariateBox(((0.0, 1.0, 2.0),)),
+    lambda: CovariateBox((5.0,)),
 ])
 def test_argument_checks_raise_typed_usage_errors(check):
     # Typed for the exit code, and still a ValueError for library callers.
