@@ -19,7 +19,7 @@ from .errors import NotTwoGroups
 from .model_core import FittedModels
 from .rand_engine import StreamKey, normal_block, wishart_factor_block
 from .sct_engine import _BLOCK, _replicates, _whiten, tail_p_value, tail_rank
-from .sup_solver import top_eigenvalue
+from .sup_solver import _TOP3_ROWS, _take, top_eigenvalue
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,18 +35,21 @@ class RoyResult:
     null_dimension: int
 
 
-def _lam_max_gram(z: np.ndarray) -> np.ndarray:
+def _lam_max_gram(z: np.ndarray, gram: np.ndarray, work: np.ndarray) -> np.ndarray:
     """Largest eigenvalue of Z'Z (equivalently ZZ') for each replicate of
     a (rows, cols, count) stack.
 
-    Forms the smaller-side Gram matrix, whose nonzero spectrum matches
-    the other side's, and takes its top eigenvalue with
-    ``sup_solver.top_eigenvalue`` (closed forms up to size 3).
+    Forms the smaller-side Gram matrix in the flat buffer ``gram``,
+    whose nonzero spectrum matches the other side's, and takes its top
+    eigenvalue with ``sup_solver.top_eigenvalue`` (closed forms up to
+    size 3, computed in ``work``).
     """
-    rows, cols, _ = z.shape
+    rows, cols, count = z.shape
+    side = min(rows, cols)
+    out = _take(gram, side, side, count)
     if rows <= cols:
-        return top_eigenvalue(np.einsum("iab,jab->ijb", z, z))
-    return top_eigenvalue(np.einsum("aib,ajb->ijb", z, z))
+        return top_eigenvalue(np.einsum("iab,jab->ijb", z, z, out=out), work)
+    return top_eigenvalue(np.einsum("aib,ajb->ijb", z, z, out=out), work)
 
 
 def largest_root_null_sample(d: int, m: int, nu: int, r: int, seed: int,
@@ -58,22 +61,38 @@ def largest_root_null_sample(d: int, m: int, nu: int, r: int, seed: int,
     through Z'Z, which for d >= m is Wishart with d degrees of freedom;
     so substream 1 then carries a second Bartlett factor B, Z'Z = B B',
     and the replicate is the top eigenvalue of B' W^{-1} B. For d < m it
-    carries Z itself. Draws, blocks, threads and whitening are the tube
-    engine's: fixed blocks keyed by their first replicate index, full
-    blocks always drawn, and B (or Z') whitened by W's Bartlett factor
-    L, since B' W^{-1} B = (L^{-1}B)'(L^{-1}B). ``workers`` cannot change
-    the result.
+    carries Z itself. Draws, blocks, threads, buffers and whitening are
+    the tube engine's: fixed blocks keyed by their first replicate
+    index, full blocks always drawn into one worker's reused buffers,
+    and B (or Z') whitened by W's Bartlett factor L, since
+    B' W^{-1} B = (L^{-1}B)'(L^{-1}B). ``workers`` cannot change the
+    result.
     """
-    def block(start: int, count: int) -> np.ndarray:
-        lw = wishart_factor_block(m, nu, StreamKey(seed, start, 0), _BLOCK)[:count]
-        key = StreamKey(seed, start, 1)
-        if d >= m:
-            u = wishart_factor_block(m, d, key, _BLOCK)[:count].transpose(0, 2, 1)
-        else:
-            u = normal_block(d, m, key, _BLOCK)[:count]
-        return _lam_max_gram(_whiten(lw, u))
+    rows = m if d >= m else d
 
-    return _replicates(r, workers, block)
+    def make_block(cap: int):
+        lw, draw = np.empty((_BLOCK, m, m)), np.empty((_BLOCK, rows, m))
+        z, tmp = np.empty(m * rows * cap), np.empty(rows * cap)
+        gram = np.empty(min(m, rows) ** 2 * cap)
+        closed = np.empty(_TOP3_ROWS * cap)
+
+        def block(start: int, count: int, out: np.ndarray) -> None:
+            wishart_factor_block(m, nu, StreamKey(seed, start, 0), _BLOCK, out=lw)
+            # One whitening per block: a contiguous copy of L would cost
+            # what it saves.
+            lv = lw[:count].transpose(1, 2, 0)
+            key = StreamKey(seed, start, 1)
+            if d >= m:
+                u = wishart_factor_block(m, d, key, _BLOCK, out=draw)
+                u = u[:count].transpose(0, 2, 1)
+            else:
+                u = normal_block(d, m, key, _BLOCK, out=draw)[:count]
+            zv = _whiten(lv, u, _take(z, m, rows, count), _take(tmp, rows, count))
+            out[:] = _lam_max_gram(zv, gram, closed)
+
+        return block
+
+    return _replicates(r, workers, make_block)
 
 
 def roy_k_sample(fit: FittedModels, alpha: float, r: int, seed: int,

@@ -108,6 +108,16 @@ class InvalidArgument(UsageError, ValueError):
     usage error at the command line."""
 
 
+def items_of(values, rule: str, error=InvalidArgument) -> tuple:
+    """``values`` as a tuple: the one reading of the outer sequence of
+    box bounds and family pairs. A value that is not iterable raises
+    ``error`` stating ``rule``."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise error(f"{rule}, got {values!r}") from None
+
+
 def pair_of(values, convert, rule: str, error=InvalidArgument) -> tuple:
     """``values`` unpacked as exactly two items, each passed through
     ``convert``: the one reading of a pair, for box bounds, family pairs

@@ -20,7 +20,10 @@ A normal block fills element by element, so a shorter block is a prefix
 of a longer one; a Wishart factor block draws one diagonal's variates
 for the whole batch before the next, so its content is pinned only for
 a fixed batch size. The engine therefore always draws full fixed-size
-blocks and slices off what it needs.
+blocks and slices off what it needs. Both fill a caller's array when
+given one (``out=``), as numpy's generators do: the engine draws every
+block of a worker into the same buffers, and the values are those of a
+freshly returned array.
 
 Within one generator the draw order is pinned and documented per
 function. ``STREAM_VERSION`` names this scheme: a change to any draw
@@ -83,36 +86,51 @@ class StreamKey:
 # b is attributed to replicate key.replicate_index + b. Entry values are
 # a pure function of (key, count), and for normals of key alone.
 
-def normal_block(rows: int, cols: int, key: StreamKey, count: int) -> np.ndarray:
-    """Draw ``count`` stacked rows x cols standard normal matrices."""
+def normal_block(rows: int, cols: int, key: StreamKey, count: int,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Draw ``count`` stacked rows x cols standard normal matrices, into
+    ``out`` (a C-contiguous float array of that shape) when given."""
     if rows < 1 or cols < 1 or count < 1:
         raise InvalidArgument("block dimensions must be positive")
-    return key.generator().standard_normal((count, rows, cols))
+    return key.generator().standard_normal((count, rows, cols), out=out)
 
 
-def wishart_factor_block(m: int, nu: int, key: StreamKey, count: int) -> np.ndarray:
+def wishart_factor_block(m: int, nu: int, key: StreamKey, count: int,
+                         out: np.ndarray | None = None) -> np.ndarray:
     """Draw ``count`` stacked lower-triangular Bartlett factors L, each
-    with L L' distributed Wishart(identity, nu).
+    with L L' distributed Wishart(identity, nu), into ``out`` (a
+    (count, m, m) float array, upper triangle included) when given.
 
     Draw order within the generator: for each diagonal k = 0 .. m-1 in
     turn, ``count`` gamma variates of shape (nu - k) / 2, one per
     replicate (doubled, their square roots are the chi(nu - k)
     diagonal); then all count x m(m-1)/2 strict lower-triangle normals,
-    row-major within each replicate.
+    row-major within each replicate. The normals are drawn a whole
+    number of replicates at a time through the gammas' one row of
+    scratch, which continues the same stream.
     """
     if m < 1 or count < 1:
         raise InvalidArgument("block dimensions must be positive")
     if nu < m:
         raise DegreesOfFreedomTooSmall(
             f"Wishart needs dof >= dimension, got dof={nu}, dimension={m}")
+    if out is None:
+        out = np.empty((count, m, m))
+    elif out.shape != (count, m, m):
+        raise InvalidArgument(f"out must have shape {(count, m, m)}, got {out.shape}")
     rng = key.generator()
-    L = np.zeros((count, m, m))
-    chi = np.empty(count)
+    ii, jj = np.tril_indices(m, -1)
+    scratch = np.empty(max(count, ii.size))
+    chi = scratch[:count]
     for k in range(m):
         rng.standard_gamma((nu - k) / 2.0, out=chi)
         chi *= 2.0
-        np.sqrt(chi, out=L[:, k, k])
+        np.sqrt(chi, out=out[:, k, k])
     if m > 1:
-        ii, jj = np.tril_indices(m, -1)
-        L[:, ii, jj] = rng.standard_normal((count, ii.size))
-    return L
+        out[:, jj, ii] = 0.0
+        step = scratch.size // ii.size
+        for lo in range(0, count, step):
+            hi = min(lo + step, count)
+            normals = scratch[:(hi - lo) * ii.size].reshape(hi - lo, ii.size)
+            out[lo:hi, ii, jj] = rng.standard_normal(out=normals)
+    return out

@@ -18,22 +18,36 @@ leaves the solver. Per pair the face constants are prepared once. Each
 block of replicates whitens every group's normal matrices by the
 block's Wishart factor once (``_whiten``, a forward substitution
 vectorized over the block); the whitening is linear, so a pair's factor
-is a difference of two whitened group matrices, each mapped by its
-group's fixed (p+1) x (p+1) factor. The supremum then costs closed
-forms over the whole block (``sup_solver.top_eigenvalue`` up to size
-3), except for the checked faces of a finite box with two or more free
-coordinates, whose top eigenvectors come from one batched
+is a difference of two whitened group matrices, each mapped once per
+block by its group's fixed (p+1) x (p+1) factor. The supremum then
+costs closed forms over the whole block (``sup_solver.top_eigenvalue``
+up to size 3), except for the checked faces of a finite box with two or
+more free coordinates, whose top eigenvectors come from one batched
 eigendecomposition. Per-replicate arrays keep the replicate index last,
 so each matrix entry is one contiguous vector. Roy's null sampler in
-``classical_tests`` uses the same whitening and block driver.
+``classical_tests`` uses the same whitening, buffers and block driver.
 
-Replicate j of a run is a pure function of (seed, j). Draws are made in
-fixed blocks of 8192 replicates; the block holding replicate j is keyed
-by the block's first index, full blocks are always drawn even when r
-cuts the last one short, and each group's normal matrices live on their
-own substream (the Wishart noise on substream 0). Workers therefore
-cannot change results: ``_replicates``, the one block driver, hands
-blocks to threads and writes them back by position.
+Each worker computes all its blocks in one set of buffers sized for a
+full block (``_tube_block``): the Wishart factors (also laid out
+replicate-last) and normal draws, a whitened stack, each used group's
+mapped stack, the pair factor, and the face solver's workspace; a
+block's values go straight into the result.
+Fresh arrays per block were handed back to the OS as each block freed
+them and faulted in again by the next: a first call of 2x10^5
+whole-space replicates (k = 5, m = 3) took about 21,000 minor page
+faults, and takes about 1,600 with the buffers, whatever was allocated
+before it.
+
+Replicate j's draws are a pure function of (seed, j); so is its value,
+except in the last bits: BLAS may pick another kernel for a block of
+another length, so a run whose last block is short can round a
+replicate differently from a longer run (up to about 1e-15 relative).
+Draws are made in fixed blocks of 8192 replicates; the block holding
+replicate j is keyed by the block's first index, full blocks are always
+drawn even when r cuts the last one short, and each group's normal
+matrices live on their own substream (the Wishart noise on substream
+0). Workers therefore cannot change results: ``_replicates``, the one
+block driver, hands blocks to threads and writes them back by position.
 """
 
 from __future__ import annotations
@@ -49,10 +63,10 @@ import numpy as np
 
 from . import tube_geometry
 from .errors import (EmptyFamily, InvalidArgument, MetaMismatch, TooFewReplicates,
-                     pair_of)
+                     items_of, pair_of)
 from .model_core import FittedModels
 from .rand_engine import STREAM_VERSION, StreamKey, normal_block, wishart_factor_block
-from .sup_solver import CovariateBox, FacePlan
+from .sup_solver import CovariateBox, FacePlan, _take
 
 _BLOCK = 8192
 
@@ -71,9 +85,10 @@ class ComparisonFamily:
     control: int | None = None
 
     def __post_init__(self):
+        items = items_of(self.pairs, "family pairs must be a sequence of (i, j) pairs")
         pairs = tuple(pair_of(pair, operator.index,
                               "a pair must be two integer group indices (i, j)")
-                      for pair in self.pairs)
+                      for pair in items)
         object.__setattr__(self, "pairs", pairs)
         if not pairs:
             raise EmptyFamily("comparison family has no pairs")
@@ -225,72 +240,95 @@ class _SimPlan:
                            for i, j in family.pairs]
 
 
-def _whiten(lw: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Z = L^{-1} U' for each replicate, laid out (m, rows, count).
+def _whiten(lt: np.ndarray, u: np.ndarray, out: np.ndarray,
+            tmp: np.ndarray) -> np.ndarray:
+    """Write Z = L^{-1} U' for each replicate into ``out``, laid out
+    (m, rows, count), and return it.
 
-    ``lw`` stacks lower-triangular factors as (count, m, m) and ``u``
-    the matrices as (count, rows, m). Forward substitution runs over
-    the m rows of L; each step is vector arithmetic over the block.
+    ``lt`` stacks lower-triangular factors replicate-last, as an
+    (m, m, count) array; a contiguous one makes each factor entry one
+    contiguous vector (dividing by a strided diagonal took four times as
+    long), which pays for its copy when several groups are whitened by
+    the same factors. ``u`` stacks the matrices as (count, rows, m), and
+    ``tmp`` is (rows, count) scratch. Forward substitution runs over the
+    m rows of L; each step is vector arithmetic over the block.
     """
-    lt = lw.transpose(1, 2, 0)
-    z = u.transpose(2, 1, 0).copy()
+    np.copyto(out, u.transpose(2, 1, 0))
     for k in range(lt.shape[0]):
         for col in range(k):
-            z[k] -= lt[k, col] * z[col]
-        z[k] /= lt[k, k]
-    return z
-
-
-def _block_values(plan: _SimPlan, seed: int, start: int, count: int) -> np.ndarray:
-    """Pivotal statistic for replicates start .. start+count-1.
-
-    Full fixed-size blocks are always drawn and then sliced, so the
-    value of a replicate never depends on r or on scheduling.
-    """
-    m, p, nu = plan.m, plan.p, plan.nu
-    lw = wishart_factor_block(
-        m, nu, StreamKey(seed, start, 0), _BLOCK)[:count]
-    z = {
-        g: _whiten(lw, normal_block(
-            p + 1, m, StreamKey(seed, start, g + 1), _BLOCK)[:count])
-        for g in plan.gfac
-    }
-
-    out = np.full(count, -np.inf)
-    for i, j, faces in plan.pair_faces:
-        # L_W^{-1}(G_i U_i - G_j U_j)' = Z_i G_i' - Z_j G_j', as (m, p+1, count).
-        w = plan.gfac[i] @ z[i]
-        w -= plan.gfac[j] @ z[j]
-        np.maximum(out, faces.sup(w), out=out)
+            out[k] -= np.multiply(out[col], lt[k, col], out=tmp)
+        out[k] /= lt[k, k]
     return out
 
 
-def _replicates(r: int, workers: int, block_values) -> np.ndarray:
+def _tube_block(plan: _SimPlan, seed: int, cap: int):
+    """A block function with its own buffers, for blocks of up to
+    ``cap`` replicates: ``block(start, count, out)`` writes the pivotal
+    statistic of replicates start .. start+count-1 into ``out``.
+
+    The buffers hold one full block's Wishart factors and normal draws
+    (full fixed-size blocks are always drawn and then sliced, so a
+    replicate's draws never depend on r or on scheduling), the factors
+    laid out replicate-last, a whitened stack, each used group's mapped
+    stack, the pair factor, and the face solver's workspace. Every
+    block of the worker reuses them.
+    """
+    m, n, nu = plan.m, plan.p + 1, plan.nu
+    lw, u = np.empty((_BLOCK, m, m)), np.empty((_BLOCK, n, m))
+    lt, z, pair = np.empty(m * m * cap), np.empty(m * n * cap), np.empty(m * n * cap)
+    mapped = {g: np.empty(m * n * cap) for g in plan.gfac}
+    work = plan.pair_faces[0][2].workspace(m, cap)
+
+    def block(start: int, count: int, out: np.ndarray) -> None:
+        wishart_factor_block(m, nu, StreamKey(seed, start, 0), _BLOCK, out=lw)
+        lv = _take(lt, m, m, count)
+        np.copyto(lv, lw[:count].transpose(1, 2, 0))
+        zv, w = _take(z, m, n, count), _take(pair, m, n, count)
+        v = {}
+        for g, buf in mapped.items():
+            normal_block(n, m, StreamKey(seed, start, g + 1), _BLOCK, out=u)
+            _whiten(lv, u[:count], zv, w[0])
+            # G_g Z_g, the group's share of every pair factor it enters.
+            v[g] = np.matmul(plan.gfac[g], zv, out=_take(buf, m, n, count))
+        out.fill(-np.inf)
+        for i, j, faces in plan.pair_faces:
+            # L_W^{-1}(G_i U_i - G_j U_j)' = Z_i G_i' - Z_j G_j', as (m, p+1, count).
+            faces.sup(np.subtract(v[i], v[j], out=w), work, out)
+
+    return block
+
+
+def _replicates(r: int, workers: int, make_block) -> np.ndarray:
     """Sorted values of replicates 0 .. r-1, computed block by block.
 
-    ``block_values(start, count)`` returns the values of replicates
-    start .. start+count-1; ``start`` is a multiple of the fixed block
-    size, so a block's draws are keyed by its first index. Blocks are
-    written back by position, so ``workers`` threads cannot change the
-    result.
+    ``make_block(cap)`` returns a block function with its own buffers,
+    sized for blocks of up to ``cap`` replicates: ``block(start, count,
+    out)`` writes the values of replicates start .. start+count-1 into
+    ``out``, a view of the result. ``start`` is a multiple of the fixed
+    block size, so a block's draws are keyed by its first index. Each
+    worker thread builds one block function, so threads never share a
+    buffer, and runs every ``workers``-th block. Blocks are written back
+    by position, so ``workers`` cannot change the result.
     """
     if r < 1:
         raise TooFewReplicates(f"need at least one replicate, got {r}")
     if workers < 1:
         raise InvalidArgument(f"workers must be positive, got {workers}")
     values = np.empty(r)
-
-    def fill(start: int) -> None:
-        count = min(_BLOCK, r - start)
-        values[start:start + count] = block_values(start, count)
-
     starts = range(0, r, _BLOCK)
-    if workers == 1 or len(starts) == 1:
-        for start in starts:
-            fill(start)
+
+    def run(mine: range) -> None:
+        block = make_block(min(_BLOCK, r))
+        for start in mine:
+            count = min(_BLOCK, r - start)
+            block(start, count, values[start:start + count])
+
+    threads = min(workers, len(starts))
+    if threads == 1:
+        run(starts)
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, starts))
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(run, [starts[w::threads] for w in range(threads)]))
     values.sort()
     return values
 
@@ -315,7 +353,7 @@ def simulate_pivot(fit: FittedModels, family: ComparisonFamily,
     # fit cannot be tested against the sample either, so refuse early.
     fit.require_scatter()
     plan = _SimPlan(fit, family, box)
-    values = _replicates(r, workers, partial(_block_values, plan, seed))
+    values = _replicates(r, workers, partial(_tube_block, plan, seed))
     return SimulatedSample(values, r, seed, SampleMeta(family, box, design_digest(fit)))
 
 

@@ -31,6 +31,12 @@ the factor, not the Gram, keeps far-from-origin covariates accurate:
 forming W'W first and reducing it afterwards gave relative errors up to
 9e-2, against 5e-5 this way, on two-group fits with covariates near
 10^6 and a box 10^-2 wide.
+
+The batched ``FacePlan.sup`` allocates none of its large arrays: the
+folded factors, their Grams and the face entries go into a caller's
+``workspace``, reused block after block, and each face's values are
+folded into the caller's running maximum. Only the closed forms' and
+LAPACK's per-face temporaries are fresh.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgument, UnboundedBox, pair_of
+from .errors import InvalidArgument, UnboundedBox, items_of, pair_of
 
 # Relative gap within which face values count as tied when choosing an
 # argmax: ties go to the face with the fewest free coordinates.
@@ -51,6 +57,15 @@ _TIE_RTOL = 1e-12
 # relative of LAPACK for top gaps from 1e-1 down to 0, and under 1% of
 # Wishart Grams are recomputed.
 _NEAR_DOUBLE_TOP = 1e-2
+# Vectors of scratch per replicate for the 3 x 3 form of ``top_eigenvalue``.
+_TOP3_ROWS = 13
+
+
+def _take(buf: np.ndarray, *shape: int) -> np.ndarray:
+    """The leading entries of the flat buffer ``buf`` as a C-ordered
+    array of ``shape``: a short block's arrays are contiguous prefixes
+    of the full block's buffers, laid out as fresh arrays would be."""
+    return buf[:math.prod(shape)].reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -66,7 +81,8 @@ class CovariateBox:
 
     def __post_init__(self):
         cleaned = []
-        for pair in self.bounds:
+        items = items_of(self.bounds, "box bounds must be a sequence of (low, high) pairs")
+        for pair in items:
             lo, hi = pair_of(pair, float, "a box bound must be two numbers (low, high)")
             if not lo <= hi:  # NaN is refused here too
                 raise InvalidArgument(f"box bound ({lo}, {hi}) needs low <= high")
@@ -127,7 +143,7 @@ def _top_2x2(a, b, c, vector: bool):
     return lam, y
 
 
-def top_eigenvalue(s: np.ndarray) -> np.ndarray:
+def top_eigenvalue(s: np.ndarray, work: np.ndarray) -> np.ndarray:
     """Largest eigenvalue of each symmetric matrix in an (n, n, count)
     stack, replicate index last.
 
@@ -139,6 +155,12 @@ def top_eigenvalue(s: np.ndarray) -> np.ndarray:
     those matrices, and multiples of the identity (p = 0), are
     recomputed by LAPACK. Larger sizes use LAPACK throughout. Only the
     upper triangle is read.
+
+    The size-3 form computes in the flat buffer ``work`` (at least
+    ``_TOP3_ROWS * count`` entries) and returns a view of it: its
+    thirteen vectors per block would otherwise be fresh arrays, which
+    the allocator hands back to the OS and faults in again on every
+    block.
     """
     n = s.shape[0]
     if n == 1:
@@ -147,18 +169,55 @@ def top_eigenvalue(s: np.ndarray) -> np.ndarray:
         return _top_2x2(s[0, 0], s[0, 1], s[1, 1], vector=False)[0]
     if n > 3:
         return np.linalg.eigvalsh(s.transpose(2, 0, 1), UPLO="U")[:, -1]
-    a01, a02, a12 = s[0, 1], s[0, 2], s[1, 2]
-    q = (s[0, 0] + s[1, 1] + s[2, 2]) / 3.0
-    d0, d1, d2 = s[0, 0] - q, s[1, 1] - q, s[2, 2] - q
-    p = np.sqrt((d0 * d0 + d1 * d1 + d2 * d2
-                 + 2.0 * (a01 * a01 + a02 * a02 + a12 * a12)) / 6.0)
+    a00, a11, a22, a01, a02, a12 = s[0, 0], s[1, 1], s[2, 2], s[0, 1], s[0, 2], s[1, 2]
+    q, p, inv, b00, b11, b22, b01, b02, b12, r, t, x, lam = _take(
+        work, _TOP3_ROWS, s.shape[2])
+    # q = (a00 + a11 + a22) / 3, and b = A - qI on the diagonal for now.
+    np.add(a00, a11, out=q)
+    q += a22
+    q /= 3.0
+    np.subtract(a00, q, out=b00)
+    np.subtract(a11, q, out=b11)
+    np.subtract(a22, q, out=b22)
+    # p = sqrt((b00^2 + b11^2 + b22^2 + 2 (a01^2 + a02^2 + a12^2)) / 6).
+    np.multiply(b00, b00, out=p)
+    p += np.multiply(b11, b11, out=t)
+    p += np.multiply(b22, b22, out=t)
+    np.multiply(a01, a01, out=x)
+    x += np.multiply(a02, a02, out=t)
+    x += np.multiply(a12, a12, out=t)
+    x *= 2.0
+    p += x
+    p /= 6.0
+    np.sqrt(p, out=p)
     with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / p
-        b00, b11, b22 = d0 * inv, d1 * inv, d2 * inv
-        b01, b02, b12 = a01 * inv, a02 * inv, a12 * inv
-        r = 0.5 * (b00 * (b11 * b22 - b12 * b12) - b01 * (b01 * b22 - b12 * b02)
-                   + b02 * (b01 * b12 - b11 * b02))
-    lam = q + 2.0 * p * np.cos(np.arccos(np.clip(r, -1.0, 1.0)) / 3.0)
+        np.divide(1.0, p, out=inv)
+        b00 *= inv
+        b11 *= inv
+        b22 *= inv
+        np.multiply(a01, inv, out=b01)
+        np.multiply(a02, inv, out=b02)
+        np.multiply(a12, inv, out=b12)
+        # r = (b00 (b11 b22 - b12^2) - b01 (b01 b22 - b12 b02)
+        #      + b02 (b01 b12 - b11 b02)) / 2
+        np.multiply(b11, b22, out=x)
+        x -= np.multiply(b12, b12, out=t)
+        np.multiply(b00, x, out=r)
+        np.multiply(b01, b22, out=x)
+        x -= np.multiply(b12, b02, out=t)
+        r -= np.multiply(b01, x, out=t)
+        np.multiply(b01, b12, out=x)
+        x -= np.multiply(b11, b02, out=t)
+        r += np.multiply(b02, x, out=t)
+        r *= 0.5
+    # lam = q + 2p cos(acos(r) / 3), r clipped to [-1, 1].
+    np.clip(r, -1.0, 1.0, out=x)
+    np.arccos(x, out=x)
+    x /= 3.0
+    np.cos(x, out=x)
+    np.multiply(2.0, p, out=lam)
+    lam *= x
+    lam += q
     # NaN r (p = 0) fails the comparison and is recomputed too.
     near = ~(r > _NEAR_DOUBLE_TOP - 1.0)
     if near.any():
@@ -235,24 +294,35 @@ class FacePlan:
             start += n
         self._coef = np.vstack(blocks)
 
-    def _candidates(self, factors: np.ndarray, vectors: bool):
+    def workspace(self, m: int, count: int) -> tuple[np.ndarray, ...]:
+        """Flat buffers for ``sup`` on stacks of up to ``count`` factors
+        of m rows: the folded factors, their Grams, the face entries and
+        ``top_eigenvalue``'s scratch. Plans over boxes with the same
+        faces can share one."""
+        n = self._linv.shape[0]
+        return (np.empty(m * n * count), np.empty(n * n * count),
+                np.empty(self._coef.shape[0] * count),
+                np.empty(_TOP3_ROWS * count))
+
+    def _candidates(self, factors: np.ndarray, vectors: bool, work):
         """Per face: its candidate values (-inf where it has none) and
         its top vectors w in face coordinates, for an (m, p+1, count)
-        stack of numerator factors. w is None for vertices, and for the
+        stack of numerator factors, computed in the buffers ``work``
+        (see ``workspace``). w is None for vertices, and for the
         unchecked whole-space face unless ``vectors`` asks."""
-        count = factors.shape[2]
-        # Row k of V = W L^{-T} is L^{-1} times row k of W. V and its Gram
-        # are freed before the face loop, which keeps the heap a block
-        # reuses smaller (fewer page faults per block).
-        folded = self._linv @ factors
-        gram = np.einsum("kib,kjb->ijb", folded, folded)
-        entries = self._coef @ gram.reshape(-1, count)
-        del folded, gram
+        m, n, count = factors.shape
+        fold, gram, entries, closed = work
+        # Row k of V = W L^{-T} is L^{-1} times row k of W.
+        folded = np.matmul(self._linv, factors, out=_take(fold, m, n, count))
+        gram = np.einsum("kib,kjb->ijb", folded, folded,
+                         out=_take(gram, n, n, count))
+        entries = np.matmul(self._coef, gram.reshape(n * n, count),
+                            out=_take(entries, self._coef.shape[0], count))
         for face in self.faces:
             rows = entries[face.rows]
             size = face.size
             if size == 1 or not (vectors or face.checked):
-                yield face, top_eigenvalue(rows.reshape(size, size, count)), None
+                yield face, top_eigenvalue(rows.reshape(size, size, count), closed), None
                 continue
             if size == 2:
                 lam, y = _top_2x2(rows[0], rows[1], rows[3], vector=True)
@@ -267,16 +337,17 @@ class FacePlan:
                 lam = np.where(inside, lam, -np.inf)
             yield face, lam, w
 
-    def sup(self, factors: np.ndarray) -> np.ndarray:
-        """Supremum for each numerator factor in an (m, p+1, count) stack.
+    def sup(self, factors: np.ndarray, work, out: np.ndarray) -> None:
+        """Fold the supremum for each numerator factor in an
+        (m, p+1, count) stack into the running maximum ``out`` (count).
 
         The replicate index runs last so that each matrix entry is one
-        contiguous vector.
+        contiguous vector. ``work`` is a ``workspace`` for at least
+        ``count`` factors; it holds the folded factors, their Grams and
+        the face entries, so one worker's blocks reuse the same memory.
         """
-        out = None
-        for _, lam, _ in self._candidates(factors, vectors=False):
-            out = lam.copy() if out is None else np.maximum(out, lam, out=out)
-        return out
+        for _, lam, _ in self._candidates(factors, False, work):
+            np.maximum(out, lam, out=out)
 
     def sup_with_argmax(self, factor: np.ndarray) -> tuple[float, np.ndarray | None]:
         """Supremum and argmax for one (m, p+1) numerator factor.
@@ -287,9 +358,10 @@ class FacePlan:
         the top eigenvector has a zero intercept coordinate, in which
         case the supremum is a limit along a direction, not a point.
         """
+        work = self.workspace(len(factor), 1)
         cands = [(float(lam[0]), face, None if w is None else w[0])
                  for face, lam, w in self._candidates(factor[:, :, None],
-                                                      vectors=True)]
+                                                      True, work)]
         best = max(value for value, _, _ in cands)
         for value, face, w in cands:
             if value >= best - _TIE_RTOL * abs(best):

@@ -545,6 +545,9 @@ def nan_constant_comparison():
     lambda: CovariateBox(((0.0,),)),
     lambda: CovariateBox(((0.0, 1.0, 2.0),)),
     lambda: CovariateBox((5.0,)),
+    lambda: CovariateBox(5.0),
+    lambda: CovariateBox(None),
+    lambda: sct_engine.ComparisonFamily(pairs=5),
 ])
 def test_argument_checks_raise_typed_usage_errors(check):
     # Typed for the exit code, and still a ValueError for library callers.

@@ -11,7 +11,7 @@ import scipy.stats as st
 
 from conftest import make_dataset
 from sctubes.classical_tests import largest_root_null_sample
-from sctubes.errors import DegreesOfFreedomTooSmall
+from sctubes.errors import DegreesOfFreedomTooSmall, InvalidArgument
 from sctubes.model_core import fit_models
 from sctubes.rand_engine import (
     STREAM_VERSION,
@@ -187,6 +187,25 @@ def test_wishart_block_fixed_count_deterministic():
     # Every factor is lower triangular with a positive diagonal.
     assert np.allclose(a, np.tril(a))
     assert (a[:, [0, 1], [0, 1]] > 0).all()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_blocks_fill_a_callers_array_as_they_return_one(m):
+    # The engine draws every block of a worker into the same buffers:
+    # whatever a buffer held, it ends with the values, zero upper
+    # triangle included, of a freshly returned block.
+    key = StreamKey(seed=6, replicate_index=8192, substream=2)
+    for count in (1, 3, 100):
+        buf = np.full((count, m, m), np.nan)
+        got = wishart_factor_block(m, m + 4, key, count, out=buf)
+        assert got is buf
+        np.testing.assert_array_equal(got, wishart_factor_block(m, m + 4, key, count))
+        buf = np.full((count, 2, m), np.nan)
+        got = normal_block(2, m, key, count, out=buf)
+        assert got is buf
+        np.testing.assert_array_equal(got, normal_block(2, m, key, count))
+    with pytest.raises(InvalidArgument):
+        wishart_factor_block(m, m + 4, key, 3, out=np.empty((4, m, m)))
 
 
 def test_block_draws_differ_across_substreams():

@@ -45,8 +45,8 @@ from sctubes.sct_engine import (
     SampleMeta,
     SimulatedSample,
     _binom_ppf,
-    _block_values,
     _SimPlan,
+    _tube_block,
     _whiten,
     compare,
     critical_constant,
@@ -214,11 +214,80 @@ def test_replicates_are_a_pure_function_of_seed_and_index(two_group_fit):
 
 
 def test_worker_count_cannot_change_results(two_group_fit):
+    # More threads than cores, switched every microsecond, each with its
+    # own buffers: a block computed in another thread's buffers, or
+    # written to another block's place, would change the sample.
     fam = ComparisonFamily.pairwise(2)
     box = CovariateBox.whole_space(1)
-    serial = simulate_pivot(two_group_fit, fam, box, 20_000, seed=4, workers=1)
-    threaded = simulate_pivot(two_group_fit, fam, box, 20_000, seed=4, workers=8)
+    serial = simulate_pivot(two_group_fit, fam, box, 45_000, seed=4, workers=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = simulate_pivot(two_group_fit, fam, box, 45_000, seed=4, workers=8)
+    finally:
+        sys.setswitchinterval(interval)
     assert np.array_equal(serial.values, threaded.values)
+
+
+# A fresh process's first kernel call. The measured call is chosen by
+# argv[1]; with argv[2] == "1" it runs after numpy arrays of 64 KB,
+# 300 KB and 3 MB were allocated and freed, which moves glibc's
+# thresholds for returning memory to the OS.
+FAULT_PROBE = textwrap.dedent("""
+    import resource, sys
+    import numpy as np
+    from sctubes.classical_tests import largest_root_null_sample
+    from sctubes.model_core import GroupData, GroupedDataset, fit_models
+    from sctubes.sct_engine import ComparisonFamily, simulate_pivot
+    from sctubes.sup_solver import CovariateBox
+
+    kernel, preamble = sys.argv[1], sys.argv[2] == "1"
+    rng = np.random.default_rng(5)
+    k, m = (5, 3) if kernel == "whole" else (3, 2)
+    groups = []
+    for g in range(k):
+        n = 30 + 2 * g
+        design = np.column_stack([np.ones(n), rng.uniform(0.0, 10.0, n)])
+        groups.append(GroupData(label=chr(65 + g), design=design,
+                                response=rng.standard_normal((n, m))))
+    fit = fit_models(GroupedDataset(groups=tuple(groups)))
+    family = ComparisonFamily.pairwise(k)
+    calls = {
+        "whole": lambda: simulate_pivot(fit, family, CovariateBox.whole_space(1),
+                                        200_000, 1),
+        "interval": lambda: simulate_pivot(fit, family, CovariateBox.interval(0.0, 10.0),
+                                           1_000_000, 1),
+        "roy": lambda: largest_root_null_sample(8, 3, 160, 200_000, 1),
+    }
+    if preamble:
+        for size in (64 << 10, 300 << 10, 3 << 20):
+            np.ones(size // 8)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    calls[kernel]()
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    """)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads Linux minor page-fault counts")
+@pytest.mark.parametrize("kernel, budget", [
+    ("whole", 5_000), ("interval", 10_000), ("roy", 5_000)])
+def test_first_kernel_call_stays_within_its_fault_budget(kernel, budget):
+    """Each worker draws and computes every block in one set of buffers,
+    so a first call faults in its buffers and its result once instead of
+    every block's arrays, whatever ran before it. Kernels: whole space,
+    k = 5, m = 3, 2x10^5 replicates; an interval, k = 3, m = 2, 10^6
+    replicates; Roy's null sample, d = 8, m = 3, nu = 160, 2x10^5
+    replicates. Before buffer reuse, a bare first call faulted about
+    21,000, 90,000 and 17,000 times."""
+    import sctubes
+    root = str(Path(sctubes.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": root, "OPENBLAS_NUM_THREADS": "1"}
+    counts = [int(subprocess.run([sys.executable, "-c", FAULT_PROBE, kernel, preamble],
+                                 capture_output=True, text=True, check=True,
+                                 env=env).stdout.split()[-1])
+              for preamble in ("0", "1")]
+    assert max(counts) < budget, counts
 
 
 def test_reversed_pair_gives_identical_sample(two_group_fit):
@@ -293,12 +362,20 @@ def test_whiten_matches_a_generic_solve(m, rows):
     count = 500
     lw = wishart_factor_block(m, m + 4, StreamKey(31, 0, 0), count)
     u = normal_block(rows, m, StreamKey(31, 0, 1), count)
-    z = _whiten(lw, u)
-    assert z.shape == (m, rows, count)
+    out = np.full((m, rows, count), np.nan)
+    z = _whiten(lw.transpose(1, 2, 0), u, out, np.full((rows, count), np.nan))
+    assert z is out
     for b in range(count):
         ref = np.linalg.solve(lw[b], u[b].T)
         np.testing.assert_allclose(z[:, :, b], ref,
                                    rtol=1e-13, atol=1e-13 * np.abs(ref).max())
+
+
+def block_values(plan, seed, count):
+    """Replicates 0 .. count-1 of the first block, in replicate order."""
+    got = np.empty(count)
+    _tube_block(plan, seed, count)(0, count, got)
+    return got
 
 
 @pytest.mark.parametrize("box", [CovariateBox.whole_space(1),
@@ -314,7 +391,7 @@ def test_pairwise_k5_m3_kernel_matches_per_replicate_reference(box):
     assert (fit.k, fit.p, fit.m) == (5, 1, 3)
     fam = ComparisonFamily.pairwise(5)
     seed, count = 19, 40
-    got = _block_values(_SimPlan(fit, fam, box), seed, 0, count)
+    got = block_values(_SimPlan(fit, fam, box), seed, count)
 
     lw = wishart_factor_block(3, fit.nu, StreamKey(seed, 0, 0), _BLOCK)[:count]
     u = [normal_block(2, 3, StreamKey(seed, 0, g + 1), _BLOCK)[:count]
@@ -345,8 +422,7 @@ def test_whole_space_p2_kernel_matches_per_replicate_reference():
     assert (fit.k, fit.p, fit.m) == (3, 2, 2)
     fam = ComparisonFamily.pairwise(3)
     seed, count = 23, 400
-    got = _block_values(_SimPlan(fit, fam, CovariateBox.whole_space(2)),
-                        seed, 0, count)
+    got = block_values(_SimPlan(fit, fam, CovariateBox.whole_space(2)), seed, count)
 
     lw = wishart_factor_block(2, fit.nu, StreamKey(seed, 0, 0), _BLOCK)[:count]
     u = [normal_block(3, 2, StreamKey(seed, 0, g + 1), _BLOCK)[:count]

@@ -297,8 +297,10 @@ def lapack_top(mats):
 
 
 def stacked_top(mats):
-    """``sup_solver.top_eigenvalue`` on the replicate-last layout."""
-    return sup_solver.top_eigenvalue(np.ascontiguousarray(mats.transpose(1, 2, 0)))
+    """``sup_solver.top_eigenvalue`` on the replicate-last layout, with
+    scratch that holds NaN beforehand, as a reused buffer may."""
+    work = np.full(sup_solver._TOP3_ROWS * len(mats), np.nan)
+    return sup_solver.top_eigenvalue(np.ascontiguousarray(mats.transpose(1, 2, 0)), work)
 
 
 def with_spectrum(rng, spectra):
