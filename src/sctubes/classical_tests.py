@@ -65,29 +65,32 @@ def largest_root_null_sample(d: int, m: int, nu: int, r: int, seed: int,
     the tube engine's: fixed blocks keyed by their first replicate
     index, full blocks always drawn into one worker's reused buffers,
     and B (or Z') whitened by W's Bartlett factor L, since
-    B' W^{-1} B = (L^{-1}B)'(L^{-1}B). ``workers`` cannot change the
+    B' W^{-1} B = (L^{-1}B)'(L^{-1}B). Both Bartlett factors come from
+    ``wishart_factor_block`` replicate-last, so a short block whitens
+    the view of its leading replicates. ``workers`` cannot change the
     result.
     """
     rows = m if d >= m else d
 
     def make_block(cap: int):
-        lw, draw = np.empty((_BLOCK, m, m)), np.empty((_BLOCK, rows, m))
+        lw = np.empty((m, m, _BLOCK))
+        draw = np.empty((m, m, _BLOCK) if d >= m else (_BLOCK, d, m))
         z, tmp = np.empty(m * rows * cap), np.empty(rows * cap)
         gram = np.empty(min(m, rows) ** 2 * cap)
         closed = np.empty(_TOP3_ROWS * cap)
 
         def block(start: int, count: int, out: np.ndarray) -> None:
             wishart_factor_block(m, nu, StreamKey(seed, start, 0), _BLOCK, out=lw)
-            # One whitening per block: a contiguous copy of L would cost
-            # what it saves.
-            lv = lw[:count].transpose(1, 2, 0)
             key = StreamKey(seed, start, 1)
             if d >= m:
+                # B' stacked replicate-first, as _whiten reads U: the
+                # copy it starts from is then B itself.
                 u = wishart_factor_block(m, d, key, _BLOCK, out=draw)
-                u = u[:count].transpose(0, 2, 1)
+                u = u[..., :count].transpose(2, 1, 0)
             else:
                 u = normal_block(d, m, key, _BLOCK, out=draw)[:count]
-            zv = _whiten(lv, u, _take(z, m, rows, count), _take(tmp, rows, count))
+            zv = _whiten(lw[..., :count], u, _take(z, m, rows, count),
+                         _take(tmp, rows, count))
             out[:] = _lam_max_gram(zv, gram, closed)
 
         return block

@@ -465,7 +465,7 @@ def _cmd_pvalues(config: RunConfig, data: GroupedDataset) -> int:
     fit, family, box = _prepare(config, data)
     sample = sct_engine.simulate_pivot(fit, family, box, config.reps,
                                        config.seed, workers=config.workers)
-    pairs = sct_engine.pair_comparisons(fit, family, box, sample)
+    pairs = sct_engine.pair_comparisons(fit, sample)
     for pc in pairs:
         print(_pair_line(pc.labels, pc.statistic, pc.p_value))
     _emit({**_header(config.alpha, config.reps, config.seed, fit, family, box),

@@ -7,6 +7,8 @@ degeneracy discovered mid-computation, and bad usage or configuration.
 
 from __future__ import annotations
 
+import operator
+
 
 class TubeError(Exception):
     """Base class for all errors raised by this package."""
@@ -92,8 +94,8 @@ class TooFewReplicates(UsageError):
 
 
 class MetaMismatch(UsageError):
-    """A simulated sample was produced under different models, family,
-    or region than the one it is being used with."""
+    """A simulated sample was drawn for other designs, or under another
+    random stream version, than the fit it is used with."""
 
 
 class ConfigError(UsageError):
@@ -108,14 +110,24 @@ class InvalidArgument(UsageError, ValueError):
     usage error at the command line."""
 
 
-def items_of(values, rule: str, error=InvalidArgument) -> tuple:
+def items_of(values, rule: str) -> tuple:
     """``values`` as a tuple: the one reading of the outer sequence of
     box bounds and family pairs. A value that is not iterable raises
-    ``error`` stating ``rule``."""
+    ``InvalidArgument`` stating ``rule``."""
     try:
         return tuple(values)
     except TypeError:
-        raise error(f"{rule}, got {values!r}") from None
+        raise InvalidArgument(f"{rule}, got {values!r}") from None
+
+
+def index_of(value, name: str) -> int:
+    """``value`` through ``operator.index``: the one reading of a 1-based
+    group or response index. A value that is not an integer (a float, a
+    string) raises ``InvalidArgument``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidArgument(f"{name} must be an integer, got {value!r}") from None
 
 
 def pair_of(values, convert, rule: str, error=InvalidArgument) -> tuple:
@@ -129,3 +141,9 @@ def pair_of(values, convert, rule: str, error=InvalidArgument) -> tuple:
     except (TypeError, ValueError):
         raise error(f"{rule}, got {values!r}") from None
     return first, second
+
+
+def group_pair(values) -> tuple[int, int]:
+    """``values`` read by ``pair_of`` as two integer group indices (i, j)."""
+    return pair_of(values, operator.index,
+                   "a pair must be two integer group indices (i, j)")

@@ -20,6 +20,7 @@ from .errors import (
     InvalidArgument,
     RankDeficientDesign,
     ShapeMismatch,
+    index_of,
 )
 
 # Smallest singular value ratio accepted for a design with its columns
@@ -177,6 +178,7 @@ class FittedModels:
         return self.scatter_factor is None
 
     def _check_index(self, i: int) -> int:
+        i = index_of(i, "group index")
         if not 1 <= i <= self.k:
             raise InvalidArgument(f"group index {i} outside 1..{self.k}")
         return i - 1

@@ -20,7 +20,11 @@ A normal block fills element by element, so a shorter block is a prefix
 of a longer one; a Wishart factor block draws one diagonal's variates
 for the whole batch before the next, so its content is pinned only for
 a fixed batch size. The engine therefore always draws full fixed-size
-blocks and slices off what it needs. Both fill a caller's array when
+blocks and slices off what it needs. A normal block stacks its matrices
+replicate index first, (count, rows, cols), in draw order; a Wishart
+factor block stacks them replicate index last, (m, m, count), the
+layout the engine whitens with, so a block's first ``count`` replicates
+are the view ``[..., :count]``. Both fill a caller's array when
 given one (``out=``), as numpy's generators do: the engine draws every
 block of a worker into the same buffers, and the values are those of a
 freshly returned array.
@@ -97,17 +101,19 @@ def normal_block(rows: int, cols: int, key: StreamKey, count: int,
 
 def wishart_factor_block(m: int, nu: int, key: StreamKey, count: int,
                          out: np.ndarray | None = None) -> np.ndarray:
-    """Draw ``count`` stacked lower-triangular Bartlett factors L, each
-    with L L' distributed Wishart(identity, nu), into ``out`` (a
-    (count, m, m) float array, upper triangle included) when given.
+    """Draw ``count`` lower-triangular Bartlett factors L, each with L L'
+    distributed Wishart(identity, nu), stacked replicate index last as
+    an (m, m, count) array (into ``out``, a C-contiguous float array of
+    that shape, upper triangle included, when given), so that each
+    factor entry is one contiguous vector.
 
     Draw order within the generator: for each diagonal k = 0 .. m-1 in
     turn, ``count`` gamma variates of shape (nu - k) / 2, one per
     replicate (doubled, their square roots are the chi(nu - k)
     diagonal); then all count x m(m-1)/2 strict lower-triangle normals,
     row-major within each replicate. The normals are drawn a whole
-    number of replicates at a time through the gammas' one row of
-    scratch, which continues the same stream.
+    number of replicates at a time through one row of scratch, which
+    continues the same stream.
     """
     if m < 1 or count < 1:
         raise InvalidArgument("block dimensions must be positive")
@@ -115,22 +121,22 @@ def wishart_factor_block(m: int, nu: int, key: StreamKey, count: int,
         raise DegreesOfFreedomTooSmall(
             f"Wishart needs dof >= dimension, got dof={nu}, dimension={m}")
     if out is None:
-        out = np.empty((count, m, m))
-    elif out.shape != (count, m, m):
-        raise InvalidArgument(f"out must have shape {(count, m, m)}, got {out.shape}")
+        out = np.empty((m, m, count))
+    elif out.shape != (m, m, count):
+        raise InvalidArgument(f"out must have shape {(m, m, count)}, got {out.shape}")
     rng = key.generator()
-    ii, jj = np.tril_indices(m, -1)
-    scratch = np.empty(max(count, ii.size))
-    chi = scratch[:count]
     for k in range(m):
-        rng.standard_gamma((nu - k) / 2.0, out=chi)
-        chi *= 2.0
-        np.sqrt(chi, out=out[:, k, k])
+        diag = out[k, k]
+        rng.standard_gamma((nu - k) / 2.0, out=diag)
+        diag *= 2.0
+        np.sqrt(diag, out=diag)
     if m > 1:
-        out[:, jj, ii] = 0.0
+        ii, jj = np.tril_indices(m, -1)
+        out[jj, ii] = 0.0
+        scratch = np.empty(max(count, ii.size))
         step = scratch.size // ii.size
         for lo in range(0, count, step):
             hi = min(lo + step, count)
             normals = scratch[:(hi - lo) * ii.size].reshape(hi - lo, ii.size)
-            out[lo:hi, ii, jj] = rng.standard_normal(out=normals)
+            out[ii, jj, lo:hi] = rng.standard_normal(out=normals).T
     return out

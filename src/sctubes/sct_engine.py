@@ -8,7 +8,10 @@ through the design cross-products and whose denominator is a common
 Wishart draw. The law depends on the designs only through the
 cross-product inverses and the pooled degrees of freedom, never on the
 fitted coefficients, which is what makes one simulated sample reusable
-for every pair's p-value (``pair_comparisons``).
+for every pair's p-value. A ``SimulatedSample`` records the family and
+box it ranged over, a digest of the designs and the stream version, so
+``pair_comparisons`` reads its pairs and box from the sample and takes
+it for any fit with the same designs.
 
 Simulated and observed statistics go through the same exact solver, face
 enumeration of the covariate box (``sup_solver.FacePlan``), for every
@@ -24,14 +27,16 @@ costs closed forms over the whole block (``sup_solver.top_eigenvalue``
 up to size 3), except for the checked faces of a finite box with two or
 more free coordinates, whose top eigenvectors come from one batched
 eigendecomposition. Per-replicate arrays keep the replicate index last,
-so each matrix entry is one contiguous vector. Roy's null sampler in
-``classical_tests`` uses the same whitening, buffers and block driver.
+so each matrix entry is one contiguous vector; the Wishart factors are
+drawn that way (``rand_engine.wishart_factor_block``). Roy's null
+sampler in ``classical_tests`` uses the same whitening, buffers and
+block driver.
 
 Each worker computes all its blocks in one set of buffers sized for a
-full block (``_tube_block``): the Wishart factors (also laid out
-replicate-last) and normal draws, a whitened stack, each used group's
-mapped stack, the pair factor, and the face solver's workspace; a
-block's values go straight into the result.
+full block (``_tube_block``): the Wishart factors and normal draws, a
+whitened stack, each used group's mapped stack, the pair factor, and
+the face solver's workspace; a block's values go straight into the
+result.
 Fresh arrays per block were handed back to the OS as each block freed
 them and faulted in again by the next: a first call of 2x10^5
 whole-space replicates (k = 5, m = 3) took about 21,000 minor page
@@ -54,7 +59,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -63,7 +67,7 @@ import numpy as np
 
 from . import tube_geometry
 from .errors import (EmptyFamily, InvalidArgument, MetaMismatch, TooFewReplicates,
-                     items_of, pair_of)
+                     group_pair, items_of)
 from .model_core import FittedModels
 from .rand_engine import STREAM_VERSION, StreamKey, normal_block, wishart_factor_block
 from .sup_solver import CovariateBox, FacePlan, _take
@@ -86,9 +90,7 @@ class ComparisonFamily:
 
     def __post_init__(self):
         items = items_of(self.pairs, "family pairs must be a sequence of (i, j) pairs")
-        pairs = tuple(pair_of(pair, operator.index,
-                              "a pair must be two integer group indices (i, j)")
-                      for pair in items)
+        pairs = tuple(group_pair(pair) for pair in items)
         object.__setattr__(self, "pairs", pairs)
         if not pairs:
             raise EmptyFamily("comparison family has no pairs")
@@ -123,26 +125,23 @@ class ComparisonFamily:
         return cls(pairs=pairs, kind="successive")
 
 
-@dataclass(frozen=True)
-class SampleMeta:
-    """Fingerprint of what a simulated sample is valid for: family, box,
-    designs (``design_digest`` also hashes nu, m, p and k) and the random
-    stream scheme (``rand_engine.STREAM_VERSION``) it was drawn under."""
+@dataclass(frozen=True, eq=False)
+class SimulatedSample:
+    """Sorted pivotal statistic replicates plus their provenance: the
+    seed, the family and box the supremum ranged over, the designs
+    (``design_digest`` also hashes nu, m, p and k) and the random stream
+    scheme (``rand_engine.STREAM_VERSION``) it was drawn under."""
 
+    values: np.ndarray
+    seed: int
     family: ComparisonFamily
     box: CovariateBox
     design_digest: str
     stream_version: int = STREAM_VERSION
 
-
-@dataclass(frozen=True, eq=False)
-class SimulatedSample:
-    """Sorted pivotal statistic replicates plus their provenance."""
-
-    values: np.ndarray
-    r: int
-    seed: int
-    meta: SampleMeta
+    @property
+    def r(self) -> int:
+        return self.values.size
 
 
 @dataclass(frozen=True)
@@ -240,24 +239,23 @@ class _SimPlan:
                            for i, j in family.pairs]
 
 
-def _whiten(lt: np.ndarray, u: np.ndarray, out: np.ndarray,
+def _whiten(lw: np.ndarray, u: np.ndarray, out: np.ndarray,
             tmp: np.ndarray) -> np.ndarray:
     """Write Z = L^{-1} U' for each replicate into ``out``, laid out
     (m, rows, count), and return it.
 
-    ``lt`` stacks lower-triangular factors replicate-last, as an
-    (m, m, count) array; a contiguous one makes each factor entry one
-    contiguous vector (dividing by a strided diagonal took four times as
-    long), which pays for its copy when several groups are whitened by
-    the same factors. ``u`` stacks the matrices as (count, rows, m), and
-    ``tmp`` is (rows, count) scratch. Forward substitution runs over the
-    m rows of L; each step is vector arithmetic over the block.
+    ``lw`` stacks lower-triangular factors replicate-last, as an
+    (m, m, count) array such as the leading ``count`` replicates of a
+    Wishart factor block, so each factor entry is one contiguous vector.
+    ``u`` stacks the matrices as (count, rows, m), and ``tmp`` is
+    (rows, count) scratch. Forward substitution runs over the m rows of
+    L; each step is vector arithmetic over the block.
     """
     np.copyto(out, u.transpose(2, 1, 0))
-    for k in range(lt.shape[0]):
+    for k in range(lw.shape[0]):
         for col in range(k):
-            out[k] -= np.multiply(out[col], lt[k, col], out=tmp)
-        out[k] /= lt[k, k]
+            out[k] -= np.multiply(out[col], lw[k, col], out=tmp)
+        out[k] /= lw[k, k]
     return out
 
 
@@ -268,26 +266,23 @@ def _tube_block(plan: _SimPlan, seed: int, cap: int):
 
     The buffers hold one full block's Wishart factors and normal draws
     (full fixed-size blocks are always drawn and then sliced, so a
-    replicate's draws never depend on r or on scheduling), the factors
-    laid out replicate-last, a whitened stack, each used group's mapped
-    stack, the pair factor, and the face solver's workspace. Every
-    block of the worker reuses them.
+    replicate's draws never depend on r or on scheduling), a whitened
+    stack, each used group's mapped stack, the pair factor, and the face
+    solver's workspace. Every block of the worker reuses them.
     """
     m, n, nu = plan.m, plan.p + 1, plan.nu
-    lw, u = np.empty((_BLOCK, m, m)), np.empty((_BLOCK, n, m))
-    lt, z, pair = np.empty(m * m * cap), np.empty(m * n * cap), np.empty(m * n * cap)
+    lw, u = np.empty((m, m, _BLOCK)), np.empty((_BLOCK, n, m))
+    z, pair = np.empty(m * n * cap), np.empty(m * n * cap)
     mapped = {g: np.empty(m * n * cap) for g in plan.gfac}
     work = plan.pair_faces[0][2].workspace(m, cap)
 
     def block(start: int, count: int, out: np.ndarray) -> None:
         wishart_factor_block(m, nu, StreamKey(seed, start, 0), _BLOCK, out=lw)
-        lv = _take(lt, m, m, count)
-        np.copyto(lv, lw[:count].transpose(1, 2, 0))
         zv, w = _take(z, m, n, count), _take(pair, m, n, count)
         v = {}
         for g, buf in mapped.items():
             normal_block(n, m, StreamKey(seed, start, g + 1), _BLOCK, out=u)
-            _whiten(lv, u[:count], zv, w[0])
+            _whiten(lw[..., :count], u[:count], zv, w[0])
             # G_g Z_g, the group's share of every pair factor it enters.
             v[g] = np.matmul(plan.gfac[g], zv, out=_take(buf, m, n, count))
         out.fill(-np.inf)
@@ -354,7 +349,7 @@ def simulate_pivot(fit: FittedModels, family: ComparisonFamily,
     fit.require_scatter()
     plan = _SimPlan(fit, family, box)
     values = _replicates(r, workers, partial(_tube_block, plan, seed))
-    return SimulatedSample(values, r, seed, SampleMeta(family, box, design_digest(fit)))
+    return SimulatedSample(values, seed, family, box, design_digest(fit))
 
 
 def critical_constant(sample: SimulatedSample, alpha: float) -> CriticalConstantResult:
@@ -400,24 +395,10 @@ def observed_statistic(fit: FittedModels, pair: tuple[int, int],
     Requires a positive definite pooled scatter.
     """
     lfac = fit.require_scatter()
-    i, j = pair
+    i, j = group_pair(pair)
     db = fit.coef_difference(i, j)
     faces = FacePlan(fit.delta(i, j), box)
     return faces.sup_with_argmax(np.linalg.solve(lfac, db.T))
-
-
-def _check_meta(fit: FittedModels, family: ComparisonFamily,
-                box: CovariateBox, sample: SimulatedSample) -> None:
-    meta = sample.meta
-    want = SampleMeta(family, box, design_digest(fit))
-    if meta.stream_version != want.stream_version:
-        raise MetaMismatch(
-            f"simulated sample was drawn under random stream version "
-            f"{meta.stream_version}, this build draws version {want.stream_version}")
-    if meta != want:
-        raise MetaMismatch(
-            "simulated sample was generated for a different "
-            "fit/family/region combination")
 
 
 @dataclass(frozen=True, eq=False)
@@ -438,25 +419,33 @@ class PairComparison:
     significance_regions: tuple | None
 
 
-def pair_comparisons(fit: FittedModels, family: ComparisonFamily,
-                     box: CovariateBox, sample: SimulatedSample,
+def pair_comparisons(fit: FittedModels, sample: SimulatedSample,
                      c_hat: float | None = None) -> tuple[PairComparison, ...]:
-    """Observed statistic, its argmax and the adjusted p-value of every pair.
+    """Observed statistic, its argmax and the adjusted p-value of every
+    pair of the sample's family, over the sample's box.
 
     A p-value counts the replicates strictly above the statistic, so
-    p <= alpha exactly when t reaches the constant. The sample must have
-    been simulated for this fit, family and box. With a critical
-    constant ``c_hat`` (finite, >= 0) each pair also gets its decision
-    and, on a finite interval with p = 1, the significance region of
-    every response coordinate.
+    p <= alpha exactly when t reaches the constant. The sample serves
+    any fit with the designs it was simulated for, since the pivotal
+    law never sees the responses; another stream version or other
+    designs raise ``MetaMismatch``. With a critical constant ``c_hat``
+    (finite, >= 0) each pair also gets its decision and, on a finite
+    interval with p = 1, the significance region of every response
+    coordinate.
     """
-    _check_meta(fit, family, box, sample)
+    if sample.stream_version != STREAM_VERSION:
+        raise MetaMismatch(
+            f"simulated sample was drawn under random stream version "
+            f"{sample.stream_version}, this build draws version {STREAM_VERSION}")
+    if sample.design_digest != design_digest(fit):
+        raise MetaMismatch("simulated sample was generated for other designs")
+    box = sample.box
     if c_hat is not None:
         tube_geometry._check_constant(c_hat)
     want_regions = (c_hat is not None and fit.p == 1 and box.is_finite
                     and not box.is_point)
     results = []
-    for pair in family.pairs:
+    for pair in sample.family.pairs:
         t, argmax = observed_statistic(fit, pair, box)
         regions = None
         if want_regions:
@@ -509,4 +498,4 @@ def compare(fit: FittedModels, family: ComparisonFamily, box: CovariateBox,
         labels=fit.labels, group_sizes=fit.group_sizes, nu=fit.nu,
         p=fit.p, m=fit.m, family=family, box=box, alpha=alpha, r=r,
         seed=seed, critical=crit,
-        pairs=pair_comparisons(fit, family, box, sample, crit.c_hat))
+        pairs=pair_comparisons(fit, sample, crit.c_hat))

@@ -243,7 +243,6 @@ class _Face:
     rinv: np.ndarray
     low: np.ndarray
     high: np.ndarray
-    checked: bool
 
     @property
     def size(self) -> int:
@@ -264,6 +263,8 @@ class FacePlan:
         if d.shape != (p + 1, p + 1):
             raise InvalidArgument(f"box has p = {p}, denominator has p = {len(d) - 1}")
         whole = box.is_whole_space
+        # Only the whole space's one face needs no inside check.
+        self._checked = not whole
         lower = np.linalg.cholesky(d)
         self._linv = np.linalg.inv(lower)
         # Per coordinate: its fixed values, then None for free.
@@ -289,8 +290,7 @@ class FacePlan:
                 free=free, fixed_point=fixed_point, rows=slice(start, start + n),
                 rinv=np.linalg.inv(r),
                 low=np.array([box.bounds[k][0] for k in free]),
-                high=np.array([box.bounds[k][1] for k in free]),
-                checked=not whole))
+                high=np.array([box.bounds[k][1] for k in free])))
             start += n
         self._coef = np.vstack(blocks)
 
@@ -321,7 +321,7 @@ class FacePlan:
         for face in self.faces:
             rows = entries[face.rows]
             size = face.size
-            if size == 1 or not (vectors or face.checked):
+            if size == 1 or not (vectors or self._checked):
                 yield face, top_eigenvalue(rows.reshape(size, size, count), closed), None
                 continue
             if size == 2:
@@ -330,7 +330,7 @@ class FacePlan:
                 vals, vecs = np.linalg.eigh(rows.T.reshape(count, size, size))
                 lam, y = vals[:, -1], vecs[:, :, -1]
             w = y @ face.rinv.T
-            if face.checked:
+            if self._checked:
                 with np.errstate(divide="ignore", invalid="ignore"):
                     t = w[:, 1:] / w[:, :1]
                 inside = ((t > face.low) & (t < face.high)).all(axis=1)

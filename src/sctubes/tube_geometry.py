@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgument, NotUnivariate, UnboundedBox
+from .errors import InvalidArgument, NotUnivariate, UnboundedBox, group_pair, index_of
 from .model_core import FittedModels
 from .sup_solver import CovariateBox
 
@@ -43,7 +43,7 @@ class TubeCrossSection:
 
     def coordinate_interval(self, q: int) -> tuple[float, float]:
         """Extent of the ellipsoid along response coordinate q (1-based)."""
-        _check_response(q, self.center.size)
+        q = _check_response(q, self.center.size)
         h = np.sqrt(max(self.radius_sq, 0.0) * self.shape[q - 1, q - 1])
         c = self.center[q - 1]
         return float(c - h), float(c + h)
@@ -63,9 +63,11 @@ def _check_constant(c: float) -> None:
         raise InvalidArgument(f"critical constant must be finite and >= 0, got {c}")
 
 
-def _check_response(q: int, m: int) -> None:
+def _check_response(q: int, m: int) -> int:
+    q = index_of(q, "response index")
     if not 1 <= q <= m:
         raise InvalidArgument(f"response index {q} outside 1..{m}")
+    return q
 
 
 def cross_section(fit: FittedModels, pair: tuple[int, int], c: float,
@@ -73,10 +75,15 @@ def cross_section(fit: FittedModels, pair: tuple[int, int], c: float,
     """Band cross-section for one pair at covariate point x."""
     fit.require_scatter()
     _check_constant(c)
+    pair = group_pair(pair)
     delta, db = fit.delta(*pair), fit.coef_difference(*pair)
-    e = np.concatenate(([1.0], np.atleast_1d(np.asarray(x, dtype=float))))
-    if e.size != fit.p + 1:
-        raise InvalidArgument(f"point has {e.size - 1} coordinates, expected {fit.p}")
+    try:
+        point = np.atleast_1d(np.asarray(x, dtype=float))
+    except (TypeError, ValueError):
+        point = None
+    if point is None or point.shape != (fit.p,) or not np.isfinite(point).all():
+        raise InvalidArgument(f"point must be {fit.p} finite numbers, got {x!r}")
+    e = np.concatenate(([1.0], point))
     return TubeCrossSection(
         x=e[1:].copy(),
         center=e @ db,
@@ -101,8 +108,9 @@ def significance_region(fit: FittedModels, pair: tuple[int, int], c: float,
         raise InvalidArgument(f"box has p = {box.p}, fit has p = {fit.p}")
     if not box.is_finite:
         raise UnboundedBox("significance regions need a finite interval")
-    _check_response(q, fit.m)
+    q = _check_response(q, fit.m)
     _check_constant(c)
+    pair = group_pair(pair)
     delta, db = fit.delta(*pair), fit.coef_difference(*pair)
     b0, b1 = db[:, q - 1]
     scale = c * fit.pooled_scatter[q - 1, q - 1]

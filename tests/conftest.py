@@ -15,6 +15,7 @@ import scipy.special
 from hypothesis import settings
 
 from sctubes.model_core import GroupData, GroupedDataset, fit_models
+from sctubes.rand_engine import wishart_factor_block
 from sctubes.sup_solver import FacePlan
 
 # Every property test draws the same examples on every run (seeded from
@@ -60,6 +61,12 @@ def write_csv(data, path):
             for xrow, yrow in zip(g.design[:, 1:], g.response):
                 writer.writerow([g.label] + [repr(float(v)) for v in xrow]
                                 + [repr(float(v)) for v in yrow])
+
+
+def wishart_factors(m: int, nu: int, key, count: int) -> np.ndarray:
+    """A Wishart factor block in its logical order, (count, m, m):
+    replicate b's factor is ``[b]``."""
+    return np.moveaxis(wishart_factor_block(m, nu, key, count), -1, 0)
 
 
 def f_quantile(d1: int, d2: int, prob: float) -> float:

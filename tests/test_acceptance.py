@@ -253,7 +253,7 @@ def test_10_p_value_rejection_duality(capsys):
         sample = simulate_pivot(fit, fam, box, 2000, seed=trial)
         c_hat = critical_constant(sample, alpha).c_hat
         pvals = {pc.pair: pc.p_value
-                 for pc in pair_comparisons(fit, fam, box, sample)}
+                 for pc in pair_comparisons(fit, sample)}
         for pair in fam.pairs:
             t, _ = observed_statistic(fit, pair, box)
             pairs_checked += 1

@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 import scipy.stats
 
-from conftest import f_quantile, make_dataset, pointwise_constant
+from conftest import f_quantile, make_dataset, pointwise_constant, wishart_factors
 from sctubes.classical_tests import (
     _lam_max_gram,
     largest_root_null_sample,
@@ -20,7 +20,7 @@ from sctubes.errors import (
     TooFewReplicates,
 )
 from sctubes.model_core import GroupData, GroupedDataset, fit_models
-from sctubes.rand_engine import StreamKey, normal_block, wishart_factor_block
+from sctubes.rand_engine import StreamKey, normal_block
 from sctubes.sct_engine import (
     ComparisonFamily,
     critical_constant,
@@ -135,9 +135,9 @@ def test_null_sample_matches_per_replicate_eigenvalues(d, m):
     # is the top eigenvalue of Z W^{-1} Z'.
     nu, r, seed = 30, 300, 12
     got = largest_root_null_sample(d, m, nu, r, seed)
-    lw = wishart_factor_block(m, nu, StreamKey(seed, 0, 0), 8192)[:r]
+    lw = wishart_factors(m, nu, StreamKey(seed, 0, 0), 8192)[:r]
     if d >= m:
-        u = wishart_factor_block(m, d, StreamKey(seed, 0, 1), 8192)[:r]
+        u = wishart_factors(m, d, StreamKey(seed, 0, 1), 8192)[:r]
         want = [np.linalg.eigvalsh(u[b].T @ np.linalg.solve(lw[b] @ lw[b].T, u[b]))[-1]
                 for b in range(r)]
     else:
@@ -157,7 +157,7 @@ def test_null_sample_has_the_law_of_the_normal_matrix_path(d, m):
     explicit = []
     for start in range(0, r, block):
         count = min(block, r - start)
-        lw = wishart_factor_block(m, nu, StreamKey(42, start, 0), count)
+        lw = wishart_factors(m, nu, StreamKey(42, start, 0), count)
         z = normal_block(d, m, StreamKey(42, start, 1), count)
         v = np.linalg.solve(lw, np.transpose(z, (0, 2, 1)))
         explicit.append(np.linalg.eigvalsh(

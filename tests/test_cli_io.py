@@ -505,7 +505,7 @@ def nan_constant_comparison():
     fit, family = small_fit(), sct_engine.ComparisonFamily.pairwise(2)
     box = CovariateBox.interval(0, 10)
     sample = sct_engine.simulate_pivot(fit, family, box, 1000, seed=0)
-    return sct_engine.pair_comparisons(fit, family, box, sample, c_hat=math.nan)
+    return sct_engine.pair_comparisons(fit, sample, c_hat=math.nan)
 
 
 @pytest.mark.parametrize("check", [
@@ -548,6 +548,21 @@ def nan_constant_comparison():
     lambda: CovariateBox(5.0),
     lambda: CovariateBox(None),
     lambda: sct_engine.ComparisonFamily(pairs=5),
+    lambda: cross_section(small_fit(), (1.5, 2), 1.0, [3.0]),
+    lambda: significance_region(small_fit(), (1.0, 2), 0.1, 1,
+                                CovariateBox.interval(0, 10)),
+    lambda: cross_section(small_fit(), (1, 2, 3), 0.1, 1.0),
+    lambda: significance_region(small_fit(), (1, 2), 0.1, 1.0,
+                                CovariateBox.interval(0, 10)),
+    lambda: cross_section(small_fit(), (1, 2), 0.1, [[3.0]]),
+    lambda: cross_section(small_fit(), (1, 2), 0.1, "x"),
+    lambda: cross_section(small_fit(), (1, 2), 0.1, 1.0).coordinate_interval(1.0),
+    lambda: small_fit().coef_difference(2.0, 1),
+    lambda: sct_engine.observed_statistic(small_fit(), (1, 2, 3),
+                                          CovariateBox.interval(0, 1)),
+    lambda: sct_engine.observed_statistic(small_fit(), 5, CovariateBox.interval(0, 1)),
+    lambda: cross_section(small_fit(), (1, 2), 0.1, None),
+    lambda: cross_section(small_fit(), (1, 2), 0.1, math.inf),
 ])
 def test_argument_checks_raise_typed_usage_errors(check):
     # Typed for the exit code, and still a ValueError for library callers.

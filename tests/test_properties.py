@@ -7,13 +7,22 @@ same cases.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_dataset
 from sctubes.classical_tests import largest_root_null_sample
-from sctubes.model_core import fit_models
-from sctubes.sct_engine import _BLOCK, ComparisonFamily, simulate_pivot
+from sctubes.errors import MetaMismatch
+from sctubes.model_core import GroupData, GroupedDataset, fit_models
+from sctubes.sct_engine import (
+    _BLOCK,
+    ComparisonFamily,
+    critical_constant,
+    observed_statistic,
+    pair_comparisons,
+    simulate_pivot,
+)
 from sctubes.sup_solver import CovariateBox, FacePlan
 
 REGIONS = ("point", "interval", "box", "whole")
@@ -113,3 +122,81 @@ def test_roy_null_sample_is_invariant_to_workers_and_a_prefix(d, m, extra_dof, r
     two = largest_root_null_sample(d, m, nu, longer, seed, workers=2)
     assert np.array_equal(one, two)
     assert sub_multiset(largest_root_null_sample(d, m, nu, r, seed), one)
+
+
+FAMILIES = ("pairwise", "successive", "control")
+
+
+def family_of(kind: str, k: int) -> ComparisonFamily:
+    if kind == "control":
+        return ComparisonFamily.vs_control(k, k)
+    return getattr(ComparisonFamily, kind)(k)
+
+
+def shifted_fit(rng, k: int, p: int, m: int):
+    """A fit whose groups differ by random shifts, so that some pairs
+    reject and some do not."""
+    coef = rng.standard_normal((p + 1, m))
+    coefs = [coef + rng.uniform(0.0, 1.5) * rng.standard_normal((p + 1, m))
+             for _ in range(k)]
+    return fit_models(make_dataset(rng, [p + 6 + 2 * g for g in range(k)], coefs))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(k=st.integers(2, 4), p=st.integers(1, 3), m=st.integers(1, 3),
+       kind=st.sampled_from(("point", "interval", "whole")),
+       family=st.sampled_from(FAMILIES), alpha=st.sampled_from((0.05, 0.1, 0.2)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_p_value_and_constant_are_dual(k, p, m, kind, family, alpha, seed):
+    """For every pair, p <= alpha exactly when t >= c_hat, and the pair's
+    decision says the same."""
+    rng = np.random.default_rng(seed)
+    fit = shifted_fit(rng, k, p, m)
+    sample = simulate_pivot(fit, family_of(family, k), region(kind, p, rng), 400, seed)
+    c_hat = critical_constant(sample, alpha).c_hat
+    for pc in pair_comparisons(fit, sample, c_hat):
+        assert (pc.p_value <= alpha) == (pc.statistic >= c_hat) == pc.reject
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(k=st.integers(2, 4), p=st.integers(1, 3), m=st.integers(1, 3),
+       kind=st.sampled_from(REGIONS), seed=st.integers(0, 2 ** 32 - 1))
+def test_observed_statistic_ignores_pair_order(k, p, m, kind, seed):
+    """(i, j) and (j, i) give the same statistic and the same argmax: the
+    numerator factor only changes sign."""
+    rng = np.random.default_rng(seed)
+    fit = shifted_fit(rng, k, p, m)
+    box = region(kind, p, rng)
+    for i, j in ComparisonFamily.pairwise(k).pairs:
+        t, x = observed_statistic(fit, (i, j), box)
+        t_rev, x_rev = observed_statistic(fit, (j, i), box)
+        assert t == t_rev
+        assert (x is None and x_rev is None) or np.array_equal(x, x_rev)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(k=st.integers(2, 3), p=st.integers(1, 2), m=st.integers(1, 3),
+       family=st.sampled_from(FAMILIES), seed=st.integers(0, 2 ** 32 - 1))
+def test_a_sample_serves_exactly_the_fits_with_its_designs(k, p, m, family, seed):
+    """The pivotal law never sees the responses: a sample serves a fit
+    with the same designs and other responses, over the sample's own
+    family and box. A fit with any design entry changed is refused."""
+    rng = np.random.default_rng(seed)
+    coef = rng.standard_normal((p + 1, m))
+    data = make_dataset(rng, [p + 6 + g for g in range(k)], [coef] * k)
+    fam, box = family_of(family, k), region("box", p, rng)
+    sample = simulate_pivot(fit_models(data), fam, box, 50, seed)
+
+    other = GroupedDataset(tuple(
+        GroupData(g.label, g.design, rng.standard_normal(g.response.shape))
+        for g in data.groups))
+    pairs = pair_comparisons(fit_models(other), sample)
+    assert tuple(pc.pair for pc in pairs) == fam.pairs
+
+    g, row = int(rng.integers(k)), int(rng.integers(data.groups[0].n))
+    groups = list(data.groups)
+    design = groups[g].design.copy()
+    design[row, 1 + int(rng.integers(p))] += 0.5
+    groups[g] = GroupData(groups[g].label, design, groups[g].response)
+    with pytest.raises(MetaMismatch):
+        pair_comparisons(fit_models(GroupedDataset(tuple(groups))), sample)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.stats as st
 
-from conftest import make_dataset
+from conftest import make_dataset, wishart_factors
 from sctubes.classical_tests import largest_root_null_sample
 from sctubes.errors import DegreesOfFreedomTooSmall, InvalidArgument
 from sctubes.model_core import fit_models
@@ -25,7 +25,7 @@ from sctubes.sup_solver import CovariateBox
 
 def chi_square_block(dof: int, key: StreamKey, count: int) -> np.ndarray:
     """Squared m = 1 Bartlett factors: chi-square(dof) variates."""
-    return wishart_factor_block(1, dof, key, count)[:, 0, 0] ** 2
+    return wishart_factor_block(1, dof, key, count)[0, 0] ** 2
 
 
 def test_normal_matrix_deterministic():
@@ -113,15 +113,15 @@ def test_wishart_m1_is_a_chi_square_draw():
     # match with a direct chi-square draw is exact.
     key = StreamKey(seed=7, replicate_index=3)
     lf = wishart_factor_block(1, 50, key, 32)
-    assert lf.shape == (32, 1, 1)
+    assert lf.shape == (1, 1, 32)
     chi = key.generator().standard_gamma(np.full(32, 25.0)) * 2.0
-    np.testing.assert_array_equal(lf[:, 0, 0], np.sqrt(chi))
+    np.testing.assert_array_equal(lf[0, 0], np.sqrt(chi))
 
 
 def test_wishart_deterministic_and_pd():
     key = StreamKey(seed=2, replicate_index=9)
-    l1 = wishart_factor_block(3, 10, key, 64)
-    l2 = wishart_factor_block(3, 10, key, 64)
+    l1 = wishart_factors(3, 10, key, 64)
+    l2 = wishart_factors(3, 10, key, 64)
     np.testing.assert_array_equal(l1, l2)
     w = l1 @ np.transpose(l1, (0, 2, 1))
     np.testing.assert_allclose(w, np.transpose(w, (0, 2, 1)))
@@ -142,7 +142,7 @@ def test_wishart_factor_matches_identity():
     # replicate), then the strict lower triangle row by row.
     key = StreamKey(seed=11, replicate_index=4)
     m, nu, count = 3, 20, 8
-    lf = wishart_factor_block(m, nu, key, count)
+    lf = wishart_factors(m, nu, key, count)
     assert np.allclose(lf, np.tril(lf))
     rng = key.generator()
     chi = np.column_stack([rng.standard_gamma((nu - i) / 2.0, count) * 2.0
@@ -159,7 +159,7 @@ def test_wishart_mean_and_trace_m2_nu244():
     # 488; off-diagonals have variance 244. 3 sigma of the mean over
     # 10^5 draws: 0.21 and 0.148. trace ~ chi-square(m nu).
     n = 100_000
-    lf = wishart_factor_block(2, 244, StreamKey(seed=4), n)
+    lf = wishart_factors(2, 244, StreamKey(seed=4), n)
     w = lf @ np.transpose(lf, (0, 2, 1))
     mean = w.mean(axis=0)
     assert abs(mean[0, 0] - 244.0) <= 0.21
@@ -181,8 +181,8 @@ def test_normal_block_prefix_property():
 
 def test_wishart_block_fixed_count_deterministic():
     key = StreamKey(seed=6, replicate_index=0)
-    a = wishart_factor_block(2, 30, key, 64)
-    b = wishart_factor_block(2, 30, key, 64)
+    a = wishart_factors(2, 30, key, 64)
+    b = wishart_factors(2, 30, key, 64)
     np.testing.assert_array_equal(a, b)
     # Every factor is lower triangular with a positive diagonal.
     assert np.allclose(a, np.tril(a))
@@ -196,7 +196,7 @@ def test_blocks_fill_a_callers_array_as_they_return_one(m):
     # triangle included, of a freshly returned block.
     key = StreamKey(seed=6, replicate_index=8192, substream=2)
     for count in (1, 3, 100):
-        buf = np.full((count, m, m), np.nan)
+        buf = np.full((m, m, count), np.nan)
         got = wishart_factor_block(m, m + 4, key, count, out=buf)
         assert got is buf
         np.testing.assert_array_equal(got, wishart_factor_block(m, m + 4, key, count))
@@ -204,8 +204,11 @@ def test_blocks_fill_a_callers_array_as_they_return_one(m):
         got = normal_block(2, m, key, count, out=buf)
         assert got is buf
         np.testing.assert_array_equal(got, normal_block(2, m, key, count))
+    # A wrong count, or the replicate-first layout, is refused.
     with pytest.raises(InvalidArgument):
-        wishart_factor_block(m, m + 4, key, 3, out=np.empty((4, m, m)))
+        wishart_factor_block(m, m + 4, key, 3, out=np.empty((m, m, 4)))
+    with pytest.raises(InvalidArgument):
+        wishart_factor_block(m, m + 4, key, 4, out=np.empty((4, m, m)))
 
 
 def test_block_draws_differ_across_substreams():
@@ -230,7 +233,7 @@ def _pinned_outputs() -> dict[str, np.ndarray]:
                             CovariateBox.interval(0.0, 10.0), 20_000, seed=7)
     return {
         "normal_block": normal_block(2, 3, key, 16),
-        "wishart_factor_block": wishart_factor_block(3, 160, key, 16),
+        "wishart_factor_block": wishart_factors(3, 160, key, 16),
         "simulate_pivot": sample.values,
         "largest_root_null_sample": largest_root_null_sample(8, 3, 40, 20_000, seed=7),
     }
@@ -239,7 +242,8 @@ def _pinned_outputs() -> dict[str, np.ndarray]:
 # sha256 of each output's little-endian bytes, per stream version. A
 # change to a generator, a key or a draw order fails here until
 # STREAM_VERSION is bumped and the new digests are pinned under it. The
-# blocks are hashed as float64. The samples also pass through BLAS and
+# blocks are hashed as float64, a Wishart factor block in its logical
+# (count, m, m) order. The samples also pass through BLAS and
 # libm, whose last bits may differ between platforms, so they are hashed
 # rounded to float32: a draw change moves every replicate far more.
 PINNED = {

@@ -23,6 +23,7 @@ from conftest import (
     interval_sup_reference,
     make_dataset,
     ratio_at,
+    wishart_factors,
     write_csv,
 )
 from sctubes.errors import (
@@ -42,7 +43,6 @@ from sctubes.rand_engine import (
 from sctubes.sct_engine import (
     _BLOCK,
     ComparisonFamily,
-    SampleMeta,
     SimulatedSample,
     _binom_ppf,
     _SimPlan,
@@ -68,9 +68,9 @@ def univariate_fit(seed=5, sizes=(20, 26), offset=0.0, noise=1.0):
 
 def fake_sample(values):
     values = np.sort(np.asarray(values, dtype=float))
-    meta = SampleMeta(family=ComparisonFamily.pairwise(2),
-                      box=CovariateBox.whole_space(1), design_digest="0" * 16)
-    return SimulatedSample(values=values, r=len(values), seed=0, meta=meta)
+    return SimulatedSample(values=values, seed=0,
+                           family=ComparisonFamily.pairwise(2),
+                           box=CovariateBox.whole_space(1), design_digest="0" * 16)
 
 
 # --- comparison families --------------------------------------------------
@@ -308,7 +308,7 @@ def test_interval_mode_matches_scalar_solver(two_group_fit):
     seed, r = 13, 16
     sample = simulate_pivot(fit, fam, CovariateBox.interval(low, high), r, seed)
 
-    lw = wishart_factor_block(fit.m, fit.nu, StreamKey(seed, 0, 0), 8192)[:r]
+    lw = wishart_factors(fit.m, fit.nu, StreamKey(seed, 0, 0), 8192)[:r]
     u1 = normal_block(fit.p + 1, fit.m, StreamKey(seed, 0, 1), 8192)[:r]
     u2 = normal_block(fit.p + 1, fit.m, StreamKey(seed, 0, 2), 8192)[:r]
     g1 = np.linalg.cholesky(fit.gram_inv[0])
@@ -334,7 +334,7 @@ def test_box_kernel_reaches_dense_grid_maxima():
     sample = simulate_pivot(fit, ComparisonFamily.pairwise(2),
                             CovariateBox(((0.0, 5.0), (1.0, 4.0))), r, seed)
 
-    lw = wishart_factor_block(fit.m, fit.nu, StreamKey(seed, 0, 0), 8192)[:r]
+    lw = wishart_factors(fit.m, fit.nu, StreamKey(seed, 0, 0), 8192)[:r]
     u1 = normal_block(fit.p + 1, fit.m, StreamKey(seed, 0, 1), 8192)[:r]
     u2 = normal_block(fit.p + 1, fit.m, StreamKey(seed, 0, 2), 8192)[:r]
     g1 = np.linalg.cholesky(fit.gram_inv[0])
@@ -363,10 +363,10 @@ def test_whiten_matches_a_generic_solve(m, rows):
     lw = wishart_factor_block(m, m + 4, StreamKey(31, 0, 0), count)
     u = normal_block(rows, m, StreamKey(31, 0, 1), count)
     out = np.full((m, rows, count), np.nan)
-    z = _whiten(lw.transpose(1, 2, 0), u, out, np.full((rows, count), np.nan))
+    z = _whiten(lw, u, out, np.full((rows, count), np.nan))
     assert z is out
     for b in range(count):
-        ref = np.linalg.solve(lw[b], u[b].T)
+        ref = np.linalg.solve(lw[..., b], u[b].T)
         np.testing.assert_allclose(z[:, :, b], ref,
                                    rtol=1e-13, atol=1e-13 * np.abs(ref).max())
 
@@ -393,7 +393,7 @@ def test_pairwise_k5_m3_kernel_matches_per_replicate_reference(box):
     seed, count = 19, 40
     got = block_values(_SimPlan(fit, fam, box), seed, count)
 
-    lw = wishart_factor_block(3, fit.nu, StreamKey(seed, 0, 0), _BLOCK)[:count]
+    lw = wishart_factors(3, fit.nu, StreamKey(seed, 0, 0), _BLOCK)[:count]
     u = [normal_block(2, 3, StreamKey(seed, 0, g + 1), _BLOCK)[:count]
          for g in range(5)]
     chol = [np.linalg.cholesky(gi) for gi in fit.gram_inv]
@@ -424,7 +424,7 @@ def test_whole_space_p2_kernel_matches_per_replicate_reference():
     seed, count = 23, 400
     got = block_values(_SimPlan(fit, fam, CovariateBox.whole_space(2)), seed, count)
 
-    lw = wishart_factor_block(2, fit.nu, StreamKey(seed, 0, 0), _BLOCK)[:count]
+    lw = wishart_factors(2, fit.nu, StreamKey(seed, 0, 0), _BLOCK)[:count]
     u = [normal_block(3, 2, StreamKey(seed, 0, g + 1), _BLOCK)[:count]
          for g in range(3)]
     chol = [np.linalg.cholesky(gi) for gi in fit.gram_inv]
@@ -684,9 +684,9 @@ def test_p_value_extremes():
     box = CovariateBox.interval(0.0, 10.0)
     sample = simulate_pivot(identical, fam, box, 2000, seed=64)
 
-    (same,) = pair_comparisons(identical, fam, box, sample)
+    (same,) = pair_comparisons(identical, sample)
     assert same.p_value == 1.0  # statistic is exactly zero, every replicate exceeds it
-    (far,) = pair_comparisons(separated, fam, box, sample)
+    (far,) = pair_comparisons(separated, sample)
     assert far.p_value == 0.0
 
 
@@ -701,7 +701,7 @@ def test_rejection_duality_is_exact():
         sample = simulate_pivot(fit, fam, box, 2000, seed=trial)
         c_hat = critical_constant(sample, alpha).c_hat
         pvals = {pc.pair: pc.p_value
-                 for pc in pair_comparisons(fit, fam, box, sample)}
+                 for pc in pair_comparisons(fit, sample)}
         for pair in fam.pairs:
             t, _ = observed_statistic(fit, pair, box)
             assert (pvals[pair] <= alpha) == (t >= c_hat)
@@ -712,13 +712,9 @@ def test_meta_mismatch_detection(two_group_fit):
     fam = ComparisonFamily.pairwise(2)
     box = CovariateBox.interval(0.0, 10.0)
     sample = simulate_pivot(fit, fam, box, 200, seed=70)
-    with pytest.raises(MetaMismatch):
-        pair_comparisons(fit, fam, CovariateBox.interval(0.0, 9.0), sample)
-    with pytest.raises(MetaMismatch):
-        pair_comparisons(fit, ComparisonFamily(pairs=[(2, 1)]), box, sample)
     other = univariate_fit()
     with pytest.raises(MetaMismatch):
-        pair_comparisons(other, fam, box, sample)
+        pair_comparisons(other, sample)
 
 
 def test_pair_comparisons_refuses_a_sample_from_another_stream_version(two_group_fit):
@@ -726,12 +722,10 @@ def test_pair_comparisons_refuses_a_sample_from_another_stream_version(two_group
     fam = ComparisonFamily.pairwise(2)
     box = CovariateBox.interval(0.0, 10.0)
     sample = simulate_pivot(fit, fam, box, 200, seed=70)
-    assert sample.meta.stream_version == STREAM_VERSION
-    old = SimulatedSample(
-        values=sample.values, r=sample.r, seed=sample.seed,
-        meta=dataclasses.replace(sample.meta, stream_version=STREAM_VERSION - 1))
+    assert sample.stream_version == STREAM_VERSION
+    old = dataclasses.replace(sample, stream_version=STREAM_VERSION - 1)
     with pytest.raises(MetaMismatch, match="stream version"):
-        pair_comparisons(fit, fam, box, old)
+        pair_comparisons(fit, old)
 
 
 def test_misuse_raises_invalid_argument(two_group_fit):
@@ -803,12 +797,9 @@ def test_compare_report_is_complete(three_group_fit):
 
     # Without a constant the same record carries no decision or regions.
     sample = simulate_pivot(fit, fam, box, 2000, seed=80)
-    bare = pair_comparisons(fit, fam, box, sample)
+    bare = pair_comparisons(fit, sample)
     for pc, full in zip(bare, report.pairs, strict=True):
         assert (pc.pair, pc.statistic, pc.p_value) \
             == (full.pair, full.statistic, full.p_value)
         np.testing.assert_array_equal(pc.argmax, full.argmax)
         assert pc.reject is None and pc.significance_regions is None
-    other = simulate_pivot(fit, fam, CovariateBox.interval(0.0, 5.0), 2000, seed=80)
-    with pytest.raises(MetaMismatch):
-        pair_comparisons(fit, fam, box, other)
