@@ -12,6 +12,7 @@ sampler draws Z'Z as a second Wishart factor instead of Z.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from .errors import NotTwoGroups
 from .model_core import FittedModels
 from .rand_engine import StreamKey, normal_block, wishart_factor_block
 from .sct_engine import _BLOCK, _replicates, _whiten, tail_p_value, tail_rank
-from .sup_solver import _TOP3_ROWS, _take, top_eigenvalue
+from .sup_solver import _scratch, top_eigenvalue
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,21 +36,41 @@ class RoyResult:
     null_dimension: int
 
 
-def _lam_max_gram(z: np.ndarray, gram: np.ndarray, work: np.ndarray) -> np.ndarray:
+def _lam_max_gram(z: np.ndarray, cache: dict) -> np.ndarray:
     """Largest eigenvalue of Z'Z (equivalently ZZ') for each replicate of
     a (rows, cols, count) stack.
 
-    Forms the smaller-side Gram matrix in the flat buffer ``gram``,
-    whose nonzero spectrum matches the other side's, and takes its top
-    eigenvalue with ``sup_solver.top_eigenvalue`` (closed forms up to
-    size 3, computed in ``work``).
+    Forms the smaller-side Gram matrix in the scratch cache's ``"gram"``
+    buffer, whose nonzero spectrum matches the other side's, and takes
+    its top eigenvalue with ``sup_solver.top_eigenvalue`` (closed forms
+    up to size 3, computed in the same cache).
     """
     rows, cols, count = z.shape
     side = min(rows, cols)
-    out = _take(gram, side, side, count)
+    out = _scratch(cache, "gram", side, side, count)
     if rows <= cols:
-        return top_eigenvalue(np.einsum("iab,jab->ijb", z, z, out=out), work)
-    return top_eigenvalue(np.einsum("aib,ajb->ijb", z, z, out=out), work)
+        return top_eigenvalue(np.einsum("iab,jab->ijb", z, z, out=out), cache)
+    return top_eigenvalue(np.einsum("aib,ajb->ijb", z, z, out=out), cache)
+
+
+def _roy_block(d: int, m: int, nu: int, seed: int, start: int, count: int,
+               out: np.ndarray, cache: dict) -> None:
+    """Write the null replicates start .. start+count-1 of
+    ``largest_root_null_sample`` into ``out``, with every per-block
+    array taken from the worker's scratch ``cache``."""
+    lw = wishart_factor_block(m, nu, StreamKey(seed, start, 0), _BLOCK,
+                              out=_scratch(cache, "lw", m, m, _BLOCK))
+    key = StreamKey(seed, start, 1)
+    if d >= m:
+        # B' stacked replicate-first, as _whiten reads U: the copy it
+        # starts from is then B itself.
+        u = wishart_factor_block(m, d, key, _BLOCK,
+                                 out=_scratch(cache, "draw", m, m, _BLOCK))
+        u = u[..., :count].transpose(2, 1, 0)
+    else:
+        u = normal_block(d, m, key, _BLOCK,
+                         out=_scratch(cache, "draw", _BLOCK, d, m))[:count]
+    out[:] = _lam_max_gram(_whiten(lw[..., :count], u, cache), cache)
 
 
 def largest_root_null_sample(d: int, m: int, nu: int, r: int, seed: int,
@@ -61,41 +82,16 @@ def largest_root_null_sample(d: int, m: int, nu: int, r: int, seed: int,
     through Z'Z, which for d >= m is Wishart with d degrees of freedom;
     so substream 1 then carries a second Bartlett factor B, Z'Z = B B',
     and the replicate is the top eigenvalue of B' W^{-1} B. For d < m it
-    carries Z itself. Draws, blocks, threads, buffers and whitening are
-    the tube engine's: fixed blocks keyed by their first replicate
-    index, full blocks always drawn into one worker's reused buffers,
-    and B (or Z') whitened by W's Bartlett factor L, since
+    carries Z itself. Draws, blocks, threads, scratch caches and
+    whitening are the tube engine's: fixed blocks keyed by their first
+    replicate index, full blocks always drawn into one worker's reused
+    buffers, and B (or Z') whitened by W's Bartlett factor L, since
     B' W^{-1} B = (L^{-1}B)'(L^{-1}B). Both Bartlett factors come from
     ``wishart_factor_block`` replicate-last, so a short block whitens
     the view of its leading replicates. ``workers`` cannot change the
     result.
     """
-    rows = m if d >= m else d
-
-    def make_block(cap: int):
-        lw = np.empty((m, m, _BLOCK))
-        draw = np.empty((m, m, _BLOCK) if d >= m else (_BLOCK, d, m))
-        z, tmp = np.empty(m * rows * cap), np.empty(rows * cap)
-        gram = np.empty(min(m, rows) ** 2 * cap)
-        closed = np.empty(_TOP3_ROWS * cap)
-
-        def block(start: int, count: int, out: np.ndarray) -> None:
-            wishart_factor_block(m, nu, StreamKey(seed, start, 0), _BLOCK, out=lw)
-            key = StreamKey(seed, start, 1)
-            if d >= m:
-                # B' stacked replicate-first, as _whiten reads U: the
-                # copy it starts from is then B itself.
-                u = wishart_factor_block(m, d, key, _BLOCK, out=draw)
-                u = u[..., :count].transpose(2, 1, 0)
-            else:
-                u = normal_block(d, m, key, _BLOCK, out=draw)[:count]
-            zv = _whiten(lw[..., :count], u, _take(z, m, rows, count),
-                         _take(tmp, rows, count))
-            out[:] = _lam_max_gram(zv, gram, closed)
-
-        return block
-
-    return _replicates(r, workers, make_block)
+    return _replicates(r, workers, partial(_roy_block, d, m, nu, seed))
 
 
 def roy_k_sample(fit: FittedModels, alpha: float, r: int, seed: int,

@@ -120,12 +120,19 @@ def items_of(values, rule: str) -> tuple:
         raise InvalidArgument(f"{rule}, got {values!r}") from None
 
 
+def _integer(value) -> int:
+    """``operator.index`` that refuses a bool too, as ``StreamKey`` does."""
+    if isinstance(value, bool):
+        raise TypeError(f"a bool is not an index: {value!r}")
+    return operator.index(value)
+
+
 def index_of(value, name: str) -> int:
-    """``value`` through ``operator.index``: the one reading of a 1-based
-    group or response index. A value that is not an integer (a float, a
-    string) raises ``InvalidArgument``."""
+    """``value`` through ``_integer``: the one reading of a 1-based group,
+    response or control index. A value that is not an integer (a bool,
+    a float, a string) raises ``InvalidArgument``."""
     try:
-        return operator.index(value)
+        return _integer(value)
     except TypeError:
         raise InvalidArgument(f"{name} must be an integer, got {value!r}") from None
 
@@ -145,5 +152,5 @@ def pair_of(values, convert, rule: str, error=InvalidArgument) -> tuple:
 
 def group_pair(values) -> tuple[int, int]:
     """``values`` read by ``pair_of`` as two integer group indices (i, j)."""
-    return pair_of(values, operator.index,
+    return pair_of(values, _integer,
                    "a pair must be two integer group indices (i, j)")

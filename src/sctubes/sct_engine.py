@@ -29,19 +29,20 @@ more free coordinates, whose top eigenvectors come from one batched
 eigendecomposition. Per-replicate arrays keep the replicate index last,
 so each matrix entry is one contiguous vector; the Wishart factors are
 drawn that way (``rand_engine.wishart_factor_block``). Roy's null
-sampler in ``classical_tests`` uses the same whitening, buffers and
-block driver.
+sampler in ``classical_tests`` uses the same whitening, scratch cache
+and block driver.
 
-Each worker computes all its blocks in one set of buffers sized for a
-full block (``_tube_block``): the Wishart factors and normal draws, a
-whitened stack, each used group's mapped stack, the pair factor, and
-the face solver's workspace; a block's values go straight into the
-result.
-Fresh arrays per block were handed back to the OS as each block freed
-them and faulted in again by the next: a first call of 2x10^5
-whole-space replicates (k = 5, m = 3) took about 21,000 minor page
-faults, and takes about 1,600 with the buffers, whatever was allocated
-before it.
+Each worker keeps one scratch cache, a dict of flat buffers from which
+every kernel function takes its per-block arrays by name where it uses
+them (``sup_solver._scratch``): the Wishart factors and normal draws,
+the whitened stack, each used group's mapped stack, the pair factor,
+and the face solver's folded factors, Grams and face entries. A
+worker's first block sizes them and its later blocks reuse them; a
+block's values go straight into the result. Fresh arrays per block were
+handed back to the OS as each block freed them and faulted in again by
+the next: a first call of 2x10^5 whole-space replicates (k = 5, m = 3)
+took about 21,000 minor page faults, and takes about 1,500 with the
+cache, whatever was allocated before it.
 
 Replicate j's draws are a pure function of (seed, j); so is its value,
 except in the last bits: BLAS may pick another kernel for a block of
@@ -67,10 +68,10 @@ import numpy as np
 
 from . import tube_geometry
 from .errors import (EmptyFamily, InvalidArgument, MetaMismatch, TooFewReplicates,
-                     group_pair, items_of)
+                     group_pair, index_of, items_of)
 from .model_core import FittedModels
 from .rand_engine import STREAM_VERSION, StreamKey, normal_block, wishart_factor_block
-from .sup_solver import CovariateBox, FacePlan, _take
+from .sup_solver import CovariateBox, FacePlan, _scratch
 
 _BLOCK = 8192
 
@@ -113,6 +114,7 @@ class ComparisonFamily:
     @classmethod
     def vs_control(cls, k: int, control: int) -> "ComparisonFamily":
         """Each non-control group against the control group."""
+        control = index_of(control, "control index")
         if not 1 <= control <= k:
             raise InvalidArgument(f"control index {control} outside 1..{k}")
         pairs = tuple((i, control) for i in range(1, k + 1) if i != control)
@@ -239,70 +241,68 @@ class _SimPlan:
                            for i, j in family.pairs]
 
 
-def _whiten(lw: np.ndarray, u: np.ndarray, out: np.ndarray,
-            tmp: np.ndarray) -> np.ndarray:
-    """Write Z = L^{-1} U' for each replicate into ``out``, laid out
-    (m, rows, count), and return it.
+def _whiten(lw: np.ndarray, u: np.ndarray, cache: dict) -> np.ndarray:
+    """Z = L^{-1} U' for each replicate, laid out (m, rows, count), in
+    the scratch cache's ``"whitened"`` buffer.
 
     ``lw`` stacks lower-triangular factors replicate-last, as an
     (m, m, count) array such as the leading ``count`` replicates of a
     Wishart factor block, so each factor entry is one contiguous vector.
-    ``u`` stacks the matrices as (count, rows, m), and ``tmp`` is
-    (rows, count) scratch. Forward substitution runs over the m rows of
-    L; each step is vector arithmetic over the block.
+    ``u`` stacks the matrices as (count, rows, m). Forward substitution
+    runs over the m rows of L; each step is vector arithmetic over the
+    block, with one (rows, count) product in ``"whiten_tmp"``.
     """
-    np.copyto(out, u.transpose(2, 1, 0))
-    for k in range(lw.shape[0]):
+    count, rows, m = u.shape
+    z = _scratch(cache, "whitened", m, rows, count)
+    tmp = _scratch(cache, "whiten_tmp", rows, count)
+    np.copyto(z, u.transpose(2, 1, 0))
+    for k in range(m):
         for col in range(k):
-            out[k] -= np.multiply(out[col], lw[k, col], out=tmp)
-        out[k] /= lw[k, k]
-    return out
+            z[k] -= np.multiply(z[col], lw[k, col], out=tmp)
+        z[k] /= lw[k, k]
+    return z
 
 
-def _tube_block(plan: _SimPlan, seed: int, cap: int):
-    """A block function with its own buffers, for blocks of up to
-    ``cap`` replicates: ``block(start, count, out)`` writes the pivotal
-    statistic of replicates start .. start+count-1 into ``out``.
+def _tube_block(plan: _SimPlan, seed: int, start: int, count: int,
+                out: np.ndarray, cache: dict) -> None:
+    """Write the pivotal statistic of replicates start .. start+count-1
+    into ``out``, with every per-block array taken from the worker's
+    scratch ``cache``.
 
-    The buffers hold one full block's Wishart factors and normal draws
-    (full fixed-size blocks are always drawn and then sliced, so a
-    replicate's draws never depend on r or on scheduling), a whitened
-    stack, each used group's mapped stack, the pair factor, and the face
-    solver's workspace. Every block of the worker reuses them.
+    The Wishart factors and normal draws fill buffers for one full
+    block (full fixed-size blocks are always drawn and then sliced, so a
+    replicate's draws never depend on r or on scheduling). The whitened
+    stack is shared by the groups, each used group keeps its mapped
+    stack under ``("mapped", g)``, and the pairs share the pair factor
+    and the face solver's buffers.
     """
-    m, n, nu = plan.m, plan.p + 1, plan.nu
-    lw, u = np.empty((m, m, _BLOCK)), np.empty((_BLOCK, n, m))
-    z, pair = np.empty(m * n * cap), np.empty(m * n * cap)
-    mapped = {g: np.empty(m * n * cap) for g in plan.gfac}
-    work = plan.pair_faces[0][2].workspace(m, cap)
-
-    def block(start: int, count: int, out: np.ndarray) -> None:
-        wishart_factor_block(m, nu, StreamKey(seed, start, 0), _BLOCK, out=lw)
-        zv, w = _take(z, m, n, count), _take(pair, m, n, count)
-        v = {}
-        for g, buf in mapped.items():
-            normal_block(n, m, StreamKey(seed, start, g + 1), _BLOCK, out=u)
-            _whiten(lw[..., :count], u[:count], zv, w[0])
-            # G_g Z_g, the group's share of every pair factor it enters.
-            v[g] = np.matmul(plan.gfac[g], zv, out=_take(buf, m, n, count))
-        out.fill(-np.inf)
-        for i, j, faces in plan.pair_faces:
-            # L_W^{-1}(G_i U_i - G_j U_j)' = Z_i G_i' - Z_j G_j', as (m, p+1, count).
-            faces.sup(np.subtract(v[i], v[j], out=w), work, out)
-
-    return block
+    m, n = plan.m, plan.p + 1
+    lw = wishart_factor_block(m, plan.nu, StreamKey(seed, start, 0), _BLOCK,
+                              out=_scratch(cache, "lw", m, m, _BLOCK))
+    u = _scratch(cache, "u", _BLOCK, n, m)
+    v = {}
+    for g, gfac in plan.gfac.items():
+        normal_block(n, m, StreamKey(seed, start, g + 1), _BLOCK, out=u)
+        # G_g Z_g, the group's share of every pair factor it enters.
+        v[g] = np.matmul(gfac, _whiten(lw[..., :count], u[:count], cache),
+                         out=_scratch(cache, ("mapped", g), m, n, count))
+    out.fill(-np.inf)
+    w = _scratch(cache, "pair", m, n, count)
+    for i, j, faces in plan.pair_faces:
+        # L_W^{-1}(G_i U_i - G_j U_j)' = Z_i G_i' - Z_j G_j', as (m, p+1, count).
+        faces.sup(np.subtract(v[i], v[j], out=w), cache, out)
 
 
-def _replicates(r: int, workers: int, make_block) -> np.ndarray:
+def _replicates(r: int, workers: int, block) -> np.ndarray:
     """Sorted values of replicates 0 .. r-1, computed block by block.
 
-    ``make_block(cap)`` returns a block function with its own buffers,
-    sized for blocks of up to ``cap`` replicates: ``block(start, count,
-    out)`` writes the values of replicates start .. start+count-1 into
-    ``out``, a view of the result. ``start`` is a multiple of the fixed
-    block size, so a block's draws are keyed by its first index. Each
-    worker thread builds one block function, so threads never share a
-    buffer, and runs every ``workers``-th block. Blocks are written back
+    ``block(start, count, out, cache)`` writes the values of replicates
+    start .. start+count-1 into ``out``, a view of the result, taking
+    its buffers from ``cache`` (see ``sup_solver._scratch``). ``start``
+    is a multiple of the fixed block size, so a block's draws are keyed
+    by its first index. Each worker thread makes one cache, so threads
+    never share a buffer and a worker's blocks reuse the buffers of its
+    first, and runs every ``workers``-th block. Blocks are written back
     by position, so ``workers`` cannot change the result.
     """
     if r < 1:
@@ -313,10 +313,10 @@ def _replicates(r: int, workers: int, make_block) -> np.ndarray:
     starts = range(0, r, _BLOCK)
 
     def run(mine: range) -> None:
-        block = make_block(min(_BLOCK, r))
+        cache = {}
         for start in mine:
             count = min(_BLOCK, r - start)
-            block(start, count, values[start:start + count])
+            block(start, count, values[start:start + count], cache)
 
     threads = min(workers, len(starts))
     if threads == 1:

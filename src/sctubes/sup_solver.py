@@ -33,10 +33,11 @@ forming W'W first and reducing it afterwards gave relative errors up to
 10^6 and a box 10^-2 wide.
 
 The batched ``FacePlan.sup`` allocates none of its large arrays: the
-folded factors, their Grams and the face entries go into a caller's
-``workspace``, reused block after block, and each face's values are
-folded into the caller's running maximum. Only the closed forms' and
-LAPACK's per-face temporaries are fresh.
+folded factors, their Grams, the face entries and the 3 x 3 closed
+form's scratch come from the caller's scratch cache (``_scratch``),
+reused block after block, and each face's values are folded into the
+caller's running maximum. Only the eigenvector faces' and LAPACK's
+temporaries are fresh.
 """
 
 from __future__ import annotations
@@ -57,15 +58,24 @@ _TIE_RTOL = 1e-12
 # relative of LAPACK for top gaps from 1e-1 down to 0, and under 1% of
 # Wishart Grams are recomputed.
 _NEAR_DOUBLE_TOP = 1e-2
-# Vectors of scratch per replicate for the 3 x 3 form of ``top_eigenvalue``.
-_TOP3_ROWS = 13
 
 
-def _take(buf: np.ndarray, *shape: int) -> np.ndarray:
-    """The leading entries of the flat buffer ``buf`` as a C-ordered
-    array of ``shape``: a short block's arrays are contiguous prefixes
-    of the full block's buffers, laid out as fresh arrays would be."""
-    return buf[:math.prod(shape)].reshape(shape)
+def _scratch(cache: dict, key, *shape: int) -> np.ndarray:
+    """A C-ordered array of ``shape`` over the leading entries of the
+    flat buffer ``cache[key]``, which is allocated only when it is
+    missing or too small.
+
+    One worker's kernel functions take every per-block array from one
+    such dict, each role under its own key, so a worker's blocks reuse
+    the same memory and a short block's arrays are contiguous prefixes
+    of the full block's, laid out as fresh arrays would be. Arrays that
+    must be live at the same time never share a key.
+    """
+    size = math.prod(shape)
+    buf = cache.get(key)
+    if buf is None or buf.size < size:
+        buf = cache[key] = np.empty(size)
+    return buf[:size].reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -143,7 +153,7 @@ def _top_2x2(a, b, c, vector: bool):
     return lam, y
 
 
-def top_eigenvalue(s: np.ndarray, work: np.ndarray) -> np.ndarray:
+def top_eigenvalue(s: np.ndarray, cache: dict) -> np.ndarray:
     """Largest eigenvalue of each symmetric matrix in an (n, n, count)
     stack, replicate index last.
 
@@ -156,11 +166,10 @@ def top_eigenvalue(s: np.ndarray, work: np.ndarray) -> np.ndarray:
     recomputed by LAPACK. Larger sizes use LAPACK throughout. Only the
     upper triangle is read.
 
-    The size-3 form computes in the flat buffer ``work`` (at least
-    ``_TOP3_ROWS * count`` entries) and returns a view of it: its
-    thirteen vectors per block would otherwise be fresh arrays, which
-    the allocator hands back to the OS and faults in again on every
-    block.
+    The size-3 form computes in the scratch cache's ``"top3"`` buffer
+    and returns a view of it: its thirteen vectors per block would
+    otherwise be fresh arrays, which the allocator hands back to the OS
+    and faults in again on every block.
     """
     n = s.shape[0]
     if n == 1:
@@ -170,8 +179,8 @@ def top_eigenvalue(s: np.ndarray, work: np.ndarray) -> np.ndarray:
     if n > 3:
         return np.linalg.eigvalsh(s.transpose(2, 0, 1), UPLO="U")[:, -1]
     a00, a11, a22, a01, a02, a12 = s[0, 0], s[1, 1], s[2, 2], s[0, 1], s[0, 2], s[1, 2]
-    q, p, inv, b00, b11, b22, b01, b02, b12, r, t, x, lam = _take(
-        work, _TOP3_ROWS, s.shape[2])
+    q, p, inv, b00, b11, b22, b01, b02, b12, r, t, x, lam = _scratch(
+        cache, "top3", 13, s.shape[2])
     # q = (a00 + a11 + a22) / 3, and b = A - qI on the diagonal for now.
     np.add(a00, a11, out=q)
     q += a22
@@ -294,35 +303,25 @@ class FacePlan:
             start += n
         self._coef = np.vstack(blocks)
 
-    def workspace(self, m: int, count: int) -> tuple[np.ndarray, ...]:
-        """Flat buffers for ``sup`` on stacks of up to ``count`` factors
-        of m rows: the folded factors, their Grams, the face entries and
-        ``top_eigenvalue``'s scratch. Plans over boxes with the same
-        faces can share one."""
-        n = self._linv.shape[0]
-        return (np.empty(m * n * count), np.empty(n * n * count),
-                np.empty(self._coef.shape[0] * count),
-                np.empty(_TOP3_ROWS * count))
-
-    def _candidates(self, factors: np.ndarray, vectors: bool, work):
+    def _candidates(self, factors: np.ndarray, vectors: bool, cache: dict):
         """Per face: its candidate values (-inf where it has none) and
         its top vectors w in face coordinates, for an (m, p+1, count)
-        stack of numerator factors, computed in the buffers ``work``
-        (see ``workspace``). w is None for vertices, and for the
-        unchecked whole-space face unless ``vectors`` asks."""
+        stack of numerator factors, computed in the scratch ``cache``.
+        w is None for vertices, and for the unchecked whole-space face
+        unless ``vectors`` asks."""
         m, n, count = factors.shape
-        fold, gram, entries, closed = work
         # Row k of V = W L^{-T} is L^{-1} times row k of W.
-        folded = np.matmul(self._linv, factors, out=_take(fold, m, n, count))
+        folded = np.matmul(self._linv, factors,
+                           out=_scratch(cache, "fold", m, n, count))
         gram = np.einsum("kib,kjb->ijb", folded, folded,
-                         out=_take(gram, n, n, count))
+                         out=_scratch(cache, "gram", n, n, count))
         entries = np.matmul(self._coef, gram.reshape(n * n, count),
-                            out=_take(entries, self._coef.shape[0], count))
+                            out=_scratch(cache, "entries", self._coef.shape[0], count))
         for face in self.faces:
             rows = entries[face.rows]
             size = face.size
             if size == 1 or not (vectors or self._checked):
-                yield face, top_eigenvalue(rows.reshape(size, size, count), closed), None
+                yield face, top_eigenvalue(rows.reshape(size, size, count), cache), None
                 continue
             if size == 2:
                 lam, y = _top_2x2(rows[0], rows[1], rows[3], vector=True)
@@ -337,16 +336,17 @@ class FacePlan:
                 lam = np.where(inside, lam, -np.inf)
             yield face, lam, w
 
-    def sup(self, factors: np.ndarray, work, out: np.ndarray) -> None:
+    def sup(self, factors: np.ndarray, cache: dict, out: np.ndarray) -> None:
         """Fold the supremum for each numerator factor in an
         (m, p+1, count) stack into the running maximum ``out`` (count).
 
         The replicate index runs last so that each matrix entry is one
-        contiguous vector. ``work`` is a ``workspace`` for at least
-        ``count`` factors; it holds the folded factors, their Grams and
-        the face entries, so one worker's blocks reuse the same memory.
+        contiguous vector. The folded factors, their Grams, the face
+        entries and the 3 x 3 closed form's scratch come from the scratch
+        ``cache`` (see ``_scratch``), so one worker's blocks, and the
+        pairs within a block, reuse the same memory.
         """
-        for _, lam, _ in self._candidates(factors, False, work):
+        for _, lam, _ in self._candidates(factors, False, cache):
             np.maximum(out, lam, out=out)
 
     def sup_with_argmax(self, factor: np.ndarray) -> tuple[float, np.ndarray | None]:
@@ -358,10 +358,8 @@ class FacePlan:
         the top eigenvector has a zero intercept coordinate, in which
         case the supremum is a limit along a direction, not a point.
         """
-        work = self.workspace(len(factor), 1)
         cands = [(float(lam[0]), face, None if w is None else w[0])
-                 for face, lam, w in self._candidates(factor[:, :, None],
-                                                      True, work)]
+                 for face, lam, w in self._candidates(factor[:, :, None], True, {})]
         best = max(value for value, _, _ in cands)
         for value, face, w in cands:
             if value >= best - _TIE_RTOL * abs(best):

@@ -35,7 +35,7 @@ class TubeCrossSection:
     radius_sq: float
 
     def mahalanobis_sq(self, z) -> float:
-        d = np.asarray(z, dtype=float) - self.center
+        d = _finite_numbers(z, self.center.size, "response point") - self.center
         return float(d @ np.linalg.solve(self.shape, d))
 
     def contains(self, z) -> bool:
@@ -63,6 +63,18 @@ def _check_constant(c: float) -> None:
         raise InvalidArgument(f"critical constant must be finite and >= 0, got {c}")
 
 
+def _finite_numbers(value, n: int, name: str) -> np.ndarray:
+    """``value`` as a vector of n finite numbers (a scalar counts as one),
+    or ``InvalidArgument``."""
+    try:
+        vec = np.atleast_1d(np.asarray(value, dtype=float))
+    except (TypeError, ValueError):
+        vec = None
+    if vec is None or vec.shape != (n,) or not np.isfinite(vec).all():
+        raise InvalidArgument(f"{name} must be {n} finite numbers, got {value!r}")
+    return vec
+
+
 def _check_response(q: int, m: int) -> int:
     q = index_of(q, "response index")
     if not 1 <= q <= m:
@@ -77,13 +89,7 @@ def cross_section(fit: FittedModels, pair: tuple[int, int], c: float,
     _check_constant(c)
     pair = group_pair(pair)
     delta, db = fit.delta(*pair), fit.coef_difference(*pair)
-    try:
-        point = np.atleast_1d(np.asarray(x, dtype=float))
-    except (TypeError, ValueError):
-        point = None
-    if point is None or point.shape != (fit.p,) or not np.isfinite(point).all():
-        raise InvalidArgument(f"point must be {fit.p} finite numbers, got {x!r}")
-    e = np.concatenate(([1.0], point))
+    e = np.concatenate(([1.0], _finite_numbers(x, fit.p, "point")))
     return TubeCrossSection(
         x=e[1:].copy(),
         center=e @ db,

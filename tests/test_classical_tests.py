@@ -27,7 +27,7 @@ from sctubes.sct_engine import (
     observed_statistic,
     simulate_pivot,
 )
-from sctubes.sup_solver import _TOP3_ROWS, CovariateBox
+from sctubes.sup_solver import CovariateBox
 
 
 def random_two_group_fit(rng, p=1, m=2):
@@ -170,10 +170,10 @@ def test_lam_max_gram_resolves_nearly_equal_roots():
     # Z Z' = [[1, 1e-9], [1e-9, 1]] exactly; its roots are 1 +- 1e-9. The
     # trace/determinant form tr^2 - 4 det cancels to 0 here and returns 1.
     z = np.array([[1.0, 0.0], [1e-9, 1.0]])[:, :, None]
-    top = _lam_max_gram(z, np.empty(4), np.empty(_TOP3_ROWS))
+    top = _lam_max_gram(z, {})
     np.testing.assert_allclose(top, [1.000000001], rtol=1e-15)
     np.testing.assert_allclose(
-        _lam_max_gram(z.transpose(1, 0, 2), np.empty(4), np.empty(_TOP3_ROWS)),
+        _lam_max_gram(z.transpose(1, 0, 2), {}),
         top, rtol=1e-15)
 
 

@@ -563,6 +563,14 @@ def nan_constant_comparison():
     lambda: sct_engine.observed_statistic(small_fit(), 5, CovariateBox.interval(0, 1)),
     lambda: cross_section(small_fit(), (1, 2), 0.1, None),
     lambda: cross_section(small_fit(), (1, 2), 0.1, math.inf),
+    lambda: sct_engine.ComparisonFamily(pairs=[(True, 2)]),
+    lambda: sct_engine.ComparisonFamily.vs_control(3, True),
+    lambda: small_fit().coef_difference(True, 2),
+    lambda: cross_section(small_fit(), (1, 2), 0.1, 1.0).coordinate_interval(True),
+    lambda: cross_section(small_fit(), (1, 2), 0.1, 1.0).contains([1.0, 2.0]),
+    lambda: cross_section(small_fit(), (1, 2), 0.1, 1.0).contains("x"),
+    lambda: cross_section(small_fit(), (1, 2), 0.1, 1.0).contains([[1.0]]),
+    lambda: cross_section(small_fit(), (1, 2), 0.1, 1.0).contains([math.nan]),
 ])
 def test_argument_checks_raise_typed_usage_errors(check):
     # Typed for the exit code, and still a ValueError for library callers.

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_dataset
-from sctubes.classical_tests import largest_root_null_sample
+from sctubes.classical_tests import largest_root_null_sample, roy_k_sample
 from sctubes.errors import MetaMismatch
 from sctubes.model_core import GroupData, GroupedDataset, fit_models
 from sctubes.sct_engine import (
@@ -44,11 +44,14 @@ def region(kind: str, p: int, rng) -> CovariateBox:
 
 def batched_sup(plan: FacePlan, factors: np.ndarray) -> np.ndarray:
     """``FacePlan.sup`` of a stack, from a running maximum of -inf, in a
-    workspace that holds NaN beforehand, as a reused buffer may."""
-    m, _, count = factors.shape
-    work = tuple(np.full_like(buf, np.nan) for buf in plan.workspace(m, count))
-    out = np.full(count, -np.inf)
-    plan.sup(factors, work, out)
+    scratch cache that holds NaN beforehand, as a reused buffer may: a
+    first call fills the cache, which is then overwritten with NaN."""
+    cache, out = {}, np.full(factors.shape[2], -np.inf)
+    plan.sup(factors, cache, out)
+    for buf in cache.values():
+        buf.fill(np.nan)
+    out.fill(-np.inf)
+    plan.sup(factors, cache, out)
     return out
 
 
@@ -133,13 +136,17 @@ def family_of(kind: str, k: int) -> ComparisonFamily:
     return getattr(ComparisonFamily, kind)(k)
 
 
-def shifted_fit(rng, k: int, p: int, m: int):
-    """A fit whose groups differ by random shifts, so that some pairs
-    reject and some do not."""
+def shifted_data(rng, k: int, p: int, m: int) -> GroupedDataset:
+    """Groups that differ by random shifts, so that some pairs reject
+    and some do not."""
     coef = rng.standard_normal((p + 1, m))
     coefs = [coef + rng.uniform(0.0, 1.5) * rng.standard_normal((p + 1, m))
              for _ in range(k)]
-    return fit_models(make_dataset(rng, [p + 6 + 2 * g for g in range(k)], coefs))
+    return make_dataset(rng, [p + 6 + 2 * g for g in range(k)], coefs)
+
+
+def shifted_fit(rng, k: int, p: int, m: int):
+    return fit_models(shifted_data(rng, k, p, m))
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -200,3 +207,87 @@ def test_a_sample_serves_exactly_the_fits_with_its_designs(k, p, m, family, seed
     groups[g] = GroupData(groups[g].label, design, groups[g].response)
     with pytest.raises(MetaMismatch):
         pair_comparisons(fit_models(GroupedDataset(tuple(groups))), sample)
+
+
+def sub_box(box: CovariateBox, rng) -> CovariateBox:
+    """A random box inside ``box``: each coordinate of a finite box
+    shrinks, some to a point; the whole space gives a random finite
+    region."""
+    if box.is_whole_space:
+        return region(str(rng.choice(("point", "interval", "box"))), box.p, rng)
+    bounds = []
+    for lo, hi in box.bounds:
+        a, b = np.sort(rng.uniform(lo, hi, size=2))
+        bounds.append((a, a) if rng.random() < 0.3 else (a, b))
+    return CovariateBox(tuple(bounds))
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(k=st.integers(2, 4), p=st.integers(1, 3), m=st.integers(1, 3),
+       kind=st.sampled_from(("interval", "box", "whole")),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_a_sub_box_gives_a_sample_no_larger(k, p, m, kind, seed):
+    """Under one seed each replicate's supremum over a sub-box is at most
+    its supremum over the box, so the sorted samples are ordered
+    elementwise. The two boxes' faces are reduced apart, so the order
+    holds to rounding."""
+    rng = np.random.default_rng(seed)
+    fit, family = shifted_fit(rng, k, p, m), ComparisonFamily.pairwise(k)
+    box = region(kind, p, rng)
+    small = simulate_pivot(fit, family, sub_box(box, rng), 300, seed).values
+    big = simulate_pivot(fit, family, box, 300, seed).values
+    assert np.all(small <= big * (1.0 + 1e-12))
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(k=st.integers(2, 4), p=st.integers(1, 3), m=st.integers(1, 3),
+       kind=st.sampled_from(REGIONS), seed=st.integers(0, 2 ** 32 - 1))
+def test_a_subfamily_gives_a_sample_no_larger(k, p, m, kind, seed):
+    """Under one seed a pair's value in a replicate does not depend on
+    the other pairs of the family, so dropping pairs can only lower each
+    replicate's maximum, and the sorted samples are ordered elementwise,
+    exactly."""
+    rng = np.random.default_rng(seed)
+    fit, box = shifted_fit(rng, k, p, m), region(kind, p, rng)
+    family = ComparisonFamily.pairwise(k)
+    keep = rng.random(len(family.pairs)) < 0.5
+    keep[rng.integers(len(keep))] = True
+    subfamily = ComparisonFamily(pairs=[ij for ij, kept in zip(family.pairs, keep) if kept])
+    small = simulate_pivot(fit, subfamily, box, 300, seed).values
+    big = simulate_pivot(fit, family, box, 300, seed).values
+    assert np.all(small <= big)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(k=st.integers(2, 4), p=st.integers(1, 3), m=st.integers(1, 3),
+       kind=st.sampled_from(REGIONS), seed=st.integers(0, 2 ** 32 - 1))
+def test_observed_statistics_ignore_group_order(k, p, m, kind, seed):
+    """Listing the groups in another order leaves every pair's statistic
+    and argmax the same, once the pair's indices follow its groups. The
+    pooled scatter is summed in the new order, so agreement is to
+    rounding."""
+    rng = np.random.default_rng(seed)
+    data, box = shifted_data(rng, k, p, m), region(kind, p, rng)
+    order = rng.permutation(k)
+    moved = fit_models(GroupedDataset(tuple(data.groups[g] for g in order)))
+    position = np.argsort(order) + 1
+    fit = fit_models(data)
+    for i, j in ComparisonFamily.pairwise(k).pairs:
+        t, x = observed_statistic(fit, (i, j), box)
+        t_moved, x_moved = observed_statistic(
+            moved, (int(position[i - 1]), int(position[j - 1])), box)
+        assert t_moved == pytest.approx(t, rel=1e-10)
+        assert (x is None and x_moved is None) or np.allclose(x_moved, x,
+                                                              rtol=1e-7, atol=1e-7)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(p=st.integers(1, 3), m=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_roy_statistic_is_the_whole_space_tube_statistic_for_two_groups(p, m, seed):
+    """For two groups the largest root of the hypothesis scatter against
+    the pooled scatter is the whole-space supremum of the tube
+    statistic."""
+    rng = np.random.default_rng(seed)
+    fit = shifted_fit(rng, 2, p, m)
+    t, _ = observed_statistic(fit, (1, 2), CovariateBox.whole_space(p))
+    assert roy_k_sample(fit, 0.05, 200, seed).statistic == pytest.approx(t, rel=1e-12)

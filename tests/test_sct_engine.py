@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from conftest import (
     wishart_factors,
     write_csv,
 )
+from sctubes.classical_tests import _roy_block
 from sctubes.errors import (
     DegenerateScatter,
     EmptyFamily,
@@ -273,7 +275,7 @@ FAULT_PROBE = textwrap.dedent("""
 @pytest.mark.parametrize("kernel, budget", [
     ("whole", 5_000), ("interval", 10_000), ("roy", 5_000)])
 def test_first_kernel_call_stays_within_its_fault_budget(kernel, budget):
-    """Each worker draws and computes every block in one set of buffers,
+    """Each worker draws and computes every block in one scratch cache,
     so a first call faults in its buffers and its result once instead of
     every block's arrays, whatever ran before it. Kernels: whole space,
     k = 5, m = 3, 2x10^5 replicates; an interval, k = 3, m = 2, 10^6
@@ -362,9 +364,10 @@ def test_whiten_matches_a_generic_solve(m, rows):
     count = 500
     lw = wishart_factor_block(m, m + 4, StreamKey(31, 0, 0), count)
     u = normal_block(rows, m, StreamKey(31, 0, 1), count)
-    out = np.full((m, rows, count), np.nan)
-    z = _whiten(lw, u, out, np.full((rows, count), np.nan))
-    assert z is out
+    cache = {"whitened": np.full(m * rows * count, np.nan),
+             "whiten_tmp": np.full(rows * count, np.nan)}
+    z = _whiten(lw, u, cache)
+    assert np.shares_memory(z, cache["whitened"])
     for b in range(count):
         ref = np.linalg.solve(lw[..., b], u[b].T)
         np.testing.assert_allclose(z[:, :, b], ref,
@@ -374,8 +377,33 @@ def test_whiten_matches_a_generic_solve(m, rows):
 def block_values(plan, seed, count):
     """Replicates 0 .. count-1 of the first block, in replicate order."""
     got = np.empty(count)
-    _tube_block(plan, seed, count)(0, count, got)
+    _tube_block(plan, seed, 0, count, got, {})
     return got
+
+
+def test_one_scratch_cache_serves_every_block_of_a_worker():
+    """A worker's cache is filled by its first block and reused as it
+    stands: the same keys and buffers serve full and short blocks alike,
+    and buffers overwritten with NaN between blocks change no value, so
+    no stale entry reaches a result. Kernels: the tube on an interval
+    (k = 3, m = 2) and Roy's null sample (d = 8, m = 3)."""
+    rng = np.random.default_rng(61)
+    coef = rng.standard_normal((2, 2))
+    fit = fit_models(make_dataset(rng, (10, 12, 14), [coef] * 3))
+    plan = _SimPlan(fit, ComparisonFamily.pairwise(3), CovariateBox.interval(1.0, 8.0))
+    for block in (partial(_tube_block, plan, 5), partial(_roy_block, 8, 3, 40, 5)):
+        cache, first = {}, None
+        for start, count in ((0, _BLOCK), (_BLOCK, _BLOCK), (2 * _BLOCK, 300)):
+            got, fresh = np.empty(count), np.empty(count)
+            block(start, count, got, cache)
+            block(start, count, fresh, {})
+            assert np.array_equal(got, fresh)
+            if first is None:
+                first = dict(cache)
+            assert cache.keys() == first.keys()
+            assert all(np.shares_memory(cache[key], buf) for key, buf in first.items())
+            for buf in cache.values():
+                buf.fill(np.nan)
 
 
 @pytest.mark.parametrize("box", [CovariateBox.whole_space(1),

@@ -298,9 +298,13 @@ def lapack_top(mats):
 
 def stacked_top(mats):
     """``sup_solver.top_eigenvalue`` on the replicate-last layout, with
-    scratch that holds NaN beforehand, as a reused buffer may."""
-    work = np.full(sup_solver._TOP3_ROWS * len(mats), np.nan)
-    return sup_solver.top_eigenvalue(np.ascontiguousarray(mats.transpose(1, 2, 0)), work)
+    scratch that holds NaN beforehand, as a reused buffer may: a first
+    call fills the cache, which is then overwritten with NaN."""
+    stack, cache = np.ascontiguousarray(mats.transpose(1, 2, 0)), {}
+    sup_solver.top_eigenvalue(stack, cache)
+    for buf in cache.values():
+        buf.fill(np.nan)
+    return sup_solver.top_eigenvalue(stack, cache)
 
 
 def with_spectrum(rng, spectra):
