@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -303,18 +304,25 @@ def _replicates(r: int, workers: int, block) -> np.ndarray:
     by its first index. Each worker thread makes one cache, so threads
     never share a buffer and a worker's blocks reuse the buffers of its
     first, and runs every ``workers``-th block. Blocks are written back
-    by position, so ``workers`` cannot change the result.
+    by position, so ``workers`` cannot change the result. Workers check
+    one stop event before each block, and it is set when the main
+    thread leaves the pool for any reason, so an interrupt or a failed
+    block stops every worker within one block.
     """
+    r, workers = index_of(r, "replicate count"), index_of(workers, "worker count")
     if r < 1:
         raise TooFewReplicates(f"need at least one replicate, got {r}")
     if workers < 1:
         raise InvalidArgument(f"workers must be positive, got {workers}")
     values = np.empty(r)
     starts = range(0, r, _BLOCK)
+    stop = threading.Event()
 
     def run(mine: range) -> None:
         cache = {}
         for start in mine:
+            if stop.is_set():
+                return
             count = min(_BLOCK, r - start)
             block(start, count, values[start:start + count], cache)
 
@@ -323,7 +331,10 @@ def _replicates(r: int, workers: int, block) -> np.ndarray:
         run(starts)
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, [starts[w::threads] for w in range(threads)]))
+            try:
+                list(pool.map(run, [starts[w::threads] for w in range(threads)]))
+            finally:
+                stop.set()
     values.sort()
     return values
 

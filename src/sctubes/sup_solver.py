@@ -36,8 +36,11 @@ The batched ``FacePlan.sup`` allocates none of its large arrays: the
 folded factors, their Grams, the face entries and the 3 x 3 closed
 form's scratch come from the caller's scratch cache (``_scratch``),
 reused block after block, and each face's values are folded into the
-caller's running maximum. Only the eigenvector faces' and LAPACK's
-temporaries are fresh.
+caller's running maximum. The face entries are formed one face at a
+time, each face from its own kron(Q, Q)' block, in one buffer of at
+most (p+1)^2 rows per replicate, so the cache does not grow with the
+3^p faces. Only the eigenvector faces' and LAPACK's temporaries are
+fresh.
 """
 
 from __future__ import annotations
@@ -241,21 +244,17 @@ class _Face:
 
     With f = L'e (D = LL') and the face written as f = Q y with Q'Q = I,
     R on the face is y'(Q'A'Q)y / y'y for the folded numerator
-    A' = L^{-1} A L^{-T}. ``rows`` locates the entries of Q'A'Q among the
-    plan's reduced entries; ``rinv`` maps y back to
+    A' = L^{-1} A L^{-T}. Row (a, b) of ``coef`` = kron(Q, Q)' picks
+    (Q'A'Q)[a, b] out of A' flattened; ``rinv`` maps y back to
     w = (w_0, free coordinates times w_0).
     """
 
     free: np.ndarray
     fixed_point: np.ndarray
-    rows: slice
+    coef: np.ndarray
     rinv: np.ndarray
     low: np.ndarray
     high: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return 1 + self.free.size
 
 
 class FacePlan:
@@ -282,44 +281,41 @@ class FacePlan:
         combos = sorted(itertools.product(*choices),
                         key=lambda c: sum(v is None for v in c))
         self.faces: list[_Face] = []
-        blocks = []
-        start = 0
         for combo in combos:
             free = np.array([k for k, v in enumerate(combo) if v is None], dtype=int)
             fixed_point = np.array([0.0 if v is None else v for v in combo])
             embed = np.zeros((p + 1, 1 + free.size))
-            embed[0, 0] = 1.0
-            embed[1:, 0] = fixed_point
+            embed[:, 0] = np.concatenate(([1.0], fixed_point))
             embed[free + 1, np.arange(1, free.size + 1)] = 1.0
             q, r = np.linalg.qr(lower.T @ embed)
-            # Row (a, b) of kron(Q, Q)' picks (Q'A'Q)[a, b] out of A' flattened.
-            blocks.append(np.kron(q, q).T)
-            n = (1 + free.size) ** 2
             self.faces.append(_Face(
-                free=free, fixed_point=fixed_point, rows=slice(start, start + n),
+                free=free, fixed_point=fixed_point, coef=np.kron(q, q).T,
                 rinv=np.linalg.inv(r),
                 low=np.array([box.bounds[k][0] for k in free]),
                 high=np.array([box.bounds[k][1] for k in free])))
-            start += n
-        self._coef = np.vstack(blocks)
 
     def _candidates(self, factors: np.ndarray, vectors: bool, cache: dict):
         """Per face: its candidate values (-inf where it has none) and
         its top vectors w in face coordinates, for an (m, p+1, count)
         stack of numerator factors, computed in the scratch ``cache``.
         w is None for vertices, and for the unchecked whole-space face
-        unless ``vectors`` asks."""
+        unless ``vectors`` asks.
+
+        A face's entries are formed only when the face is visited, in
+        one ``"entries"`` buffer that every face reuses. So a yielded
+        value can be a view of that buffer (size-1 faces) or of
+        ``"top3"``: a caller must use it before it advances the
+        generator."""
         m, n, count = factors.shape
         # Row k of V = W L^{-T} is L^{-1} times row k of W.
         folded = np.matmul(self._linv, factors,
                            out=_scratch(cache, "fold", m, n, count))
         gram = np.einsum("kib,kjb->ijb", folded, folded,
                          out=_scratch(cache, "gram", n, n, count))
-        entries = np.matmul(self._coef, gram.reshape(n * n, count),
-                            out=_scratch(cache, "entries", self._coef.shape[0], count))
         for face in self.faces:
-            rows = entries[face.rows]
-            size = face.size
+            size = 1 + face.free.size
+            rows = np.matmul(face.coef, gram.reshape(n * n, count),
+                             out=_scratch(cache, "entries", size * size, count))
             if size == 1 or not (vectors or self._checked):
                 yield face, top_eigenvalue(rows.reshape(size, size, count), cache), None
                 continue

@@ -12,6 +12,7 @@ center plus or minus sqrt(c * x' delta x * scatter_qq).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,8 +60,9 @@ class SignificanceRegion:
 
 
 def _check_constant(c: float) -> None:
-    if not (math.isfinite(c) and c >= 0.0):
-        raise InvalidArgument(f"critical constant must be finite and >= 0, got {c}")
+    if isinstance(c, bool) or not (isinstance(c, numbers.Real) and 0.0 <= c < math.inf):
+        raise InvalidArgument(
+            f"critical constant must be a finite real number >= 0, got {c!r}")
 
 
 def _finite_numbers(value, n: int, name: str) -> np.ndarray:

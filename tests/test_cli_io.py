@@ -501,11 +501,21 @@ def small_fit():
     return fit_models(make_dataset(rng, (8, 9), (coef, coef)))
 
 
-def nan_constant_comparison():
+def small_comparison(c_hat):
     fit, family = small_fit(), sct_engine.ComparisonFamily.pairwise(2)
     box = CovariateBox.interval(0, 10)
     sample = sct_engine.simulate_pivot(fit, family, box, 1000, seed=0)
-    return sct_engine.pair_comparisons(fit, sample, c_hat=math.nan)
+    return sct_engine.pair_comparisons(fit, sample, c_hat=c_hat)
+
+
+def nan_constant_comparison():
+    return small_comparison(math.nan)
+
+
+def small_simulation(r=100, workers=1):
+    return sct_engine.simulate_pivot(
+        small_fit(), sct_engine.ComparisonFamily.pairwise(2),
+        CovariateBox.interval(0, 10), r, seed=0, workers=workers)
 
 
 @pytest.mark.parametrize("check", [
@@ -571,6 +581,13 @@ def nan_constant_comparison():
     lambda: cross_section(small_fit(), (1, 2), 0.1, 1.0).contains("x"),
     lambda: cross_section(small_fit(), (1, 2), 0.1, 1.0).contains([[1.0]]),
     lambda: cross_section(small_fit(), (1, 2), 0.1, 1.0).contains([math.nan]),
+    lambda: small_simulation(r=100.0),
+    lambda: small_simulation(workers=2.0),
+    lambda: small_simulation(r=20_000, workers=2.0),
+    lambda: small_simulation(workers=True),
+    lambda: classical_tests.roy_k_sample(small_fit(), 0.05, 1000.0, seed=2),
+    lambda: cross_section(small_fit(), (1, 2), "0.1", 1.0),
+    lambda: small_comparison(True),
 ])
 def test_argument_checks_raise_typed_usage_errors(check):
     # Typed for the exit code, and still a ValueError for library callers.

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import argparse
 import re
+import shlex
 from pathlib import Path
 
 import sctubes
-from sctubes.cli_io import _build_parser
+from sctubes.cli_io import _build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -64,3 +65,17 @@ def test_flag_table_matches_parser():
     documented = documented_flags()
     assert documented["tube"] >= {"--alpha", "--family", "--pair"}
     assert documented == parser_flags()
+
+
+def test_cli_example_prints_the_documented_output(tmp_path, monkeypatch, capsys):
+    """README's data script, then its ``compare`` command, print README's
+    output block line for line."""
+    section = README.read_text().split("## Command line", 1)[1]
+    blocks = re.findall(r"```\w*\n(.*?)```", section, flags=re.DOTALL)
+    script, command, output = blocks[:3]
+    monkeypatch.chdir(tmp_path)
+    exec(script, {})
+    argv = shlex.split(command)
+    assert argv[0] == "sctubes"
+    assert main(argv[1:]) == 0
+    assert capsys.readouterr().out.splitlines() == output.splitlines()

@@ -5,9 +5,12 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import signal
 import subprocess
 import sys
 import textwrap
+import threading
+import time
 from functools import partial
 from pathlib import Path
 
@@ -47,6 +50,7 @@ from sctubes.sct_engine import (
     ComparisonFamily,
     SimulatedSample,
     _binom_ppf,
+    _replicates,
     _SimPlan,
     _tube_block,
     _whiten,
@@ -290,6 +294,36 @@ def test_first_kernel_call_stays_within_its_fault_budget(kernel, budget):
                                  env=env).stdout.split()[-1])
               for preamble in ("0", "1")]
     assert max(counts) < budget, counts
+
+
+@pytest.mark.skipif(not hasattr(signal, "pthread_kill"),
+                    reason="sends SIGINT to one thread")
+def test_interrupt_stops_every_worker_within_one_block():
+    """SIGINT during a two-worker run reaches the caller within a few
+    block times, not after each worker's whole stride (100 blocks of
+    50 ms here), and leaves no worker thread running. The signal is sent
+    to the main thread itself, so it wakes it from its wait on the pool."""
+    block_s, delay_s = 0.05, 0.2
+
+    def slow_block(start, count, out, cache):
+        time.sleep(block_s)
+        out.fill(0.0)
+
+    before = threading.active_count()
+    timer = threading.Timer(delay_s, signal.pthread_kill,
+                            (threading.main_thread().ident, signal.SIGINT))
+    began = time.monotonic()
+    timer.start()
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            _replicates(200 * _BLOCK, 2, slow_block)
+        elapsed = time.monotonic() - began
+    finally:
+        timer.cancel()
+        timer.join(timeout=5.0)
+    assert not timer.is_alive()
+    assert elapsed < delay_s + 10 * block_s
+    assert threading.active_count() == before
 
 
 def test_reversed_pair_gives_identical_sample(two_group_fit):

@@ -289,6 +289,20 @@ def test_region_order_point_interval_box_whole(case):
         assert inner <= outer * (1 + 1e-9)
 
 
+def test_box_scratch_holds_one_face_of_entries():
+    """Each face's entries are formed only when it is visited, in one
+    buffer: at p = 4 the cache holds the folded factors, their Grams and
+    one face's 25 entry rows per replicate, not all 81 faces' 513."""
+    rng = np.random.default_rng(21)
+    p, m, count = 4, 2, 2048
+    _, d = random_ratio(rng, p)
+    plan = sup_solver.FacePlan(d, CovariateBox(((0.0, 10.0),) * p))
+    cache, out = {}, np.full(count, -np.inf)
+    plan.sup(rng.standard_normal((m, p + 1, count)), cache, out)
+    assert np.isfinite(out).all()
+    assert sum(buf.nbytes for buf in cache.values()) < 2 * 2 ** 20
+
+
 # --- top eigenvalue of stacked symmetric matrices -----------------------------
 
 def lapack_top(mats):
