@@ -7,6 +7,7 @@ degeneracy discovered mid-computation, and bad usage or configuration.
 
 from __future__ import annotations
 
+import numbers
 import operator
 
 
@@ -118,6 +119,12 @@ def items_of(values, rule: str) -> tuple:
         return tuple(values)
     except TypeError:
         raise InvalidArgument(f"{rule}, got {values!r}") from None
+
+
+def is_real(value) -> bool:
+    """Whether ``value`` is a real number and not a bool: the one test
+    of a real argument, for the critical constant and alpha."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Real)
 
 
 def _integer(value) -> int:

@@ -36,7 +36,7 @@ Each worker keeps one scratch cache, a dict of flat buffers from which
 every kernel function takes its per-block arrays by name where it uses
 them (``sup_solver._scratch``): the Wishart factors and normal draws,
 the whitened stack, each used group's mapped stack, the pair factor,
-and the face solver's folded factors, Grams and face entries. A
+and the face solver's factor and entries for the face it is on. A
 worker's first block sizes them and its later blocks reuse them; a
 block's values go straight into the result. Fresh arrays per block were
 handed back to the OS as each block freed them and faulted in again by
@@ -69,7 +69,7 @@ import numpy as np
 
 from . import tube_geometry
 from .errors import (EmptyFamily, InvalidArgument, MetaMismatch, TooFewReplicates,
-                     group_pair, index_of, items_of)
+                     group_pair, index_of, is_real, items_of)
 from .model_core import FittedModels
 from .rand_engine import STREAM_VERSION, StreamKey, normal_block, wishart_factor_block
 from .sup_solver import CovariateBox, FacePlan, _scratch
@@ -181,12 +181,13 @@ def tail_rank(r: int, alpha: float) -> int:
     hair above an integer through rounding.
 
     The one check order for every simulated critical value (tube and
-    largest-root): alpha in (0, 1) first (``InvalidArgument``), then
-    alpha * r >= 10 (``TooFewReplicates``), since with fewer expected
-    tail exceedances the quantile estimate is noise.
+    largest-root): alpha a real number (not a bool) in (0, 1) first
+    (``InvalidArgument``), then alpha * r >= 10 (``TooFewReplicates``),
+    since with fewer expected tail exceedances the quantile estimate is
+    noise.
     """
-    if not 0.0 < alpha < 1.0:
-        raise InvalidArgument(f"alpha must be in (0, 1), got {alpha}")
+    if not (is_real(alpha) and 0.0 < alpha < 1.0):
+        raise InvalidArgument(f"alpha must be in (0, 1), got {alpha!r}")
     if alpha * r < 10.0:
         raise TooFewReplicates(
             f"alpha * r = {alpha * r:.3g} < 10; increase replicates")

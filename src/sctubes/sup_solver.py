@@ -25,22 +25,25 @@ once in a ``FacePlan``, and nothing about D leaves it. Numerators arrive
 as plain factors W with A = W'W, so both statistics reach the solver
 the same way: the Monte Carlo engine passes a stack of thousands of
 simulated factors, ``sct_engine.observed_statistic`` one observed
-factor. The plan folds each factor by D's Cholesky factor L into
-V = W L^{-T} before it forms the Gram V'V = L^{-1} A L^{-T}. Folding
-the factor, not the Gram, keeps far-from-origin covariates accurate:
-forming W'W first and reducing it afterwards gave relative errors up to
-9e-2, against 5e-5 this way, on two-group fits with covariates near
-10^6 and a box 10^-2 wide.
+factor. Each face holds one linear map, which takes W to the face's
+own factor, and the face's matrix is the Gram of that mapped factor.
+So no face value can be negative, and the rounding grows with the
+conditioning of the mapped factor, not with its square. Forming a Gram
+before reducing it to the face is what squares it. Forming W'W first
+gave relative errors up to 9e-2 on two-group fits with covariates near
+10^6 and a box 10^-2 wide. On 300 random point boxes (p = 1 to 3,
+m = 1 or 2) where ||We|| is 1e-8 of ||W|| ||e||, forming the Gram of
+W L^{-T} first gave relative errors up to 25 and 12 negative values;
+mapping the factor gives 1e-8.
 
 The batched ``FacePlan.sup`` allocates none of its large arrays: the
-folded factors, their Grams, the face entries and the 3 x 3 closed
-form's scratch come from the caller's scratch cache (``_scratch``),
-reused block after block, and each face's values are folded into the
-caller's running maximum. The face entries are formed one face at a
-time, each face from its own kron(Q, Q)' block, in one buffer of at
-most (p+1)^2 rows per replicate, so the cache does not grow with the
-3^p faces. Only the eigenvector faces' and LAPACK's temporaries are
-fresh.
+mapped factors, the face entries and the 3 x 3 closed form's scratch
+come from the caller's scratch cache (``_scratch``), reused block after
+block, and each face's values are folded into the caller's running
+maximum. The face entries are formed one face at a time, in buffers of
+at most m(p+1) and (p+1)^2 rows per replicate that every face reuses,
+so the cache does not grow with the 3^p faces. Only the eigenvector
+faces' and LAPACK's temporaries are fresh.
 """
 
 from __future__ import annotations
@@ -243,10 +246,12 @@ class _Face:
     """One face of the box, reduced to orthonormal coordinates.
 
     With f = L'e (D = LL') and the face written as f = Q y with Q'Q = I,
-    R on the face is y'(Q'A'Q)y / y'y for the folded numerator
-    A' = L^{-1} A L^{-T}. Row (a, b) of ``coef`` = kron(Q, Q)' picks
-    (Q'A'Q)[a, b] out of A' flattened; ``rinv`` maps y back to
-    w = (w_0, free coordinates times w_0).
+    R on the face is y'(Q'L^{-1} A L^{-T}Q)y / y'y. The face's points
+    are e = E w for its embedding E, and L'E = QR, so ``coef`` =
+    (E R^{-1})' = (L^{-T}Q)' maps each row of a numerator factor W
+    (A = W'W) onto the face: the face's matrix is the Gram of the mapped
+    factor. ``rinv`` maps y back to w = (w_0, free coordinates times
+    w_0).
     """
 
     free: np.ndarray
@@ -262,7 +267,7 @@ class FacePlan:
 
     A numerator A = W'W is passed as its factor W, m rows by p+1
     columns. D enters only here: its Cholesky factor L reduces each face
-    once, when the plan is built, and folds each factor as it arrives.
+    to one map once, when the plan is built.
     """
 
     def __init__(self, denominator, box: CovariateBox):
@@ -274,7 +279,6 @@ class FacePlan:
         # Only the whole space's one face needs no inside check.
         self._checked = not whole
         lower = np.linalg.cholesky(d)
-        self._linv = np.linalg.inv(lower)
         # Per coordinate: its fixed values, then None for free.
         choices = [(None,) if whole else (lo,) if lo == hi else (lo, hi, None)
                    for lo, hi in box.bounds]
@@ -287,10 +291,9 @@ class FacePlan:
             embed = np.zeros((p + 1, 1 + free.size))
             embed[:, 0] = np.concatenate(([1.0], fixed_point))
             embed[free + 1, np.arange(1, free.size + 1)] = 1.0
-            q, r = np.linalg.qr(lower.T @ embed)
+            rinv = np.linalg.inv(np.linalg.qr(lower.T @ embed)[1])
             self.faces.append(_Face(
-                free=free, fixed_point=fixed_point, coef=np.kron(q, q).T,
-                rinv=np.linalg.inv(r),
+                free=free, fixed_point=fixed_point, coef=(embed @ rinv).T, rinv=rinv,
                 low=np.array([box.bounds[k][0] for k in free]),
                 high=np.array([box.bounds[k][1] for k in free])))
 
@@ -301,28 +304,27 @@ class FacePlan:
         w is None for vertices, and for the unchecked whole-space face
         unless ``vectors`` asks.
 
-        A face's entries are formed only when the face is visited, in
-        one ``"entries"`` buffer that every face reuses. So a yielded
-        value can be a view of that buffer (size-1 faces) or of
-        ``"top3"``: a caller must use it before it advances the
-        generator."""
-        m, n, count = factors.shape
-        # Row k of V = W L^{-T} is L^{-1} times row k of W.
-        folded = np.matmul(self._linv, factors,
-                           out=_scratch(cache, "fold", m, n, count))
-        gram = np.einsum("kib,kjb->ijb", folded, folded,
-                         out=_scratch(cache, "gram", n, n, count))
+        A face's entries are formed only when the face is visited, as
+        the Gram of the factors mapped by its ``coef``, in
+        ``"face_factor"`` and ``"entries"`` buffers that every face
+        reuses. So a yielded value can be a view of ``"entries"``
+        (size-1 faces) or of ``"top3"``: a caller must use it before it
+        advances the generator."""
+        m, _, count = factors.shape
         for face in self.faces:
             size = 1 + face.free.size
-            rows = np.matmul(face.coef, gram.reshape(n * n, count),
-                             out=_scratch(cache, "entries", size * size, count))
+            # Row k of W maps to row k of W L^{-T} Q.
+            mapped = np.matmul(face.coef, factors,
+                               out=_scratch(cache, "face_factor", m, size, count))
+            rows = np.einsum("kib,kjb->ijb", mapped, mapped,
+                             out=_scratch(cache, "entries", size, size, count))
             if size == 1 or not (vectors or self._checked):
-                yield face, top_eigenvalue(rows.reshape(size, size, count), cache), None
+                yield face, top_eigenvalue(rows, cache), None
                 continue
             if size == 2:
-                lam, y = _top_2x2(rows[0], rows[1], rows[3], vector=True)
+                lam, y = _top_2x2(rows[0, 0], rows[0, 1], rows[1, 1], vector=True)
             else:
-                vals, vecs = np.linalg.eigh(rows.T.reshape(count, size, size))
+                vals, vecs = np.linalg.eigh(rows.transpose(2, 0, 1))
                 lam, y = vals[:, -1], vecs[:, :, -1]
             w = y @ face.rinv.T
             if self._checked:
@@ -337,10 +339,10 @@ class FacePlan:
         (m, p+1, count) stack into the running maximum ``out`` (count).
 
         The replicate index runs last so that each matrix entry is one
-        contiguous vector. The folded factors, their Grams, the face
-        entries and the 3 x 3 closed form's scratch come from the scratch
-        ``cache`` (see ``_scratch``), so one worker's blocks, and the
-        pairs within a block, reuse the same memory.
+        contiguous vector. The mapped factors, the face entries and the
+        3 x 3 closed form's scratch come from the scratch ``cache`` (see
+        ``_scratch``), so one worker's blocks, and the faces and pairs
+        within a block, reuse the same memory.
         """
         for _, lam, _ in self._candidates(factors, False, cache):
             np.maximum(out, lam, out=out)

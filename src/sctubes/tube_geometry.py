@@ -12,12 +12,12 @@ center plus or minus sqrt(c * x' delta x * scatter_qq).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgument, NotUnivariate, UnboundedBox, group_pair, index_of
+from .errors import (InvalidArgument, NotUnivariate, UnboundedBox, group_pair, index_of,
+                     is_real)
 from .model_core import FittedModels
 from .sup_solver import CovariateBox
 
@@ -60,7 +60,7 @@ class SignificanceRegion:
 
 
 def _check_constant(c: float) -> None:
-    if isinstance(c, bool) or not (isinstance(c, numbers.Real) and 0.0 <= c < math.inf):
+    if not (is_real(c) and 0.0 <= c < math.inf):
         raise InvalidArgument(
             f"critical constant must be a finite real number >= 0, got {c!r}")
 

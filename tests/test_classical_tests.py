@@ -23,6 +23,7 @@ from sctubes.model_core import GroupData, GroupedDataset, fit_models
 from sctubes.rand_engine import StreamKey, normal_block
 from sctubes.sct_engine import (
     ComparisonFamily,
+    compare,
     critical_constant,
     observed_statistic,
     simulate_pivot,
@@ -253,15 +254,19 @@ def test_too_few_tail_replicates():
         roy_k_sample(fit, alpha=0.05, r=100, seed=0)
 
 
-@pytest.mark.parametrize("alpha", [-0.1, 0.0])
+@pytest.mark.parametrize("alpha", [-0.1, 0.0, "0.05", None, True])
 def test_alpha_range_is_checked_before_the_tail_guard(alpha):
-    # Roy and the tube constant share one check order: an alpha outside
-    # (0, 1) is a bad argument, not a call for more replicates.
+    # Roy, the tube constant and ``compare`` share one check order: an
+    # alpha outside (0, 1), or one that is not a real number (a string,
+    # None, a bool), is a bad argument, not a call for more replicates
+    # and not a bare TypeError.
     fit = random_two_group_fit(np.random.default_rng(93))
+    family, box = ComparisonFamily.pairwise(2), CovariateBox.whole_space(1)
     with pytest.raises(InvalidArgument, match="alpha must be in"):
         roy_k_sample(fit, alpha=alpha, r=100, seed=0)
-    sample = simulate_pivot(fit, ComparisonFamily.pairwise(2),
-                            CovariateBox.whole_space(1), 100, seed=0)
+    with pytest.raises(InvalidArgument, match="alpha must be in"):
+        compare(fit, family, box, alpha, 100, 0)
+    sample = simulate_pivot(fit, family, box, 100, seed=0)
     with pytest.raises(InvalidArgument, match="alpha must be in"):
         critical_constant(sample, alpha)
 

@@ -654,6 +654,23 @@ def test_point_box_statistic_is_direct_evaluation(two_group_fit):
     assert arg[0] == x0
 
 
+def test_point_where_fitted_lines_cross_shows_no_difference():
+    """Where the two fitted lines cross, the observed difference is zero
+    up to rounding: the statistic is a sum of squares, >= 0, and below
+    every replicate, so the pair's p-value is 1."""
+    rng = np.random.default_rng(22)
+    coef = np.array([[1.0], [0.5]])
+    family = ComparisonFamily.pairwise(2)
+    for _ in range(10):
+        fit = fit_models(make_dataset(rng, (12, 15), (coef, coef + [[2.0], [-0.4]])))
+        db = fit.coef_difference(1, 2)
+        box = CovariateBox.point(-db[0, 0] / db[1, 0])
+        sample = simulate_pivot(fit, family, box, 1000, seed=0)
+        (comparison,) = pair_comparisons(fit, sample)
+        assert comparison.statistic >= 0.0
+        assert comparison.p_value == 1.0
+
+
 @st.composite
 def observed_cases(draw):
     """A random fit with p, m in 1..3 and k in {2, 3}, one of its pairs,

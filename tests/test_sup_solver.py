@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -289,10 +291,44 @@ def test_region_order_point_interval_box_whole(case):
         assert inner <= outer * (1 + 1e-9)
 
 
+def exact_point_ratio(w, d, point):
+    """(e'W'We)/(e'De) at e = (1, point), in exact rational arithmetic on
+    the float inputs."""
+    e = [Fraction(1)] + [Fraction(float(t)) for t in point]
+    we = [sum(Fraction(float(x)) * y for x, y in zip(row, e)) for row in w]
+    den = sum(Fraction(float(d[i, j])) * e[i] * e[j]
+              for i in range(len(e)) for j in range(len(e)))
+    return sum(x * x for x in we) / den
+
+
+@pytest.mark.parametrize("level, rtol", [(1e-6, 1e-6), (1e-8, 1e-4)])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_point_value_survives_a_numerator_nearly_orthogonal_to_e(p, level, rtol):
+    """A point box's value is the Gram of the factor mapped onto it, so it
+    stays >= 0 and accurate when We is tiny: here ||We|| is ``level``
+    times ||W|| ||e||. Forming a Gram before mapping it to the face
+    loses twice the digits, and can go negative."""
+    rng = np.random.default_rng(22 + p)
+    for _ in range(20):
+        _, d = random_ratio(rng, p)
+        point = rng.uniform(-5.0, 5.0, p)
+        e = np.concatenate(([1.0], point))
+        w = rng.standard_normal((2, p + 1))
+        w -= np.outer(w @ e, e) / (e @ e)
+        u = rng.standard_normal(2)
+        u *= level * np.linalg.norm(w) / np.linalg.norm(u) / np.linalg.norm(e)
+        w += np.outer(u, e)
+        exact = exact_point_ratio(w, d, point)
+        value, _ = sup_solver.FacePlan(d, CovariateBox.point(*point)).sup_with_argmax(w)
+        assert value >= 0.0
+        assert abs(Fraction(value) - exact) <= rtol * exact
+
+
 def test_box_scratch_holds_one_face_of_entries():
-    """Each face's entries are formed only when it is visited, in one
-    buffer: at p = 4 the cache holds the folded factors, their Grams and
-    one face's 25 entry rows per replicate, not all 81 faces' 513."""
+    """Each face's entries are formed only when it is visited, as the
+    Gram of the factors mapped onto that face: at p = 4 the cache holds
+    one face's mapped factors and its 25 entry rows per replicate, not
+    all 81 faces' 513."""
     rng = np.random.default_rng(21)
     p, m, count = 4, 2, 2048
     _, d = random_ratio(rng, p)
