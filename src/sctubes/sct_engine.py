@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -295,6 +296,14 @@ def _tube_block(plan: _SimPlan, seed: int, start: int, count: int,
         faces.sup(np.subtract(v[i], v[j], out=w), cache, out)
 
 
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on: its affinity set where the
+    platform reports one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _replicates(r: int, workers: int, block) -> np.ndarray:
     """Sorted values of replicates 0 .. r-1, computed block by block.
 
@@ -304,8 +313,10 @@ def _replicates(r: int, workers: int, block) -> np.ndarray:
     is a multiple of the fixed block size, so a block's draws are keyed
     by its first index. Each worker thread makes one cache, so threads
     never share a buffer and a worker's blocks reuse the buffers of its
-    first, and runs every ``workers``-th block. Blocks are written back
-    by position, so ``workers`` cannot change the result. Workers check
+    first, and runs every ``workers``-th block. At most as many threads
+    start as the process can run on at once (``_usable_cpus``), since
+    more only add caches. Blocks are written back by position, so
+    neither ``workers`` nor that cap can change the result. Workers check
     one stop event before each block, and it is set when the main
     thread leaves the pool for any reason, so an interrupt or a failed
     block stops every worker within one block.
@@ -327,7 +338,7 @@ def _replicates(r: int, workers: int, block) -> np.ndarray:
             count = min(_BLOCK, r - start)
             block(start, count, values[start:start + count], cache)
 
-    threads = min(workers, len(starts))
+    threads = min(workers, len(starts), _usable_cpus())
     if threads == 1:
         run(starts)
     else:

@@ -13,8 +13,12 @@ high bound, or free. Writing e = E_F w with w_0 = 1, R restricted to the
 face is the Rayleigh quotient of the reduced pencil (E_F'AE_F, E_F'DE_F),
 and every local maximum of a Rayleigh quotient is a global one. So an
 interior maximum of a face is its top generalized eigenvalue, and the
-face contributes that value only when the top eigenvector has w_0 != 0
-and maps to a point strictly inside the face. A point box is one face
+face contributes that value only when its top eigenvector w maps to a
+point strictly inside the face: for each free coordinate k,
+(w_k - lo_k w_0)(hi_k w_0 - w_k) > 0, which also rules out w_0 = 0.
+That product is a quadratic form in the eigenvector, so a face with one
+free coordinate decides it from the same numbers as its closed-form
+eigenvalue, with no eigenvector (see ``_Face``). A point box is one face
 with nothing free; an interval has three faces (both endpoints and the
 open interior); the whole space is the single all-free face with no
 inside check, whose value is the top eigenvalue of (A, D). In general a
@@ -37,13 +41,14 @@ W L^{-T} first gave relative errors up to 25 and 12 negative values;
 mapping the factor gives 1e-8.
 
 The batched ``FacePlan.sup`` allocates none of its large arrays: the
-mapped factors, the face entries and the 3 x 3 closed form's scratch
-come from the caller's scratch cache (``_scratch``), reused block after
-block, and each face's values are folded into the caller's running
-maximum. The face entries are formed one face at a time, in buffers of
-at most m(p+1) and (p+1)^2 rows per replicate that every face reuses,
-so the cache does not grow with the 3^p faces. Only the eigenvector
-faces' and LAPACK's temporaries are fresh.
+mapped factors, the face entries, the closed forms' scratch and the
+inside tests' forms come from the caller's scratch cache (``_scratch``),
+reused block after block, and each face's values are folded into the
+caller's running maximum. The face entries are formed one face at a
+time, in buffers of at most m(p+1) and (p+1)^2 rows per replicate that
+every face reuses, so the cache does not grow with the 3^p faces. Only
+LAPACK's outputs, for faces with two or more free coordinates, are
+fresh.
 """
 
 from __future__ import annotations
@@ -66,10 +71,10 @@ _TIE_RTOL = 1e-12
 _NEAR_DOUBLE_TOP = 1e-2
 
 
-def _scratch(cache: dict, key, *shape: int) -> np.ndarray:
+def _scratch(cache: dict, key, *shape: int, dtype=float) -> np.ndarray:
     """A C-ordered array of ``shape`` over the leading entries of the
-    flat buffer ``cache[key]``, which is allocated only when it is
-    missing or too small.
+    flat buffer ``cache[key]``, which is allocated (as ``dtype``) only
+    when it is missing or too small.
 
     One worker's kernel functions take every per-block array from one
     such dict, each role under its own key, so a worker's blocks reuse
@@ -80,7 +85,7 @@ def _scratch(cache: dict, key, *shape: int) -> np.ndarray:
     size = math.prod(shape)
     buf = cache.get(key)
     if buf is None or buf.size < size:
-        buf = cache[key] = np.empty(size)
+        buf = cache[key] = np.empty(size, dtype)
     return buf[:size].reshape(shape)
 
 
@@ -140,32 +145,52 @@ class CovariateBox:
         return all(lo == hi for lo, hi in self.bounds)
 
 
-def _top_2x2(a, b, c, vector: bool):
-    """Top eigenvalue of [[a, b], [b, c]], elementwise, and (if asked) an
-    eigenvector for it, stacked as (count, 2).
+def _top_2x2(s: np.ndarray, cache: dict):
+    """Top eigenvalue of each [[a, b], [b, c]] in a (2, 2, count) stack,
+    with the half = (a - c)/2 and root = sqrt(half^2 + b^2) it is made
+    of: lam = (a + c)/2 + root. All three are views of the scratch
+    cache's ``"top2"`` buffer."""
+    a, b, c = s[0, 0], s[0, 1], s[1, 1]
+    half, root, lam = _scratch(cache, "top2", 3, s.shape[2])
+    np.subtract(a, c, out=half)
+    half *= 0.5
+    np.multiply(half, half, out=root)
+    root += np.multiply(b, b, out=lam)
+    np.sqrt(root, out=root)
+    np.add(a, c, out=lam)
+    lam *= 0.5
+    lam += root
+    return lam, half, root
 
-    Each eigenvector branch avoids cancellation; a multiple of the
-    identity, where every direction is top, gets (1, 0).
+
+def _top_vector_2x2(b, half, root) -> np.ndarray:
+    """An unnormalised top eigenvector of each [[a, b], [b, c]], stacked
+    as (count, 2), from ``_top_2x2``'s half and root.
+
+    Each branch avoids cancellation; a multiple of the identity, where
+    every direction is top, gets (1, 0).
     """
-    half = 0.5 * (a - c)
-    root = np.sqrt(half * half + b * b)
-    lam = 0.5 * (a + c) + root
-    if not vector:
-        return lam, None
     first = half >= 0.0
     y = np.stack([np.where(first, half + root, b),
                   np.where(first, b, root - half)], axis=1)
     y[root == 0.0] = (1.0, 0.0)
-    return lam, y
+    return y
+
+
+def _drop_outside(lam: np.ndarray, margin: np.ndarray, cache: dict) -> None:
+    """Set ``lam`` to -inf wherever ``margin`` is not positive."""
+    outside = _scratch(cache, "outside", margin.size, dtype=bool)
+    np.copyto(lam, -np.inf, where=np.less_equal(margin, 0.0, out=outside))
 
 
 def top_eigenvalue(s: np.ndarray, cache: dict) -> np.ndarray:
     """Largest eigenvalue of each symmetric matrix in an (n, n, count)
     stack, replicate index last.
 
-    Sizes 1 and 2 are closed forms. Size 3 uses the trigonometric form
-    (Smith, CACM 1961): with q = tr(A)/3, p = ||A - qI||_F / sqrt(6) and
-    r = det((A - qI)/p)/2, the top eigenvalue is q + 2p cos(acos(r)/3).
+    Sizes 1 and 2 are closed forms (``_top_2x2``). Size 3 uses the
+    trigonometric form (Smith, CACM 1961): with q = tr(A)/3,
+    p = ||A - qI||_F / sqrt(6) and r = det((A - qI)/p)/2, the top
+    eigenvalue is q + 2p cos(acos(r)/3).
     Where the top two eigenvalues nearly coincide, r nears -1 and acos
     amplifies the rounding in r by about 1/sqrt(1 + r) (Kopp, 2008);
     those matrices, and multiples of the identity (p = 0), are
@@ -181,7 +206,7 @@ def top_eigenvalue(s: np.ndarray, cache: dict) -> np.ndarray:
     if n == 1:
         return s[0, 0]
     if n == 2:
-        return _top_2x2(s[0, 0], s[0, 1], s[1, 1], vector=False)[0]
+        return _top_2x2(s, cache)[0]
     if n > 3:
         return np.linalg.eigvalsh(s.transpose(2, 0, 1), UPLO="U")[:, -1]
     a00, a11, a22, a01, a02, a12 = s[0, 0], s[1, 1], s[2, 2], s[0, 1], s[0, 2], s[1, 2]
@@ -252,6 +277,20 @@ class _Face:
     (A = W'W) onto the face: the face's matrix is the Gram of the mapped
     factor. ``rinv`` maps y back to w = (w_0, free coordinates times
     w_0).
+
+    A top vector y lies strictly inside the face exactly when, for each
+    free coordinate k, (w_k - lo_k w_0)(hi_k w_0 - w_k) > 0: both forms
+    are linear in y, and w_0 = 0 makes their product -w_k^2. A checked
+    face with two or more free coordinates holds those forms as the
+    rows of ``sides`` (every low form, then every high form). With one
+    free coordinate the product is y'Qy, Q = (s_lo s_hi' + s_hi s_lo')/2.
+    For the face matrix M = [[a, b], [b, c]] with half = (a - c)/2 and
+    root = sqrt(half^2 + b^2), a unit top vector u has
+    uu' = (M - lam_min I)/(2 root), so u'Qu > 0 exactly when
+    (Q_00 - Q_11) half + 2 Q_01 b + (Q_00 + Q_11) root > 0; ``sign``
+    holds those three constants. Where root = 0 every direction is top,
+    the sum is 0 and the face's value is left to its endpoints, which
+    attain it. Unchecked faces and vertices hold None in both.
     """
 
     free: np.ndarray
@@ -260,6 +299,8 @@ class _Face:
     rinv: np.ndarray
     low: np.ndarray
     high: np.ndarray
+    sides: np.ndarray | None
+    sign: tuple[float, float, float] | None
 
 
 class FacePlan:
@@ -267,7 +308,9 @@ class FacePlan:
 
     A numerator A = W'W is passed as its factor W, m rows by p+1
     columns. D enters only here: its Cholesky factor L reduces each face
-    to one map once, when the plan is built.
+    to one map once, when the plan is built, along with the constants
+    of its inside test (see ``_Face``): the three of the sign rule for
+    a face with one free coordinate, the side forms for a larger one.
     """
 
     def __init__(self, denominator, box: CovariateBox):
@@ -292,24 +335,46 @@ class FacePlan:
             embed[:, 0] = np.concatenate(([1.0], fixed_point))
             embed[free + 1, np.arange(1, free.size + 1)] = 1.0
             rinv = np.linalg.inv(np.linalg.qr(lower.T @ embed)[1])
+            low = np.array([box.bounds[k][0] for k in free])
+            high = np.array([box.bounds[k][1] for k in free])
+            # Row k of rinv gives w_k as a form in y.
+            sides = sign = None
+            if self._checked and free.size == 1:
+                (r00, r01), (r10, r11) = rinv.tolist()
+                (lo,), (hi,) = low.tolist(), high.tolist()
+                l0, l1 = r10 - lo * r00, r11 - lo * r01
+                h0, h1 = hi * r00 - r10, hi * r01 - r11
+                sign = (l0 * h0 - l1 * h1, l0 * h1 + l1 * h0, l0 * h0 + l1 * h1)
+            elif self._checked and free.size:
+                sides = np.concatenate([rinv[1:] - low[:, None] * rinv[0],
+                                        high[:, None] * rinv[0] - rinv[1:]])
             self.faces.append(_Face(
                 free=free, fixed_point=fixed_point, coef=(embed @ rinv).T, rinv=rinv,
-                low=np.array([box.bounds[k][0] for k in free]),
-                high=np.array([box.bounds[k][1] for k in free])))
+                low=low, high=high, sides=sides, sign=sign))
 
     def _candidates(self, factors: np.ndarray, vectors: bool, cache: dict):
         """Per face: its candidate values (-inf where it has none) and
-        its top vectors w in face coordinates, for an (m, p+1, count)
-        stack of numerator factors, computed in the scratch ``cache``.
-        w is None for vertices, and for the unchecked whole-space face
-        unless ``vectors`` asks.
+        its top vectors y in orthonormal face coordinates, for an
+        (m, p+1, count) stack of numerator factors, computed in the
+        scratch ``cache``. y is None for vertices, and for faces whose
+        value comes from a closed form unless ``vectors`` asks.
+
+        Whether a face's maximiser lies strictly inside it is one rule
+        for both statistics (see ``_Face``). With one free coordinate it
+        is the sign of (Q_00 - Q_11) half + 2 Q_01 b + (Q_00 + Q_11) root,
+        from the numbers the closed-form eigenvalue already has, so no
+        eigenvector is formed unless ``vectors`` asks. With more, each
+        free coordinate's two side forms of LAPACK's eigenvector must
+        have a positive product.
 
         A face's entries are formed only when the face is visited, as
         the Gram of the factors mapped by its ``coef``, in
         ``"face_factor"`` and ``"entries"`` buffers that every face
         reuses. So a yielded value can be a view of ``"entries"``
-        (size-1 faces) or of ``"top3"``: a caller must use it before it
-        advances the generator."""
+        (size-1 faces), ``"top2"`` or ``"top3"``: a caller must use it
+        before it advances the generator. Only LAPACK's eigenvalues and
+        eigenvectors, and the eigenvectors that ``vectors`` asks for,
+        are fresh arrays."""
         m, _, count = factors.shape
         for face in self.faces:
             size = 1 + face.free.size
@@ -318,31 +383,43 @@ class FacePlan:
                                out=_scratch(cache, "face_factor", m, size, count))
             rows = np.einsum("kib,kjb->ijb", mapped, mapped,
                              out=_scratch(cache, "entries", size, size, count))
-            if size == 1 or not (vectors or self._checked):
-                yield face, top_eigenvalue(rows, cache), None
-                continue
-            if size == 2:
-                lam, y = _top_2x2(rows[0, 0], rows[0, 1], rows[1, 1], vector=True)
+            y = None
+            if size == 1:
+                lam = rows[0, 0]
+            elif size == 2:
+                lam, half, root = _top_2x2(rows, cache)
+                if face.sign is not None:
+                    k0, k1, k2 = face.sign
+                    margin, term = _scratch(cache, "margin", 2, count)
+                    np.multiply(half, k0, out=margin)
+                    margin += np.multiply(rows[0, 1], k1, out=term)
+                    margin += np.multiply(root, k2, out=term)
+                    _drop_outside(lam, margin, cache)
+                if vectors:
+                    y = _top_vector_2x2(rows[0, 1], half, root)
+            elif not (vectors or self._checked):
+                lam = top_eigenvalue(rows, cache)
             else:
                 vals, vecs = np.linalg.eigh(rows.transpose(2, 0, 1))
                 lam, y = vals[:, -1], vecs[:, :, -1]
-            w = y @ face.rinv.T
-            if self._checked:
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    t = w[:, 1:] / w[:, :1]
-                inside = ((t > face.low) & (t < face.high)).all(axis=1)
-                lam = np.where(inside, lam, -np.inf)
-            yield face, lam, w
+                if face.sides is not None:
+                    f = face.free.size
+                    forms = np.matmul(face.sides, y.T,
+                                      out=_scratch(cache, "forms", 2 * f, count))
+                    np.multiply(forms[:f], forms[f:], out=forms[:f])
+                    margin = np.min(forms[:f], axis=0, out=_scratch(cache, "margin", count))
+                    _drop_outside(lam, margin, cache)
+            yield face, lam, y
 
     def sup(self, factors: np.ndarray, cache: dict, out: np.ndarray) -> None:
         """Fold the supremum for each numerator factor in an
         (m, p+1, count) stack into the running maximum ``out`` (count).
 
         The replicate index runs last so that each matrix entry is one
-        contiguous vector. The mapped factors, the face entries and the
-        3 x 3 closed form's scratch come from the scratch ``cache`` (see
-        ``_scratch``), so one worker's blocks, and the faces and pairs
-        within a block, reuse the same memory.
+        contiguous vector. The mapped factors, the face entries, the
+        closed forms' and the inside tests' scratch come from the scratch
+        ``cache`` (see ``_scratch``), so one worker's blocks, and the
+        faces and pairs within a block, reuse the same memory.
         """
         for _, lam, _ in self._candidates(factors, False, cache):
             np.maximum(out, lam, out=out)
@@ -355,16 +432,20 @@ class FacePlan:
         before high ones). The argmax is None over the whole space when
         the top eigenvector has a zero intercept coordinate, in which
         case the supremum is a limit along a direction, not a point.
+        The face's inside test is ``sup``'s; where it passes a maximiser
+        within rounding of an endpoint, the argmax is clipped to the
+        face's bounds.
         """
-        cands = [(float(lam[0]), face, None if w is None else w[0])
-                 for face, lam, w in self._candidates(factor[:, :, None], True, {})]
+        cands = [(float(lam[0]), face, y)
+                 for face, lam, y in self._candidates(factor[:, :, None], True, {})]
         best = max(value for value, _, _ in cands)
-        for value, face, w in cands:
+        for value, face, y in cands:
             if value >= best - _TIE_RTOL * abs(best):
                 break
         point = face.fixed_point.copy()
-        if w is not None:
+        if y is not None:
+            w = (y @ face.rinv.T)[0]
             if abs(w[0]) <= 1e-9 * np.linalg.norm(w):
                 return best, None
-            point[face.free] = w[1:] / w[0]
+            point[face.free] = np.clip(w[1:] / w[0], face.low, face.high)
         return best, point

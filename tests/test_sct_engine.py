@@ -30,6 +30,7 @@ from conftest import (
     wishart_factors,
     write_csv,
 )
+from sctubes import sct_engine
 from sctubes.classical_tests import _roy_block
 from sctubes.errors import (
     DegenerateScatter,
@@ -219,10 +220,12 @@ def test_replicates_are_a_pure_function_of_seed_and_index(two_group_fit):
     assert np.isin(small.values, large.values).all()
 
 
-def test_worker_count_cannot_change_results(two_group_fit):
+def test_worker_count_cannot_change_results(two_group_fit, monkeypatch):
     # More threads than cores, switched every microsecond, each with its
     # own buffers: a block computed in another thread's buffers, or
-    # written to another block's place, would change the sample.
+    # written to another block's place, would change the sample. The
+    # thread cap is lifted so that all eight threads start.
+    monkeypatch.setattr(sct_engine, "_usable_cpus", lambda: 8)
     fam = ComparisonFamily.pairwise(2)
     box = CovariateBox.whole_space(1)
     serial = simulate_pivot(two_group_fit, fam, box, 45_000, seed=4, workers=1)
@@ -233,6 +236,48 @@ def test_worker_count_cannot_change_results(two_group_fit):
     finally:
         sys.setswitchinterval(interval)
     assert np.array_equal(serial.values, threaded.values)
+
+
+class _SerialPool:
+    """A stand-in for ``ThreadPoolExecutor`` that records the thread
+    count it is asked for and runs its map in the calling thread."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, list(items))
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_threads_are_capped_at_the_usable_cpus(monkeypatch, cpus):
+    """However many workers are asked for, at most as many threads start
+    as the process can run on, and the sample is the same. Only the
+    stand-in pool's arguments are read: no thread starts."""
+    monkeypatch.setattr(sct_engine, "ThreadPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    if hasattr(os, "sched_getaffinity"):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    else:
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+
+    def block(start, count, out, cache):
+        out[:] = np.arange(start, start + count)[::-1]
+
+    r = 20 * _BLOCK + 5
+    values = _replicates(r, 4096, block)
+    assert np.array_equal(values, np.arange(r))
+    assert _SerialPool.sizes == ([] if cpus == 1 else [cpus])
+    _replicates(2 * _BLOCK, 4096, block)
+    assert _SerialPool.sizes == ([] if cpus == 1 else [cpus, 2])
 
 
 # A fresh process's first kernel call. The measured call is chosen by
@@ -249,11 +294,12 @@ FAULT_PROBE = textwrap.dedent("""
 
     kernel, preamble = sys.argv[1], sys.argv[2] == "1"
     rng = np.random.default_rng(5)
-    k, m = (5, 3) if kernel == "whole" else (3, 2)
+    k, m = {"whole": (5, 3), "box": (2, 2)}.get(kernel, (3, 2))
+    p = 2 if kernel == "box" else 1
     groups = []
     for g in range(k):
         n = 30 + 2 * g
-        design = np.column_stack([np.ones(n), rng.uniform(0.0, 10.0, n)])
+        design = np.column_stack([np.ones(n), rng.uniform(0.0, 10.0, (n, p))])
         groups.append(GroupData(label=chr(65 + g), design=design,
                                 response=rng.standard_normal((n, m))))
     fit = fit_models(GroupedDataset(groups=tuple(groups)))
@@ -263,6 +309,8 @@ FAULT_PROBE = textwrap.dedent("""
                                         200_000, 1),
         "interval": lambda: simulate_pivot(fit, family, CovariateBox.interval(0.0, 10.0),
                                            1_000_000, 1),
+        "box": lambda: simulate_pivot(fit, family, CovariateBox(((0.0, 10.0),) * 2),
+                                      200_000, 1),
         "roy": lambda: largest_root_null_sample(8, 3, 160, 200_000, 1),
     }
     if preamble:
@@ -277,15 +325,18 @@ FAULT_PROBE = textwrap.dedent("""
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="reads Linux minor page-fault counts")
 @pytest.mark.parametrize("kernel, budget", [
-    ("whole", 5_000), ("interval", 10_000), ("roy", 5_000)])
+    ("whole", 5_000), ("interval", 10_000), ("box", 5_000), ("roy", 5_000)])
 def test_first_kernel_call_stays_within_its_fault_budget(kernel, budget):
     """Each worker draws and computes every block in one scratch cache,
     so a first call faults in its buffers and its result once instead of
     every block's arrays, whatever ran before it. Kernels: whole space,
     k = 5, m = 3, 2x10^5 replicates; an interval, k = 3, m = 2, 10^6
-    replicates; Roy's null sample, d = 8, m = 3, nu = 160, 2x10^5
-    replicates. Before buffer reuse, a bare first call faulted about
-    21,000, 90,000 and 17,000 times."""
+    replicates; the box [0, 10]^2, k = 2, m = 2, 2x10^5 replicates;
+    Roy's null sample, d = 8, m = 3, nu = 160, 2x10^5 replicates. Before
+    buffer reuse, a bare first call faulted about 21,000, 90,000, 25,000
+    and 17,000 times. The box faulted about 7,000 times bare and 1,500
+    after the preamble while its inside tests made fresh arrays, and
+    about 1,600 and 1,500 since they use the cache."""
     import sctubes
     root = str(Path(sctubes.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": root, "OPENBLAS_NUM_THREADS": "1"}

@@ -339,6 +339,99 @@ def test_box_scratch_holds_one_face_of_entries():
     assert sum(buf.nbytes for buf in cache.values()) < 2 * 2 ** 20
 
 
+# --- the inside test of a face with one free coordinate ----------------------
+
+# Each geometry (p, free coordinate, fixed value) is a box whose only free
+# coordinate runs over [low, high]: the interval (p = 1, nothing fixed),
+# or an edge of a p = 2 box, held as a box whose other coordinate is a
+# point, so that the edge is its only face with a free coordinate.
+ONE_FREE_GEOMETRIES = {
+    "interval": (1, 0, 0.0),
+    "edge, first free": (2, 0, 2.5),
+    "edge, second free": (2, 1, -1.25),
+}
+
+
+def one_free_embedding(p, free, fixed, low, high):
+    """The box, and E taking face coordinates w = (w_0, w_0 t) to e."""
+    bounds = [(fixed, fixed)] * p
+    bounds[free] = (low, high)
+    embed = np.zeros((p + 1, 2))
+    embed[0, 0] = 1.0
+    embed[free + 1, 1] = 1.0
+    if p == 2:
+        embed[2 - free, 0] = fixed
+    return CovariateBox(tuple(bounds)), embed
+
+
+def one_free_reference(a, d, embed, low, high):
+    """max(R(low), R(high), lam if low < t* < high) for the face pencil
+    (E'AE, E'DE), with lam and t* = w_1/w_0 from ``np.linalg.eigh`` of
+    the whitened pencil and a division."""
+    ends = [float((e @ a @ e) / (e @ d @ e))
+            for e in (embed @ [1.0, low], embed @ [1.0, high])]
+    linv = np.linalg.inv(np.linalg.cholesky(embed.T @ d @ embed))
+    vals, vecs = np.linalg.eigh(linv @ embed.T @ a @ embed @ linv.T)
+    w = linv.T @ vecs[:, -1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = w[1] / w[0]
+    return max(ends + ([vals[-1]] if low < t < high else []))
+
+
+def placed_face_factor(de, u):
+    """A 2 x 2 factor G whose Gram's top eigenvector in the pencil
+    (G'G, de) is u: G'G = 2 g g'/(u'g) + h h'/(v'h) with g = de u, v
+    de-orthogonal to u and h = de v, so u's eigenvalue is 2 and v's 1."""
+    g = de @ u
+    v = np.array([-g[1], g[0]])
+    h = de @ v
+    return np.vstack([np.sqrt(2.0 / (u @ g)) * g, np.sqrt(1.0 / (v @ h)) * h])
+
+
+@pytest.mark.parametrize("geometry", list(ONE_FREE_GEOMETRIES))
+def test_one_free_face_inside_rule_matches_an_eigenvector_oracle(geometry):
+    """The sign rule decides whether a face's maximiser t* is inside
+    without its eigenvector. Where t* sits on an endpoint, within 1e-12
+    of its width from one, at infinity (w_0 = 0), where the face matrix
+    has b = 0 exactly or is a multiple of I (root = 0), both ``sup`` and
+    ``sup_with_argmax`` equal the oracle to 1e-13 relative, and the
+    argmax lies on the face."""
+    p, free, fixed = ONE_FREE_GEOMETRIES[geometry]
+    rng = np.random.default_rng(31 + 7 * p + free)
+    cases = []  # (d, box, embed, low, high, face factor G)
+    # A random denominator, with t* placed relative to [-1.5, 4].
+    low, high = -1.5, 4.0
+    width = high - low
+    _, d = random_ratio(rng, p)
+    box, embed = one_free_embedding(p, free, fixed, low, high)
+    de = embed.T @ d @ embed
+    spots = [low, high, 0.5 * (low + high), low - 1.0, high + 1.0]
+    spots += [end + sign * 1e-12 * width for end in (low, high) for sign in (-1.0, 1.0)]
+    for u in [np.array([1.0, t]) for t in spots] + [np.array([0.0, 1.0])]:
+        cases.append((d, box, embed, low, high, placed_face_factor(de, u)))
+    # D = I and the fixed coordinate at 0, so that E'DE = I and the face
+    # matrix is G'G exactly: b = 0 with t* = 0 inside, at the low end
+    # and at infinity, and root = 0.
+    d = np.eye(p + 1)
+    for low, high in [(-1.5, 4.0), (0.0, 4.0)]:
+        box, embed = one_free_embedding(p, free, 0.0, low, high)
+        for g in (np.diag([2.0, 1.0]), np.diag([1.0, 2.0]), 1.5 * np.eye(2)):
+            cases.append((d, box, embed, low, high, g))
+    for d, box, embed, low, high, g in cases:
+        # The fixed column of W is 0, so W E = G.
+        w = np.zeros((2, p + 1))
+        w[:, [0, free + 1]] = g
+        expected = one_free_reference(w.T @ w, d, embed, low, high)
+        plan = sup_solver.FacePlan(d, box)
+        out = np.full(1, -np.inf)
+        plan.sup(w[:, :, None], {}, out)
+        value, point = plan.sup_with_argmax(w)
+        assert out[0] == pytest.approx(expected, rel=1e-13, abs=0.0)
+        assert value == pytest.approx(expected, rel=1e-13, abs=0.0)
+        assert low <= point[free] <= high
+        assert all(point[k] == box.bounds[k][0] for k in range(p) if k != free)
+
+
 # --- top eigenvalue of stacked symmetric matrices -----------------------------
 
 def lapack_top(mats):
