@@ -13,7 +13,12 @@ Each key seeds its own generator: ``SFC64(SeedSequence(words))``, where
 ``(0, 1, 5 * 2**32)`` sees the same words and yields the same stream.
 The engine keys every block by its first replicate index, so no
 generator ever has to skip ahead; substream 0 carries the Wishart
-noise and substream i >= 1 the i-th group's normal matrices.
+noise and substream i >= 2 the i-th group's normal matrices. The tube
+does not draw substream 1: the engine derives group 1's normal
+matrices from the other groups' (``sct_engine._SimPlan``), so a
+replicate of k groups with p covariates and m responses takes
+(k-1)(p+1)m normals besides its Wishart factor. (Roy's null sampler
+draws a second Bartlett factor there.)
 
 Each block function draws a whole batch from the generator at its key.
 A normal block fills element by element, so a shorter block is a prefix
@@ -31,9 +36,10 @@ freshly returned array.
 
 Within one generator the draw order is pinned and documented per
 function. ``STREAM_VERSION`` names this scheme: a change to any draw
-order, the generator or the key changes every downstream result, so it
-must come with a new version, which simulated samples and reports
-carry.
+order, the generator, the key or the way the engine maps draws to
+groups changes every downstream result, so it must come with a new
+version, which simulated samples and reports carry. Version 3 derives
+group 1's matrices; version 2 drew them on substream 1.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ from numpy.random import SFC64, Generator, SeedSequence
 
 from .errors import DegreesOfFreedomTooSmall, InvalidArgument
 
-STREAM_VERSION = 2
+STREAM_VERSION = 3
 
 _U64 = 1 << 64
 
@@ -65,7 +71,8 @@ class StreamKey:
         belongs to.
     substream : int
         Logical channel within the run. The simulation engine uses 0
-        for the shared Wishart draw and i for group i's normal matrix.
+        for the shared Wishart draw and i >= 2 for group i's normal
+        matrix.
     """
 
     seed: int

@@ -18,11 +18,16 @@ enumeration of the covariate box (``sup_solver.FacePlan``), for every
 region: a point, a finite box, or the whole space, and reach it the same
 way, as whitened numerator factors; the pair's denominator D never
 leaves the solver. Per pair the face constants are prepared once. Each
-block of replicates whitens every group's normal matrices by the
+block of replicates whitens every drawn group's normal matrices by the
 block's Wishart factor once (``_whiten``, a forward substitution
 vectorized over the block); the whitening is linear, so a pair's factor
 is a difference of two whitened group matrices, each mapped once per
-block by its group's fixed (p+1) x (p+1) factor. The supremum then
+block by its group's fixed (p+1) x (p+1) factor. Group 1's matrices are
+not drawn: the pivot sees the groups only through their pair
+differences, a Gaussian of (k-1)(p+1)m dimensions, so group 1's stack
+is a fixed linear map of each other group's whitened draws, summed
+(``_SimPlan``), and a family that uses group 1 draws (k-1)(p+1)m
+normals per replicate. The supremum then
 costs closed forms over the whole block (``sup_solver.top_eigenvalue``
 up to size 3), except for the checked faces of a finite box with two or
 more free coordinates, whose top eigenvectors come from one batched
@@ -35,7 +40,7 @@ and block driver.
 Each worker keeps one scratch cache, a dict of flat buffers from which
 every kernel function takes its per-block arrays by name where it uses
 them (``sup_solver._scratch``): the Wishart factors and normal draws,
-the whitened stack, each used group's mapped stack, the pair factor,
+the whitened stack, each group's mapped stack, the pair factor,
 and the face solver's factor and entries for the face it is on. A
 worker's first block sizes them and its later blocks reuse them; a
 block's values go straight into the result. Fresh arrays per block were
@@ -50,10 +55,11 @@ another length, so a run whose last block is short can round a
 replicate differently from a longer run (up to about 1e-15 relative).
 Draws are made in fixed blocks of 8192 replicates; the block holding
 replicate j is keyed by the block's first index, full blocks are always
-drawn even when r cuts the last one short, and each group's normal
-matrices live on their own substream (the Wishart noise on substream
-0). Workers therefore cannot change results: ``_replicates``, the one
-block driver, hands blocks to threads and writes them back by position.
+drawn even when r cuts the last one short, and group g's normal
+matrices live on substream g (the Wishart noise on substream 0;
+substream 1 is never drawn, since group 1's are derived). Workers
+therefore cannot change results: ``_replicates``, the one block
+driver, hands blocks to threads and writes them back by position.
 """
 
 from __future__ import annotations
@@ -229,17 +235,36 @@ def _binom_ppf(q: float, r: int, prob: float) -> int:
 class _SimPlan:
     """Design-dependent constants hoisted out of the replicate loop.
 
-    Per group the family uses, the factor G with G G' = (X'X)^{-1}, keyed
-    by 0-based group index; per pair, the face plan of its denominator
-    D = (X_i'X_i)^{-1} + (X_j'X_j)^{-1} over the box. The fit checks the
+    Per drawn group g (0-based), the factor G_g with G_g G_g' =
+    (X_g'X_g)^{-1}; per pair, the face plan of its denominator D =
+    (X_i'X_i)^{-1} + (X_j'X_j)^{-1} over the box. The fit checks the
     family's group indices, ``FacePlan`` the box.
+
+    The pivot sees the groups' normal matrices only through the pair
+    differences, a Gaussian of (k-1)(p+1)m dimensions, so group 1's
+    matrix is derived from the others' draws instead of drawn. With
+    V_g = G_g^{-1} G_1, P = sum of V_g'V_g and K = (I + (I + P)^{1/2})^{-1}
+    (eigenvalues in (0, 1/2]), G (I + V K V') is the symmetric square
+    root of the differences' covariance, G = blockdiag(G_g), so group 1
+    takes ``derive[g]`` = B_g = -G_1 K V_g' of each group g >= 2. A
+    family that uses group 1 therefore draws every other group; one that
+    does not draws only its own groups. Either way a pair's value in a
+    replicate is the same in every family.
     """
 
     def __init__(self, fit: FittedModels, family: ComparisonFamily,
                  box: CovariateBox):
         self.nu, self.m, self.p = fit.nu, fit.m, fit.p
-        self.gfac = {g: np.linalg.cholesky(fit.gram_inv[g]) for g in sorted(
-            {fit._check_index(g) for ij in family.pairs for g in ij})}
+        used = {fit._check_index(g) for ij in family.pairs for g in ij}
+        drawn = range(1, fit.k) if 0 in used else sorted(used)
+        self.gfac = {g: np.linalg.cholesky(fit.gram_inv[g]) for g in drawn}
+        self.derive = {}
+        if 0 in used:
+            g1 = np.linalg.cholesky(fit.gram_inv[0])
+            v = {g: np.linalg.solve(gfac, g1) for g, gfac in self.gfac.items()}
+            lam, q = np.linalg.eigh(sum(vg.T @ vg for vg in v.values()))
+            g1k = g1 @ (q / (1.0 + np.sqrt(1.0 + lam))) @ q.T
+            self.derive = {g: -(g1k @ vg.T) for g, vg in v.items()}
         self.pair_faces = [(i - 1, j - 1, FacePlan(fit.delta(i, j), box))
                            for i, j in family.pairs]
 
@@ -275,24 +300,34 @@ def _tube_block(plan: _SimPlan, seed: int, start: int, count: int,
     The Wishart factors and normal draws fill buffers for one full
     block (full fixed-size blocks are always drawn and then sliced, so a
     replicate's draws never depend on r or on scheduling). The whitened
-    stack is shared by the groups, each used group keeps its mapped
-    stack under ``("mapped", g)``, and the pairs share the pair factor
-    and the face solver's buffers.
+    stack is shared by the drawn groups, each group the pairs use keeps
+    its mapped stack under ``("mapped", g)`` (group 1's summed there from
+    the drawn groups'), and the pairs share the pair factor and the face
+    solver's buffers.
     """
     m, n = plan.m, plan.p + 1
     lw = wishart_factor_block(m, plan.nu, StreamKey(seed, start, 0), _BLOCK,
                               out=_scratch(cache, "lw", m, m, _BLOCK))
     u = _scratch(cache, "u", _BLOCK, n, m)
     v = {}
+    w = _scratch(cache, "pair", m, n, count)
     for g, gfac in plan.gfac.items():
         normal_block(n, m, StreamKey(seed, start, g + 1), _BLOCK, out=u)
+        z = _whiten(lw[..., :count], u[:count], cache)
         # G_g Z_g, the group's share of every pair factor it enters.
-        v[g] = np.matmul(gfac, _whiten(lw[..., :count], u[:count], cache),
-                         out=_scratch(cache, ("mapped", g), m, n, count))
+        v[g] = np.matmul(gfac, z, out=_scratch(cache, ("mapped", g), m, n, count))
+        if g in plan.derive:
+            # Group 1's stack, the sum of B_g Z_g over the drawn groups;
+            # the pair factor's buffer holds each later term.
+            if 0 in v:
+                v[0] += np.matmul(plan.derive[g], z, out=w)
+            else:
+                v[0] = np.matmul(plan.derive[g], z,
+                                 out=_scratch(cache, ("mapped", 0), m, n, count))
     out.fill(-np.inf)
-    w = _scratch(cache, "pair", m, n, count)
     for i, j, faces in plan.pair_faces:
-        # L_W^{-1}(G_i U_i - G_j U_j)' = Z_i G_i' - Z_j G_j', as (m, p+1, count).
+        # L_W^{-1}(X_i - X_j)', the difference of two mapped stacks, as
+        # (m, p+1, count).
         faces.sup(np.subtract(v[i], v[j], out=w), cache, out)
 
 

@@ -752,7 +752,7 @@ def test_reports_carry_the_stream_version(tmp_path, command):
                      "--workers", workers, "--out", str(out)]) == 0
         blobs.append(out.read_bytes())
     assert len(set(blobs)) == 1
-    assert json.loads(blobs[0])["stream"] == STREAM_VERSION == 2
+    assert json.loads(blobs[0])["stream"] == STREAM_VERSION == 3
 
 
 @pytest.mark.parametrize("argv", [

@@ -257,6 +257,18 @@ PINNED = {
         "largest_root_null_sample":
             "371efd553ef4d00aa43b0bd014e005ac356e1d680afd358a341b781caf0718bf",
     },
+    # Version 3 draws the same blocks and derives group 1's normal
+    # matrices from the other groups', so only the tube sample moves.
+    3: {
+        "normal_block":
+            "4339750d98172a722ea3d347553233c73a23e2395a5a8b0e54f02b6d9a20d873",
+        "wishart_factor_block":
+            "09b44095836ae3e2466bc2831eda9febbed491edf6b49191f1fdbc254e1f9272",
+        "simulate_pivot":
+            "5f96085dd35ac0a2c48a886649cbf66ff0b2906fcf69a3f9c61a9996ba76bccd",
+        "largest_root_null_sample":
+            "371efd553ef4d00aa43b0bd014e005ac356e1d680afd358a341b781caf0718bf",
+    },
 }
 
 

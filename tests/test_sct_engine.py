@@ -386,6 +386,27 @@ def test_reversed_pair_gives_identical_sample(two_group_fit):
     assert np.array_equal(fwd.values, rev.values)
 
 
+def group_stacks(fit, seed, count):
+    """Each group's numerator stack in replicates 0 .. count-1 of the
+    first block, up to one shift common to every group, so that group i
+    minus group j is pair (i, j)'s factor before whitening. Rebuilt by an
+    independent route: with G_g G_g' = (X_g'X_g)^{-1} and V stacking
+    G_g^{-1} G_1, the differences X_g - X_1 (g >= 2) have covariance
+    G (I + V V') G', G = blockdiag(G_g), so they are G (I + V V')^{1/2}
+    applied to the stacked draws of groups 2..k. That symmetric root is
+    unique, so it is the kernel's. Group 1's stack is zero, replicates
+    first, (count, p+1, m) per group."""
+    n, k = fit.p + 1, fit.k
+    chol = [np.linalg.cholesky(gi) for gi in fit.gram_inv]
+    v = np.vstack([scipy.linalg.solve_triangular(c, chol[0], lower=True)
+                   for c in chol[1:]])
+    root = scipy.linalg.sqrtm(np.eye((k - 1) * n) + v @ v.T)
+    draws = np.concatenate([normal_block(n, fit.m, StreamKey(seed, 0, g), _BLOCK)
+                            for g in range(2, k + 1)], axis=1)[:count]
+    diffs = scipy.linalg.block_diag(*chol[1:]) @ root @ draws
+    return [np.zeros((count, n, fit.m))] + np.split(diffs, k - 1, axis=1)
+
+
 def test_interval_mode_matches_scalar_solver(two_group_fit):
     """The vectorized kernel on an interval must agree with the scalar
     quadratic-root reference."""
@@ -396,14 +417,11 @@ def test_interval_mode_matches_scalar_solver(two_group_fit):
     sample = simulate_pivot(fit, fam, CovariateBox.interval(low, high), r, seed)
 
     lw = wishart_factors(fit.m, fit.nu, StreamKey(seed, 0, 0), 8192)[:r]
-    u1 = normal_block(fit.p + 1, fit.m, StreamKey(seed, 0, 1), 8192)[:r]
-    u2 = normal_block(fit.p + 1, fit.m, StreamKey(seed, 0, 2), 8192)[:r]
-    g1 = np.linalg.cholesky(fit.gram_inv[0])
-    g2 = np.linalg.cholesky(fit.gram_inv[1])
+    x = group_stacks(fit, seed, r)
     d = fit.delta(1, 2)
     vals = []
     for b in range(r):
-        mmat = g1 @ u1[b] - g2 @ u2[b]
+        mmat = x[0][b] - x[1][b]
         v = scipy.linalg.solve_triangular(lw[b], mmat.T, lower=True)
         vals.append(interval_sup_reference(v.T @ v, d, low, high))
     # The paths share draws but not evaluation order, so compare to
@@ -422,18 +440,14 @@ def test_box_kernel_reaches_dense_grid_maxima():
                             CovariateBox(((0.0, 5.0), (1.0, 4.0))), r, seed)
 
     lw = wishart_factors(fit.m, fit.nu, StreamKey(seed, 0, 0), 8192)[:r]
-    u1 = normal_block(fit.p + 1, fit.m, StreamKey(seed, 0, 1), 8192)[:r]
-    u2 = normal_block(fit.p + 1, fit.m, StreamKey(seed, 0, 2), 8192)[:r]
-    g1 = np.linalg.cholesky(fit.gram_inv[0])
-    g2 = np.linalg.cholesky(fit.gram_inv[1])
+    x = group_stacks(fit, seed, r)
     d = fit.delta(1, 2)
     gx, gy = np.meshgrid(np.linspace(0.0, 5.0, 301), np.linspace(1.0, 4.0, 301))
     e = np.stack([np.ones(gx.size), gx.ravel(), gy.ravel()])
     den = np.einsum("it,ij,jt->t", e, d, e)
     grid_max, tops = [], []
     for b in range(r):
-        v = scipy.linalg.solve_triangular(lw[b], (g1 @ u1[b] - g2 @ u2[b]).T,
-                                          lower=True)
+        v = scipy.linalg.solve_triangular(lw[b], (x[0][b] - x[1][b]).T, lower=True)
         a = v.T @ v
         grid_max.append((np.einsum("it,ij,jt->t", e, a, e) / den).max())
         tops.append(scipy.linalg.eigh(a, d, eigvals_only=True)[-1])
@@ -495,9 +509,10 @@ def test_one_scratch_cache_serves_every_block_of_a_worker():
                                  CovariateBox.interval(1.0, 8.0)],
                          ids=["whole", "interval"])
 def test_pairwise_k5_m3_kernel_matches_per_replicate_reference(box):
-    """Ten pairs sharing one Wishart draw and five groups' normals: each
-    replicate is the largest pair supremum, rebuilt from the same draws
-    with a generic solve per pair and an independent supremum."""
+    """Ten pairs sharing one Wishart draw and four groups' normals, with
+    group 1's stack derived from them: each replicate is the largest pair
+    supremum, rebuilt from the same draws (``group_stacks``) with a
+    generic solve per pair and an independent supremum."""
     rng = np.random.default_rng(57)
     coef = rng.standard_normal((2, 3))
     fit = fit_models(make_dataset(rng, (12, 14, 16, 18, 20), [coef] * 5))
@@ -507,15 +522,12 @@ def test_pairwise_k5_m3_kernel_matches_per_replicate_reference(box):
     got = block_values(_SimPlan(fit, fam, box), seed, count)
 
     lw = wishart_factors(3, fit.nu, StreamKey(seed, 0, 0), _BLOCK)[:count]
-    u = [normal_block(2, 3, StreamKey(seed, 0, g + 1), _BLOCK)[:count]
-         for g in range(5)]
-    chol = [np.linalg.cholesky(gi) for gi in fit.gram_inv]
+    x = group_stacks(fit, seed, count)
     want = np.full(count, -np.inf)
     for i, j in fam.pairs:
         d = fit.delta(i, j)
         for b in range(count):
-            v = np.linalg.solve(lw[b], (chol[i - 1] @ u[i - 1][b]
-                                        - chol[j - 1] @ u[j - 1][b]).T)
+            v = np.linalg.solve(lw[b], (x[i - 1][b] - x[j - 1][b]).T)
             a = v.T @ v
             if box.is_whole_space:
                 val = scipy.linalg.eigh(a, d, eigvals_only=True)[-1]
@@ -538,18 +550,92 @@ def test_whole_space_p2_kernel_matches_per_replicate_reference():
     got = block_values(_SimPlan(fit, fam, CovariateBox.whole_space(2)), seed, count)
 
     lw = wishart_factors(2, fit.nu, StreamKey(seed, 0, 0), _BLOCK)[:count]
-    u = [normal_block(3, 2, StreamKey(seed, 0, g + 1), _BLOCK)[:count]
-         for g in range(3)]
-    chol = [np.linalg.cholesky(gi) for gi in fit.gram_inv]
+    x = group_stacks(fit, seed, count)
     want = np.full(count, -np.inf)
     for i, j in fam.pairs:
         d = fit.delta(i, j)
         for b in range(count):
-            v = np.linalg.solve(lw[b], (chol[i - 1] @ u[i - 1][b]
-                                        - chol[j - 1] @ u[j - 1][b]).T)
+            v = np.linalg.solve(lw[b], (x[i - 1][b] - x[j - 1][b]).T)
             want[b] = max(want[b],
                           scipy.linalg.eigh(v.T @ v, d, eigvals_only=True)[-1])
     np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+def plan_maps(plan, k):
+    """Each group's numerator stack as a linear map of the stacked draws
+    of the groups ``plan`` draws, in its drawing order; a group the plan
+    neither draws nor derives maps to zero."""
+    n = plan.p + 1
+    maps = np.zeros((k, n, len(plan.gfac) * n))
+    for slot, (g, gfac) in enumerate(plan.gfac.items()):
+        maps[g][:, slot * n:(slot + 1) * n] = gfac
+        if g in plan.derive:
+            maps[0][:, slot * n:(slot + 1) * n] = plan.derive[g]
+    return maps
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(k=st.integers(2, 5), p=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_derived_group_keeps_every_pair_law(k, p, seed):
+    """With group 1 derived from groups 2..k, every pair factor keeps
+    its covariance D_ij = (X_i'X_i)^{-1} + (X_j'X_j)^{-1}, and every two
+    pairs keep their cross-covariance, to 1e-12 in the metric that
+    whitens each pair by its D's Cholesky factor."""
+    rng = np.random.default_rng(seed)
+    coef = rng.standard_normal((p + 1, 1))
+    fit = fit_models(make_dataset(rng, [p + 3 + 2 * g for g in range(k)], [coef] * k))
+    family = ComparisonFamily.pairwise(k)
+    plan = _SimPlan(fit, family, CovariateBox.whole_space(p))
+    assert list(plan.gfac) == list(plan.derive) == list(range(1, k))
+    maps, cov = plan_maps(plan, k), fit.gram_inv
+    for i, j in family.pairs:
+        wi = np.linalg.inv(np.linalg.cholesky(fit.delta(i, j)))
+        for a, b in family.pairs:
+            wa = np.linalg.inv(np.linalg.cholesky(fit.delta(a, b)))
+            want = (((i == a) - (i == b)) * cov[i - 1]
+                    + ((j == b) - (j == a)) * cov[j - 1])
+            got = (maps[i - 1] - maps[j - 1]) @ (maps[a - 1] - maps[b - 1]).T
+            assert np.abs(wi @ (got - want) @ wa.T).max() < 1e-12
+
+
+def test_each_pair_value_is_the_same_in_every_family():
+    """Every family draws its pairs' values from common draws: for k = 4,
+    each pairwise replicate equals the largest of its six one-pair
+    families' replicates, bit for bit, and so does a family that never
+    uses group 1 against its own one-pair families."""
+    rng = np.random.default_rng(62)
+    coef = rng.standard_normal((2, 2))
+    fit = fit_models(make_dataset(rng, (10, 12, 14, 16), [coef] * 4))
+    box, seed, count = CovariateBox.interval(1.0, 8.0), 29, 500
+    for family in (ComparisonFamily.pairwise(4),
+                   ComparisonFamily(pairs=[(2, 3), (4, 2), (3, 4)])):
+        got = block_values(_SimPlan(fit, family, box), seed, count)
+        alone = [block_values(_SimPlan(fit, ComparisonFamily(pairs=[ij]), box),
+                              seed, count) for ij in family.pairs]
+        assert np.array_equal(got, np.max(alone, axis=0))
+
+
+@pytest.mark.parametrize("family, draws", [
+    (ComparisonFamily.pairwise(4), 3), (ComparisonFamily.successive(4), 3),
+    (ComparisonFamily.vs_control(4, 2), 3), (ComparisonFamily(pairs=[(2, 4)]), 2),
+    (ComparisonFamily(pairs=[(1, 2)]), 3)])
+def test_a_block_draws_every_group_but_the_first(family, draws, monkeypatch):
+    """One block draws the normals of k - 1 groups when the family uses
+    group 1, which it derives from the others (so a family of one pair
+    with group 1 still draws all three others), and otherwise only the
+    groups its pairs use; never substream 1."""
+    rng = np.random.default_rng(63)
+    coef = rng.standard_normal((2, 2))
+    fit = fit_models(make_dataset(rng, (10, 12, 14, 16), [coef] * 4))
+    keys = []
+
+    def counted(rows, cols, key, count, out=None):
+        keys.append(key.substream)
+        return normal_block(rows, cols, key, count, out=out)
+
+    monkeypatch.setattr(sct_engine, "normal_block", counted)
+    block_values(_SimPlan(fit, family, CovariateBox.interval(1.0, 8.0)), 3, 100)
+    assert len(keys) == draws and 1 not in keys
 
 
 # --- distributional oracles ------------------------------------------------
