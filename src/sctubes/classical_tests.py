@@ -5,35 +5,64 @@ groups, built on the restricted (common-coefficient) fit. Under the
 null its statistic is distributed as the largest eigenvalue of
 Z W^{-1} Z' with Z a d x m standard normal matrix, d = (k-1)(p+1)
 (p+1 for two groups), and W an identity-scale Wishart with the pooled
-degrees of freedom, regardless of the designs. For d >= m the null
-sampler draws Z'Z as a second Wishart factor instead of Z.
+degrees of freedom, regardless of the designs. With s = min(d, m) roots,
+theta = lambda / (1 + lambda) is the largest root of a matrix beta,
+whose joint root density is known in closed form (Muirhead 1982,
+Thms 3.3.3 and 3.3.4). Up to ``_EXACT_ROOTS`` roots the test reads its
+critical value and p-value off that law's CDF, a Pfaffian (Chiani,
+JMVA 2016), with no sampling. Beyond it a Monte Carlo null sample
+stands in, whose sampler draws Z'Z as a second Wishart factor for
+d >= m instead of Z.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
-from .errors import NotTwoGroups
+from .errors import InvalidArgument, NotTwoGroups, TooFewReplicates, index_of
 from .model_core import FittedModels
 from .rand_engine import StreamKey, normal_block, wishart_factor_block
 from .sct_engine import _BLOCK, _replicates, _whiten, tail_p_value, tail_rank
 from .sup_solver import _scratch, top_eigenvalue
 
+# The most roots the exact law serves. Its CDF passes the checks in
+# tests/test_classical_tests.py (mass 1 within 1e-10, and _NODES against
+# 2 * _NODES nodes within 1e-10, for nu from m to 10^6 and d up to 1000)
+# with a tenfold margin up to s = 8. The Pfaffian's rounding grows about
+# tenfold per root: s = 9 passes with 6e-11, too close to rely on across
+# BLAS builds, and s = 10 fails.
+_EXACT_ROOTS = 8
+# Gauss-Legendre nodes over the integration range. 128 are enough
+# except where d is in the hundreds and nu = m, which needs 256.
+_NODES = 256
+# The CDF's tested absolute accuracy: upper-tail p-values below it are
+# rounding noise and are reported as 0.
+_CDF_ATOL = 1e-10
+# Mass the integration range may leave out below and above the roots.
+_LOG_TAIL = math.log(2.0 ** -60)
+
 
 @dataclass(frozen=True, eq=False)
 class RoyResult:
-    """A largest-root test: statistic, simulated critical value, p-value."""
+    """A largest-root test: statistic, critical value, p-value.
+
+    ``null_law`` is ``"exact"`` when they come from the closed-form law
+    (``null_reps`` is then 0 and ``seed`` None) and ``"monte_carlo"``
+    when they come from ``null_reps`` simulated replicates.
+    """
 
     statistic: float
     critical: float
     p_value: float
     alpha: float
     null_reps: int
-    seed: int
+    seed: int | None
     null_dimension: int
+    null_law: str
 
 
 def _lam_max_gram(z: np.ndarray, cache: dict) -> np.ndarray:
@@ -94,6 +123,256 @@ def largest_root_null_sample(d: int, m: int, nu: int, r: int, seed: int,
     return _replicates(r, workers, partial(_roy_block, d, m, nu, seed))
 
 
+# --- the exact law -------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes x and weights w on [-1, 1], and the matrix
+    that maps a function's values at the nodes to its integrals from -1
+    to each node (exact for polynomials of degree below n).
+
+    Nodes by Newton's method from Tricomi's estimates; the matrix
+    integrates the interpolant in the Legendre basis, through
+    the integral of P_j from -1 being (P_{j+1} - P_{j-1}) / (2j + 1). The
+    arrays are read-only, since every caller in the process shares them.
+    """
+    k = np.arange(n)
+    x = -(1.0 - (n - 1.0) / (8.0 * n ** 3)) * np.cos(np.pi * (k + 0.75) / (n + 0.5))
+    legendre = np.empty((n + 1, n))
+    for _ in range(6):
+        legendre[0], legendre[1] = 1.0, x
+        for j in range(1, n):
+            legendre[j + 1] = ((2 * j + 1) * x * legendre[j]
+                               - j * legendre[j - 1]) / (j + 1)
+        slope = n * (x * legendre[n] - legendre[n - 1]) / (x * x - 1.0)
+        step = legendre[n] / slope
+        if np.max(np.abs(step)) < 1e-15:
+            break
+        x = x - step
+    w = 2.0 / ((1.0 - x * x) * slope * slope)
+    below = np.empty((n, n))
+    below[0] = x + 1.0
+    below[1:] = (legendre[2:] - legendre[:-2]) / (2 * k[1:, None] + 1)
+    integrate = below.T @ ((k[:, None] + 0.5) * legendre[:n] * w)
+    for a in (x, w, integrate):
+        a.setflags(write=False)
+    return x, w, integrate
+
+
+def _log_gamma_ratio(base: float, shift: float) -> float:
+    """log Gamma(base + shift) - log Gamma(base), shift >= 0. For large
+    bases through Stirling's series, whose leading terms then cancel
+    exactly instead of in rounding (at nu = 10^6 the plain difference of
+    ``math.lgamma`` values is off by 4e-10)."""
+    if base < 30.0:
+        return math.lgamma(base + shift) - math.lgamma(base)
+
+    def series(z: float) -> float:
+        z2 = z * z
+        return (1 / 12 - (1 / 360 - (1 / 1260 - 1 / (1680 * z2)) / z2) / z2) / z
+
+    return ((base - 0.5) * math.log1p(shift / base) + shift * math.log(base + shift)
+            - shift + series(base + shift) - series(base))
+
+
+def _log_root_density_constant(s: int, a: float, b: float) -> float:
+    """log of pi^{s^2/2} Gamma_s(a+b) / (Gamma_s(s/2) Gamma_s(a) Gamma_s(b)),
+    the constant of the joint density of s matrix-beta roots, Gamma_s the
+    multivariate gamma (1 for s = 0)."""
+    total = 0.5 * s * math.log(math.pi)
+    for i in range(s):
+        low, high = sorted((a - 0.5 * i, b - 0.5 * i))
+        total += (_log_gamma_ratio(high, low + 0.5 * i) - math.lgamma(low)
+                  - math.lgamma(0.5 * (s - i)))
+    return total
+
+
+def _orthonormal_basis(u: np.ndarray, weight: np.ndarray,
+                       s: int) -> tuple[np.ndarray, float]:
+    """Values at the nodes ``u`` of the first s polynomials orthonormal
+    under the discrete weights ``weight`` (Stieltjes' three-term
+    recurrence), and the sum of the logs of their leading coefficients.
+    Monomials would lose the Pfaffian to cancellation from s of about 10."""
+    basis = np.empty((u.size, s))
+    prev, norm = np.zeros_like(u), 0.0
+    cur = np.full_like(u, 1.0 / math.sqrt(weight.sum()))
+    log_lead = log_sum = math.log(cur[0])
+    basis[:, 0] = cur
+    for n in range(1, s):
+        rest = (u - weight @ (u * cur * cur)) * cur - norm * prev
+        norm = math.sqrt(weight @ (rest * rest))
+        prev, cur = cur, rest / norm
+        log_lead -= math.log(norm)
+        log_sum += log_lead
+        basis[:, n] = cur
+    return basis, log_sum
+
+
+class _LargestRootLaw:
+    """The exact law of the largest eigenvalue lambda of Z W^{-1} Z'.
+
+    Z is d x m standard normal and W ~ Wishart_m(I, nu), nu >= m. With
+    s = min(d, m), theta = lambda / (1 + lambda) is the largest of s roots
+    with joint density C prod psi(theta_i) prod_{i<j} (theta_i - theta_j),
+    psi(u) = u^(a-(s+1)/2) (1-u)^(b-(s+1)/2), where a = d/2, b = nu/2 for
+    d >= m and a = m/2, b = (nu+d-m)/2 otherwise.
+
+    By de Bruijn's identity, P(theta_max <= x) = C Pf(A(x)) / prod c_j:
+    A_jk = int_0^x phi_k Phi_j - int_0^x phi_j Phi_k, phi_j = q_j psi
+    with q_j orthonormal polynomials of leading coefficients c_j, Phi_j
+    the integral of phi_j from 0, and A bordered by the column int phi_j
+    when s is odd. The integrals run in tau = sqrt(log(1 + lambda)), so
+    u = 1 - exp(-tau^2): psi(u) du is then tau to the integer power
+    2a - s times a smooth factor at 0 and has no singularity at u = 1,
+    and a statistic of any size maps to a finite tau.
+    """
+
+    def __init__(self, d: int, m: int, nu: int):
+        s = min(d, m)
+        a, b = (d / 2, nu / 2) if d >= m else (m / 2, (nu + d - m) / 2)
+        self._s = s
+        self._alpha = a - (s + 1) / 2
+        self._beta = b - (s + 1) / 2
+        self._log_c = _log_root_density_constant(s, a, b)
+        self._low, self._high = self._support(a, b)
+
+    def _support(self, a: float, b: float) -> tuple[float, float]:
+        """The tau range outside which the roots lie with probability
+        below exp(_LOG_TAIL) on each side, so that the nodes cover where
+        the mass is (at nu = 10^6 it sits within u < 1e-4).
+
+        In v = tau^2 the marginal density of the largest root is at most
+        k e^{E(v)}, E(v) = A log(1 - e^{-v}) - B v with A = alpha + s - 1,
+        B = beta + 1, and that of the smallest root at most k e^{E(v)} with
+        A = alpha, B = beta + s, since every root difference is at most
+        the top root and at most one minus the bottom one. k is the ratio
+        of the s-root density constant to the (s-1)-root one at
+        (a - 1/2, b - 1/2), which integrates out the other roots. E is
+        concave for A >= 0, so a tail beyond v has mass at most
+        k e^{E(v)} / |E'(v)|.
+        """
+        s, alpha, beta = self._s, self._alpha, self._beta
+        log_k = self._log_c - _log_root_density_constant(s - 1, a - 0.5, b - 0.5)
+
+        def log_tail(v: float, big_a: float, big_b: float) -> float:
+            """Log of the envelope's mass beyond v, away from its mode."""
+            rise = big_a * math.exp(-v) / -math.expm1(-v) if big_a > 0 else 0.0
+            slope = abs(rise - big_b)
+            if slope == 0.0:
+                return math.inf
+            return log_k + big_a * math.log(-math.expm1(-v)) - big_b * v - math.log(slope)
+
+        def bisect(lo: float, hi: float, past) -> float:
+            for _ in range(100):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (lo, mid) if past(mid) else (mid, hi)
+            return hi
+
+        top_a, top_b = alpha + s - 1, beta + 1
+        mode = math.log1p(top_a / top_b) if top_a > 0 else 0.0
+
+        def beyond_top(v: float) -> bool:
+            return v > mode and log_tail(v, top_a, top_b) < _LOG_TAIL
+
+        high = 2.0 * mode + 1.0
+        while not beyond_top(high):
+            high *= 2.0
+        high = bisect(mode, high, beyond_top)
+        low = 0.0
+        if alpha > 0:
+            low = bisect(0.0, math.log1p(alpha / (beta + s)),
+                         lambda v: log_tail(v, alpha, beta + s) >= _LOG_TAIL)
+        return math.sqrt(low), math.sqrt(high)
+
+    def _cdf_at(self, top: float) -> float:
+        """P(tau(lambda_max) <= top), for top within the support."""
+        lo = self._low
+        if top <= lo:
+            return 0.0
+        s = self._s
+        x, w, integrate = _legendre_rule(_NODES)
+        half = 0.5 * (top - lo)
+        tau = lo + half * (x + 1.0)
+        v = tau * tau
+        u = -np.expm1(-v)
+        log_density = self._alpha * np.log(u) - (self._beta + 1.0) * v + np.log(2.0 * tau)
+        peak = float(log_density.max())
+        density = np.exp(log_density - peak)
+        weight = half * w * density
+        basis, log_lead = _orthonormal_basis(u, weight, s)
+        phi = density[:, None] * basis
+        inner = (w[:, None] * phi).T @ (integrate @ phi) * (half * half)
+        skew = inner.T - inner
+        if s % 2:
+            edge = weight @ basis
+            skew = np.block([[skew, edge[:, None]], [-edge[None, :], np.zeros((1, 1))]])
+        _, log_det = np.linalg.slogdet(skew)
+        return math.exp(self._log_c + s * peak + 0.5 * log_det - log_lead)
+
+    def cdf(self, lam: float) -> float:
+        """P(lambda_max <= lam)."""
+        if lam <= 0.0:
+            return 0.0
+        return self._cdf_at(math.sqrt(min(math.log1p(lam), self._high ** 2)))
+
+    def quantile(self, prob: float) -> float:
+        """The lam with cdf(lam) = prob, found in tau by the Illinois
+        variant of regula falsi, which keeps a bracket and converges
+        superlinearly (about 20 CDF evaluations). A prob beyond the
+        support's mass gives its upper end."""
+        lo, hi = self._low, self._high
+        f_lo, f_hi = -prob, self._cdf_at(hi) - prob
+        side = 0
+        for _ in range(200):
+            if f_hi <= 0.0 or hi - lo <= 1e-14 * hi:
+                break
+            mid = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+            if not lo < mid < hi:
+                mid = 0.5 * (lo + hi)
+            f_mid = self._cdf_at(mid) - prob
+            if f_mid >= 0.0:
+                hi, f_hi = mid, f_mid
+                if side == 1:
+                    f_lo *= 0.5
+                side = 1
+            else:
+                lo, f_lo = mid, f_mid
+                if side == -1:
+                    f_hi *= 0.5
+                side = -1
+        return math.expm1(hi * hi)
+
+    def critical_and_p_value(self, statistic: float,
+                             alpha: float) -> tuple[float, float]:
+        """The level-alpha critical value and the p-value of ``statistic``.
+
+        The p-value is the upper tail 1 - cdf(statistic), read as 0 below
+        the CDF's tested accuracy ``_CDF_ATOL``. It is at most alpha
+        exactly when statistic >= critical: where rounding in the CDF
+        would put it on the other side of alpha, it is moved to alpha (or
+        just above), so the decision follows the critical value.
+        """
+        critical = self.quantile(1.0 - alpha)
+        p_value = 1.0 - self.cdf(statistic)
+        if p_value < _CDF_ATOL:
+            p_value = 0.0
+        if statistic >= critical:
+            return critical, min(p_value, alpha)
+        return critical, max(p_value, math.nextafter(alpha, 1.0))
+
+
+def _check_run(r: int, seed: int, workers: int) -> None:
+    """The checks the Monte Carlo null makes of its run arguments, in its
+    order, for the exact law, which uses none of them: so both nulls
+    refuse the same calls."""
+    r, workers = index_of(r, "replicate count"), index_of(workers, "worker count")
+    if r < 1:
+        raise TooFewReplicates(f"need at least one replicate, got {r}")
+    if workers < 1:
+        raise InvalidArgument(f"workers must be positive, got {workers}")
+    StreamKey(seed)
+
+
 def roy_k_sample(fit: FittedModels, alpha: float, r: int, seed: int,
                  workers: int = 1) -> RoyResult:
     """Largest-root test that all k >= 2 coefficient matrices coincide.
@@ -105,6 +384,13 @@ def roy_k_sample(fit: FittedModels, alpha: float, r: int, seed: int,
     standardized by the pooled scatter and the summed cross-product
     inverses, the whole-space supremum of the tube statistic, so this
     test and an unrestricted two-group tube agree.
+
+    With s = min(d, m) roots up to ``_EXACT_ROOTS``, the critical value
+    and p-value come from the exact law, and ``r``, ``seed`` and
+    ``workers`` are checked but change nothing. There, p <= alpha exactly
+    when statistic >= critical, and a p-value below the law's accuracy
+    (1e-10) reads 0. Beyond ``_EXACT_ROOTS`` roots they come from r
+    replicates of ``largest_root_null_sample``.
     """
     if fit.k < 2:
         raise NotTwoGroups(f"need at least 2 groups, got {fit.k}")
@@ -134,7 +420,15 @@ def roy_k_sample(fit: FittedModels, alpha: float, r: int, seed: int,
     statistic = max(float(w[-1]), 0.0)
 
     d = (fit.k - 1) * (fit.p + 1)
-    null = largest_root_null_sample(d, fit.m, fit.nu, r, seed, workers=workers)
-    return RoyResult(statistic=statistic, critical=float(null[rank - 1]),
-                     p_value=tail_p_value(null, statistic), alpha=alpha,
-                     null_reps=r, seed=seed, null_dimension=d)
+    if min(d, fit.m) > _EXACT_ROOTS:
+        null = largest_root_null_sample(d, fit.m, fit.nu, r, seed, workers=workers)
+        return RoyResult(statistic=statistic, critical=float(null[rank - 1]),
+                         p_value=tail_p_value(null, statistic), alpha=alpha,
+                         null_reps=r, seed=seed, null_dimension=d,
+                         null_law="monte_carlo")
+    _check_run(r, seed, workers)
+    critical, p_value = _LargestRootLaw(d, fit.m, fit.nu).critical_and_p_value(
+        statistic, alpha)
+    return RoyResult(statistic=statistic, critical=critical, p_value=p_value,
+                     alpha=alpha, null_reps=0, seed=None, null_dimension=d,
+                     null_law="exact")

@@ -488,12 +488,14 @@ def _cmd_roy(config: RunConfig, data: GroupedDataset) -> int:
         "seed": res.seed,
         "stream": STREAM_VERSION,
         "null_dimension": res.null_dimension,
+        "null_law": res.null_law,
         "nu": fit.nu,
         "m": fit.m,
     }
     verdict = "reject" if res.statistic >= res.critical else "retain"
     print(f"largest-root {which} test: statistic {res.statistic:.6g}, "
-          f"critical {res.critical:.6g}, p={res.p_value:.6g}, {verdict}")
+          f"critical {res.critical:.6g}, p={res.p_value:.6g}, {verdict} "
+          f"({res.null_law} null)")
     _emit(report, config.out)
     return 0
 

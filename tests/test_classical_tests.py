@@ -8,7 +8,11 @@ import scipy.linalg
 import scipy.stats
 
 from conftest import f_quantile, make_dataset, pointwise_constant, wishart_factors
+from sctubes import classical_tests
 from sctubes.classical_tests import (
+    _EXACT_ROOTS,
+    _NODES,
+    _LargestRootLaw,
     _lam_max_gram,
     largest_root_null_sample,
     roy_k_sample,
@@ -194,6 +198,86 @@ def test_null_sample_is_the_same_for_any_worker_count():
     serial = largest_root_null_sample(3, 2, 40, r, seed=6, workers=1)
     threaded = largest_root_null_sample(3, 2, 40, r, seed=6, workers=3)
     assert np.array_equal(serial, threaded)
+
+
+# --- exact law --------------------------------------------------------------
+
+@pytest.mark.parametrize("d, m, nu", [(1, 1, 1), (1, 1, 5), (4, 1, 30), (8, 1, 200),
+                                      (3, 1, 10**6), (1, 3, 3), (1, 3, 20), (1, 8, 60)])
+def test_one_root_law_is_an_f_law(d, m, nu):
+    # m = 1: lambda nu / d ~ F(d, nu). d = 1: Hotelling's T^2 / nu, so
+    # lambda (nu - m + 1) / m ~ F(m, nu - m + 1).
+    law = _LargestRootLaw(d, m, nu)
+    d1, d2 = (d, nu) if m == 1 else (m, nu - m + 1)
+    for prob in (0.01, 0.3, 0.5, 0.9, 0.95, 0.99, 0.999):
+        lam = scipy.stats.f.ppf(prob, d1, d2) * d1 / d2
+        assert law.cdf(lam) == pytest.approx(prob, abs=1e-10)
+    for alpha in (0.05, 0.01):
+        want = scipy.stats.f.isf(alpha, d1, d2) * d1 / d2
+        assert law.quantile(1.0 - alpha) == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize("d, m, nu", [
+    (6, 4, 40), (4, 4, 30), (8, 4, 60), (6, 2, 40),  # d >= m, even s
+    (8, 3, 160), (5, 3, 12),                          # d >= m, odd s
+    (2, 3, 30), (3, 5, 25),                           # d < m
+    (9, 8, 60), (8, 10, 40)])                         # s = _EXACT_ROOTS
+def test_exact_quantiles_lie_in_the_sampler_interval(d, m, nu):
+    # The sampler is the oracle: each exact quantile must fall inside the
+    # 99.9% order-statistic interval of 10^5 simulated replicates, from
+    # the lo-th to the (hi+1)-th smallest.
+    r = 100_000
+    null = largest_root_null_sample(d, m, nu, r, seed=2024)
+    law = _LargestRootLaw(d, m, nu)
+    for alpha in (0.05, 0.01):
+        lo, hi = (int(scipy.stats.binom.ppf(q, r, 1.0 - alpha)) for q in (0.0005, 0.9995))
+        assert null[lo - 1] <= law.quantile(1.0 - alpha) <= null[hi]
+
+
+def law_grid():
+    """(d, m, nu) over s = 1 .. _EXACT_ROOTS: d < m and d >= m, d up to
+    1000, and nu from its floor m to 10^6."""
+    for s in range(1, _EXACT_ROOTS + 1):
+        for d, m in ((s, s), (s + 1, s), (4 * s, s), (1000, s), (s, s + 1), (s, 3 * s)):
+            for nu in (m, m + 1, m + 2, m + 30, m + 3000, 10**6):
+                yield d, m, nu
+
+
+def test_exact_law_has_unit_mass_and_needs_no_more_nodes(monkeypatch):
+    laws = [_LargestRootLaw(*case) for case in law_grid()]
+    points = [np.expm1(np.linspace(law._low, law._high, 8)[1:] ** 2) for law in laws]
+    values = [[law.cdf(x) for x in xs] for law, xs in zip(laws, points)]
+    for law in laws:
+        assert law.cdf(np.inf) == pytest.approx(1.0, abs=1e-10)
+        assert law.cdf(1e300) == law.cdf(np.inf)
+    monkeypatch.setattr(classical_tests, "_NODES", 2 * _NODES)
+    for case, law, xs, want in zip(law_grid(), laws, points, values):
+        np.testing.assert_allclose([law.cdf(x) for x in xs], want, rtol=0,
+                                   atol=1e-10, err_msg=str(case))
+
+
+def test_exact_law_tail_below_its_accuracy_reads_zero():
+    # 1 - cdf is rounding noise this far out (-2e-14 at lambda = 3); it
+    # must not be reported as a p-value.
+    law = _LargestRootLaw(4, 2, 60)
+    critical, p_value = law.critical_and_p_value(3.0, 0.05)
+    assert critical == pytest.approx(0.233252, abs=1e-6)
+    assert p_value == 0.0
+    assert law.critical_and_p_value(0.0, 0.05) == (critical, 1.0)
+    assert 0.0 < law.critical_and_p_value(0.6, 0.05)[1] < 1e-4
+
+
+def test_roy_switches_to_monte_carlo_beyond_the_exact_root_count():
+    # k = 4, p = 2: null dimension 9. m = 8 leaves 8 roots (exact), m = 9
+    # leaves 9 (simulated).
+    rng = np.random.default_rng(97)
+    for m, law in ((_EXACT_ROOTS, "exact"), (_EXACT_ROOTS + 1, "monte_carlo")):
+        coef = rng.standard_normal((3, m))
+        fit = fit_models(make_dataset(rng, (20, 21, 22, 23), (coef,) * 4))
+        res = roy_k_sample(fit, alpha=0.05, r=2000, seed=3)
+        assert (res.null_dimension, res.null_law) == (9, law)
+        assert (res.null_reps, res.seed) == ((0, None) if law == "exact" else (2000, 3))
+        assert (res.p_value <= 0.05) == (res.statistic >= res.critical)
 
 
 # --- two groups --------------------------------------------------------------

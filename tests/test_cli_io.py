@@ -717,11 +717,18 @@ def test_roy_subcommand(tmp_path, capsys):
     out = tmp_path / "roy.json"
     assert main(["roy", str(path), "--reps", "2000", "--seed", "1",
                  "--out", str(out)]) == 0
-    assert "3-sample" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "3-sample" in printed and "(exact null)" in printed
     doc = json.loads(out.read_text())
     assert doc["null_dimension"] == 4
     assert doc["statistic"] >= 0.0
     assert 0.0 <= doc["p_value"] <= 1.0
+    # One root (m = 1): the exact law, which reads no replicates and no seed.
+    assert (doc["null_law"], doc["reps"], doc["seed"]) == ("exact", 0, None)
+    again = tmp_path / "again.json"
+    assert main(["roy", str(path), "--reps", "5000", "--seed", "9",
+                 "--out", str(again)]) == 0
+    assert again.read_bytes() == out.read_bytes()
 
 
 def test_roy_report_is_the_same_for_any_worker_count(tmp_path, capsys):
@@ -741,8 +748,9 @@ def test_roy_report_is_the_same_for_any_worker_count(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["compare", "roy"])
 def test_reports_carry_the_stream_version(tmp_path, command):
-    # Three groups with m = 2: Roy's null dimension is 4 >= m, so its
-    # null sample comes from two Wishart factors.
+    # Three groups with m = 2: Roy's test has min(4, 2) = 2 roots, so it
+    # reads the exact law and draws nothing; its report still names the
+    # stream version.
     path = tmp_path / "three.csv"
     three_group_csv(path)
     blobs = []

@@ -12,7 +12,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_dataset
-from sctubes.classical_tests import largest_root_null_sample, roy_k_sample
+from sctubes.classical_tests import (
+    _EXACT_ROOTS,
+    _LargestRootLaw,
+    largest_root_null_sample,
+    roy_k_sample,
+)
 from sctubes.errors import MetaMismatch
 from sctubes.model_core import GroupData, GroupedDataset, fit_models
 from sctubes.sct_engine import (
@@ -125,6 +130,24 @@ def test_roy_null_sample_is_invariant_to_workers_and_a_prefix(d, m, extra_dof, r
     two = largest_root_null_sample(d, m, nu, longer, seed, workers=2)
     assert np.array_equal(one, two)
     assert sub_multiset(largest_root_null_sample(d, m, nu, r, seed), one)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(d=st.integers(1, 12), m=st.integers(1, _EXACT_ROOTS), extra_dof=st.integers(0, 200),
+       alpha=st.sampled_from([0.2, 0.05, 0.01, 0.001]),
+       offset=st.floats(-1e-12, 1e-12))
+@example(d=4, m=2, extra_dof=58, alpha=0.05, offset=0.0)
+def test_exact_roy_p_value_is_dual_to_its_critical_value(d, m, extra_dof, alpha, offset):
+    """On the exact law, p <= alpha exactly when the statistic reaches the
+    critical value, even within 1e-12 of it, where the CDF's rounding
+    alone could not decide."""
+    law = _LargestRootLaw(d, m, m + extra_dof)
+    critical = law.quantile(1.0 - alpha)
+    statistic = critical * (1.0 + offset)
+    got, p_value = law.critical_and_p_value(statistic, alpha)
+    assert got == critical
+    assert (p_value <= alpha) == (statistic >= critical)
+    assert p_value == pytest.approx(alpha, abs=1e-9)
 
 
 FAMILIES = ("pairwise", "successive", "control")
