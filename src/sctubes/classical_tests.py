@@ -234,12 +234,14 @@ class _LargestRootLaw:
         self._alpha = a - (s + 1) / 2
         self._beta = b - (s + 1) / 2
         self._log_c = _log_root_density_constant(s, a, b)
-        self._low, self._high = self._support(a, b)
+        self._low, self._zero, self._high = self._support(a, b)
 
-    def _support(self, a: float, b: float) -> tuple[float, float]:
+    def _support(self, a: float, b: float) -> tuple[float, float, float]:
         """The tau range outside which the roots lie with probability
         below exp(_LOG_TAIL) on each side, so that the nodes cover where
-        the mass is (at nu = 10^6 it sits within u < 1e-4).
+        the mass is (at nu = 10^6 it sits within u < 1e-4), and the tau
+        below which even the largest root lies with at most that
+        probability, where the CDF reads 0.
 
         In v = tau^2 the marginal density of the largest root is at most
         k e^{E(v)}, E(v) = A log(1 - e^{-v}) - B v with A = alpha + s - 1,
@@ -249,7 +251,9 @@ class _LargestRootLaw:
         of the s-root density constant to the (s-1)-root one at
         (a - 1/2, b - 1/2), which integrates out the other roots. E is
         concave for A >= 0, so a tail beyond v has mass at most
-        k e^{E(v)} / |E'(v)|.
+        k e^{E(v)} / |E'(v)|. For v <= 1, where t e^{-t} <= 1 - e^{-t}
+        <= t, the largest root's mass is at most
+        k e^{max(-A, 0)} v^{A+1} / (A + 1).
         """
         s, alpha, beta = self._s, self._alpha, self._beta
         log_k = self._log_c - _log_root_density_constant(s - 1, a - 0.5, b - 0.5)
@@ -278,16 +282,18 @@ class _LargestRootLaw:
         while not beyond_top(high):
             high *= 2.0
         high = bisect(mode, high, beyond_top)
+        zero = min(1.0, math.exp((_LOG_TAIL - log_k - max(-top_a, 0.0)
+                                  + math.log(top_a + 1)) / (top_a + 1)))
         low = 0.0
         if alpha > 0:
             low = bisect(0.0, math.log1p(alpha / (beta + s)),
                          lambda v: log_tail(v, alpha, beta + s) >= _LOG_TAIL)
-        return math.sqrt(low), math.sqrt(high)
+        return math.sqrt(low), math.sqrt(zero), math.sqrt(high)
 
     def _cdf_at(self, top: float) -> float:
         """P(tau(lambda_max) <= top), for top within the support."""
         lo = self._low
-        if top <= lo:
+        if top <= max(lo, self._zero):
             return 0.0
         s = self._s
         x, w, integrate = _legendre_rule(_NODES)
@@ -299,7 +305,11 @@ class _LargestRootLaw:
         peak = float(log_density.max())
         density = np.exp(log_density - peak)
         weight = half * w * density
-        basis, log_lead = _orthonormal_basis(u, weight, s)
+        # Polynomials in u / u_max, whose leading coefficients are those
+        # in u times u_max^n: their norms cannot underflow at small u.
+        scale = float(u[-1])
+        basis, log_lead = _orthonormal_basis(u / scale, weight, s)
+        log_lead -= 0.5 * s * (s - 1) * math.log(scale)
         phi = density[:, None] * basis
         inner = (w[:, None] * phi).T @ (integrate @ phi) * (half * half)
         skew = inner.T - inner

@@ -267,6 +267,19 @@ def test_exact_law_tail_below_its_accuracy_reads_zero():
     assert 0.0 < law.critical_and_p_value(0.6, 0.05)[1] < 1e-4
 
 
+@pytest.mark.parametrize("d, m, nu", [(1, 1, 5), (3, 3, 10), (8, 8, 8), (1, 1, 10**6),
+                                      (8, 8, 10**6), (1000, 8, 8)])
+def test_exact_law_is_zero_at_tiny_statistics(d, m, nu):
+    # Nearly equal groups give statistics far below the law's mass; there
+    # the nodes' u values once underflowed (a RuntimeWarning, which the
+    # suite turns into an error) and the orthonormal basis divided by 0.
+    law = _LargestRootLaw(d, m, nu)
+    values = [law.cdf(lam) for lam in (5e-324, 1e-300, 1e-200, 1e-100, 1e-40)]
+    assert all(0.0 <= v <= 1e-12 for v in values)
+    assert values == sorted(values)
+    assert law.critical_and_p_value(1e-300, 0.05)[1] == 1.0
+
+
 def test_roy_switches_to_monte_carlo_beyond_the_exact_root_count():
     # k = 4, p = 2: null dimension 9. m = 8 leaves 8 roots (exact), m = 9
     # leaves 9 (simulated).
