@@ -73,6 +73,8 @@ class RunConfig:
     space; ``pair`` is ``A:B`` by labels or 1-based indices, or None for
     the family's first pair. These texts are parsed and resolved only
     after the data are fitted, so any data error wins over them.
+    ``workers`` caps the simulation threads; None runs one per CPU the
+    process may use, and no value changes a report.
     """
 
     alpha: float = 0.05
@@ -82,7 +84,7 @@ class RunConfig:
     range_text: str | None = None
     grid: int = 201
     out: str | None = None
-    workers: int = 1
+    workers: int | None = None
     pair: str | None = None
 
     def validate(self) -> "RunConfig":
@@ -526,7 +528,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="Monte Carlo replicates (default 1000000)")
     sim.add_argument("--seed", type=int, help="random stream seed (default 0)")
     sim.add_argument("--workers", type=int,
-                     help="simulation threads (results identical for any value)")
+                     help="most simulation threads (default: one per CPU this "
+                          "process may use; results identical for any value)")
     region = _flag_group()
     region.add_argument("--family", help="pairwise, successive, or control:GROUP")
     region.add_argument("--range", dest="range_text",

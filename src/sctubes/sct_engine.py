@@ -182,6 +182,13 @@ def design_digest(fit: FittedModels) -> str:
     return h.hexdigest()[:16]
 
 
+def check_alpha(alpha: float) -> None:
+    """Refuse an alpha that is not a real number (a bool, a string,
+    None) or lies outside (0, 1), with ``InvalidArgument``."""
+    if not (is_real(alpha) and 0.0 < alpha < 1.0):
+        raise InvalidArgument(f"alpha must be in (0, 1), got {alpha!r}")
+
+
 def tail_rank(r: int, alpha: float) -> int:
     """Rank of the simulated (1 - alpha) upper quantile among r replicates:
     ceil((1 - alpha) * r) in 1..r, guarded against the product landing a
@@ -193,8 +200,7 @@ def tail_rank(r: int, alpha: float) -> int:
     since with fewer expected tail exceedances the quantile estimate is
     noise.
     """
-    if not (is_real(alpha) and 0.0 < alpha < 1.0):
-        raise InvalidArgument(f"alpha must be in (0, 1), got {alpha!r}")
+    check_alpha(alpha)
     if alpha * r < 10.0:
         raise TooFewReplicates(
             f"alpha * r = {alpha * r:.3g} < 10; increase replicates")
@@ -339,7 +345,21 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _replicates(r: int, workers: int, block) -> np.ndarray:
+def _run_size(r: int, workers: int | None) -> tuple[int, int]:
+    """r and the worker cap, checked in the one order every simulating
+    call uses: both integers (not bools or floats), then r at least 1
+    (``TooFewReplicates``), then workers at least 1. A workers of None
+    is every CPU the process may use (``_usable_cpus``)."""
+    r = index_of(r, "replicate count")
+    workers = _usable_cpus() if workers is None else index_of(workers, "worker count")
+    if r < 1:
+        raise TooFewReplicates(f"need at least one replicate, got {r}")
+    if workers < 1:
+        raise InvalidArgument(f"workers must be positive, got {workers}")
+    return r, workers
+
+
+def _replicates(r: int, workers: int | None, block) -> np.ndarray:
     """Sorted values of replicates 0 .. r-1, computed block by block.
 
     ``block(start, count, out, cache)`` writes the values of replicates
@@ -348,19 +368,17 @@ def _replicates(r: int, workers: int, block) -> np.ndarray:
     is a multiple of the fixed block size, so a block's draws are keyed
     by its first index. Each worker thread makes one cache, so threads
     never share a buffer and a worker's blocks reuse the buffers of its
-    first, and runs every ``workers``-th block. At most as many threads
-    start as the process can run on at once (``_usable_cpus``), since
-    more only add caches. Blocks are written back by position, so
-    neither ``workers`` nor that cap can change the result. Workers check
-    one stop event before each block, and it is set when the main
+    first; of n threads, each runs every n-th block. n is the least of
+    ``workers``, the block count and ``_usable_cpus``: a workers of None,
+    every caller's default, takes every CPU the process may use, more
+    threads than that would only add caches, and a run of one block runs
+    in the calling thread. Blocks are written back by position, so
+    neither ``workers`` nor that cap can change the result. Workers
+    check one stop event before each block, and it is set when the main
     thread leaves the pool for any reason, so an interrupt or a failed
     block stops every worker within one block.
     """
-    r, workers = index_of(r, "replicate count"), index_of(workers, "worker count")
-    if r < 1:
-        raise TooFewReplicates(f"need at least one replicate, got {r}")
-    if workers < 1:
-        raise InvalidArgument(f"workers must be positive, got {workers}")
+    r, workers = _run_size(r, workers)
     values = np.empty(r)
     starts = range(0, r, _BLOCK)
     stop = threading.Event()
@@ -388,7 +406,7 @@ def _replicates(r: int, workers: int, block) -> np.ndarray:
 
 def simulate_pivot(fit: FittedModels, family: ComparisonFamily,
                    box: CovariateBox, r: int, seed: int,
-                   workers: int = 1) -> SimulatedSample:
+                   workers: int | None = None) -> SimulatedSample:
     """Simulate r replicates of the pivotal sup statistic, sorted ascending.
 
     Parameters
@@ -401,6 +419,9 @@ def simulate_pivot(fit: FittedModels, family: ComparisonFamily,
     r, seed
         Replicate count and stream seed. Output is a pure function of
         these two (plus the fit's designs); worker count cannot affect it.
+    workers
+        The most simulation threads to start; None, the default, is one
+        per CPU the process may use (see ``_replicates``).
     """
     # The null law itself never touches the scatter, but a degenerate
     # fit cannot be tested against the sample either, so refuse early.
@@ -541,7 +562,8 @@ class ComparisonReport:
 
 
 def compare(fit: FittedModels, family: ComparisonFamily, box: CovariateBox,
-            alpha: float, r: int, seed: int, workers: int = 1) -> ComparisonReport:
+            alpha: float, r: int, seed: int,
+            workers: int | None = None) -> ComparisonReport:
     """Run the whole pipeline: simulate, estimate the constant, test each pair.
 
     Significance regions (where the tube excludes zero, per response

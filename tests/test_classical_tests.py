@@ -8,7 +8,7 @@ import scipy.linalg
 import scipy.stats
 
 from conftest import f_quantile, make_dataset, pointwise_constant, wishart_factors
-from sctubes import classical_tests
+from sctubes import classical_tests, sct_engine
 from sctubes.classical_tests import (
     _EXACT_ROOTS,
     _NODES,
@@ -192,12 +192,16 @@ def test_roy_refuses_zero_workers(three_group_fit):
         roy_k_sample(three_group_fit, alpha=0.05, r=2000, seed=1, workers=0)
 
 
-def test_null_sample_is_the_same_for_any_worker_count():
-    # Three blocks, the last one cut short.
+def test_null_sample_is_the_same_for_any_worker_count(monkeypatch):
+    # Three blocks, the last one cut short. Three usable CPUs, so that
+    # the default (workers omitted) starts three threads on any machine.
+    monkeypatch.setattr(sct_engine, "_usable_cpus", lambda: 3)
     r = 2 * 8192 + 1234
     serial = largest_root_null_sample(3, 2, 40, r, seed=6, workers=1)
     threaded = largest_root_null_sample(3, 2, 40, r, seed=6, workers=3)
+    default = largest_root_null_sample(3, 2, 40, r, seed=6)
     assert np.array_equal(serial, threaded)
+    assert np.array_equal(serial, default)
 
 
 # --- exact law --------------------------------------------------------------
@@ -344,9 +348,14 @@ def test_degenerate_scatter_is_refused():
         roy_k_sample(fit, alpha=0.05, r=1000, seed=0)
 
 
-def test_too_few_tail_replicates():
+def test_too_few_tail_replicates(monkeypatch):
+    # alpha * r = 5 < 10. The exact law reads no replicates and takes the
+    # call; a Monte Carlo null (forced here by allowing no exact roots)
+    # refuses it.
     rng = np.random.default_rng(93)
     fit = random_two_group_fit(rng)
+    assert roy_k_sample(fit, alpha=0.05, r=100, seed=0).null_law == "exact"
+    monkeypatch.setattr(classical_tests, "_EXACT_ROOTS", 0)
     with pytest.raises(TooFewReplicates):
         roy_k_sample(fit, alpha=0.05, r=100, seed=0)
 

@@ -238,12 +238,13 @@ def test_worker_count_leaves_reports_unchanged(tmp_path):
     path = tmp_path / "data.csv"
     synthetic_csv(path, sizes=(9, 9), m=1)
     blobs = []
-    for workers, name in ((1, "w1.json"), (4, "w4.json")):
+    for workers, name in ((1, "w1.json"), (4, "w4.json"), (None, "default.json")):
         out = tmp_path / name
-        config = RunConfig(reps=20_000, seed=2, workers=workers, out=str(out))
+        config = RunConfig(reps=20_000, seed=2, out=str(out),
+                           **({} if workers is None else {"workers": workers}))
         _cmd_compare(config, ingest_csv(path))
         blobs.append(out.read_bytes())
-    assert blobs[0] == blobs[1]
+    assert blobs[0] == blobs[1] == blobs[2]
 
 
 def test_vs_control_on_two_groups_gives_single_reversed_pair(tmp_path):
@@ -729,6 +730,12 @@ def test_roy_subcommand(tmp_path, capsys):
     assert main(["roy", str(path), "--reps", "5000", "--seed", "9",
                  "--out", str(again)]) == 0
     assert again.read_bytes() == out.read_bytes()
+    # alpha * reps = 1 < 10 would starve a simulated quantile; the exact
+    # law reads no replicates, so it takes the run.
+    strict = tmp_path / "strict.json"
+    assert main(["roy", str(path), "--alpha", "0.001", "--reps", "1000",
+                 "--out", str(strict)]) == 0
+    assert json.loads(strict.read_text())["null_law"] == "exact"
 
 
 def test_roy_report_is_the_same_for_any_worker_count(tmp_path, capsys):
@@ -794,6 +801,8 @@ def test_flags_a_command_does_not_act_on_are_refused(tmp_path, argv):
 
 def test_tail_guard_runs_before_simulating(tmp_path, monkeypatch):
     # alpha * r = 8 < 10: refused from r and alpha alone, before any draw.
+    # Roy's test is held to its Monte Carlo null, the one of its two
+    # that draws, by allowing no exact roots.
     path = tmp_path / "data.csv"
     data = synthetic_csv(path, sizes=(9, 11))
 
@@ -802,6 +811,7 @@ def test_tail_guard_runs_before_simulating(tmp_path, monkeypatch):
 
     monkeypatch.setattr(sct_engine, "simulate_pivot", never)
     monkeypatch.setattr(classical_tests, "largest_root_null_sample", never)
+    monkeypatch.setattr(classical_tests, "_EXACT_ROOTS", 0)
     fit = fit_models(data)
     with pytest.raises(TooFewReplicates):
         sct_engine.compare(fit, sct_engine.ComparisonFamily.pairwise(2),

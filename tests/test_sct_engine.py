@@ -224,18 +224,21 @@ def test_worker_count_cannot_change_results(two_group_fit, monkeypatch):
     # More threads than cores, switched every microsecond, each with its
     # own buffers: a block computed in another thread's buffers, or
     # written to another block's place, would change the sample. The
-    # thread cap is lifted so that all eight threads start.
-    monkeypatch.setattr(sct_engine, "_usable_cpus", lambda: 8)
+    # thread cap is raised so that all the threads asked for start: eight
+    # by count, and three by the default (workers omitted), which takes
+    # one per usable CPU.
     fam = ComparisonFamily.pairwise(2)
     box = CovariateBox.whole_space(1)
     serial = simulate_pivot(two_group_fit, fam, box, 45_000, seed=4, workers=1)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threaded = simulate_pivot(two_group_fit, fam, box, 45_000, seed=4, workers=8)
-    finally:
-        sys.setswitchinterval(interval)
-    assert np.array_equal(serial.values, threaded.values)
+    for cpus, workers in ((8, {"workers": 8}), (3, {})):
+        monkeypatch.setattr(sct_engine, "_usable_cpus", lambda n=cpus: n)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = simulate_pivot(two_group_fit, fam, box, 45_000, seed=4, **workers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(serial.values, threaded.values)
 
 
 class _SerialPool:
@@ -260,8 +263,9 @@ class _SerialPool:
 @pytest.mark.parametrize("cpus", [1, 3])
 def test_threads_are_capped_at_the_usable_cpus(monkeypatch, cpus):
     """However many workers are asked for, at most as many threads start
-    as the process can run on, and the sample is the same. Only the
-    stand-in pool's arguments are read: no thread starts."""
+    as the process can run on, and the sample is the same. The default
+    (workers omitted) asks for one thread per usable CPU and block.
+    Only the stand-in pool's arguments are read: no thread starts."""
     monkeypatch.setattr(sct_engine, "ThreadPoolExecutor", _SerialPool)
     monkeypatch.setattr(_SerialPool, "sizes", [])
     if hasattr(os, "sched_getaffinity"):
@@ -278,12 +282,19 @@ def test_threads_are_capped_at_the_usable_cpus(monkeypatch, cpus):
     assert _SerialPool.sizes == ([] if cpus == 1 else [cpus])
     _replicates(2 * _BLOCK, 4096, block)
     assert _SerialPool.sizes == ([] if cpus == 1 else [cpus, 2])
+    _SerialPool.sizes.clear()
+    assert np.array_equal(_replicates(r, None, block), values)
+    _replicates(2 * _BLOCK, None, block)
+    _replicates(_BLOCK, None, block)
+    assert _SerialPool.sizes == ([] if cpus == 1 else [cpus, 2])
 
 
 # A fresh process's first kernel call. The measured call is chosen by
 # argv[1]; with argv[2] == "1" it runs after numpy arrays of 64 KB,
 # 300 KB and 3 MB were allocated and freed, which moves glibc's
-# thresholds for returning memory to the OS.
+# thresholds for returning memory to the OS. It runs on one worker, so
+# the count is one cache's on any machine: the default would start one
+# worker, and fault in one cache, per CPU.
 FAULT_PROBE = textwrap.dedent("""
     import resource, sys
     import numpy as np
@@ -306,12 +317,12 @@ FAULT_PROBE = textwrap.dedent("""
     family = ComparisonFamily.pairwise(k)
     calls = {
         "whole": lambda: simulate_pivot(fit, family, CovariateBox.whole_space(1),
-                                        200_000, 1),
+                                        200_000, 1, workers=1),
         "interval": lambda: simulate_pivot(fit, family, CovariateBox.interval(0.0, 10.0),
-                                           1_000_000, 1),
+                                           1_000_000, 1, workers=1),
         "box": lambda: simulate_pivot(fit, family, CovariateBox(((0.0, 10.0),) * 2),
-                                      200_000, 1),
-        "roy": lambda: largest_root_null_sample(8, 3, 160, 200_000, 1),
+                                      200_000, 1, workers=1),
+        "roy": lambda: largest_root_null_sample(8, 3, 160, 200_000, 1, workers=1),
     }
     if preamble:
         for size in (64 << 10, 300 << 10, 3 << 20):
