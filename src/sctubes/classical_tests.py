@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import NotTwoGroups
 from .model_core import FittedModels
-from .rand_engine import StreamKey, normal_block, wishart_factor_block
+from .rand_engine import StreamKey, assemble_factors, normal_block, wishart_factor_block
 from .sct_engine import (_BLOCK, _replicates, _run_size, _whiten, check_alpha,
                          tail_p_value, tail_rank)
 from .sup_solver import _scratch, top_eigenvalue
@@ -83,23 +83,33 @@ def _lam_max_gram(z: np.ndarray, cache: dict) -> np.ndarray:
     return top_eigenvalue(np.einsum("aib,ajb->ijb", z, z, out=out), cache)
 
 
-def _roy_block(d: int, m: int, nu: int, seed: int, start: int, count: int,
-               out: np.ndarray, cache: dict) -> None:
-    """Write the null replicates start .. start+count-1 of
-    ``largest_root_null_sample`` into ``out``, with every per-block
-    array taken from the worker's scratch ``cache``."""
+def _roy_draws(d: int, m: int, nu: int, seed: int, start: int, bufs: dict):
+    """Draw the block of ``largest_root_null_sample`` at ``start``, in
+    arrays of the buffer dict ``bufs``: the variates of W's Bartlett
+    factors, then those of B's (d >= m) or Z's normals, unassembled (see
+    ``wishart_factor_block``)."""
     lw = wishart_factor_block(m, nu, StreamKey(seed, start, 0), _BLOCK,
-                              out=_scratch(cache, "lw", m, m, _BLOCK))
+                              out=_scratch(bufs, "lw", m, m, _BLOCK), assemble=False)
     key = StreamKey(seed, start, 1)
+    if d >= m:
+        return lw, wishart_factor_block(m, d, key, _BLOCK, assemble=False,
+                                        out=_scratch(bufs, "draw", m, m, _BLOCK))
+    return lw, normal_block(d, m, key, _BLOCK, out=_scratch(bufs, "draw", _BLOCK, d, m))
+
+
+def _roy_compute(d: int, m: int, drawn, count: int, out: np.ndarray,
+                 cache: dict) -> None:
+    """Write the null replicates of a block's first ``count`` draws
+    (``_roy_draws``) into ``out``, with every other per-block array taken
+    from the scratch ``cache``."""
+    lw, u = drawn
+    lw = assemble_factors(*lw)
     if d >= m:
         # B' stacked replicate-first, as _whiten reads U: the copy it
         # starts from is then B itself.
-        u = wishart_factor_block(m, d, key, _BLOCK,
-                                 out=_scratch(cache, "draw", m, m, _BLOCK))
-        u = u[..., :count].transpose(2, 1, 0)
+        u = assemble_factors(*u)[..., :count].transpose(2, 1, 0)
     else:
-        u = normal_block(d, m, key, _BLOCK,
-                         out=_scratch(cache, "draw", _BLOCK, d, m))[:count]
+        u = u[:count]
     out[:] = _lam_max_gram(_whiten(lw[..., :count], u, cache), cache)
 
 
@@ -114,42 +124,18 @@ def largest_root_null_sample(d: int, m: int, nu: int, r: int, seed: int,
     and the replicate is the top eigenvalue of B' W^{-1} B. For d < m it
     carries Z itself. Draws, blocks, threads, scratch caches and
     whitening are the tube engine's: fixed blocks keyed by their first
-    replicate index, full blocks always drawn into one worker's reused
-    buffers, and B (or Z') whitened by W's Bartlett factor L, since
+    replicate index, full blocks always drawn into reused buffers, and
+    B (or Z') whitened by W's Bartlett factor L, since
     B' W^{-1} B = (L^{-1}B)'(L^{-1}B). Both Bartlett factors come from
     ``wishart_factor_block`` replicate-last, so a short block whitens
-    the view of its leading replicates. ``workers`` caps the threads
-    (None: one per CPU the process may use) and cannot change the result.
+    the view of its leading replicates. ``workers`` caps the threads as
+    in ``sct_engine.simulate_pivot`` and cannot change the result.
     """
-    return _replicates(r, workers, partial(_roy_block, d, m, nu, seed))
+    return _replicates(r, workers, partial(_roy_draws, d, m, nu, seed),
+                       partial(_roy_compute, d, m))
 
 
 # --- the exact law -------------------------------------------------------
-
-def _legendre_recurrence(x: np.ndarray, table: np.ndarray, term: np.ndarray) -> None:
-    """P_0 .. P_n at the points x, n = x.size, by (j + 1) P_{j+1} =
-    (2j + 1) x P_j - j P_{j-1}, with P_j written to row j % len(table):
-    n + 1 rows keep every degree and 3 keep the last three. Each product,
-    difference and quotient is one numpy call into a given buffer
-    (``term`` holds j P_{j-1}), with its out argument passed by position
-    and its scalar as a float: the same rounding as the arithmetic written
-    as one expression, at about 0.7 ms a pass of 256 nodes against 1.8 ms
-    (numpy 2.4 on a 2-vCPU virtual machine)."""
-    rows = list(table)
-    size = len(rows)
-    rows[0][:] = 1.0
-    rows[1][:] = x
-    mul, sub, div = np.multiply, np.subtract, np.true_divide
-    prev, cur = rows[0], rows[1]
-    for j in range(1, x.size):
-        out = rows[(j + 1) % size]
-        mul(x, 2.0 * j + 1.0, out)
-        mul(out, cur, out)
-        mul(prev, float(j), term)
-        sub(out, term, out)
-        div(out, j + 1.0, out)
-        prev, cur = cur, out
-
 
 @lru_cache(maxsize=None)
 def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -157,38 +143,29 @@ def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     that maps a function's values at the nodes to its integrals from -1
     to each node (exact for polynomials of degree below n).
 
-    Nodes by Newton's method from Tricomi's estimates, stopping at the
-    first iterate whose step is below 1e-15. The estimates are about
-    1e-7 off (1.4e-7 at n = 256), so the first two steps are never the
-    last: they keep three rows of the recurrence, and later steps the
-    whole table, whose last copy gives the weights and the matrix. The
-    matrix integrates the interpolant in the Legendre basis, through the
-    integral of P_j from -1 being (P_{j+1} - P_{j-1}) / (2j + 1). The
+    Nodes by Newton's method from Tricomi's estimates; the matrix
+    integrates the interpolant in the Legendre basis, through
+    the integral of P_j from -1 being (P_{j+1} - P_{j-1}) / (2j + 1). The
     arrays are read-only, since every caller in the process shares them.
     """
     k = np.arange(n)
     x = -(1.0 - (n - 1.0) / (8.0 * n ** 3)) * np.cos(np.pi * (k + 0.75) / (n + 0.5))
     legendre = np.empty((n + 1, n))
-    term = np.empty(n)
-    for newton in range(6):
-        table = legendre if newton >= 2 else legendre[:3]
-        _legendre_recurrence(x, table, term)
-        p_n, p_prev = table[n % len(table)], table[(n - 1) % len(table)]
-        slope = n * (x * p_n - p_prev) / (x * x - 1.0)
-        step = p_n / slope
-        if newton >= 2 and np.max(np.abs(step)) < 1e-15:
+    for _ in range(6):
+        legendre[0], legendre[1] = 1.0, x
+        for j in range(1, n):
+            legendre[j + 1] = ((2 * j + 1) * x * legendre[j]
+                               - j * legendre[j - 1]) / (j + 1)
+        slope = n * (x * legendre[n] - legendre[n - 1]) / (x * x - 1.0)
+        step = legendre[n] / slope
+        if np.max(np.abs(step)) < 1e-15:
             break
         x = x - step
     w = 2.0 / ((1.0 - x * x) * slope * slope)
     below = np.empty((n, n))
     below[0] = x + 1.0
-    np.subtract(legendre[2:], legendre[:-2], out=below[1:])
-    below[1:] /= 2 * k[1:, None] + 1
-    # Weighted in place: the table is not read again.
-    weighted = legendre[:n]
-    weighted *= k[:, None] + 0.5
-    weighted *= w
-    integrate = below.T @ weighted
+    below[1:] = (legendre[2:] - legendre[:-2]) / (2 * k[1:, None] + 1)
+    integrate = below.T @ ((k[:, None] + 0.5) * legendre[:n] * w)
     for a in (x, w, integrate):
         a.setflags(write=False)
     return x, w, integrate
@@ -424,8 +401,8 @@ def roy_k_sample(fit: FittedModels, alpha: float, r: int, seed: int,
     (0, 1). There, p <= alpha exactly when statistic >= critical, and a
     p-value below the law's accuracy (1e-10) reads 0. Beyond
     ``_EXACT_ROOTS`` roots they come from r replicates of
-    ``largest_root_null_sample`` on at most ``workers`` threads (None:
-    one per CPU the process may use), and alpha * r must reach 10.
+    ``largest_root_null_sample``, threaded as ``workers`` allows (see
+    ``sct_engine.simulate_pivot``), and alpha * r must reach 10.
     """
     if fit.k < 2:
         raise NotTwoGroups(f"need at least 2 groups, got {fit.k}")

@@ -73,8 +73,9 @@ class RunConfig:
     space; ``pair`` is ``A:B`` by labels or 1-based indices, or None for
     the family's first pair. These texts are parsed and resolved only
     after the data are fitted, so any data error wins over them.
-    ``workers`` caps the simulation threads; None runs one per CPU the
-    process may use, and no value changes a report.
+    ``workers`` caps the simulation threads: 1 runs serially, and None
+    or any larger value draws in a second thread where the process may
+    use two CPUs. No value changes a report.
     """
 
     alpha: float = 0.05
@@ -528,8 +529,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="Monte Carlo replicates (default 1000000)")
     sim.add_argument("--seed", type=int, help="random stream seed (default 0)")
     sim.add_argument("--workers", type=int,
-                     help="most simulation threads (default: one per CPU this "
-                          "process may use; results identical for any value)")
+                     help="most simulation threads; 1 runs serially, and the "
+                          "default draws in a second thread where two CPUs are "
+                          "usable (results identical for any value)")
     region = _flag_group()
     region.add_argument("--family", help="pairwise, successive, or control:GROUP")
     region.add_argument("--range", dest="range_text",

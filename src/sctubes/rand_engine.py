@@ -30,9 +30,12 @@ replicate index first, (count, rows, cols), in draw order; a Wishart
 factor block stacks them replicate index last, (m, m, count), the
 layout the engine whitens with, so a block's first ``count`` replicates
 are the view ``[..., :count]``. Both fill a caller's array when
-given one (``out=``), as numpy's generators do: the engine draws every
-block of a worker into the same buffers, and the values are those of a
-freshly returned array.
+given one (``out=``), as numpy's generators do: the engine draws its
+blocks into reused buffers, and the values are those of a freshly
+returned array. A Wishart factor block can also stop at its variates
+(``assemble=False``) and leave the arithmetic that makes them factors
+to ``assemble_factors``: the engine's drawing thread then makes only
+generator calls.
 
 Within one generator the draw order is pinned and documented per
 function. ``STREAM_VERSION`` names this scheme: a change to any draw
@@ -45,6 +48,7 @@ group 1's matrices; version 2 drew them on substream 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 # Imported here, not on a block's first draw: numpy loads numpy.random
@@ -106,8 +110,20 @@ def normal_block(rows: int, cols: int, key: StreamKey, count: int,
     return key.generator().standard_normal((count, rows, cols), out=out)
 
 
+@lru_cache(maxsize=None)
+def _strict_lower(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of an m x m strict lower triangle, row by
+    row, as ``np.tril_indices(m, -1)`` gives them, made once per m (a
+    call costs about 14 us, a tenth of a block's draw of one gamma row).
+    Read-only, since every block shares them."""
+    rows_cols = np.tril_indices(m, -1)
+    for a in rows_cols:
+        a.setflags(write=False)
+    return rows_cols
+
+
 def wishart_factor_block(m: int, nu: int, key: StreamKey, count: int,
-                         out: np.ndarray | None = None) -> np.ndarray:
+                         out: np.ndarray | None = None, assemble: bool = True):
     """Draw ``count`` lower-triangular Bartlett factors L, each with L L'
     distributed Wishart(identity, nu), stacked replicate index last as
     an (m, m, count) array (into ``out``, a C-contiguous float array of
@@ -118,9 +134,14 @@ def wishart_factor_block(m: int, nu: int, key: StreamKey, count: int,
     turn, ``count`` gamma variates of shape (nu - k) / 2, one per
     replicate (doubled, their square roots are the chi(nu - k)
     diagonal); then all count x m(m-1)/2 strict lower-triangle normals,
-    row-major within each replicate. The normals are drawn a whole
-    number of replicates at a time through one row of scratch, which
-    continues the same stream.
+    row-major within each replicate, in one call.
+
+    With ``assemble=False`` it only draws, and returns ``(out, lower)``:
+    ``out`` holds each diagonal's gamma variates, ``lower`` the
+    (count, m(m-1)/2) normals, and ``assemble_factors(out, lower)``
+    turns them into the factors in place. So a caller can make the
+    draws, a few long calls, apart from the arithmetic, several short
+    ones.
     """
     if m < 1 or count < 1:
         raise InvalidArgument("block dimensions must be positive")
@@ -129,21 +150,28 @@ def wishart_factor_block(m: int, nu: int, key: StreamKey, count: int,
             f"Wishart needs dof >= dimension, got dof={nu}, dimension={m}")
     if out is None:
         out = np.empty((m, m, count))
-    elif out.shape != (m, m, count):
-        raise InvalidArgument(f"out must have shape {(m, m, count)}, got {out.shape}")
+    elif out.shape != (m, m, count) or not out.flags.c_contiguous:
+        raise InvalidArgument(f"out must be C-contiguous of shape {(m, m, count)}, "
+                              f"got {out.shape}")
     rng = key.generator()
     for k in range(m):
-        diag = out[k, k]
-        rng.standard_gamma((nu - k) / 2.0, out=diag)
-        diag *= 2.0
-        np.sqrt(diag, out=diag)
+        rng.standard_gamma((nu - k) / 2.0, out=out[k, k])
+    lower = rng.standard_normal((count, m * (m - 1) // 2))
+    return assemble_factors(out, lower) if assemble else (out, lower)
+
+
+def assemble_factors(out: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """Turn the variates ``wishart_factor_block(..., assemble=False)``
+    drew into its Bartlett factors, in ``out``, and return it: each
+    diagonal becomes sqrt(2 gamma), the strict lower triangle takes the
+    normals, and the upper triangle is zeroed."""
+    m, _, count = out.shape
+    # Every diagonal at once, as one strided (m, count) view.
+    diag = out.reshape(m * m, count)[::m + 1]
+    diag *= 2.0
+    np.sqrt(diag, out=diag)
     if m > 1:
-        ii, jj = np.tril_indices(m, -1)
+        ii, jj = _strict_lower(m)
         out[jj, ii] = 0.0
-        scratch = np.empty(max(count, ii.size))
-        step = scratch.size // ii.size
-        for lo in range(0, count, step):
-            hi = min(lo + step, count)
-            normals = scratch[:(hi - lo) * ii.size].reshape(hi - lo, ii.size)
-            out[ii, jj, lo:hi] = rng.standard_normal(out=normals).T
+        out[ii, jj] = lower.T
     return out

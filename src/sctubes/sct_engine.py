@@ -37,13 +37,16 @@ drawn that way (``rand_engine.wishart_factor_block``). Roy's null
 sampler in ``classical_tests`` uses the same whitening, scratch cache
 and block driver.
 
-Each worker keeps one scratch cache, a dict of flat buffers from which
-every kernel function takes its per-block arrays by name where it uses
-them (``sup_solver._scratch``): the Wishart factors and normal draws,
-the whitened stack, each group's mapped stack, the pair factor,
-and the face solver's factor and entries for the face it is on. A
-worker's first block sizes them and its later blocks reuse them; a
-block's values go straight into the result. Fresh arrays per block were
+A block is drawn (``_tube_draws``: the Wishart factors and each drawn
+group's normals) and then computed (``_tube_compute``). Each stage takes
+its per-block arrays by name, where it uses them, from a scratch cache,
+a dict of flat buffers (``sup_solver._scratch``): the draws, the
+whitened stack, each group's mapped stack, the pair factor, and the face
+solver's factor and entries for the face it is on. A serial run keeps
+one cache for both stages; a threaded run computes in one cache and
+draws into two buffer sets in turn (``_replicates``). The first block
+sizes the buffers and later blocks reuse them; a block's values go
+straight into the result. Fresh arrays per block were
 handed back to the OS as each block freed them and faulted in again by
 the next: a first call of 2x10^5 whole-space replicates (k = 5, m = 3)
 took about 21,000 minor page faults, and takes about 1,500 with the
@@ -57,9 +60,10 @@ Draws are made in fixed blocks of 8192 replicates; the block holding
 replicate j is keyed by the block's first index, full blocks are always
 drawn even when r cuts the last one short, and group g's normal
 matrices live on substream g (the Wishart noise on substream 0;
-substream 1 is never drawn, since group 1's are derived). Workers
+substream 1 is never drawn, since group 1's are derived). Threads
 therefore cannot change results: ``_replicates``, the one block
-driver, hands blocks to threads and writes them back by position.
+driver, draws blocks in a second thread where it may and writes their
+values back by position.
 """
 
 from __future__ import annotations
@@ -67,6 +71,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import queue
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -78,7 +83,8 @@ from . import tube_geometry
 from .errors import (EmptyFamily, InvalidArgument, MetaMismatch, TooFewReplicates,
                      group_pair, index_of, is_real, items_of)
 from .model_core import FittedModels
-from .rand_engine import STREAM_VERSION, StreamKey, normal_block, wishart_factor_block
+from .rand_engine import (STREAM_VERSION, StreamKey, assemble_factors, normal_block,
+                          wishart_factor_block)
 from .sup_solver import CovariateBox, FacePlan, _scratch
 
 _BLOCK = 8192
@@ -297,29 +303,43 @@ def _whiten(lw: np.ndarray, u: np.ndarray, cache: dict) -> np.ndarray:
     return z
 
 
-def _tube_block(plan: _SimPlan, seed: int, start: int, count: int,
-                out: np.ndarray, cache: dict) -> None:
-    """Write the pivotal statistic of replicates start .. start+count-1
-    into ``out``, with every per-block array taken from the worker's
-    scratch ``cache``.
+def _tube_draws(plan: _SimPlan, seed: int, start: int, bufs: dict):
+    """Draw the block at ``start``: its Wishart factors' variates,
+    unassembled (see ``wishart_factor_block``), and each drawn group's
+    normal matrices, into the buffer dict ``bufs`` (see
+    ``sup_solver._scratch``) under ``"lw"`` and ``("u", g)``. It makes
+    only generator calls; the arithmetic is ``_tube_compute``'s.
 
-    The Wishart factors and normal draws fill buffers for one full
-    block (full fixed-size blocks are always drawn and then sliced, so a
-    replicate's draws never depend on r or on scheduling). The whitened
-    stack is shared by the drawn groups, each group the pairs use keeps
-    its mapped stack under ``("mapped", g)`` (group 1's summed there from
-    the drawn groups'), and the pairs share the pair factor and the face
-    solver's buffers.
+    Full fixed-size blocks are always drawn and then sliced, so a
+    replicate's draws never depend on r or on scheduling.
     """
     m, n = plan.m, plan.p + 1
     lw = wishart_factor_block(m, plan.nu, StreamKey(seed, start, 0), _BLOCK,
-                              out=_scratch(cache, "lw", m, m, _BLOCK))
-    u = _scratch(cache, "u", _BLOCK, n, m)
+                              out=_scratch(bufs, "lw", m, m, _BLOCK), assemble=False)
+    us = {g: normal_block(n, m, StreamKey(seed, start, g + 1), _BLOCK,
+                          out=_scratch(bufs, ("u", g), _BLOCK, n, m))
+          for g in plan.gfac}
+    return lw, us
+
+
+def _tube_compute(plan: _SimPlan, drawn, count: int, out: np.ndarray,
+                  cache: dict) -> None:
+    """Write the pivotal statistic of a block's first ``count``
+    replicates into ``out``, from its draws (``_tube_draws``), with every
+    other per-block array taken from the scratch ``cache``.
+
+    The whitened stack is shared by the drawn groups, each group the
+    pairs use keeps its mapped stack under ``("mapped", g)`` (group 1's
+    summed there from the drawn groups'), and the pairs share the pair
+    factor and the face solver's buffers.
+    """
+    m, n = plan.m, plan.p + 1
+    lw, us = drawn
+    lw = assemble_factors(*lw)
     v = {}
     w = _scratch(cache, "pair", m, n, count)
     for g, gfac in plan.gfac.items():
-        normal_block(n, m, StreamKey(seed, start, g + 1), _BLOCK, out=u)
-        z = _whiten(lw[..., :count], u[:count], cache)
+        z = _whiten(lw[..., :count], us[g][:count], cache)
         # G_g Z_g, the group's share of every pair factor it enters.
         v[g] = np.matmul(gfac, z, out=_scratch(cache, ("mapped", g), m, n, count))
         if g in plan.derive:
@@ -359,47 +379,75 @@ def _run_size(r: int, workers: int | None) -> tuple[int, int]:
     return r, workers
 
 
-def _replicates(r: int, workers: int | None, block) -> np.ndarray:
+def _replicates(r: int, workers: int | None, draw, compute) -> np.ndarray:
     """Sorted values of replicates 0 .. r-1, computed block by block.
 
-    ``block(start, count, out, cache)`` writes the values of replicates
-    start .. start+count-1 into ``out``, a view of the result, taking
-    its buffers from ``cache`` (see ``sup_solver._scratch``). ``start``
-    is a multiple of the fixed block size, so a block's draws are keyed
-    by its first index. Each worker thread makes one cache, so threads
-    never share a buffer and a worker's blocks reuse the buffers of its
-    first; of n threads, each runs every n-th block. n is the least of
-    ``workers``, the block count and ``_usable_cpus``: a workers of None,
-    every caller's default, takes every CPU the process may use, more
-    threads than that would only add caches, and a run of one block runs
-    in the calling thread. Blocks are written back by position, so
-    neither ``workers`` nor that cap can change the result. Workers
-    check one stop event before each block, and it is set when the main
-    thread leaves the pool for any reason, so an interrupt or a failed
-    block stops every worker within one block.
+    ``draw(start, bufs)`` makes the random draws of the block that starts
+    at ``start``, a multiple of the fixed block size, so a block's draws
+    are keyed by its first index; it takes its arrays from the buffer
+    dict ``bufs`` (see ``sup_solver._scratch``) and returns them.
+    ``compute(drawn, count, out, cache)`` then writes the values of the
+    block's first ``count`` replicates into ``out``, a view of the
+    result, taking its other buffers from ``cache``.
+
+    With one thread, the calling thread draws and computes each block in
+    turn, in one dict. With two, a second thread draws the blocks in
+    order, into two buffer sets in turn, while the calling thread
+    computes each as it comes and hands its set back. Two threads run
+    when ``workers`` (None: ``_usable_cpus``), the usable CPUs and the
+    block count are all at least 2; never more. A draw is a few long
+    numpy calls that release the interpreter lock, while a block's
+    computation is about a hundred short ones, so the stages overlap
+    with little waiting on the lock; threads that each drew and computed
+    their own blocks cost 15-30% more CPU time than one thread, on a
+    2-vCPU machine. Blocks are written back by position, so the thread
+    count cannot change the result. The calling thread sets a stop event
+    when it leaves for any reason, and the drawing thread checks it
+    before each block, so an interrupt or a failed block stops it within
+    one block; a failed draw is raised in the calling thread.
     """
     r, workers = _run_size(r, workers)
     values = np.empty(r)
     starts = range(0, r, _BLOCK)
-    stop = threading.Event()
-
-    def run(mine: range) -> None:
-        cache = {}
-        for start in mine:
-            if stop.is_set():
-                return
+    cache = {}
+    if min(workers, _usable_cpus(), len(starts)) < 2:
+        for start in starts:
             count = min(_BLOCK, r - start)
-            block(start, count, values[start:start + count], cache)
+            compute(draw(start, cache), count, values[start:start + count], cache)
+        values.sort()
+        return values
 
-    threads = min(workers, len(starts), _usable_cpus())
-    if threads == 1:
-        run(starts)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            try:
-                list(pool.map(run, [starts[w::threads] for w in range(threads)]))
-            finally:
-                stop.set()
+    stop = threading.Event()
+    free, ready = queue.Queue(), queue.Queue()
+    for _ in range(2):
+        free.put({})
+
+    def drawer() -> None:
+        try:
+            for start in starts:
+                bufs = free.get()
+                if stop.is_set():
+                    return
+                ready.put((start, draw(start, bufs), bufs))
+        finally:
+            # Wakes the calling thread if a draw failed.
+            ready.put(None)
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        drawing = pool.submit(drawer)
+        try:
+            for _ in starts:
+                item = ready.get()
+                if item is None:
+                    drawing.result()
+                start, drawn, bufs = item
+                count = min(_BLOCK, r - start)
+                compute(drawn, count, values[start:start + count], cache)
+                free.put(bufs)
+        finally:
+            stop.set()
+            # Wakes the drawing thread if it waits for a buffer set.
+            free.put({})
     values.sort()
     return values
 
@@ -420,14 +468,16 @@ def simulate_pivot(fit: FittedModels, family: ComparisonFamily,
         Replicate count and stream seed. Output is a pure function of
         these two (plus the fit's designs); worker count cannot affect it.
     workers
-        The most simulation threads to start; None, the default, is one
-        per CPU the process may use (see ``_replicates``).
+        The most simulation threads: 1 runs serially, and None, the
+        default, or any larger value draws in a second thread where the
+        process may use two CPUs (see ``_replicates``).
     """
     # The null law itself never touches the scatter, but a degenerate
     # fit cannot be tested against the sample either, so refuse early.
     fit.require_scatter()
     plan = _SimPlan(fit, family, box)
-    values = _replicates(r, workers, partial(_tube_block, plan, seed))
+    values = _replicates(r, workers, partial(_tube_draws, plan, seed),
+                         partial(_tube_compute, plan))
     return SimulatedSample(values, seed, family, box, design_digest(fit))
 
 

@@ -11,6 +11,7 @@ import sys
 import textwrap
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from pathlib import Path
 
@@ -31,7 +32,7 @@ from conftest import (
     write_csv,
 )
 from sctubes import sct_engine
-from sctubes.classical_tests import _roy_block
+from sctubes.classical_tests import _roy_compute, _roy_draws
 from sctubes.errors import (
     DegenerateScatter,
     EmptyFamily,
@@ -53,7 +54,8 @@ from sctubes.sct_engine import (
     _binom_ppf,
     _replicates,
     _SimPlan,
-    _tube_block,
+    _tube_compute,
+    _tube_draws,
     _whiten,
     compare,
     critical_constant,
@@ -221,12 +223,12 @@ def test_replicates_are_a_pure_function_of_seed_and_index(two_group_fit):
 
 
 def test_worker_count_cannot_change_results(two_group_fit, monkeypatch):
-    # More threads than cores, switched every microsecond, each with its
-    # own buffers: a block computed in another thread's buffers, or
-    # written to another block's place, would change the sample. The
-    # thread cap is raised so that all the threads asked for start: eight
-    # by count, and three by the default (workers omitted), which takes
-    # one per usable CPU.
+    # A drawing thread switched every microsecond: a block computed from
+    # another block's draws, or from a buffer set the drawing thread is
+    # refilling, or written to another block's place, would change the
+    # sample. The usable CPUs are raised so that the drawing thread starts
+    # on any machine, for eight workers and for the default (workers
+    # omitted).
     fam = ComparisonFamily.pairwise(2)
     box = CovariateBox.whole_space(1)
     serial = simulate_pivot(two_group_fit, fam, box, 45_000, seed=4, workers=1)
@@ -241,69 +243,68 @@ def test_worker_count_cannot_change_results(two_group_fit, monkeypatch):
         assert np.array_equal(serial.values, threaded.values)
 
 
-class _SerialPool:
-    """A stand-in for ``ThreadPoolExecutor`` that records the thread
-    count it is asked for and runs its map in the calling thread."""
+class _CountingPool(ThreadPoolExecutor):
+    """``ThreadPoolExecutor`` that records the thread count of each pool."""
 
     sizes: list[int] = []
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
+        super().__init__(max_workers=max_workers)
 
-    def __enter__(self):
-        return self
 
-    def __exit__(self, *exc):
-        return False
+def _index_draw(start, bufs):
+    return start
 
-    def map(self, fn, items):
-        return map(fn, list(items))
+
+def _index_compute(start, count, out, cache):
+    out[:] = np.arange(start, start + count)[::-1]
 
 
 @pytest.mark.parametrize("cpus", [1, 3])
 def test_threads_are_capped_at_the_usable_cpus(monkeypatch, cpus):
-    """However many workers are asked for, at most as many threads start
-    as the process can run on, and the sample is the same. The default
-    (workers omitted) asks for one thread per usable CPU and block.
-    Only the stand-in pool's arguments are read: no thread starts."""
-    monkeypatch.setattr(sct_engine, "ThreadPoolExecutor", _SerialPool)
-    monkeypatch.setattr(_SerialPool, "sizes", [])
+    """However many workers are asked for, a second thread, the drawing
+    one, starts only where the process can run on two CPUs and the run
+    has two blocks, and never a third; the default (workers omitted)
+    asks for as many as the usable CPUs. The sample is the same."""
+    monkeypatch.setattr(sct_engine, "ThreadPoolExecutor", _CountingPool)
+    monkeypatch.setattr(_CountingPool, "sizes", [])
     if hasattr(os, "sched_getaffinity"):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     else:
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
 
-    def block(start, count, out, cache):
-        out[:] = np.arange(start, start + count)[::-1]
-
     r = 20 * _BLOCK + 5
-    values = _replicates(r, 4096, block)
+    values = _replicates(r, 4096, _index_draw, _index_compute)
     assert np.array_equal(values, np.arange(r))
-    assert _SerialPool.sizes == ([] if cpus == 1 else [cpus])
-    _replicates(2 * _BLOCK, 4096, block)
-    assert _SerialPool.sizes == ([] if cpus == 1 else [cpus, 2])
-    _SerialPool.sizes.clear()
-    assert np.array_equal(_replicates(r, None, block), values)
-    _replicates(2 * _BLOCK, None, block)
-    _replicates(_BLOCK, None, block)
-    assert _SerialPool.sizes == ([] if cpus == 1 else [cpus, 2])
+    assert _CountingPool.sizes == ([] if cpus == 1 else [1])
+    _replicates(2 * _BLOCK, 4096, _index_draw, _index_compute)
+    _replicates(2 * _BLOCK, 1, _index_draw, _index_compute)
+    assert _CountingPool.sizes == ([] if cpus == 1 else [1, 1])
+    _CountingPool.sizes.clear()
+    assert np.array_equal(_replicates(r, None, _index_draw, _index_compute), values)
+    _replicates(_BLOCK, None, _index_draw, _index_compute)
+    assert _CountingPool.sizes == ([] if cpus == 1 else [1])
 
 
 # A fresh process's first kernel call. The measured call is chosen by
 # argv[1]; with argv[2] == "1" it runs after numpy arrays of 64 KB,
 # 300 KB and 3 MB were allocated and freed, which moves glibc's
-# thresholds for returning memory to the OS. It runs on one worker, so
-# the count is one cache's on any machine: the default would start one
-# worker, and fault in one cache, per CPU.
+# thresholds for returning memory to the OS. With argv[3] == "1" it
+# runs on one worker; otherwise it runs the default with 64 usable CPUs
+# pretended, so that the drawing thread and its two buffer sets fault in
+# on any machine, as many as on a larger one.
 FAULT_PROBE = textwrap.dedent("""
     import resource, sys
     import numpy as np
     from sctubes.classical_tests import largest_root_null_sample
     from sctubes.model_core import GroupData, GroupedDataset, fit_models
+    from sctubes import sct_engine
     from sctubes.sct_engine import ComparisonFamily, simulate_pivot
     from sctubes.sup_solver import CovariateBox
 
-    kernel, preamble = sys.argv[1], sys.argv[2] == "1"
+    kernel, preamble, workers = sys.argv[1], sys.argv[2] == "1", sys.argv[3] == "1"
+    sct_engine._usable_cpus = lambda: 64
     rng = np.random.default_rng(5)
     k, m = {"whole": (5, 3), "box": (2, 2)}.get(kernel, (3, 2))
     p = 2 if kernel == "box" else 1
@@ -315,14 +316,15 @@ FAULT_PROBE = textwrap.dedent("""
                                 response=rng.standard_normal((n, m))))
     fit = fit_models(GroupedDataset(groups=tuple(groups)))
     family = ComparisonFamily.pairwise(k)
+    run = {"workers": 1} if workers else {}
     calls = {
         "whole": lambda: simulate_pivot(fit, family, CovariateBox.whole_space(1),
-                                        200_000, 1, workers=1),
+                                        200_000, 1, **run),
         "interval": lambda: simulate_pivot(fit, family, CovariateBox.interval(0.0, 10.0),
-                                           1_000_000, 1, workers=1),
+                                           1_000_000, 1, **run),
         "box": lambda: simulate_pivot(fit, family, CovariateBox(((0.0, 10.0),) * 2),
-                                      200_000, 1, workers=1),
-        "roy": lambda: largest_root_null_sample(8, 3, 160, 200_000, 1, workers=1),
+                                      200_000, 1, **run),
+        "roy": lambda: largest_root_null_sample(8, 3, 160, 200_000, 1, **run),
     }
     if preamble:
         for size in (64 << 10, 300 << 10, 3 << 20):
@@ -338,9 +340,11 @@ FAULT_PROBE = textwrap.dedent("""
 @pytest.mark.parametrize("kernel, budget", [
     ("whole", 5_000), ("interval", 10_000), ("box", 5_000), ("roy", 5_000)])
 def test_first_kernel_call_stays_within_its_fault_budget(kernel, budget):
-    """Each worker draws and computes every block in one scratch cache,
-    so a first call faults in its buffers and its result once instead of
-    every block's arrays, whatever ran before it. Kernels: whole space,
+    """One thread draws and computes every block in one scratch cache, or
+    a drawing thread fills two buffer sets in turn while the caller
+    computes in one cache, so a first call faults in its buffers and its
+    result once instead of every block's arrays, whatever ran before it,
+    on one worker and by default. Kernels: whole space,
     k = 5, m = 3, 2x10^5 replicates; an interval, k = 3, m = 2, 10^6
     replicates; the box [0, 10]^2, k = 2, m = 2, 2x10^5 replicates;
     Roy's null sample, d = 8, m = 3, nu = 160, 2x10^5 replicates. Before
@@ -351,24 +355,30 @@ def test_first_kernel_call_stays_within_its_fault_budget(kernel, budget):
     import sctubes
     root = str(Path(sctubes.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": root, "OPENBLAS_NUM_THREADS": "1"}
-    counts = [int(subprocess.run([sys.executable, "-c", FAULT_PROBE, kernel, preamble],
+    counts = [int(subprocess.run([sys.executable, "-c", FAULT_PROBE, kernel, preamble,
+                                  workers],
                                  capture_output=True, text=True, check=True,
                                  env=env).stdout.split()[-1])
-              for preamble in ("0", "1")]
+              for preamble in ("0", "1") for workers in ("1", "default")]
     assert max(counts) < budget, counts
 
 
 @pytest.mark.skipif(not hasattr(signal, "pthread_kill"),
                     reason="sends SIGINT to one thread")
-def test_interrupt_stops_every_worker_within_one_block():
-    """SIGINT during a two-worker run reaches the caller within a few
-    block times, not after each worker's whole stride (100 blocks of
-    50 ms here), and leaves no worker thread running. The signal is sent
-    to the main thread itself, so it wakes it from its wait on the pool."""
+def test_interrupt_stops_every_worker_within_one_block(monkeypatch):
+    """SIGINT during a threaded run reaches the caller within a few
+    block times, not after the drawing thread's 200 blocks of 50 ms
+    here, and leaves no thread running. The signal is sent to the main
+    thread itself, so it wakes it from its wait for the next drawn
+    block. Two usable CPUs are pretended, so the drawing thread starts
+    on any machine."""
     block_s, delay_s = 0.05, 0.2
+    monkeypatch.setattr(sct_engine, "_usable_cpus", lambda: 2)
 
-    def slow_block(start, count, out, cache):
+    def slow_draw(start, bufs):
         time.sleep(block_s)
+
+    def compute(drawn, count, out, cache):
         out.fill(0.0)
 
     before = threading.active_count()
@@ -378,7 +388,7 @@ def test_interrupt_stops_every_worker_within_one_block():
     timer.start()
     try:
         with pytest.raises(KeyboardInterrupt):
-            _replicates(200 * _BLOCK, 2, slow_block)
+            _replicates(200 * _BLOCK, 2, slow_draw, compute)
         elapsed = time.monotonic() - began
     finally:
         timer.cancel()
@@ -486,8 +496,8 @@ def test_whiten_matches_a_generic_solve(m, rows):
 
 def block_values(plan, seed, count):
     """Replicates 0 .. count-1 of the first block, in replicate order."""
-    got = np.empty(count)
-    _tube_block(plan, seed, 0, count, got, {})
+    got, cache = np.empty(count), {}
+    _tube_compute(plan, _tube_draws(plan, seed, 0, cache), count, got, cache)
     return got
 
 
@@ -495,13 +505,19 @@ def test_one_scratch_cache_serves_every_block_of_a_worker():
     """A worker's cache is filled by its first block and reused as it
     stands: the same keys and buffers serve full and short blocks alike,
     and buffers overwritten with NaN between blocks change no value, so
-    no stale entry reaches a result. Kernels: the tube on an interval
-    (k = 3, m = 2) and Roy's null sample (d = 8, m = 3)."""
+    no stale entry reaches a result. One dict holds the draws and the
+    computation's buffers, as on one thread. Kernels: the tube on an
+    interval (k = 3, m = 2) and Roy's null sample (d = 8, m = 3)."""
     rng = np.random.default_rng(61)
     coef = rng.standard_normal((2, 2))
     fit = fit_models(make_dataset(rng, (10, 12, 14), [coef] * 3))
     plan = _SimPlan(fit, ComparisonFamily.pairwise(3), CovariateBox.interval(1.0, 8.0))
-    for block in (partial(_tube_block, plan, 5), partial(_roy_block, 8, 3, 40, 5)):
+    kernels = ((partial(_tube_draws, plan, 5), partial(_tube_compute, plan)),
+               (partial(_roy_draws, 8, 3, 40, 5), partial(_roy_compute, 8, 3)))
+    for draw, compute in kernels:
+        def block(start, count, out, cache):
+            compute(draw(start, cache), count, out, cache)
+
         cache, first = {}, None
         for start, count in ((0, _BLOCK), (_BLOCK, _BLOCK), (2 * _BLOCK, 300)):
             got, fresh = np.empty(count), np.empty(count)
