@@ -194,7 +194,8 @@ def test_roy_refuses_zero_workers(three_group_fit):
 
 def test_null_sample_is_the_same_for_any_worker_count(monkeypatch):
     # Three blocks, the last one cut short. Three usable CPUs, so that
-    # the default (workers omitted) starts three threads on any machine.
+    # the default (workers omitted) starts its drawing thread on any
+    # machine.
     monkeypatch.setattr(sct_engine, "_usable_cpus", lambda: 3)
     r = 2 * 8192 + 1234
     serial = largest_root_null_sample(3, 2, 40, r, seed=6, workers=1)
