@@ -86,8 +86,8 @@ def _lam_max_gram(z: np.ndarray, cache: dict) -> np.ndarray:
 def _roy_draws(d: int, m: int, nu: int, seed: int, start: int, bufs: dict):
     """Draw the block of ``largest_root_null_sample`` at ``start``, in
     arrays of the buffer dict ``bufs``: the variates of W's Bartlett
-    factors, then those of B's (d >= m) or Z's normals, unassembled (see
-    ``wishart_factor_block``)."""
+    factors and then of B's (d >= m), unassembled (see
+    ``wishart_factor_block``), or Z's normals."""
     lw = wishart_factor_block(m, nu, StreamKey(seed, start, 0), _BLOCK,
                               out=_scratch(bufs, "lw", m, m, _BLOCK), assemble=False)
     key = StreamKey(seed, start, 1)

@@ -398,6 +398,34 @@ def test_interrupt_stops_every_worker_within_one_block(monkeypatch):
     assert threading.active_count() == before
 
 
+def test_a_failed_draw_reaches_the_caller(monkeypatch):
+    """A draw that raises on the drawing thread is raised in the calling
+    thread, which would otherwise wait for the block forever, and leaves
+    no thread running."""
+    monkeypatch.setattr(sct_engine, "_usable_cpus", lambda: 2)
+
+    def draw(start, bufs):
+        if start == 3 * _BLOCK:
+            raise FloatingPointError("draw failed")
+
+    def compute(drawn, count, out, cache):
+        out.fill(0.0)
+
+    def call():
+        try:
+            _replicates(10 * _BLOCK, 2, draw, compute)
+        except FloatingPointError as exc:
+            raised.append(exc)
+
+    before, raised = threading.active_count(), []
+    caller = threading.Thread(target=call, daemon=True)
+    caller.start()
+    caller.join(timeout=10.0)
+    assert not caller.is_alive()
+    assert [str(exc) for exc in raised] == ["draw failed"]
+    assert threading.active_count() == before
+
+
 def test_reversed_pair_gives_identical_sample(two_group_fit):
     box = CovariateBox.interval(0.0, 10.0)
     fwd = simulate_pivot(two_group_fit, ComparisonFamily(pairs=[(1, 2)]),
