@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import NotTwoGroups
 from .model_core import FittedModels
-from .rand_engine import StreamKey, assemble_factors, normal_block, wishart_factor_block
+from .rand_engine import StreamKey, normal_block, wishart_factor_block
 from .sct_engine import (_BLOCK, _replicates, _run_size, _whiten, check_alpha,
                          tail_p_value, tail_rank)
 from .sup_solver import _scratch, top_eigenvalue
@@ -85,14 +85,13 @@ def _lam_max_gram(z: np.ndarray, cache: dict) -> np.ndarray:
 
 def _roy_draws(d: int, m: int, nu: int, seed: int, start: int, bufs: dict):
     """Draw the block of ``largest_root_null_sample`` at ``start``, in
-    arrays of the buffer dict ``bufs``: the variates of W's Bartlett
-    factors and then of B's (d >= m), unassembled (see
-    ``wishart_factor_block``), or Z's normals."""
+    arrays of the buffer dict ``bufs``: W's Bartlett factors and then
+    B's (d >= m) or Z's normals."""
     lw = wishart_factor_block(m, nu, StreamKey(seed, start, 0), _BLOCK,
-                              out=_scratch(bufs, "lw", m, m, _BLOCK), assemble=False)
+                              out=_scratch(bufs, "lw", m, m, _BLOCK))
     key = StreamKey(seed, start, 1)
     if d >= m:
-        return lw, wishart_factor_block(m, d, key, _BLOCK, assemble=False,
+        return lw, wishart_factor_block(m, d, key, _BLOCK,
                                         out=_scratch(bufs, "draw", m, m, _BLOCK))
     return lw, normal_block(d, m, key, _BLOCK, out=_scratch(bufs, "draw", _BLOCK, d, m))
 
@@ -103,11 +102,10 @@ def _roy_compute(d: int, m: int, drawn, count: int, out: np.ndarray,
     (``_roy_draws``) into ``out``, with every other per-block array taken
     from the scratch ``cache``."""
     lw, u = drawn
-    lw = assemble_factors(*lw)
     if d >= m:
         # B' stacked replicate-first, as _whiten reads U: the copy it
         # starts from is then B itself.
-        u = assemble_factors(*u)[..., :count].transpose(2, 1, 0)
+        u = u[..., :count].transpose(2, 1, 0)
     else:
         u = u[:count]
     out[:] = _lam_max_gram(_whiten(lw[..., :count], u, cache), cache)
@@ -122,14 +120,16 @@ def largest_root_null_sample(d: int, m: int, nu: int, r: int, seed: int,
     through Z'Z, which for d >= m is Wishart with d degrees of freedom;
     so substream 1 then carries a second Bartlett factor B, Z'Z = B B',
     and the replicate is the top eigenvalue of B' W^{-1} B. For d < m it
-    carries Z itself. Draws, blocks, threads, scratch caches and
-    whitening are the tube engine's: fixed blocks keyed by their first
-    replicate index, full blocks always drawn into reused buffers, and
-    B (or Z') whitened by W's Bartlett factor L, since
-    B' W^{-1} B = (L^{-1}B)'(L^{-1}B). Both Bartlett factors come from
-    ``wishart_factor_block`` replicate-last, so a short block whitens
-    the view of its leading replicates. ``workers`` caps the threads as
-    in ``sct_engine.simulate_pivot`` and cannot change the result.
+    carries Z itself. The tube engine's block driver runs it
+    (``sct_engine._replicates``): fixed blocks keyed by their first
+    replicate index, full blocks always drawn into reused buffers, each
+    block's draws (``_roy_draws``: finished Bartlett factors, or Z) made
+    before it is computed (``_roy_compute``), in a second thread where
+    one runs. The computation whitens B (or Z') by W's Bartlett factor
+    L, since B' W^{-1} B = (L^{-1}B)'(L^{-1}B); both factors are stacked
+    replicate-last, so a short block whitens the view of its leading
+    replicates. ``workers`` caps the threads as in
+    ``sct_engine.simulate_pivot`` and cannot change the result.
     """
     return _replicates(r, workers, partial(_roy_draws, d, m, nu, seed),
                        partial(_roy_compute, d, m))

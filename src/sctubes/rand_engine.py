@@ -32,10 +32,9 @@ layout the engine whitens with, so a block's first ``count`` replicates
 are the view ``[..., :count]``. Both fill a caller's array when
 given one (``out=``), as numpy's generators do: the engine draws its
 blocks into reused buffers, and the values are those of a freshly
-returned array. A Wishart factor block can also stop at its variates
-(``assemble=False``) and leave the arithmetic that makes them factors
-to ``assemble_factors``: the engine's drawing thread then makes only
-generator calls.
+returned array. Each returns finished values, Bartlett factors and not
+their variates, so the engine's draw stage, in whichever thread it
+runs, hands its compute stage nothing left to assemble.
 
 Within one generator the draw order is pinned and documented per
 function. ``STREAM_VERSION`` names this scheme: a change to any draw
@@ -123,7 +122,7 @@ def _strict_lower(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def wishart_factor_block(m: int, nu: int, key: StreamKey, count: int,
-                         out: np.ndarray | None = None, assemble: bool = True):
+                         out: np.ndarray | None = None) -> np.ndarray:
     """Draw ``count`` lower-triangular Bartlett factors L, each with L L'
     distributed Wishart(identity, nu), stacked replicate index last as
     an (m, m, count) array (into ``out``, a C-contiguous float array of
@@ -135,13 +134,6 @@ def wishart_factor_block(m: int, nu: int, key: StreamKey, count: int,
     replicate (doubled, their square roots are the chi(nu - k)
     diagonal); then all count x m(m-1)/2 strict lower-triangle normals,
     row-major within each replicate, in one call.
-
-    With ``assemble=False`` it only draws, and returns ``(out, lower)``:
-    ``out`` holds each diagonal's gamma variates, ``lower`` the
-    (count, m(m-1)/2) normals, and ``assemble_factors(out, lower)``
-    turns them into the factors in place. So a caller can make the
-    draws, a few long calls, apart from the arithmetic, several short
-    ones.
     """
     if m < 1 or count < 1:
         raise InvalidArgument("block dimensions must be positive")
@@ -157,15 +149,6 @@ def wishart_factor_block(m: int, nu: int, key: StreamKey, count: int,
     for k in range(m):
         rng.standard_gamma((nu - k) / 2.0, out=out[k, k])
     lower = rng.standard_normal((count, m * (m - 1) // 2))
-    return assemble_factors(out, lower) if assemble else (out, lower)
-
-
-def assemble_factors(out: np.ndarray, lower: np.ndarray) -> np.ndarray:
-    """Turn the variates ``wishart_factor_block(..., assemble=False)``
-    drew into its Bartlett factors, in ``out``, and return it: each
-    diagonal becomes sqrt(2 gamma), the strict lower triangle takes the
-    normals, and the upper triangle is zeroed."""
-    m, _, count = out.shape
     # Every diagonal at once, as one strided (m, count) view.
     diag = out.reshape(m * m, count)[::m + 1]
     diag *= 2.0

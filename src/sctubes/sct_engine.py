@@ -42,11 +42,13 @@ group's normals) and then computed (``_tube_compute``). Each stage takes
 its per-block arrays by name, where it uses them, from a scratch cache,
 a dict of flat buffers (``sup_solver._scratch``): the draws, the
 whitened stack, each group's mapped stack, the pair factor, and the face
-solver's factor and entries for the face it is on. A serial run keeps
-one cache for both stages; a threaded run computes in one cache and
-draws into two buffer sets in turn (``_replicates``). The first block
-sizes the buffers and later blocks reuse them; a block's values go
-straight into the result. Fresh arrays per block were
+solver's factor and entries for the face it is on. One loop,
+``_replicates``, runs the stages for every thread count: one thread
+draws each block into the cache it computes in, just before computing
+it; with two, a one-thread pool draws the next block, into two buffer
+sets in turn, while the calling thread computes this one. The first
+block sizes the buffers and later blocks reuse them; a block's values
+go straight into the result. Fresh arrays per block were
 handed back to the OS as each block freed them and faulted in again by
 the next: a first call of 2x10^5 whole-space replicates (k = 5, m = 3)
 took about 21,000 minor page faults, and takes about 1,500 with the
@@ -61,9 +63,8 @@ replicate j is keyed by the block's first index, full blocks are always
 drawn even when r cuts the last one short, and group g's normal
 matrices live on substream g (the Wishart noise on substream 0;
 substream 1 is never drawn, since group 1's are derived). Threads
-therefore cannot change results: ``_replicates``, the one block
-driver, draws blocks in a second thread where it may and writes their
-values back by position.
+therefore cannot change results: ``_replicates`` writes each block's
+values back by position, whichever thread drew it.
 """
 
 from __future__ import annotations
@@ -71,9 +72,8 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-import queue
-import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 
@@ -83,8 +83,7 @@ from . import tube_geometry
 from .errors import (EmptyFamily, InvalidArgument, MetaMismatch, TooFewReplicates,
                      group_pair, index_of, is_real, items_of)
 from .model_core import FittedModels
-from .rand_engine import (STREAM_VERSION, StreamKey, assemble_factors, normal_block,
-                          wishart_factor_block)
+from .rand_engine import STREAM_VERSION, StreamKey, normal_block, wishart_factor_block
 from .sup_solver import CovariateBox, FacePlan, _scratch
 
 _BLOCK = 8192
@@ -304,18 +303,17 @@ def _whiten(lw: np.ndarray, u: np.ndarray, cache: dict) -> np.ndarray:
 
 
 def _tube_draws(plan: _SimPlan, seed: int, start: int, bufs: dict):
-    """Draw the block at ``start``: its Wishart factors' variates,
-    unassembled (see ``wishart_factor_block``), and each drawn group's
-    normal matrices, into the buffer dict ``bufs`` (see
-    ``sup_solver._scratch``) under ``"lw"`` and ``("u", g)``. It makes
-    only generator calls; the arithmetic is ``_tube_compute``'s.
+    """Draw the block at ``start``: its Bartlett factors of the Wishart
+    draw and each drawn group's normal matrices, into the buffer dict
+    ``bufs`` (see ``sup_solver._scratch``) under ``"lw"`` and
+    ``("u", g)``. Everything after the draws is ``_tube_compute``'s.
 
     Full fixed-size blocks are always drawn and then sliced, so a
     replicate's draws never depend on r or on scheduling.
     """
     m, n = plan.m, plan.p + 1
     lw = wishart_factor_block(m, plan.nu, StreamKey(seed, start, 0), _BLOCK,
-                              out=_scratch(bufs, "lw", m, m, _BLOCK), assemble=False)
+                              out=_scratch(bufs, "lw", m, m, _BLOCK))
     us = {g: normal_block(n, m, StreamKey(seed, start, g + 1), _BLOCK,
                           out=_scratch(bufs, ("u", g), _BLOCK, n, m))
           for g in plan.gfac}
@@ -335,7 +333,6 @@ def _tube_compute(plan: _SimPlan, drawn, count: int, out: np.ndarray,
     """
     m, n = plan.m, plan.p + 1
     lw, us = drawn
-    lw = assemble_factors(*lw)
     v = {}
     w = _scratch(cache, "pair", m, n, count)
     for g, gfac in plan.gfac.items():
@@ -390,67 +387,46 @@ def _replicates(r: int, workers: int | None, draw, compute) -> np.ndarray:
     block's first ``count`` replicates into ``out``, a view of the
     result, taking its other buffers from ``cache``.
 
-    With one thread, the calling thread draws and computes each block in
-    turn, in one dict. With two, a second thread draws the blocks in
-    order, into two buffer sets in turn, while the calling thread
-    computes each as it comes and hands its set back. Two threads run
-    when ``workers`` (None: ``_usable_cpus``), the usable CPUs and the
-    block count are all at least 2; never more. A draw is a few long
-    numpy calls that release the interpreter lock, while a block's
-    computation is about a hundred short ones that take it back after
-    each call. Threads that each drew and computed their own blocks
-    waited on each other for the lock after those short calls (about
-    2,800 context switches in a run of 10^6 interval replicates, k = 3,
-    m = 2, against about 800 here) and cost 17-30% more CPU time than
-    one thread on a 2-vCPU virtual machine. Blocks are written back by
-    position, so the thread count cannot change the result. The calling
-    thread sets a stop event when it leaves for any reason, and the
-    drawing thread checks it before each block, so an interrupt or a
-    failed block stops it within one block; a failed draw is raised in
-    the calling thread.
+    One loop serves every thread count: each block's draws are a call
+    with no arguments, made just before the block is computed. On one
+    thread it is ``draw`` bound to the block and to ``cache``, so one
+    dict holds both stages' buffers. On two it is the ``result`` of the
+    block's draw on a one-thread pool, submitted one block ahead into
+    two buffer sets in turn, so the pool draws the next block while the
+    calling thread computes this one. Two threads run when ``workers``
+    (None: ``_usable_cpus``), the usable CPUs and the block count are
+    all at least 2; never more. A draw is a few long numpy calls that
+    release the interpreter lock, while a block's computation is about a
+    hundred short ones that take it back after each call. Threads that
+    each drew and computed their own blocks waited on each other for the
+    lock after those short calls (about 2,800 context switches in a run
+    of 10^6 interval replicates, k = 3, m = 2, against about 1,200 here)
+    and cost 17-30% more CPU time than one thread on a 2-vCPU virtual
+    machine. Blocks are written back by position, so the thread count
+    cannot change the result. A failed draw is raised in the calling
+    thread by ``Future.result``, and leaving the pool, however the loop
+    ends, waits for the one draw in flight, so no thread outlives the
+    call.
     """
     r, workers = _run_size(r, workers)
     values = np.empty(r)
     starts = range(0, r, _BLOCK)
-    cache = {}
-    if min(workers, _usable_cpus(), len(starts)) < 2:
+    cache, sets = {}, ({}, {})
+    threaded = min(workers, _usable_cpus(), len(starts)) >= 2
+    with ThreadPoolExecutor(max_workers=1) if threaded else nullcontext() as pool:
+        def deferred(start):
+            """The draws of the block at ``start``, as a call with no arguments."""
+            if pool is None:
+                return partial(draw, start, cache)
+            return pool.submit(draw, start, sets[start // _BLOCK % 2]).result
+
+        pending = deferred(0)
         for start in starts:
+            drawn = pending()
+            if start + _BLOCK < r:
+                pending = deferred(start + _BLOCK)
             count = min(_BLOCK, r - start)
-            compute(draw(start, cache), count, values[start:start + count], cache)
-        values.sort()
-        return values
-
-    stop = threading.Event()
-    free, ready = queue.Queue(), queue.Queue()
-    for _ in range(2):
-        free.put({})
-
-    def drawer() -> None:
-        try:
-            for start in starts:
-                bufs = free.get()
-                if stop.is_set():
-                    return
-                ready.put((start, draw(start, bufs), bufs))
-        finally:
-            # Wakes the calling thread if a draw failed.
-            ready.put(None)
-
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        drawing = pool.submit(drawer)
-        try:
-            for _ in starts:
-                item = ready.get()
-                if item is None:
-                    drawing.result()
-                start, drawn, bufs = item
-                count = min(_BLOCK, r - start)
-                compute(drawn, count, values[start:start + count], cache)
-                free.put(bufs)
-        finally:
-            stop.set()
-            # Wakes the drawing thread if it waits for a buffer set.
-            free.put({})
+            compute(drawn, count, values[start:start + count], cache)
     values.sort()
     return values
 

@@ -180,7 +180,7 @@ def _top_vector_2x2(b, half, root) -> np.ndarray:
 def _drop_outside(lam: np.ndarray, margin: np.ndarray, cache: dict) -> None:
     """Set ``lam`` to -inf wherever ``margin`` is not positive."""
     outside = _scratch(cache, "outside", margin.size, dtype=bool)
-    np.copyto(lam, -np.inf, where=np.less_equal(margin, 0.0, out=outside))
+    np.putmask(lam, np.less_equal(margin, 0.0, out=outside), -np.inf)
 
 
 def top_eigenvalue(s: np.ndarray, cache: dict) -> np.ndarray:

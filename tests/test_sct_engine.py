@@ -398,10 +398,13 @@ def test_interrupt_stops_every_worker_within_one_block(monkeypatch):
     assert threading.active_count() == before
 
 
-def test_a_failed_draw_reaches_the_caller(monkeypatch):
-    """A draw that raises on the drawing thread is raised in the calling
-    thread, which would otherwise wait for the block forever, and leaves
-    no thread running."""
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_failed_draw_reaches_the_caller(monkeypatch, workers):
+    """A draw that raises, in the calling thread or in the drawing
+    thread, is raised in the calling thread, which would otherwise wait
+    for the block forever, and leaves no thread running. Two usable CPUs
+    are pretended, so two workers start the drawing thread on any
+    machine."""
     monkeypatch.setattr(sct_engine, "_usable_cpus", lambda: 2)
 
     def draw(start, bufs):
@@ -413,7 +416,7 @@ def test_a_failed_draw_reaches_the_caller(monkeypatch):
 
     def call():
         try:
-            _replicates(10 * _BLOCK, 2, draw, compute)
+            _replicates(10 * _BLOCK, workers, draw, compute)
         except FloatingPointError as exc:
             raised.append(exc)
 
