@@ -131,6 +131,7 @@ def largest_root_null_sample(d: int, m: int, nu: int, r: int, seed: int,
     replicates. ``workers`` caps the threads as in
     ``sct_engine.simulate_pivot`` and cannot change the result.
     """
+    r, workers, seed = _run_size(r, workers, seed)
     return _replicates(r, workers, partial(_roy_draws, d, m, nu, seed),
                        partial(_roy_compute, d, m))
 
@@ -413,8 +414,7 @@ def roy_k_sample(fit: FittedModels, alpha: float, r: int, seed: int,
         # The sampler's checks of r, workers and seed, in its order: the
         # exact law uses none of them, but both nulls refuse the same ones.
         check_alpha(alpha)
-        _run_size(r, workers)
-        StreamKey(seed)
+        _run_size(r, workers, seed)
     else:
         rank = tail_rank(r, alpha)
 

@@ -17,7 +17,11 @@ Simulated and observed statistics go through the same exact solver, face
 enumeration of the covariate box (``sup_solver.FacePlan``), for every
 region: a point, a finite box, or the whole space, and reach it the same
 way, as whitened numerator factors; the pair's denominator D never
-leaves the solver. Per pair the face constants are prepared once. Each
+leaves the solver. Both read the same face values from the same code
+(``FacePlan._candidates``), so an observed statistic is exactly what a
+replicate with its factor would read; only its argmax adds an
+eigenvector, of the winning face. Per pair the face constants are
+prepared once. Each
 block of replicates whitens every drawn group's normal matrices by the
 block's Wishart factor once (``_whiten``, a forward substitution
 vectorized over the block); the whitening is linear, so a pair's factor
@@ -29,9 +33,10 @@ is a fixed linear map of each other group's whitened draws, summed
 (``_SimPlan``), and a family that uses group 1 draws (k-1)(p+1)m
 normals per replicate. The supremum then
 costs closed forms over the whole block (``sup_solver.top_eigenvalue``
-up to size 3), except for the checked faces of a finite box with two or
-more free coordinates, whose top eigenvectors come from one batched
-eigendecomposition. Per-replicate arrays keep the replicate index last,
+up to size 3), except for the whole space for p >= 3 and the faces of
+a finite box with two or more free coordinates, whose inside tests take
+top eigenvectors from one batched eigendecomposition. Per-replicate
+arrays keep the replicate index last,
 so each matrix entry is one contiguous vector; the Wishart factors are
 drawn that way (``rand_engine.wishart_factor_block``). Roy's null
 sampler in ``classical_tests`` uses the same whitening, scratch cache
@@ -121,12 +126,14 @@ class ComparisonFamily:
     @classmethod
     def pairwise(cls, k: int) -> "ComparisonFamily":
         """Every unordered pair among k groups, listed as (i, j) with i < j."""
+        k = index_of(k, "group count")
         pairs = tuple((i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1))
         return cls(pairs=pairs, kind="pairwise")
 
     @classmethod
     def vs_control(cls, k: int, control: int) -> "ComparisonFamily":
         """Each non-control group against the control group."""
+        k = index_of(k, "group count")
         control = index_of(control, "control index")
         if not 1 <= control <= k:
             raise InvalidArgument(f"control index {control} outside 1..{k}")
@@ -136,6 +143,7 @@ class ComparisonFamily:
     @classmethod
     def successive(cls, k: int) -> "ComparisonFamily":
         """Each group against the next one: (1,2), (2,3), ..."""
+        k = index_of(k, "group count")
         pairs = tuple((i, i + 1) for i in range(1, k))
         return cls(pairs=pairs, kind="successive")
 
@@ -362,22 +370,27 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_size(r: int, workers: int | None) -> tuple[int, int]:
-    """r and the worker cap, checked in the one order every simulating
-    call uses: both integers (not bools or floats), then r at least 1
-    (``TooFewReplicates``), then workers at least 1. A workers of None
-    is every CPU the process may use (``_usable_cpus``)."""
+def _run_size(r: int, workers: int | None, seed: int) -> tuple[int, int, int]:
+    """r, the worker cap and the seed, checked in the one order every
+    simulating entry point uses before it builds anything: r and workers
+    integers (not bools or floats), then r at least 1
+    (``TooFewReplicates``), then workers at least 1, then the seed an
+    integer in ``StreamKey``'s range. A workers of None is every CPU the
+    process may use (``_usable_cpus``)."""
     r = index_of(r, "replicate count")
     workers = _usable_cpus() if workers is None else index_of(workers, "worker count")
     if r < 1:
         raise TooFewReplicates(f"need at least one replicate, got {r}")
     if workers < 1:
         raise InvalidArgument(f"workers must be positive, got {workers}")
-    return r, workers
+    seed = index_of(seed, "seed")
+    StreamKey(seed)  # refuses a seed outside [0, 2**64)
+    return r, workers, seed
 
 
 def _replicates(r: int, workers: int | None, draw, compute) -> np.ndarray:
-    """Sorted values of replicates 0 .. r-1, computed block by block.
+    """Sorted values of replicates 0 .. r-1, computed block by block,
+    for r and workers that ``_run_size`` has checked.
 
     ``draw(start, bufs)`` makes the random draws of the block that starts
     at ``start``, a multiple of the fixed block size, so a block's draws
@@ -408,11 +421,10 @@ def _replicates(r: int, workers: int | None, draw, compute) -> np.ndarray:
     ends, waits for the one draw in flight, so no thread outlives the
     call.
     """
-    r, workers = _run_size(r, workers)
     values = np.empty(r)
     starts = range(0, r, _BLOCK)
     cache, sets = {}, ({}, {})
-    threaded = min(workers, _usable_cpus(), len(starts)) >= 2
+    threaded = min(workers or _usable_cpus(), _usable_cpus(), len(starts)) >= 2
     with ThreadPoolExecutor(max_workers=1) if threaded else nullcontext() as pool:
         def deferred(start):
             """The draws of the block at ``start``, as a call with no arguments."""
@@ -454,6 +466,7 @@ def simulate_pivot(fit: FittedModels, family: ComparisonFamily,
     # The null law itself never touches the scatter, but a degenerate
     # fit cannot be tested against the sample either, so refuse early.
     fit.require_scatter()
+    r, workers, seed = _run_size(r, workers, seed)
     plan = _SimPlan(fit, family, box)
     values = _replicates(r, workers, partial(_tube_draws, plan, seed),
                          partial(_tube_compute, plan))

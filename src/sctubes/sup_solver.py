@@ -29,7 +29,9 @@ once in a ``FacePlan``, and nothing about D leaves it. Numerators arrive
 as plain factors W with A = W'W, so both statistics reach the solver
 the same way: the Monte Carlo engine passes a stack of thousands of
 simulated factors, ``sct_engine.observed_statistic`` one observed
-factor. Each face holds one linear map, which takes W to the face's
+factor. Both take the same face values from the same closed forms, by
+one code path (``FacePlan._candidates``); the observed statistic adds
+one eigenvector, of the winning face, for its argmax. Each face holds one linear map, which takes W to the face's
 own factor, and the face's matrix is the Gram of that mapped factor.
 So no face value can be negative, and the rounding grows with the
 conditioning of the mapped factor, not with its square. Forming a Gram
@@ -47,8 +49,7 @@ reused block after block, and each face's values are folded into the
 caller's running maximum. The face entries are formed one face at a
 time, in buffers of at most m(p+1) and (p+1)^2 rows per replicate that
 every face reuses, so the cache does not grow with the 3^p faces. Only
-LAPACK's outputs, for faces with two or more free coordinates, are
-fresh.
+LAPACK's outputs are fresh.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgument, UnboundedBox, items_of, pair_of
+from .errors import InvalidArgument, UnboundedBox, index_of, items_of, pair_of
 
 # Relative gap within which face values count as tied when choosing an
 # argmax: ties go to the face with the fewest free coordinates.
@@ -122,11 +123,11 @@ class CovariateBox:
 
     @classmethod
     def point(cls, *coords: float) -> "CovariateBox":
-        return cls(tuple((float(c), float(c)) for c in coords))
+        return cls(tuple((c, c) for c in coords))
 
     @classmethod
     def whole_space(cls, p: int) -> "CovariateBox":
-        return cls(tuple((-math.inf, math.inf) for _ in range(p)))
+        return cls(((-math.inf, math.inf),) * index_of(p, "covariate count"))
 
     @property
     def p(self) -> int:
@@ -161,20 +162,6 @@ def _top_2x2(s: np.ndarray, cache: dict):
     lam *= 0.5
     lam += root
     return lam, half, root
-
-
-def _top_vector_2x2(b, half, root) -> np.ndarray:
-    """An unnormalised top eigenvector of each [[a, b], [b, c]], stacked
-    as (count, 2), from ``_top_2x2``'s half and root.
-
-    Each branch avoids cancellation; a multiple of the identity, where
-    every direction is top, gets (1, 0).
-    """
-    first = half >= 0.0
-    y = np.stack([np.where(first, half + root, b),
-                  np.where(first, b, root - half)], axis=1)
-    y[root == 0.0] = (1.0, 0.0)
-    return y
 
 
 def _drop_outside(lam: np.ndarray, margin: np.ndarray, cache: dict) -> None:
@@ -280,7 +267,7 @@ class _Face:
 
     A top vector y lies strictly inside the face exactly when, for each
     free coordinate k, (w_k - lo_k w_0)(hi_k w_0 - w_k) > 0: both forms
-    are linear in y, and w_0 = 0 makes their product -w_k^2. A checked
+    are linear in y, and w_0 = 0 makes their product -w_k^2. A finite
     face with two or more free coordinates holds those forms as the
     rows of ``sides`` (every low form, then every high form). With one
     free coordinate the product is y'Qy, Q = (s_lo s_hi' + s_hi s_lo')/2.
@@ -290,7 +277,8 @@ class _Face:
     (Q_00 - Q_11) half + 2 Q_01 b + (Q_00 + Q_11) root > 0; ``sign``
     holds those three constants. Where root = 0 every direction is top,
     the sum is 0 and the face's value is left to its endpoints, which
-    attain it. Unchecked faces and vertices hold None in both.
+    attain it. A vertex and the whole space hold None in both: they
+    have no test, and their value is ``top_eigenvalue``'s.
     """
 
     free: np.ndarray
@@ -319,8 +307,6 @@ class FacePlan:
         if d.shape != (p + 1, p + 1):
             raise InvalidArgument(f"box has p = {p}, denominator has p = {len(d) - 1}")
         whole = box.is_whole_space
-        # Only the whole space's one face needs no inside check.
-        self._checked = not whole
         lower = np.linalg.cholesky(d)
         # Per coordinate: its fixed values, then None for free.
         choices = [(None,) if whole else (lo,) if lo == hi else (lo, hi, None)
@@ -339,42 +325,38 @@ class FacePlan:
             high = np.array([box.bounds[k][1] for k in free])
             # Row k of rinv gives w_k as a form in y.
             sides = sign = None
-            if self._checked and free.size == 1:
+            if not whole and free.size == 1:
                 (r00, r01), (r10, r11) = rinv.tolist()
                 (lo,), (hi,) = low.tolist(), high.tolist()
                 l0, l1 = r10 - lo * r00, r11 - lo * r01
                 h0, h1 = hi * r00 - r10, hi * r01 - r11
                 sign = (l0 * h0 - l1 * h1, l0 * h1 + l1 * h0, l0 * h0 + l1 * h1)
-            elif self._checked and free.size:
+            elif not whole and free.size:
                 sides = np.concatenate([rinv[1:] - low[:, None] * rinv[0],
                                         high[:, None] * rinv[0] - rinv[1:]])
             self.faces.append(_Face(
                 free=free, fixed_point=fixed_point, coef=(embed @ rinv).T, rinv=rinv,
                 low=low, high=high, sides=sides, sign=sign))
 
-    def _candidates(self, factors: np.ndarray, vectors: bool, cache: dict):
-        """Per face: its candidate values (-inf where it has none) and
-        its top vectors y in orthonormal face coordinates, for an
+    def _candidates(self, factors: np.ndarray, cache: dict):
+        """Per face: its candidate values (-inf where it has none), for an
         (m, p+1, count) stack of numerator factors, computed in the
-        scratch ``cache``. y is None for vertices, and for faces whose
-        value comes from a closed form unless ``vectors`` asks.
+        scratch ``cache``.
 
-        Whether a face's maximiser lies strictly inside it is one rule
-        for both statistics (see ``_Face``). With one free coordinate it
-        is the sign of (Q_00 - Q_11) half + 2 Q_01 b + (Q_00 + Q_11) root,
-        from the numbers the closed-form eigenvalue already has, so no
-        eigenvector is formed unless ``vectors`` asks. With more, each
-        free coordinate's two side forms of LAPACK's eigenvector must
-        have a positive product.
+        Each face is dispatched on its inside test (see ``_Face``). A
+        face with ``sign`` takes ``_top_2x2`` and the sign rule, made of
+        the closed form's own numbers; a face with no test (a vertex, or
+        the whole space) takes ``top_eigenvalue``; a face with ``sides``
+        takes a batched ``eigh``, whose top eigenvector must give each
+        free coordinate's two side forms a positive product.
 
         A face's entries are formed only when the face is visited, as
         the Gram of the factors mapped by its ``coef``, in
         ``"face_factor"`` and ``"entries"`` buffers that every face
         reuses. So a yielded value can be a view of ``"entries"``
-        (size-1 faces), ``"top2"`` or ``"top3"``: a caller must use it
+        (vertices), ``"top2"`` or ``"top3"``: a caller must use it
         before it advances the generator. Only LAPACK's eigenvalues and
-        eigenvectors, and the eigenvectors that ``vectors`` asks for,
-        are fresh arrays."""
+        eigenvectors are fresh arrays."""
         m, _, count = factors.shape
         for face in self.faces:
             size = 1 + face.free.size
@@ -383,33 +365,26 @@ class FacePlan:
                                out=_scratch(cache, "face_factor", m, size, count))
             rows = np.einsum("kib,kjb->ijb", mapped, mapped,
                              out=_scratch(cache, "entries", size, size, count))
-            y = None
-            if size == 1:
-                lam = rows[0, 0]
-            elif size == 2:
+            if face.sign is not None:
                 lam, half, root = _top_2x2(rows, cache)
-                if face.sign is not None:
-                    k0, k1, k2 = face.sign
-                    margin, term = _scratch(cache, "margin", 2, count)
-                    np.multiply(half, k0, out=margin)
-                    margin += np.multiply(rows[0, 1], k1, out=term)
-                    margin += np.multiply(root, k2, out=term)
-                    _drop_outside(lam, margin, cache)
-                if vectors:
-                    y = _top_vector_2x2(rows[0, 1], half, root)
-            elif not (vectors or self._checked):
+                k0, k1, k2 = face.sign
+                margin, term = _scratch(cache, "margin", 2, count)
+                np.multiply(half, k0, out=margin)
+                margin += np.multiply(rows[0, 1], k1, out=term)
+                margin += np.multiply(root, k2, out=term)
+                _drop_outside(lam, margin, cache)
+            elif face.sides is None:
                 lam = top_eigenvalue(rows, cache)
             else:
                 vals, vecs = np.linalg.eigh(rows.transpose(2, 0, 1))
-                lam, y = vals[:, -1], vecs[:, :, -1]
-                if face.sides is not None:
-                    f = face.free.size
-                    forms = np.matmul(face.sides, y.T,
-                                      out=_scratch(cache, "forms", 2 * f, count))
-                    np.multiply(forms[:f], forms[f:], out=forms[:f])
-                    margin = np.min(forms[:f], axis=0, out=_scratch(cache, "margin", count))
-                    _drop_outside(lam, margin, cache)
-            yield face, lam, y
+                lam = vals[:, -1]
+                f = face.free.size
+                forms = np.matmul(face.sides, vecs[:, :, -1].T,
+                                  out=_scratch(cache, "forms", 2 * f, count))
+                np.multiply(forms[:f], forms[f:], out=forms[:f])
+                margin = np.min(forms[:f], axis=0, out=_scratch(cache, "margin", count))
+                _drop_outside(lam, margin, cache)
+            yield face, lam
 
     def sup(self, factors: np.ndarray, cache: dict, out: np.ndarray) -> None:
         """Fold the supremum for each numerator factor in an
@@ -421,30 +396,33 @@ class FacePlan:
         ``cache`` (see ``_scratch``), so one worker's blocks, and the
         faces and pairs within a block, reuse the same memory.
         """
-        for _, lam, _ in self._candidates(factors, False, cache):
+        for _, lam in self._candidates(factors, cache):
             np.maximum(out, lam, out=out)
 
     def sup_with_argmax(self, factor: np.ndarray) -> tuple[float, np.ndarray | None]:
         """Supremum and argmax for one (m, p+1) numerator factor.
 
-        Ties, to within rounding, go to the face with the fewest free
-        coordinates, and among those to the earlier one (low bounds
-        before high ones). The argmax is None over the whole space when
-        the top eigenvector has a zero intercept coordinate, in which
-        case the supremum is a limit along a direction, not a point.
-        The face's inside test is ``sup``'s; where it passes a maximiser
-        within rounding of an endpoint, the argmax is clipped to the
-        face's bounds.
+        The face values are ``sup``'s own candidates, so the supremum
+        equals a one-column ``sup`` exactly. Ties, to within rounding, go
+        to the face with the fewest free coordinates, and among those to
+        the earlier one (low bounds before high ones). The winning face,
+        if it has free coordinates, forms the one eigenvector: ``eigh``
+        of its mapped Gram. The argmax is None over the whole space when
+        that vector has a zero intercept coordinate, in which case the
+        supremum is a limit along a direction, not a point. A maximiser
+        within rounding of an endpoint is clipped to the face's bounds.
         """
-        cands = [(float(lam[0]), face, y)
-                 for face, lam, y in self._candidates(factor[:, :, None], True, {})]
-        best = max(value for value, _, _ in cands)
-        for value, face, y in cands:
+        cands = [(float(lam[0]), face)
+                 for face, lam in self._candidates(factor[:, :, None], {})]
+        best = max(value for value, _ in cands)
+        for value, face in cands:
             if value >= best - _TIE_RTOL * abs(best):
                 break
         point = face.fixed_point.copy()
-        if y is not None:
-            w = (y @ face.rinv.T)[0]
+        if face.free.size:
+            mapped = factor @ face.coef.T
+            y = np.linalg.eigh(mapped.T @ mapped)[1][:, -1]
+            w = face.rinv @ y
             if abs(w[0]) <= 1e-9 * np.linalg.norm(w):
                 return best, None
             point[face.free] = np.clip(w[1:] / w[0], face.low, face.high)

@@ -589,6 +589,19 @@ def small_simulation(r=100, workers=1):
     lambda: classical_tests.roy_k_sample(small_fit(), 0.05, 1000.0, seed=2),
     lambda: cross_section(small_fit(), (1, 2), "0.1", 1.0),
     lambda: small_comparison(True),
+    lambda: sct_engine.simulate_pivot(
+        small_fit(), sct_engine.ComparisonFamily.pairwise(2),
+        CovariateBox.interval(0, 10), 100, seed=1.5),
+    lambda: sct_engine.compare(
+        small_fit(), sct_engine.ComparisonFamily.pairwise(2),
+        CovariateBox.interval(0, 10), 0.05, 1000, seed=True),
+    lambda: classical_tests.roy_k_sample(small_fit(), 0.05, 1000, seed="3"),
+    lambda: CovariateBox.point("a"),
+    lambda: CovariateBox.point(None),
+    lambda: CovariateBox.whole_space(2.0),
+    lambda: sct_engine.ComparisonFamily.pairwise(1.5),
+    lambda: sct_engine.ComparisonFamily.successive("3"),
+    lambda: sct_engine.ComparisonFamily.vs_control(2.5, 1),
 ])
 def test_argument_checks_raise_typed_usage_errors(check):
     # Typed for the exit code, and still a ValueError for library callers.

@@ -67,7 +67,9 @@ def test_batched_sup_equals_one_at_a_time(p, m, kind, seed):
     """``FacePlan.sup`` over a stack agrees with ``sup_with_argmax`` on
     each numerator factor alone. The tolerance scales with the
     whole-space sup, since on a point box a numerator can nearly vanish
-    and leave only rounding."""
+    and leave only rounding. A one-column ``sup`` of the same factor
+    runs the same closed forms, so it equals ``sup_with_argmax``'s value
+    exactly."""
     rng = np.random.default_rng(seed)
     half = rng.standard_normal((p + 1, p + 1))
     d = half @ half.T + 0.1 * np.eye(p + 1)
@@ -78,6 +80,7 @@ def test_batched_sup_equals_one_at_a_time(p, m, kind, seed):
     for b in range(factors.shape[2]):
         single, _ = plan.sup_with_argmax(factors[:, :, b])
         assert abs(batched[b] - single) <= 1e-12 * scale[b]
+        assert batched_sup(plan, factors[:, :, b:b + 1])[0] == single
 
 
 def sub_multiset(small: np.ndarray, big: np.ndarray, rtol: float = 1e-13) -> bool:
