@@ -31,8 +31,9 @@ the same way: the Monte Carlo engine passes a stack of thousands of
 simulated factors, ``sct_engine.observed_statistic`` one observed
 factor. Both take the same face values from the same closed forms, by
 one code path (``FacePlan._candidates``); the observed statistic adds
-one eigenvector, of the winning face, for its argmax. Each face holds one linear map, which takes W to the face's
-own factor, and the face's matrix is the Gram of that mapped factor.
+one eigenvector, of the winning face, for its argmax. Each face holds
+one linear map, which takes W to the face's own factor, and the face's
+matrix is the Gram of that mapped factor.
 So no face value can be negative, and the rounding grows with the
 conditioning of the mapped factor, not with its square. Forming a Gram
 before reducing it to the face is what squares it. Forming W'W first
