@@ -28,7 +28,7 @@ from .model_core import FittedModels
 from .rand_engine import StreamKey, normal_block, wishart_factor_block
 from .sct_engine import (_BLOCK, _replicates, _run_size, _whiten, check_alpha,
                          tail_p_value, tail_rank)
-from .sup_solver import _scratch, top_eigenvalue
+from .sup_solver import _scratch, top_gram_eigenvalue
 
 # The most roots the exact law serves. Its CDF passes the checks in
 # tests/test_classical_tests.py (mass 1 within 1e-10, and _NODES against
@@ -66,23 +66,6 @@ class RoyResult:
     null_law: str
 
 
-def _lam_max_gram(z: np.ndarray, cache: dict) -> np.ndarray:
-    """Largest eigenvalue of Z'Z (equivalently ZZ') for each replicate of
-    a (rows, cols, count) stack.
-
-    Forms the smaller-side Gram matrix in the scratch cache's ``"gram"``
-    buffer, whose nonzero spectrum matches the other side's, and takes
-    its top eigenvalue with ``sup_solver.top_eigenvalue`` (closed forms
-    up to size 3, computed in the same cache).
-    """
-    rows, cols, count = z.shape
-    side = min(rows, cols)
-    out = _scratch(cache, "gram", side, side, count)
-    if rows <= cols:
-        return top_eigenvalue(np.einsum("iab,jab->ijb", z, z, out=out), cache)
-    return top_eigenvalue(np.einsum("aib,ajb->ijb", z, z, out=out), cache)
-
-
 def _roy_draws(d: int, m: int, nu: int, seed: int, start: int, bufs: dict):
     """Draw the block of ``largest_root_null_sample`` at ``start``, in
     arrays of the buffer dict ``bufs``: W's Bartlett factors and then
@@ -108,7 +91,7 @@ def _roy_compute(d: int, m: int, drawn, count: int, out: np.ndarray,
         u = u[..., :count].transpose(2, 1, 0)
     else:
         u = u[:count]
-    out[:] = _lam_max_gram(_whiten(lw[..., :count], u, cache), cache)
+    out[:] = top_gram_eigenvalue(_whiten(lw[..., :count], u, cache).transpose(1, 0, 2), cache)
 
 
 def largest_root_null_sample(d: int, m: int, nu: int, r: int, seed: int,
@@ -126,9 +109,10 @@ def largest_root_null_sample(d: int, m: int, nu: int, r: int, seed: int,
     block's draws (``_roy_draws``: finished Bartlett factors, or Z) made
     before it is computed (``_roy_compute``), in a second thread where
     one runs. The computation whitens B (or Z') by W's Bartlett factor
-    L, since B' W^{-1} B = (L^{-1}B)'(L^{-1}B); both factors are stacked
-    replicate-last, so a short block whitens the view of its leading
-    replicates. ``workers`` caps the threads as in
+    L, since B' W^{-1} B = (L^{-1}B)'(L^{-1}B), and reads the top
+    eigenvalue by the faces' rule, ``sup_solver.top_gram_eigenvalue``;
+    both factors are stacked replicate-last, so a short block whitens
+    the view of its leading replicates. ``workers`` caps the threads as in
     ``sct_engine.simulate_pivot`` and cannot change the result.
     """
     r, workers, seed = _run_size(r, workers, seed)

@@ -31,15 +31,15 @@ not drawn: the pivot sees the groups only through their pair
 differences, a Gaussian of (k-1)(p+1)m dimensions, so group 1's stack
 is a fixed linear map of each other group's whitened draws, summed
 (``_SimPlan``), and a family that uses group 1 draws (k-1)(p+1)m
-normals per replicate. The supremum then
-costs closed forms over the whole block (``sup_solver.top_eigenvalue``
-up to size 3), except for the whole space for p >= 3 and the faces of
-a finite box with two or more free coordinates, whose inside tests take
-top eigenvectors from one batched eigendecomposition. Per-replicate
-arrays keep the replicate index last,
-so each matrix entry is one contiguous vector; the Wishart factors are
-drawn that way (``rand_engine.wishart_factor_block``). Roy's null
-sampler in ``classical_tests`` uses the same whitening, scratch cache
+normals per replicate. The supremum then costs closed forms over the
+whole block (``sup_solver.top_eigenvalue`` up to size 3), a vertex or
+the whole space on its Gram's smaller side (``top_gram_eigenvalue``):
+only the whole space with min(m, p+1) >= 4 and the inside tests of
+finite-box faces with two or more free coordinates take LAPACK
+throughout. Per-replicate arrays keep the replicate index last, so each
+matrix entry is one contiguous vector; the Wishart factors are drawn
+that way (``rand_engine.wishart_factor_block``). Roy's null sampler in
+``classical_tests`` uses the same whitening, Gram rule, scratch cache
 and block driver.
 
 A block is drawn (``_tube_draws``: the Wishart factors and each drawn
@@ -208,12 +208,13 @@ def tail_rank(r: int, alpha: float) -> int:
     hair above an integer through rounding.
 
     The one check order for every simulated critical value (tube and
-    largest-root): alpha a real number (not a bool) in (0, 1) first
-    (``InvalidArgument``), then alpha * r >= 10 (``TooFewReplicates``),
-    since with fewer expected tail exceedances the quantile estimate is
-    noise.
+    largest-root): alpha a real number (not a bool) in (0, 1) first,
+    then r an integer (not a bool or float), both ``InvalidArgument``,
+    then alpha * r >= 10 (``TooFewReplicates``), since with fewer
+    expected tail exceedances the quantile estimate is noise.
     """
     check_alpha(alpha)
+    r = index_of(r, "replicate count")
     if alpha * r < 10.0:
         raise TooFewReplicates(
             f"alpha * r = {alpha * r:.3g} < 10; increase replicates")

@@ -33,15 +33,17 @@ factor. Both take the same face values from the same closed forms, by
 one code path (``FacePlan._candidates``); the observed statistic adds
 one eigenvector, of the winning face, for its argmax. Each face holds
 one linear map, which takes W to the face's own factor, and the face's
-matrix is the Gram of that mapped factor.
-So no face value can be negative, and the rounding grows with the
-conditioning of the mapped factor, not with its square. Forming a Gram
-before reducing it to the face is what squares it. Forming W'W first
-gave relative errors up to 9e-2 on two-group fits with covariates near
-10^6 and a box 10^-2 wide. On 300 random point boxes (p = 1 to 3,
-m = 1 or 2) where ||We|| is 1e-8 of ||W|| ||e||, forming the Gram of
-W L^{-T} first gave relative errors up to 25 and 12 negative values;
-mapping the factor gives 1e-8.
+matrix is the Gram of that mapped factor. So no face value can be
+negative, and the rounding grows with the conditioning of the mapped
+factor, not with its square. Forming a Gram before reducing it to the
+face is what squares it. Forming W'W first gave relative errors up to
+9e-2 on two-group fits with covariates near 10^6 and a box 10^-2 wide.
+On 300 random point boxes (p = 1 to 3, m = 1 or 2) where ||We|| is 1e-8
+of ||W|| ||e||, forming the Gram of W L^{-T} first gave relative errors
+up to 25 and 12 negative values; mapping the factor gives 1e-8. A face
+with no inside test needs only its Gram's top eigenvalue, which the
+mapped factor's other Gram shares, so it takes the smaller of the two
+(``top_gram_eigenvalue``), as Roy's null sampler does.
 
 The batched ``FacePlan.sup`` allocates none of its large arrays: the
 mapped factors, the face entries, the closed forms' scratch and the
@@ -254,6 +256,17 @@ def top_eigenvalue(s: np.ndarray, cache: dict) -> np.ndarray:
     return lam
 
 
+def top_gram_eigenvalue(factors: np.ndarray, cache: dict) -> np.ndarray:
+    """Largest eigenvalue of the Gram of each factor F in a (rows, cols,
+    count) stack, taken from the smaller of F F' and F'F (F'F, a face's
+    own side, on a tie), which share their nonzero spectrum, formed in
+    the scratch cache's ``"gram"`` buffer: a closed form up to size 3."""
+    rows, cols, count = factors.shape
+    spec, side = ("ikb,jkb->ijb", rows) if rows < cols else ("kib,kjb->ijb", cols)
+    gram = np.einsum(spec, factors, factors, out=_scratch(cache, "gram", side, side, count))
+    return top_eigenvalue(gram, cache)
+
+
 @dataclass(frozen=True, eq=False)
 class _Face:
     """One face of the box, reduced to orthonormal coordinates.
@@ -279,7 +292,7 @@ class _Face:
     holds those three constants. Where root = 0 every direction is top,
     the sum is 0 and the face's value is left to its endpoints, which
     attain it. A vertex and the whole space hold None in both: they
-    have no test, and their value is ``top_eigenvalue``'s.
+    have no test, and their value is ``top_gram_eigenvalue``'s.
     """
 
     free: np.ndarray
@@ -347,15 +360,16 @@ class FacePlan:
         Each face is dispatched on its inside test (see ``_Face``). A
         face with ``sign`` takes ``_top_2x2`` and the sign rule, made of
         the closed form's own numbers; a face with no test (a vertex, or
-        the whole space) takes ``top_eigenvalue``; a face with ``sides``
+        the whole space) takes ``top_gram_eigenvalue`` of its mapped
+        factor, on the Gram's smaller side; a face with ``sides``
         takes a batched ``eigh``, whose top eigenvector must give each
         free coordinate's two side forms a positive product.
 
-        A face's entries are formed only when the face is visited, as
-        the Gram of the factors mapped by its ``coef``, in
-        ``"face_factor"`` and ``"entries"`` buffers that every face
-        reuses. So a yielded value can be a view of ``"entries"``
-        (vertices), ``"top2"`` or ``"top3"``: a caller must use it
+        A face's Gram is formed only when the face is visited, from the
+        factors mapped by its ``coef``, in ``"face_factor"`` and
+        ``"gram"`` buffers that every face reuses. So a yielded value
+        can be a view of ``"gram"`` (vertices), ``"top2"`` or
+        ``"top3"``: a caller must use it
         before it advances the generator. Only LAPACK's eigenvalues and
         eigenvectors are fresh arrays."""
         m, _, count = factors.shape
@@ -364,8 +378,11 @@ class FacePlan:
             # Row k of W maps to row k of W L^{-T} Q.
             mapped = np.matmul(face.coef, factors,
                                out=_scratch(cache, "face_factor", m, size, count))
+            if face.sign is None and face.sides is None:
+                yield face, top_gram_eigenvalue(mapped, cache)
+                continue
             rows = np.einsum("kib,kjb->ijb", mapped, mapped,
-                             out=_scratch(cache, "entries", size, size, count))
+                             out=_scratch(cache, "gram", size, size, count))
             if face.sign is not None:
                 lam, half, root = _top_2x2(rows, cache)
                 k0, k1, k2 = face.sign
@@ -374,8 +391,6 @@ class FacePlan:
                 margin += np.multiply(rows[0, 1], k1, out=term)
                 margin += np.multiply(root, k2, out=term)
                 _drop_outside(lam, margin, cache)
-            elif face.sides is None:
-                lam = top_eigenvalue(rows, cache)
             else:
                 vals, vecs = np.linalg.eigh(rows.transpose(2, 0, 1))
                 lam = vals[:, -1]

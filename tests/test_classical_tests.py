@@ -13,7 +13,6 @@ from sctubes.classical_tests import (
     _EXACT_ROOTS,
     _NODES,
     _LargestRootLaw,
-    _lam_max_gram,
     largest_root_null_sample,
     roy_k_sample,
 )
@@ -169,17 +168,6 @@ def test_null_sample_has_the_law_of_the_normal_matrix_path(d, m):
             np.transpose(v, (0, 2, 1)) @ v)[:, -1])
     stat = scipy.stats.ks_2samp(bartlett, np.concatenate(explicit))
     assert stat.pvalue > 0.01
-
-
-def test_lam_max_gram_resolves_nearly_equal_roots():
-    # Z Z' = [[1, 1e-9], [1e-9, 1]] exactly; its roots are 1 +- 1e-9. The
-    # trace/determinant form tr^2 - 4 det cancels to 0 here and returns 1.
-    z = np.array([[1.0, 0.0], [1e-9, 1.0]])[:, :, None]
-    top = _lam_max_gram(z, {})
-    np.testing.assert_allclose(top, [1.000000001], rtol=1e-15)
-    np.testing.assert_allclose(
-        _lam_max_gram(z.transpose(1, 0, 2), {}),
-        top, rtol=1e-15)
 
 
 def test_null_sample_rejects_zero_replicates():

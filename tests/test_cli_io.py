@@ -513,6 +513,15 @@ def nan_constant_comparison():
     return small_comparison(math.nan)
 
 
+def monte_carlo_roy(r):
+    """``roy_k_sample`` forced onto its Monte Carlo path."""
+    saved, classical_tests._EXACT_ROOTS = classical_tests._EXACT_ROOTS, 0
+    try:
+        return classical_tests.roy_k_sample(small_fit(), 0.05, r, seed=2)
+    finally:
+        classical_tests._EXACT_ROOTS = saved
+
+
 def small_simulation(r=100, workers=1):
     return sct_engine.simulate_pivot(
         small_fit(), sct_engine.ComparisonFamily.pairwise(2),
@@ -602,6 +611,14 @@ def small_simulation(r=100, workers=1):
     lambda: sct_engine.ComparisonFamily.pairwise(1.5),
     lambda: sct_engine.ComparisonFamily.successive("3"),
     lambda: sct_engine.ComparisonFamily.vs_control(2.5, 1),
+    lambda: sct_engine.compare(
+        small_fit(), sct_engine.ComparisonFamily.pairwise(2),
+        CovariateBox.interval(0.0, 10.0), 0.05, "1000", seed=0),
+    lambda: sct_engine.compare(
+        small_fit(), sct_engine.ComparisonFamily.pairwise(2),
+        CovariateBox.interval(0.0, 10.0), 0.05, True, seed=0),
+    lambda: monte_carlo_roy("1000"),
+    lambda: monte_carlo_roy(True),
 ])
 def test_argument_checks_raise_typed_usage_errors(check):
     # Typed for the exit code, and still a ValueError for library callers.

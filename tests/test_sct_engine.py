@@ -595,19 +595,27 @@ def test_pairwise_k5_m3_kernel_matches_per_replicate_reference(box):
     np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
-def test_whole_space_p2_kernel_matches_per_replicate_reference():
-    """Three pairs over the whole space with p = 2, where the one face is
-    3 x 3 and needs no eigenvector: each replicate is the largest pair's
-    top generalized eigenvalue, rebuilt with a generic solve per pair."""
+def whole_space_fit(p, m):
+    """Three groups with p covariates and m responses."""
     rng = np.random.default_rng(58)
-    coef = rng.standard_normal((3, 2))
+    coef = rng.standard_normal((p + 1, m))
     fit = fit_models(make_dataset(rng, (12, 15, 18), [coef] * 3))
-    assert (fit.k, fit.p, fit.m) == (3, 2, 2)
+    assert (fit.k, fit.p, fit.m) == (3, p, m)
+    return fit
+
+
+@pytest.mark.parametrize("p, m", [(2, 2), (2, 1), (3, 1), (3, 2)])
+def test_whole_space_kernel_matches_per_replicate_reference(p, m):
+    """Three pairs over the whole space, whose one face needs no
+    eigenvector and is read on the factor's smaller side (m < p + 1
+    here): each replicate is the largest pair's top generalized
+    eigenvalue, rebuilt with a generic solve per pair."""
+    fit = whole_space_fit(p, m)
     fam = ComparisonFamily.pairwise(3)
     seed, count = 23, 400
-    got = block_values(_SimPlan(fit, fam, CovariateBox.whole_space(2)), seed, count)
+    got = block_values(_SimPlan(fit, fam, CovariateBox.whole_space(p)), seed, count)
 
-    lw = wishart_factors(2, fit.nu, StreamKey(seed, 0, 0), _BLOCK)[:count]
+    lw = wishart_factors(m, fit.nu, StreamKey(seed, 0, 0), _BLOCK)[:count]
     x = group_stacks(fit, seed, count)
     want = np.full(count, -np.inf)
     for i, j in fam.pairs:
@@ -617,6 +625,29 @@ def test_whole_space_p2_kernel_matches_per_replicate_reference():
             want[b] = max(want[b],
                           scipy.linalg.eigh(v.T @ v, d, eigvals_only=True)[-1])
     np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+@pytest.mark.parametrize("p, m", [(3, 1), (3, 2)])
+def test_whole_space_block_needs_no_lapack_where_m_is_small(p, m, monkeypatch):
+    """With at most three responses, a whole-space face wider than m is
+    read on its m x m side by a closed form: a block (k = 3, p = 3)
+    calls neither ``eigvalsh`` nor ``eigh``."""
+    calls = []
+
+    def counted(name):
+        real = getattr(np.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    plan = _SimPlan(whole_space_fit(p, m), ComparisonFamily.pairwise(3),
+                    CovariateBox.whole_space(p))
+    for name in ("eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    assert np.all(np.isfinite(block_values(plan, 23, 400)))
+    assert calls == []
 
 
 def plan_maps(plan, k):

@@ -504,3 +504,14 @@ def test_top_eigenvalue_on_special_matrices(n, scale):
     undefined."""
     mats = special_matrices(n) * scale
     np.testing.assert_allclose(stacked_top(mats), lapack_top(mats), rtol=1e-13)
+
+
+def test_top_gram_eigenvalue_resolves_nearly_equal_roots():
+    # Z Z' = [[1, 1e-9], [1e-9, 1]] exactly; its roots are 1 +- 1e-9. The
+    # trace/determinant form tr^2 - 4 det cancels to 0 here and returns 1.
+    z = np.array([[1.0, 0.0], [1e-9, 1.0]])[:, :, None]
+    top = sup_solver.top_gram_eigenvalue(z, {})
+    np.testing.assert_allclose(top, [1.000000001], rtol=1e-15)
+    np.testing.assert_allclose(
+        sup_solver.top_gram_eigenvalue(z.transpose(1, 0, 2), {}),
+        top, rtol=1e-15)
