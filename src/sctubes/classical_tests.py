@@ -91,7 +91,9 @@ def _roy_compute(d: int, m: int, drawn, count: int, out: np.ndarray,
         u = u[..., :count].transpose(2, 1, 0)
     else:
         u = u[:count]
-    out[:] = top_gram_eigenvalue(_whiten(lw[..., :count], u, cache).transpose(1, 0, 2), cache)
+    # Transposed, so that d >= m keeps the row-side Gram its samples use.
+    z = _whiten(lw[..., :count], u, cache)
+    out[:] = top_gram_eigenvalue(z.transpose(1, 0, 2), cache)
 
 
 def largest_root_null_sample(d: int, m: int, nu: int, r: int, seed: int,
@@ -112,8 +114,8 @@ def largest_root_null_sample(d: int, m: int, nu: int, r: int, seed: int,
     L, since B' W^{-1} B = (L^{-1}B)'(L^{-1}B), and reads the top
     eigenvalue by the faces' rule, ``sup_solver.top_gram_eigenvalue``;
     both factors are stacked replicate-last, so a short block whitens
-    the view of its leading replicates. ``workers`` caps the threads as in
-    ``sct_engine.simulate_pivot`` and cannot change the result.
+    the view of its leading replicates. ``workers`` caps the threads as
+    in ``sct_engine.simulate_pivot`` and cannot change the result.
     """
     r, workers, seed = _run_size(r, workers, seed)
     return _replicates(r, workers, partial(_roy_draws, d, m, nu, seed),

@@ -40,10 +40,8 @@ face is what squares it. Forming W'W first gave relative errors up to
 9e-2 on two-group fits with covariates near 10^6 and a box 10^-2 wide.
 On 300 random point boxes (p = 1 to 3, m = 1 or 2) where ||We|| is 1e-8
 of ||W|| ||e||, forming the Gram of W L^{-T} first gave relative errors
-up to 25 and 12 negative values; mapping the factor gives 1e-8. A face
-with no inside test needs only its Gram's top eigenvalue, which the
-mapped factor's other Gram shares, so it takes the smaller of the two
-(``top_gram_eigenvalue``), as Roy's null sampler does.
+up to 25 and 12 negative values; mapping the factor gives 1e-8. Faces
+with no inside test use the smaller Gram (``top_gram_eigenvalue``).
 
 The batched ``FacePlan.sup`` allocates none of its large arrays: the
 mapped factors, the face entries, the closed forms' scratch and the
@@ -263,8 +261,8 @@ def top_gram_eigenvalue(factors: np.ndarray, cache: dict) -> np.ndarray:
     the scratch cache's ``"gram"`` buffer: a closed form up to size 3."""
     rows, cols, count = factors.shape
     spec, side = ("ikb,jkb->ijb", rows) if rows < cols else ("kib,kjb->ijb", cols)
-    gram = np.einsum(spec, factors, factors, out=_scratch(cache, "gram", side, side, count))
-    return top_eigenvalue(gram, cache)
+    out = _scratch(cache, "gram", side, side, count)
+    return top_eigenvalue(np.einsum(spec, factors, factors, out=out), cache)
 
 
 @dataclass(frozen=True, eq=False)
@@ -361,15 +359,14 @@ class FacePlan:
         face with ``sign`` takes ``_top_2x2`` and the sign rule, made of
         the closed form's own numbers; a face with no test (a vertex, or
         the whole space) takes ``top_gram_eigenvalue`` of its mapped
-        factor, on the Gram's smaller side; a face with ``sides``
-        takes a batched ``eigh``, whose top eigenvector must give each
-        free coordinate's two side forms a positive product.
+        factor; a face with ``sides`` takes a batched ``eigh``, whose
+        top eigenvector must give each free coordinate's two side forms
+        a positive product.
 
-        A face's Gram is formed only when the face is visited, from the
-        factors mapped by its ``coef``, in ``"face_factor"`` and
-        ``"gram"`` buffers that every face reuses. So a yielded value
-        can be a view of ``"gram"`` (vertices), ``"top2"`` or
-        ``"top3"``: a caller must use it
+        A face's factor and Gram are formed only when the face is
+        visited, in ``"face_factor"`` and ``"gram"`` buffers that every
+        face reuses. So a yielded value can be a view of ``"gram"``
+        (vertices), ``"top2"`` or ``"top3"``: a caller must use it
         before it advances the generator. Only LAPACK's eigenvalues and
         eigenvectors are fresh arrays."""
         m, _, count = factors.shape
