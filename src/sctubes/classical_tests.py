@@ -8,11 +8,12 @@ Z W^{-1} Z' with Z a d x m standard normal matrix, d = (k-1)(p+1)
 degrees of freedom, regardless of the designs. With s = min(d, m) roots,
 theta = lambda / (1 + lambda) is the largest root of a matrix beta,
 whose joint root density is known in closed form (Muirhead 1982,
-Thms 3.3.3 and 3.3.4). Up to ``_EXACT_ROOTS`` roots the test reads its
-critical value and p-value off that law's CDF, a Pfaffian (Chiani,
-JMVA 2016), with no sampling. Beyond it a Monte Carlo null sample
-stands in, whose sampler draws Z'Z as a second Wishart factor for
-d >= m instead of Z.
+Thms 3.3.3 and 3.3.4). The test picks one null law per run and reads
+its critical value and p-value from it, through the laws' one duality
+rule (``sct_engine._NullLaw.decide``): up to ``_EXACT_ROOTS`` roots the
+exact law, whose CDF is a Pfaffian (Chiani, JMVA 2016), with no
+sampling; beyond it the sample law of a Monte Carlo null sample, whose
+sampler draws Z'Z as a second Wishart factor for d >= m instead of Z.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ import numpy as np
 from .errors import NotTwoGroups
 from .model_core import FittedModels
 from .rand_engine import StreamKey, normal_block, wishart_factor_block
-from .sct_engine import (_BLOCK, _replicates, _run_size, _whiten, check_alpha,
-                         tail_p_value, tail_rank)
+from .sct_engine import (_BLOCK, CriticalConstantResult, _NullLaw, _replicates,
+                         _run_size, _SampleLaw, _whiten, check_alpha)
 from .sup_solver import _scratch, top_gram_eigenvalue
 
 # The most roots the exact law serves. Its CDF passes the checks in
@@ -85,12 +86,9 @@ def _roy_compute(d: int, m: int, drawn, count: int, out: np.ndarray,
     (``_roy_draws``) into ``out``, with every other per-block array taken
     from the scratch ``cache``."""
     lw, u = drawn
-    if d >= m:
-        # B' stacked replicate-first, as _whiten reads U: the copy it
-        # starts from is then B itself.
-        u = u[..., :count].transpose(2, 1, 0)
-    else:
-        u = u[:count]
+    # For d >= m, B' stacked replicate-first, as _whiten reads U: the copy
+    # it starts from is then B itself.
+    u = u[..., :count].transpose(2, 1, 0) if d >= m else u[:count]
     # Transposed, so that d >= m keeps the row-side Gram its samples use.
     z = _whiten(lw[..., :count], u, cache)
     out[:] = top_gram_eigenvalue(z.transpose(1, 0, 2), cache)
@@ -207,8 +205,9 @@ def _orthonormal_basis(u: np.ndarray, weight: np.ndarray,
     return basis, log_sum
 
 
-class _LargestRootLaw:
-    """The exact law of the largest eigenvalue lambda of Z W^{-1} Z'.
+class _LargestRootLaw(_NullLaw):
+    """The exact law of the largest eigenvalue lambda of Z W^{-1} Z', a
+    null law (``sct_engine._NullLaw``) that reads no replicates.
 
     Z is d x m standard normal and W ~ Wishart_m(I, nu), nu >= m. With
     s = min(d, m), theta = lambda / (1 + lambda) is the largest of s roots
@@ -225,6 +224,8 @@ class _LargestRootLaw:
     2a - s times a smooth factor at 0 and has no singularity at u = 1,
     and a statistic of any size maps to a finite tau.
     """
+
+    kind, reps, seed = "exact", 0, None
 
     def __init__(self, d: int, m: int, nu: int):
         s = min(d, m)
@@ -351,23 +352,19 @@ class _LargestRootLaw:
                 side = -1
         return math.expm1(hi * hi)
 
-    def critical_and_p_value(self, statistic: float,
-                             alpha: float) -> tuple[float, float]:
-        """The level-alpha critical value and the p-value of ``statistic``.
+    def critical(self, alpha: float) -> CriticalConstantResult:
+        """The level-alpha critical value c = quantile(1 - alpha), whose
+        interval is (c, c)."""
+        c = self.quantile(1.0 - alpha)
+        return CriticalConstantResult(
+            c_hat=c, alpha=alpha, r=0, rank=0, order_stat_interval=(c, c),
+            eb_coverage_interval=(1.0 - alpha, 1.0 - alpha))
 
-        The p-value is the upper tail 1 - cdf(statistic), read as 0 below
-        the CDF's tested accuracy ``_CDF_ATOL``. It is at most alpha
-        exactly when statistic >= critical: where rounding in the CDF
-        would put it on the other side of alpha, it is moved to alpha (or
-        just above), so the decision follows the critical value.
-        """
-        critical = self.quantile(1.0 - alpha)
+    def p_value(self, statistic: float) -> float:
+        """The upper tail 1 - cdf(statistic), read as 0 below the CDF's
+        tested accuracy ``_CDF_ATOL``."""
         p_value = 1.0 - self.cdf(statistic)
-        if p_value < _CDF_ATOL:
-            p_value = 0.0
-        if statistic >= critical:
-            return critical, min(p_value, alpha)
-        return critical, max(p_value, math.nextafter(alpha, 1.0))
+        return 0.0 if p_value < _CDF_ATOL else p_value
 
 
 def roy_k_sample(fit: FittedModels, alpha: float, r: int, seed: int,
@@ -382,27 +379,31 @@ def roy_k_sample(fit: FittedModels, alpha: float, r: int, seed: int,
     inverses, the whole-space supremum of the tube statistic, so this
     test and an unrestricted two-group tube agree.
 
-    With s = min(d, m) roots up to ``_EXACT_ROOTS``, the critical value
-    and p-value come from the exact law, and ``r``, ``seed`` and
-    ``workers`` are checked but change nothing; alpha need only lie in
-    (0, 1). There, p <= alpha exactly when statistic >= critical, and a
-    p-value below the law's accuracy (1e-10) reads 0. Beyond
-    ``_EXACT_ROOTS`` roots they come from r replicates of
+    One null law serves the run, picked by the s = min(d, m) roots. Up
+    to ``_EXACT_ROOTS`` it is the exact law: ``r``, ``seed`` and
+    ``workers`` are checked but change nothing, and alpha need only lie
+    in (0, 1); a p-value below the law's accuracy (1e-10) reads 0.
+    Beyond, it is the sample law of r replicates of
     ``largest_root_null_sample``, threaded as ``workers`` allows (see
-    ``sct_engine.simulate_pivot``), and alpha * r must reach 10.
+    ``sct_engine.simulate_pivot``), and alpha * r must reach 10. Either
+    way everything is refused before anything is drawn, the result's
+    ``null_law``, ``null_reps`` and ``seed`` are the law's, and
+    p <= alpha exactly when statistic >= critical.
     """
     if fit.k < 2:
         raise NotTwoGroups(f"need at least 2 groups, got {fit.k}")
     lfac = fit.require_scatter()
     d = (fit.k - 1) * (fit.p + 1)
-    exact = min(d, fit.m) <= _EXACT_ROOTS
-    if exact:
+    if min(d, fit.m) <= _EXACT_ROOTS:
         # The sampler's checks of r, workers and seed, in its order: the
-        # exact law uses none of them, but both nulls refuse the same ones.
+        # exact law uses none of them, but both laws refuse the same ones.
         check_alpha(alpha)
         _run_size(r, workers, seed)
+        law = _LargestRootLaw(d, fit.m, fit.nu)
     else:
-        rank = tail_rank(r, alpha)
+        _SampleLaw.tail_rank(r, alpha)
+        law = _SampleLaw(largest_root_null_sample(d, fit.m, fit.nu, r, seed,
+                                                  workers=workers), seed)
 
     # The common fit is solved as a shift from group 1's estimate, so the
     # deviations carry no rounding from a large common level, and equal
@@ -426,14 +427,7 @@ def roy_k_sample(fit: FittedModels, alpha: float, r: int, seed: int,
     w = np.linalg.eigvalsh(np.linalg.solve(lfac, half.T))
     statistic = max(float(w[-1]), 0.0)
 
-    if not exact:
-        null = largest_root_null_sample(d, fit.m, fit.nu, r, seed, workers=workers)
-        return RoyResult(statistic=statistic, critical=float(null[rank - 1]),
-                         p_value=tail_p_value(null, statistic), alpha=alpha,
-                         null_reps=r, seed=seed, null_dimension=d,
-                         null_law="monte_carlo")
-    critical, p_value = _LargestRootLaw(d, fit.m, fit.nu).critical_and_p_value(
-        statistic, alpha)
+    critical, p_value = law.decide(statistic, alpha)
     return RoyResult(statistic=statistic, critical=critical, p_value=p_value,
-                     alpha=alpha, null_reps=0, seed=None, null_dimension=d,
-                     null_law="exact")
+                     alpha=alpha, null_reps=law.reps, seed=law.seed,
+                     null_dimension=d, null_law=law.kind)

@@ -23,10 +23,15 @@ with ``_prepare``: fit, which validates the data; refuse fewer than
 two groups; check the config; parse and resolve the --family and
 --range texts (``tube`` then its --pair) against the fit. The JSON
 reports of ``critical``, ``pvalues``, ``compare`` and ``tube`` share
-one header. The seed and the worker count are checked where they are
-used, by the random stream and the block driver. ``pvalues`` needs no
-critical constant, so it runs at any alpha. Numerical degeneracy exits
-3; any other exception is a bug and propagates.
+one header. Each simulating command reads its numbers from one null
+law (see ``sct_engine``): ``critical``, ``compare`` and ``tube`` have
+the simulated sample refuse alpha and --reps before it is drawn, then
+read its ``critical(alpha)``; ``pvalues`` reads only its p-values, so
+it runs at any alpha; ``roy`` reports the law that ``roy_k_sample``
+picked, with its kind, replicates and seed. The seed and the worker
+count are checked where they are used, by the random stream and the
+block driver. Numerical degeneracy exits 3; any other exception is a
+bug and propagates.
 """
 
 from __future__ import annotations
@@ -352,10 +357,10 @@ def _prepare(config: RunConfig, data: GroupedDataset
 
 def _critical(config: RunConfig, fit: FittedModels, family: ComparisonFamily,
               box: CovariateBox) -> CriticalConstantResult:
-    sct_engine.tail_rank(config.reps, config.alpha)  # before any draw
+    sct_engine.SimulatedSample.tail_rank(config.reps, config.alpha)  # before any draw
     sample = sct_engine.simulate_pivot(fit, family, box, config.reps,
                                        config.seed, workers=config.workers)
-    return sct_engine.critical_constant(sample, config.alpha)
+    return sample.critical(config.alpha)
 
 
 def _cmd_compare(config: RunConfig, data: GroupedDataset) -> int:

@@ -13,6 +13,20 @@ box it ranged over, a digest of the designs and the stream version, so
 ``pair_comparisons`` reads its pairs and box from the sample and takes
 it for any fit with the same designs.
 
+Every critical value and p-value, the tube's and the largest-root
+test's, is read from a null law (``_NullLaw``): anything with
+``critical(alpha)``, a ``CriticalConstantResult``, and
+``p_value(statistic)``, plus its ``kind``, ``reps`` and ``seed``. There
+are two. The sorted sample (``_SampleLaw``), which a ``SimulatedSample``
+and Roy's null sample both are, reads an order statistic and the share
+of replicates above a statistic; its ``tail_rank``, which a caller runs
+before it draws one, refuses an alpha and r that its critical value
+would refuse. The largest root's exact law
+(``classical_tests._LargestRootLaw``) reads a quantile and a tail of
+its CDF, with the interval (c, c). The one duality rule, p <= alpha
+exactly when t >= c, is ``_NullLaw.decide``; on a sample it changes
+nothing. A run picks its law once and reads all its numbers from it.
+
 Simulated and observed statistics go through the same exact solver, face
 enumeration of the covariate box (``sup_solver.FacePlan``), for every
 region: a point, a finite box, or the whole space, and reach it the same
@@ -148,25 +162,6 @@ class ComparisonFamily:
         return cls(pairs=pairs, kind="successive")
 
 
-@dataclass(frozen=True, eq=False)
-class SimulatedSample:
-    """Sorted pivotal statistic replicates plus their provenance: the
-    seed, the family and box the supremum ranged over, the designs
-    (``design_digest`` also hashes nu, m, p and k) and the random stream
-    scheme (``rand_engine.STREAM_VERSION``) it was drawn under."""
-
-    values: np.ndarray
-    seed: int
-    family: ComparisonFamily
-    box: CovariateBox
-    design_digest: str
-    stream_version: int = STREAM_VERSION
-
-    @property
-    def r(self) -> int:
-        return self.values.size
-
-
 @dataclass(frozen=True)
 class CriticalConstantResult:
     """An upper quantile estimate with its Monte Carlo uncertainty.
@@ -175,7 +170,9 @@ class CriticalConstantResult:
     for the true quantile built from binomial quantile ranks.
     ``eb_coverage_interval`` brackets the realized coverage of a tube
     using the estimated constant: mean plus or minus three standard
-    deviations of the relevant beta law.
+    deviations of the relevant beta law, clipped to [0, 1]. An exact law
+    reads r and rank 0, the interval (c, c) and the coverage
+    (1 - alpha, 1 - alpha).
     """
 
     c_hat: float
@@ -184,6 +181,105 @@ class CriticalConstantResult:
     rank: int
     order_stat_interval: tuple[float, float]
     eb_coverage_interval: tuple[float, float]
+
+
+class _NullLaw:
+    """A null law: what a statistic's critical value and p-value are
+    read from. ``critical(alpha)`` gives the level-alpha critical value
+    as a ``CriticalConstantResult`` and ``p_value(statistic)`` the upper
+    tail beyond a statistic; ``kind`` names the law (``"exact"`` or
+    ``"monte_carlo"``), ``reps`` the replicates it read (0 for an exact
+    law) and ``seed`` their stream seed (None for an exact law). The two
+    laws are ``_SampleLaw`` and ``classical_tests._LargestRootLaw``.
+    """
+
+    def decide(self, statistic: float, alpha: float) -> tuple[float, float]:
+        """The level-alpha critical value c and the p-value of
+        ``statistic``, dual: p <= alpha exactly when statistic >= c.
+        Where rounding would put p on the other side of alpha, p is moved
+        to alpha (or just above), so the decision follows c. A sample
+        needs no move: its p-value counts replicates above the
+        statistic, and its c is one of them."""
+        critical, p_value = self.critical(alpha).c_hat, self.p_value(statistic)
+        if statistic >= critical:
+            return critical, min(p_value, alpha)
+        return critical, max(p_value, math.nextafter(alpha, 1.0))
+
+
+@dataclass(frozen=True, eq=False)
+class _SampleLaw(_NullLaw):
+    """The law of r sorted Monte Carlo replicates drawn from ``seed``:
+    the critical value is an order statistic (``critical_constant``) and
+    a p-value the share of replicates strictly above the statistic.
+    ``values`` must be a nonempty 1-D array of finite numbers in
+    ascending order, or ``InvalidArgument`` is raised: both readings
+    rely on the order."""
+
+    values: np.ndarray
+    seed: int
+    kind = "monte_carlo"
+
+    def __post_init__(self):
+        v = self.values
+        if not (isinstance(v, np.ndarray) and v.ndim == 1 and v.size
+                and v.dtype.kind in "iuf" and np.isfinite(v).all()
+                and (v[1:] >= v[:-1]).all()):
+            raise InvalidArgument("sample values must be a nonempty 1-D array "
+                                  "of finite numbers in ascending order")
+
+    @property
+    def r(self) -> int:
+        return self.values.size
+
+    reps = r  # the null law's name for the replicate count
+
+    @staticmethod
+    def tail_rank(r: int, alpha: float) -> int:
+        """Rank of the simulated (1 - alpha) upper quantile among r
+        replicates: ceil((1 - alpha) * r) in 1..r, guarded against the
+        product landing a hair above an integer through rounding.
+
+        The one check order for the critical value of every sample law
+        (tube and largest-root): alpha a real number (not a bool) in
+        (0, 1) first, then r an integer (not a bool or float), both
+        ``InvalidArgument``, then alpha * r >= 10 (``TooFewReplicates``),
+        since with fewer expected tail exceedances the quantile estimate
+        is noise. A caller that draws a sample for its critical value
+        runs it first, so a refused call draws nothing.
+        """
+        check_alpha(alpha)
+        r = index_of(r, "replicate count")
+        if alpha * r < 10.0:
+            raise TooFewReplicates(
+                f"alpha * r = {alpha * r:.3g} < 10; increase replicates")
+        target = (1.0 - alpha) * r
+        rank = math.ceil(target - 1e-12 * max(1.0, target))
+        return min(max(rank, 1), r)
+
+    def critical(self, alpha: float) -> CriticalConstantResult:
+        """``critical_constant(self, alpha)``."""
+        return critical_constant(self, alpha)
+
+    def p_value(self, statistic: float) -> float:
+        """The share of replicates strictly above ``statistic``."""
+        return (self.r - int(np.searchsorted(self.values, statistic, "right"))) / self.r
+
+
+@dataclass(frozen=True, eq=False)
+class SimulatedSample(_SampleLaw):
+    """Sorted pivotal statistic replicates, as a sample law (see
+    ``_SampleLaw``), plus their provenance: the family and box the
+    supremum ranged over, the designs (``design_digest`` also hashes nu,
+    m, p and k) and the random stream scheme
+    (``rand_engine.STREAM_VERSION``) it was drawn under."""
+
+    family: ComparisonFamily
+    box: CovariateBox
+    design_digest: str
+    stream_version: int = STREAM_VERSION
+
+
+tail_rank = _SampleLaw.tail_rank
 
 
 def design_digest(fit: FittedModels) -> str:
@@ -200,33 +296,6 @@ def check_alpha(alpha: float) -> None:
     None) or lies outside (0, 1), with ``InvalidArgument``."""
     if not (is_real(alpha) and 0.0 < alpha < 1.0):
         raise InvalidArgument(f"alpha must be in (0, 1), got {alpha!r}")
-
-
-def tail_rank(r: int, alpha: float) -> int:
-    """Rank of the simulated (1 - alpha) upper quantile among r replicates:
-    ceil((1 - alpha) * r) in 1..r, guarded against the product landing a
-    hair above an integer through rounding.
-
-    The one check order for every simulated critical value (tube and
-    largest-root): alpha a real number (not a bool) in (0, 1) first,
-    then r an integer (not a bool or float), both ``InvalidArgument``,
-    then alpha * r >= 10 (``TooFewReplicates``), since with fewer
-    expected tail exceedances the quantile estimate is noise.
-    """
-    check_alpha(alpha)
-    r = index_of(r, "replicate count")
-    if alpha * r < 10.0:
-        raise TooFewReplicates(
-            f"alpha * r = {alpha * r:.3g} < 10; increase replicates")
-    target = (1.0 - alpha) * r
-    rank = math.ceil(target - 1e-12 * max(1.0, target))
-    return min(max(rank, 1), r)
-
-
-def tail_p_value(values: np.ndarray, statistic: float) -> float:
-    """Fraction of the sorted replicates ``values`` strictly above the statistic."""
-    idx = int(np.searchsorted(values, statistic, side="right"))
-    return (values.size - idx) / values.size
 
 
 def _binom_ppf(q: float, r: int, prob: float) -> int:
@@ -474,32 +543,29 @@ def simulate_pivot(fit: FittedModels, family: ComparisonFamily,
     return SimulatedSample(values, seed, family, box, design_digest(fit))
 
 
-def critical_constant(sample: SimulatedSample, alpha: float) -> CriticalConstantResult:
-    """Order-statistic estimate of the level (1 - alpha) critical constant.
+def critical_constant(sample: _SampleLaw, alpha: float) -> CriticalConstantResult:
+    """Order-statistic estimate of the level (1 - alpha) critical
+    constant: a sample law's ``critical(alpha)``.
 
     The rank comes from ``tail_rank``, so alpha must lie in (0, 1) and
     alpha * r must reach 10.
     """
     r = sample.r
-    rank = tail_rank(r, alpha)
-    c_hat = float(sample.values[rank - 1])
+    rank = sample.tail_rank(r, alpha)
 
-    prob = 1.0 - alpha
-    lo_rank = _binom_ppf(0.005, r, prob)
-    hi_rank = _binom_ppf(0.995, r, prob) + 1
-    lo_rank = min(max(lo_rank, 1), r)
-    hi_rank = min(max(hi_rank, 1), r)
-    interval = (float(sample.values[lo_rank - 1]), float(sample.values[hi_rank - 1]))
+    # The 99% interval runs from the lo-th to the (hi+1)-th smallest.
+    ranks = (_binom_ppf(0.005, r, 1.0 - alpha), _binom_ppf(0.995, r, 1.0 - alpha) + 1)
+    interval = tuple(float(sample.values[min(max(k, 1), r) - 1]) for k in ranks)
 
     # Realized coverage of the rank-th order statistic follows a
-    # Beta(rank, r - rank + 1) law; report mean +- 3 sd.
+    # Beta(rank, r - rank + 1) law; report mean +- 3 sd, within [0, 1].
     a, b = float(rank), float(r - rank + 1)
     mean = a / (a + b)
     sd = math.sqrt(a * b / ((a + b) ** 2 * (a + b + 1.0)))
-    eb = (mean - 3.0 * sd, mean + 3.0 * sd)
+    eb = (max(mean - 3.0 * sd, 0.0), min(mean + 3.0 * sd, 1.0))
 
     return CriticalConstantResult(
-        c_hat=c_hat, alpha=alpha, r=r, rank=rank,
+        c_hat=float(sample.values[rank - 1]), alpha=alpha, r=r, rank=rank,
         order_stat_interval=interval, eb_coverage_interval=eb)
 
 
@@ -579,7 +645,7 @@ def pair_comparisons(fit: FittedModels, sample: SimulatedSample,
             labels=(fit.labels[pair[0] - 1], fit.labels[pair[1] - 1]),
             statistic=t,
             argmax=None if argmax is None else np.asarray(argmax, dtype=float),
-            p_value=tail_p_value(sample.values, t),
+            p_value=sample.p_value(t),
             reject=None if c_hat is None else bool(t >= c_hat),
             significance_regions=regions,
         ))
@@ -614,9 +680,9 @@ def compare(fit: FittedModels, family: ComparisonFamily, box: CovariateBox,
     where they are well defined intervals.
     """
     fit.require_scatter()
-    tail_rank(r, alpha)  # refuse too small an alpha * r before drawing
+    SimulatedSample.tail_rank(r, alpha)  # refuse too small an alpha * r before drawing
     sample = simulate_pivot(fit, family, box, r, seed, workers=workers)
-    crit = critical_constant(sample, alpha)
+    crit = sample.critical(alpha)
     return ComparisonReport(
         labels=fit.labels, group_sizes=fit.group_sizes, nu=fit.nu,
         p=fit.p, m=fit.m, family=family, box=box, alpha=alpha, r=r,

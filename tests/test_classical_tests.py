@@ -253,11 +253,11 @@ def test_exact_law_tail_below_its_accuracy_reads_zero():
     # 1 - cdf is rounding noise this far out (-2e-14 at lambda = 3); it
     # must not be reported as a p-value.
     law = _LargestRootLaw(4, 2, 60)
-    critical, p_value = law.critical_and_p_value(3.0, 0.05)
+    critical, p_value = law.decide(3.0, 0.05)
     assert critical == pytest.approx(0.233252, abs=1e-6)
     assert p_value == 0.0
-    assert law.critical_and_p_value(0.0, 0.05) == (critical, 1.0)
-    assert 0.0 < law.critical_and_p_value(0.6, 0.05)[1] < 1e-4
+    assert law.decide(0.0, 0.05) == (critical, 1.0)
+    assert 0.0 < law.decide(0.6, 0.05)[1] < 1e-4
 
 
 @pytest.mark.parametrize("d, m, nu", [(1, 1, 5), (3, 3, 10), (8, 8, 8), (1, 1, 10**6),
@@ -270,7 +270,7 @@ def test_exact_law_is_zero_at_tiny_statistics(d, m, nu):
     values = [law.cdf(lam) for lam in (5e-324, 1e-300, 1e-200, 1e-100, 1e-40)]
     assert all(0.0 <= v <= 1e-12 for v in values)
     assert values == sorted(values)
-    assert law.critical_and_p_value(1e-300, 0.05)[1] == 1.0
+    assert law.decide(1e-300, 0.05)[1] == 1.0
 
 
 def test_roy_switches_to_monte_carlo_beyond_the_exact_root_count():

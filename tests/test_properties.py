@@ -23,7 +23,7 @@ from sctubes.model_core import GroupData, GroupedDataset, fit_models
 from sctubes.sct_engine import (
     _BLOCK,
     ComparisonFamily,
-    critical_constant,
+    _SampleLaw,
     observed_statistic,
     pair_comparisons,
     simulate_pivot,
@@ -145,12 +145,33 @@ def test_exact_roy_p_value_is_dual_to_its_critical_value(d, m, extra_dof, alpha,
     critical value, even within 1e-12 of it, where the CDF's rounding
     alone could not decide."""
     law = _LargestRootLaw(d, m, m + extra_dof)
-    critical = law.quantile(1.0 - alpha)
+    critical = law.critical(alpha).c_hat
     statistic = critical * (1.0 + offset)
-    got, p_value = law.critical_and_p_value(statistic, alpha)
+    got, p_value = law.decide(statistic, alpha)
     assert got == critical
     assert (p_value <= alpha) == (statistic >= critical)
     assert p_value == pytest.approx(alpha, abs=1e-9)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(d=st.integers(1, 12), m=st.integers(1, 4), extra_dof=st.integers(0, 60),
+       alpha=st.sampled_from([0.2, 0.05, 0.01]), extra=st.integers(0, 3000),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_sampled_roy_p_value_is_dual_to_its_critical_value(d, m, extra_dof, alpha,
+                                                           extra, seed):
+    """On the sample law of Roy's null sampler, p <= alpha exactly when
+    the statistic reaches the critical value, for statistics on and
+    between the replicates around it, and the duality rule leaves the
+    sample's own p-value unchanged."""
+    r = int(np.ceil(10 / alpha)) + extra
+    law = _SampleLaw(largest_root_null_sample(d, m, m + extra_dof, r, seed), seed)
+    critical = law.critical(alpha).c_hat
+    near = law.values[max(law.critical(alpha).rank - 3, 0):][:5]
+    for statistic in (*near, *((near[1:] + near[:-1]) / 2), np.nextafter(critical, 0)):
+        got, p_value = law.decide(statistic, alpha)
+        assert got == critical
+        assert p_value == law.p_value(statistic)
+        assert (p_value <= alpha) == (statistic >= critical)
 
 
 FAMILIES = ("pairwise", "successive", "control")
@@ -186,9 +207,10 @@ def test_p_value_and_constant_are_dual(k, p, m, kind, family, alpha, seed):
     rng = np.random.default_rng(seed)
     fit = shifted_fit(rng, k, p, m)
     sample = simulate_pivot(fit, family_of(family, k), region(kind, p, rng), 400, seed)
-    c_hat = critical_constant(sample, alpha).c_hat
+    c_hat = sample.critical(alpha).c_hat
     for pc in pair_comparisons(fit, sample, c_hat):
         assert (pc.p_value <= alpha) == (pc.statistic >= c_hat) == pc.reject
+        assert sample.decide(pc.statistic, alpha) == (c_hat, pc.p_value)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)

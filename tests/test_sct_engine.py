@@ -143,6 +143,31 @@ def test_critical_constant_is_rank_order_statistic():
     assert lo <= res.c_hat <= hi
     elo, ehi = res.eb_coverage_interval
     assert elo <= 0.9 <= ehi
+    # Mean - 3 sd of the coverage's beta law is negative for small ranks
+    # (-0.00169 and -0.00200 here); a coverage cannot be, so it reads 0.
+    sample = fake_sample(np.arange(1.0, 1001.0))
+    assert critical_constant(sample, 0.995).eb_coverage_interval == pytest.approx(
+        (0.0, 0.0116764), abs=1e-7)
+    assert critical_constant(sample, 0.999).eb_coverage_interval == pytest.approx(
+        (0.0, 0.0039930), abs=1e-7)
+
+
+@pytest.mark.parametrize("values", [
+    np.array([3.0, 1.0, 2.0]),                # not ascending
+    np.array([1.0, np.nan, 2.0]),             # not finite
+    np.array([1.0, 2.0, np.inf]),
+    np.array([[1.0, 2.0], [3.0, 4.0]]),       # not 1-D
+    np.array([]),                             # empty
+    np.array([True, True]),                   # not numbers
+    [1.0, 2.0, 3.0],                          # not an array
+], ids=["unsorted", "nan", "inf", "2-d", "empty", "bools", "list"])
+def test_simulated_sample_refuses_values_it_cannot_read(values):
+    # Both readings of a sample law rely on its order: unsorted, the
+    # constant of 1000 values at alpha = 0.05 read 0.077 instead of 0.944
+    # and a p-value 0.09 instead of 0.527.
+    with pytest.raises(InvalidArgument, match="ascending order"):
+        SimulatedSample(values=values, seed=0, family=ComparisonFamily.pairwise(2),
+                        box=CovariateBox.whole_space(1), design_digest="0" * 16)
 
 
 def test_order_statistic_ranks_match_binomial_quantiles():
