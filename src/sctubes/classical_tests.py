@@ -354,7 +354,9 @@ class _LargestRootLaw(_NullLaw):
 
     def critical(self, alpha: float) -> CriticalConstantResult:
         """The level-alpha critical value c = quantile(1 - alpha), whose
-        interval is (c, c)."""
+        interval is (c, c). An alpha outside (0, 1) is refused
+        (``check_alpha``), as the sample law refuses it."""
+        check_alpha(alpha)
         c = self.quantile(1.0 - alpha)
         return CriticalConstantResult(
             c_hat=c, alpha=alpha, r=0, rank=0, order_stat_interval=(c, c),

@@ -47,10 +47,11 @@ is a fixed linear map of each other group's whitened draws, summed
 (``_SimPlan``), and a family that uses group 1 draws (k-1)(p+1)m
 normals per replicate. The supremum then costs closed forms over the
 whole block (``sup_solver.top_eigenvalue`` up to size 3), a vertex or
-the whole space on its Gram's smaller side (``top_gram_eigenvalue``):
-only the whole space with min(m, p+1) >= 4 and the inside tests of
-finite-box faces with two or more free coordinates take LAPACK
-throughout. Per-replicate arrays keep the replicate index last, so each
+the whole space on its Gram's smaller side (``top_gram_eigenvalue``),
+a finite-box face with free coordinates through the closed-form
+projector of its inside test: only the whole space with
+min(m, p+1) >= 4 and the interior of a box in three covariates take
+LAPACK throughout. Per-replicate arrays keep the replicate index last, so each
 matrix entry is one contiguous vector; the Wishart factors are drawn
 that way (``rand_engine.wishart_factor_block``). Roy's null sampler in
 ``classical_tests`` uses the same whitening, Gram rule, scratch cache

@@ -16,13 +16,19 @@ interior maximum of a face is its top generalized eigenvalue, and the
 face contributes that value only when its top eigenvector w maps to a
 point strictly inside the face: for each free coordinate k,
 (w_k - lo_k w_0)(hi_k w_0 - w_k) > 0, which also rules out w_0 = 0.
-That product is a quadratic form in the eigenvector, so a face with one
-free coordinate decides it from the same numbers as its closed-form
-eigenvalue, with no eigenvector (see ``_Face``). A point box is one face
-with nothing free; an interval has three faces (both endpoints and the
-open interior); the whole space is the single all-free face with no
-inside check, whose value is the top eigenvalue of (A, D). In general a
-box has up to 3^p faces, and a coordinate with low == high is never free.
+That product is a quadratic form in the unit eigenvector u, so it has
+the sign of the same form in N = adj(lam I - M) for the face matrix M
+and its top eigenvalue lam: by Sylvester's formula N is lam's spectral
+projector uu' times the positive prod_{j>=2} (lam - lam_j) when lam is
+simple (Horn & Johnson, Topics in Matrix Analysis, 1991). Every face
+with free coordinates takes this one test (see ``_Face``). Up to size
+3, N is a closed form in lam and the test needs no eigenvector; only a
+larger face (p = 3's interior) and a face whose top two eigenvalues
+nearly coincide read N = uu' from LAPACK's. A point box is one face with
+nothing free; an interval has three faces (both endpoints and the open
+interior); the whole space is the single all-free face with no inside
+check, whose value is the top eigenvalue of (A, D). In general a box
+has up to 3^p faces, and a coordinate with low == high is never free.
 
 Everything about a face that depends only on D and the box is computed
 once in a ``FacePlan``, and nothing about D leaves it. Numerators arrive
@@ -45,12 +51,13 @@ with no inside test use the smaller Gram (``top_gram_eigenvalue``).
 
 The batched ``FacePlan.sup`` allocates none of its large arrays: the
 mapped factors, the face entries, the closed forms' scratch and the
-inside tests' forms come from the caller's scratch cache (``_scratch``),
-reused block after block, and each face's values are folded into the
-caller's running maximum. The face entries are formed one face at a
-time, in buffers of at most m(p+1) and (p+1)^2 rows per replicate that
-every face reuses, so the cache does not grow with the 3^p faces. Only
-LAPACK's outputs are fresh.
+inside tests' projectors and margins come from the caller's scratch
+cache (``_scratch``), reused block after block, and each face's values
+are folded into the caller's running maximum. The face entries are
+formed one face at a time, in buffers of at most m(p+1) and (p+1)^2
+rows per replicate that every face reuses, so the cache does not grow
+with the 3^p faces. Only LAPACK's outputs, and the projector entries
+formed from its eigenvectors, are fresh.
 """
 
 from __future__ import annotations
@@ -71,6 +78,14 @@ _TIE_RTOL = 1e-12
 # relative of LAPACK for top gaps from 1e-1 down to 0, and under 1% of
 # Wishart Grams are recomputed.
 _NEAR_DOUBLE_TOP = 1e-2
+# The closed-form projector N of a 3 x 3 face carries rounding of about
+# eps lam^2 in every entry, against a trace of (lam - lam_2)(lam - lam_3).
+# Where that trace is below this multiple of lam^2 (the top two, or all
+# three, eigenvalues nearly coincide), the face's replicates take
+# LAPACK's eigenvector instead. Above it, a test that the rounding flips
+# has its maximiser so near the face's boundary that the value moves by
+# of order (eps / 1e-6)^2 relative; Wishart Grams almost never fall below.
+_NOISY_PROJECTOR = 1e-6
 
 
 def _scratch(cache: dict, key, *shape: int, dtype=float) -> np.ndarray:
@@ -151,7 +166,8 @@ def _top_2x2(s: np.ndarray, cache: dict):
     """Top eigenvalue of each [[a, b], [b, c]] in a (2, 2, count) stack,
     with the half = (a - c)/2 and root = sqrt(half^2 + b^2) it is made
     of: lam = (a + c)/2 + root. All three are views of the scratch
-    cache's ``"top2"`` buffer."""
+    cache's ``"top2"`` buffer. The same terms give the matrix's
+    projector (see ``_top_projector``)."""
     a, b, c = s[0, 0], s[0, 1], s[1, 1]
     half, root, lam = _scratch(cache, "top2", 3, s.shape[2])
     np.subtract(a, c, out=half)
@@ -165,10 +181,18 @@ def _top_2x2(s: np.ndarray, cache: dict):
     return lam, half, root
 
 
-def _drop_outside(lam: np.ndarray, margin: np.ndarray, cache: dict) -> None:
-    """Set ``lam`` to -inf wherever ``margin`` is not positive."""
-    outside = _scratch(cache, "outside", margin.size, dtype=bool)
-    np.putmask(lam, np.less_equal(margin, 0.0, out=outside), -np.inf)
+def _cofactors(b00, b11, b22, b01, b02, b12, out, t):
+    """The upper triangle of adj(B), row by row, into the rows of
+    ``out`` (as many entries as it has rows), for the symmetric 3 x 3 B
+    with the given entries (vectors over a stack), with ``t`` as
+    scratch: each entry is x y - u v for four of B's entries. Returns
+    ``out``."""
+    terms = ((b11, b22, b12, b12), (b02, b12, b01, b22), (b01, b12, b11, b02),
+             (b00, b22, b02, b02), (b01, b02, b00, b12), (b00, b11, b01, b01))
+    for c, (x, y, u, v) in zip(out, terms):
+        np.multiply(x, y, out=c)
+        c -= np.multiply(u, v, out=t)
+    return out
 
 
 def top_eigenvalue(s: np.ndarray, cache: dict) -> np.ndarray:
@@ -186,7 +210,7 @@ def top_eigenvalue(s: np.ndarray, cache: dict) -> np.ndarray:
     upper triangle is read.
 
     The size-3 form computes in the scratch cache's ``"top3"`` buffer
-    and returns a view of it: its thirteen vectors per block would
+    and returns a view of it: its sixteen vectors per block would
     otherwise be fresh arrays, which the allocator hands back to the OS
     and faults in again on every block.
     """
@@ -198,15 +222,13 @@ def top_eigenvalue(s: np.ndarray, cache: dict) -> np.ndarray:
     if n > 3:
         return np.linalg.eigvalsh(s.transpose(2, 0, 1), UPLO="U")[:, -1]
     a00, a11, a22, a01, a02, a12 = s[0, 0], s[1, 1], s[2, 2], s[0, 1], s[0, 2], s[1, 2]
-    q, p, inv, b00, b11, b22, b01, b02, b12, r, t, x, lam = _scratch(
-        cache, "top3", 13, s.shape[2])
+    buf = _scratch(cache, "top3", 16, s.shape[2])
+    q, p, inv, b00, b11, b22, b01, b02, b12, r, t, x, lam = buf[:13]
     # q = (a00 + a11 + a22) / 3, and b = A - qI on the diagonal for now.
     np.add(a00, a11, out=q)
     q += a22
     q /= 3.0
-    np.subtract(a00, q, out=b00)
-    np.subtract(a11, q, out=b11)
-    np.subtract(a22, q, out=b22)
+    np.subtract(np.diagonal(s).T, q, out=buf[3:6])
     # p = sqrt((b00^2 + b11^2 + b22^2 + 2 (a01^2 + a02^2 + a12^2)) / 6).
     np.multiply(b00, b00, out=p)
     p += np.multiply(b11, b11, out=t)
@@ -220,23 +242,15 @@ def top_eigenvalue(s: np.ndarray, cache: dict) -> np.ndarray:
     np.sqrt(p, out=p)
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(1.0, p, out=inv)
-        b00 *= inv
-        b11 *= inv
-        b22 *= inv
+        buf[3:6] *= inv
         np.multiply(a01, inv, out=b01)
         np.multiply(a02, inv, out=b02)
         np.multiply(a12, inv, out=b12)
-        # r = (b00 (b11 b22 - b12^2) - b01 (b01 b22 - b12 b02)
-        #      + b02 (b01 b12 - b11 b02)) / 2
-        np.multiply(b11, b22, out=x)
-        x -= np.multiply(b12, b12, out=t)
-        np.multiply(b00, x, out=r)
-        np.multiply(b01, b22, out=x)
-        x -= np.multiply(b12, b02, out=t)
-        r -= np.multiply(b01, x, out=t)
-        np.multiply(b01, b12, out=x)
-        x -= np.multiply(b11, b02, out=t)
-        r += np.multiply(b02, x, out=t)
+        # r = det(B)/2, expanded along B's first row.
+        c00, c01, c02 = _cofactors(b00, b11, b22, b01, b02, b12, buf[13:], t)
+        np.multiply(b00, c00, out=r)
+        r += np.multiply(b01, c01, out=t)
+        r += np.multiply(b02, c02, out=t)
         r *= 0.5
     # lam = q + 2p cos(acos(r) / 3), r clipped to [-1, 1].
     np.clip(r, -1.0, 1.0, out=x)
@@ -249,8 +263,7 @@ def top_eigenvalue(s: np.ndarray, cache: dict) -> np.ndarray:
     # NaN r (p = 0) fails the comparison and is recomputed too.
     near = ~(r > _NEAR_DOUBLE_TOP - 1.0)
     if near.any():
-        lam[near] = np.linalg.eigvalsh(s[:, :, near].transpose(2, 0, 1),
-                                       UPLO="U")[:, -1]
+        lam[near] = np.linalg.eigvalsh(s[..., near].transpose(2, 0, 1), UPLO="U")[:, -1]
     return lam
 
 
@@ -263,6 +276,65 @@ def top_gram_eigenvalue(factors: np.ndarray, cache: dict) -> np.ndarray:
     spec, side = ("ikb,jkb->ijb", rows) if rows < cols else ("kib,kjb->ijb", cols)
     out = _scratch(cache, "gram", side, side, count)
     return top_eigenvalue(np.einsum(spec, factors, factors, out=out), cache)
+
+
+def _lapack_projector(s: np.ndarray):
+    """Top eigenvalue of each symmetric matrix in an (n, n, count)
+    stack, and the upper triangle of uu' for its unit top eigenvector u,
+    row by row, as an (n(n+1)/2, count) array, both from LAPACK's
+    ``eigh``. Only the upper triangle is read."""
+    vals, vecs = np.linalg.eigh(s.transpose(2, 0, 1), UPLO="U")
+    rows, cols = np.triu_indices(s.shape[0])
+    return vals[:, -1], vecs[:, rows, -1].T * vecs[:, cols, -1].T
+
+
+def _top_projector(s: np.ndarray, cache: dict):
+    """Top eigenvalue lam of each symmetric matrix M in an (n, n, count)
+    stack, n >= 2, and N = adj(lam I - M): a positive multiple of the top
+    eigenvector's outer product, or 0 where lam is multiple (see
+    ``_Face``). N is given by the coordinates its inside tests read.
+
+    Sizes 2 and 3 are closed forms in lam. At size 2, N = M - (tr M -
+    lam) I = root I + [[half, b], [b, -half]] in ``_top_2x2``'s own
+    terms, and its coordinates are (half, b, root). At size 3 they are
+    N's upper triangle, row by row: each entry is a 2 x 2 cofactor
+    (``_cofactors``) of M - lam I, whose adjugate is the same, with lam
+    from ``top_eigenvalue``, in the scratch cache's ``"projector"``
+    buffer. That is N = M^2 - (tr M - lam) M + (c2 - lam (tr M - lam)) I,
+    c2 the sum of M's principal 2 x 2 minors. Where it is rounding noise
+    (``_NOISY_PROJECTOR``), and at size 4 and above, lam and the upper
+    triangle of N = uu' come from LAPACK (``_lapack_projector``).
+    """
+    n, _, count = s.shape
+    if n == 2:
+        lam, half, root = _top_2x2(s, cache)
+        return lam, (half, s[0, 1], root)
+    if n > 3:
+        return _lapack_projector(s)
+    lam, buf = top_eigenvalue(s, cache), _scratch(cache, "projector", 11, count)
+    np.subtract(np.diagonal(s).T, lam, out=buf[:3])
+    entries = _cofactors(*buf[:3], s[0, 1], s[0, 2], s[1, 2], buf[4:10], buf[3])
+    # tr N = (lam - lam_2)(lam - lam_3); NaN fails the comparison too.
+    trace, scale = np.add(entries[0], entries[3], out=buf[3]), buf[10]
+    trace += entries[5]
+    np.multiply(lam, _NOISY_PROJECTOR, out=scale)
+    noisy = ~(trace > np.multiply(scale, lam, out=scale))
+    if noisy.any():
+        lam[noisy], entries[:, noisy] = _lapack_projector(s[..., noisy])
+    return lam, entries
+
+
+def _drop_outside(lam: np.ndarray, test: np.ndarray, coords, cache: dict) -> None:
+    """Set ``lam`` to -inf wherever some row of ``test``, a linear form
+    in the coordinates of N (``_top_projector``), is not positive. Each
+    form is a sum of multiply-adds in the scratch cache's ``"margin"``
+    buffer."""
+    form, term = _scratch(cache, "margin", 2, lam.shape[0])
+    for first, *rest in test.tolist():
+        np.multiply(coords[0], first, out=form)
+        for coef, coord in zip(rest, coords[1:]):
+            form += np.multiply(coord, coef, out=term)
+        np.putmask(lam, form <= 0.0, -np.inf)
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,19 +350,21 @@ class _Face:
     w_0).
 
     A top vector y lies strictly inside the face exactly when, for each
-    free coordinate k, (w_k - lo_k w_0)(hi_k w_0 - w_k) > 0: both forms
-    are linear in y, and w_0 = 0 makes their product -w_k^2. A finite
-    face with two or more free coordinates holds those forms as the
-    rows of ``sides`` (every low form, then every high form). With one
-    free coordinate the product is y'Qy, Q = (s_lo s_hi' + s_hi s_lo')/2.
-    For the face matrix M = [[a, b], [b, c]] with half = (a - c)/2 and
-    root = sqrt(half^2 + b^2), a unit top vector u has
-    uu' = (M - lam_min I)/(2 root), so u'Qu > 0 exactly when
-    (Q_00 - Q_11) half + 2 Q_01 b + (Q_00 + Q_11) root > 0; ``sign``
-    holds those three constants. Where root = 0 every direction is top,
-    the sum is 0 and the face's value is left to its endpoints, which
-    attain it. A vertex and the whole space hold None in both: they
-    have no test, and their value is ``top_gram_eigenvalue``'s.
+    free coordinate k, (s_lo'y)(s_hi'y) > 0 with s_lo'y = w_k - lo_k w_0
+    and s_hi'y = hi_k w_0 - w_k: both forms are linear in y, and w_0 = 0
+    makes their product -w_k^2. For the face matrix M with top eigenvalue
+    lam and unit top vector u, N = adj(lam I - M) is
+    prod_{j>=2} (lam - lam_j) uu' (Sylvester's formula; Horn & Johnson,
+    Topics in Matrix Analysis, 1991), so where lam is simple the product
+    has the sign of s_lo' N s_hi, a linear form in N. A finite face with
+    free coordinates holds that form's coefficients in ``test``, one row
+    per free coordinate, in the coordinates ``_top_projector`` gives N
+    by. Where lam is multiple, the closed forms give N = 0: the margin
+    is 0 and the face's value is left to its subfaces, which attain it,
+    since the top eigenspace then holds a line of the face's points, and
+    a line that meets the bounded open face meets its boundary. A vertex
+    and the whole space hold None: they have no test, and their value is
+    ``top_gram_eigenvalue``'s.
     """
 
     free: np.ndarray
@@ -299,8 +373,7 @@ class _Face:
     rinv: np.ndarray
     low: np.ndarray
     high: np.ndarray
-    sides: np.ndarray | None
-    sign: tuple[float, float, float] | None
+    test: np.ndarray | None
 
 
 class FacePlan:
@@ -308,9 +381,8 @@ class FacePlan:
 
     A numerator A = W'W is passed as its factor W, m rows by p+1
     columns. D enters only here: its Cholesky factor L reduces each face
-    to one map once, when the plan is built, along with the constants
-    of its inside test (see ``_Face``): the three of the sign rule for
-    a face with one free coordinate, the side forms for a larger one.
+    to one map once, when the plan is built, along with the coefficients
+    of its inside test (see ``_Face``).
     """
 
     def __init__(self, denominator, box: CovariateBox):
@@ -329,74 +401,53 @@ class FacePlan:
         for combo in combos:
             free = np.array([k for k, v in enumerate(combo) if v is None], dtype=int)
             fixed_point = np.array([0.0 if v is None else v for v in combo])
-            embed = np.zeros((p + 1, 1 + free.size))
-            embed[:, 0] = np.concatenate(([1.0], fixed_point))
-            embed[free + 1, np.arange(1, free.size + 1)] = 1.0
+            embed = np.column_stack([np.append(1.0, fixed_point), np.eye(p + 1)[:, free + 1]])
             rinv = np.linalg.inv(np.linalg.qr(lower.T @ embed)[1])
-            low = np.array([box.bounds[k][0] for k in free])
-            high = np.array([box.bounds[k][1] for k in free])
-            # Row k of rinv gives w_k as a form in y.
-            sides = sign = None
-            if not whole and free.size == 1:
-                (r00, r01), (r10, r11) = rinv.tolist()
-                (lo,), (hi,) = low.tolist(), high.tolist()
-                l0, l1 = r10 - lo * r00, r11 - lo * r01
-                h0, h1 = hi * r00 - r10, hi * r01 - r11
-                sign = (l0 * h0 - l1 * h1, l0 * h1 + l1 * h0, l0 * h0 + l1 * h1)
-            elif not whole and free.size:
-                sides = np.concatenate([rinv[1:] - low[:, None] * rinv[0],
-                                        high[:, None] * rinv[0] - rinv[1:]])
-            self.faces.append(_Face(
-                free=free, fixed_point=fixed_point, coef=(embed @ rinv).T, rinv=rinv,
-                low=low, high=high, sides=sides, sign=sign))
+            low, high = np.array([box.bounds[k] for k in free]).reshape(-1, 2).T
+            test = None
+            if not whole and free.size:
+                # Row k of rinv gives w_k as a form in y. Over N's upper
+                # triangle, s_lo' N s_hi takes N_ij and N_ji alike off the
+                # diagonal; at size 2, N_00 = root + half, N_11 = root - half.
+                s_lo = rinv[1:] - low[:, None] * rinv[0]
+                s_hi = high[:, None] * rinv[0] - rinv[1:]
+                i, j = np.triu_indices(1 + free.size)
+                test = s_lo[:, i] * s_hi[:, j] + (i != j) * s_lo[:, j] * s_hi[:, i]
+                if free.size == 1:
+                    test = test @ [[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 1.0]]
+            self.faces.append(_Face(free, fixed_point, (embed @ rinv).T, rinv,
+                                    low, high, test))
 
     def _candidates(self, factors: np.ndarray, cache: dict):
         """Per face: its candidate values (-inf where it has none), for an
         (m, p+1, count) stack of numerator factors, computed in the
         scratch ``cache``.
 
-        Each face is dispatched on its inside test (see ``_Face``). A
-        face with ``sign`` takes ``_top_2x2`` and the sign rule, made of
-        the closed form's own numbers; a face with no test (a vertex, or
-        the whole space) takes ``top_gram_eigenvalue`` of its mapped
-        factor; a face with ``sides`` takes a batched ``eigh``, whose
-        top eigenvector must give each free coordinate's two side forms
-        a positive product.
+        A face with no inside test (a vertex, or the whole space) takes
+        ``top_gram_eigenvalue`` of its mapped factor. A face with a test
+        takes the top eigenvalue and its projector N from its mapped
+        factor's Gram (``_top_projector``), and drops the value wherever
+        a row of ``test`` reads N as not positive (``_drop_outside``).
 
         A face's factor and Gram are formed only when the face is
         visited, in ``"face_factor"`` and ``"gram"`` buffers that every
         face reuses. So a yielded value can be a view of ``"gram"``
         (vertices), ``"top2"`` or ``"top3"``: a caller must use it
-        before it advances the generator. Only LAPACK's eigenvalues and
-        eigenvectors are fresh arrays."""
+        before it advances the generator. Only LAPACK's outputs, and the
+        projector entries formed from its eigenvectors, are fresh."""
         m, _, count = factors.shape
         for face in self.faces:
             size = 1 + face.free.size
             # Row k of W maps to row k of W L^{-T} Q.
             mapped = np.matmul(face.coef, factors,
                                out=_scratch(cache, "face_factor", m, size, count))
-            if face.sign is None and face.sides is None:
+            if face.test is None:
                 yield face, top_gram_eigenvalue(mapped, cache)
                 continue
-            rows = np.einsum("kib,kjb->ijb", mapped, mapped,
+            gram = np.einsum("kib,kjb->ijb", mapped, mapped,
                              out=_scratch(cache, "gram", size, size, count))
-            if face.sign is not None:
-                lam, half, root = _top_2x2(rows, cache)
-                k0, k1, k2 = face.sign
-                margin, term = _scratch(cache, "margin", 2, count)
-                np.multiply(half, k0, out=margin)
-                margin += np.multiply(rows[0, 1], k1, out=term)
-                margin += np.multiply(root, k2, out=term)
-                _drop_outside(lam, margin, cache)
-            else:
-                vals, vecs = np.linalg.eigh(rows.transpose(2, 0, 1))
-                lam = vals[:, -1]
-                f = face.free.size
-                forms = np.matmul(face.sides, vecs[:, :, -1].T,
-                                  out=_scratch(cache, "forms", 2 * f, count))
-                np.multiply(forms[:f], forms[f:], out=forms[:f])
-                margin = np.min(forms[:f], axis=0, out=_scratch(cache, "margin", count))
-                _drop_outside(lam, margin, cache)
+            lam, coords = _top_projector(gram, cache)
+            _drop_outside(lam, face.test, coords, cache)
             yield face, lam
 
     def sup(self, factors: np.ndarray, cache: dict, out: np.ndarray) -> None:
@@ -428,9 +479,7 @@ class FacePlan:
         cands = [(float(lam[0]), face)
                  for face, lam in self._candidates(factor[:, :, None], {})]
         best = max(value for value, _ in cands)
-        for value, face in cands:
-            if value >= best - _TIE_RTOL * abs(best):
-                break
+        face = next(f for v, f in cands if v >= best - _TIE_RTOL * abs(best))
         point = face.fixed_point.copy()
         if face.free.size:
             mapped = factor @ face.coef.T

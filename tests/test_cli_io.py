@@ -619,6 +619,8 @@ def small_simulation(r=100, workers=1):
         CovariateBox.interval(0.0, 10.0), 0.05, True, seed=0),
     lambda: monte_carlo_roy("1000"),
     lambda: monte_carlo_roy(True),
+    lambda: classical_tests._LargestRootLaw(4, 2, 60).critical(1.5),
+    lambda: classical_tests._LargestRootLaw(4, 2, 60).critical(-0.5),
 ])
 def test_argument_checks_raise_typed_usage_errors(check):
     # Typed for the exit code, and still a ValueError for library callers.

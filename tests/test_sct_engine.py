@@ -652,27 +652,36 @@ def test_whole_space_kernel_matches_per_replicate_reference(p, m):
     np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
-@pytest.mark.parametrize("p, m", [(3, 1), (3, 2)])
-def test_whole_space_block_needs_no_lapack_where_m_is_small(p, m, monkeypatch):
+@pytest.mark.parametrize("p, m, bounds", [(3, 1, None), (3, 2, None),
+                                           (2, 2, ((0.0, 10.0), (0.0, 10.0)))],
+                         ids=["3-1", "3-2", "box-2-2"])
+def test_block_calls_lapack_only_on_near_double_tops(p, m, bounds, monkeypatch):
     """With at most three responses, a whole-space face wider than m is
-    read on its m x m side by a closed form: a block (k = 3, p = 3)
-    calls neither ``eigvalsh`` nor ``eigh``."""
-    calls = []
+    read on its m x m side by a closed form, and a finite p = 2 box's
+    faces (sizes 1 to 3) by closed forms, their inside tests by the
+    closed-form projector: a block (k = 3) hands ``eigvalsh`` or
+    ``eigh`` only matrices whose top two eigenvalues nearly coincide
+    (gap under a tenth of the spread), and over the whole space none."""
+    seen, real = [], np.linalg.eigvalsh
 
     def counted(name):
-        real = getattr(np.linalg, name)
+        lapack = getattr(np.linalg, name)
 
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return real(*args, **kwargs)
+        def wrapper(mats, *args, **kwargs):
+            seen.append(np.array(mats))
+            return lapack(mats, *args, **kwargs)
         return wrapper
 
-    plan = _SimPlan(whole_space_fit(p, m), ComparisonFamily.pairwise(3),
-                    CovariateBox.whole_space(p))
+    box = CovariateBox.whole_space(p) if bounds is None else CovariateBox(bounds)
+    plan = _SimPlan(whole_space_fit(p, m), ComparisonFamily.pairwise(3), box)
     for name in ("eigvalsh", "eigh"):
         monkeypatch.setattr(np.linalg, name, counted(name))
-    assert np.all(np.isfinite(block_values(plan, 23, 400)))
-    assert calls == []
+    assert np.all(np.isfinite(block_values(plan, 23, 2000)))
+    if box.is_whole_space:
+        assert seen == []
+    for mats in seen:
+        vals = real(mats, UPLO="U")
+        assert np.all(vals[:, -1] - vals[:, -2] <= 0.1 * (vals[:, -1] - vals[:, 0]))
 
 
 def plan_maps(plan, k):

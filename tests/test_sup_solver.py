@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -390,7 +391,7 @@ def placed_face_factor(de, u):
 
 @pytest.mark.parametrize("geometry", list(ONE_FREE_GEOMETRIES))
 def test_one_free_face_inside_rule_matches_an_eigenvector_oracle(geometry):
-    """The sign rule decides whether a face's maximiser t* is inside
+    """The inside test decides whether a face's maximiser t* is inside
     without its eigenvector. Where t* sits on an endpoint, within 1e-12
     of its width from one, at infinity (w_0 = 0), where the face matrix
     has b = 0 exactly or is a multiple of I (root = 0), both ``sup`` and
@@ -430,6 +431,123 @@ def test_one_free_face_inside_rule_matches_an_eigenvector_oracle(geometry):
         assert value == pytest.approx(expected, rel=1e-13, abs=0.0)
         assert low <= point[free] <= high
         assert all(point[k] == box.bounds[k][0] for k in range(p) if k != free)
+
+
+# --- one inside test for every face, against the eigenvector path ----------
+
+def eigenvector_reference(plan, w):
+    """The supremum for one (m, p+1) factor W over the faces of ``plan``,
+    by eigenvectors: each face's mapped Gram through ``np.linalg.eigh``,
+    its top value counted where its top vector y maps (w = rinv y)
+    strictly inside the face, and always on a face with no inside test."""
+    best = -np.inf
+    for face in plan.faces:
+        mapped = w @ face.coef.T
+        vals, vecs = np.linalg.eigh(mapped.T @ mapped)
+        v = face.rinv @ vecs[:, -1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = v[1:] / v[0]
+        if face.test is None or np.all((face.low < t) & (t < face.high)):
+            best = max(best, float(vals[-1]))
+    return best
+
+
+def assert_matches_eigenvector_reference(plan, box, factors):
+    """A batched ``sup`` over an (m, p+1, count) stack, and
+    ``sup_with_argmax`` on each factor, equal ``eigenvector_reference``
+    to 1e-13 relative, and each argmax lies in the box."""
+    out = np.full(factors.shape[2], -np.inf)
+    plan.sup(factors, {}, out)
+    for b in range(factors.shape[2]):
+        expected = eigenvector_reference(plan, factors[:, :, b])
+        value, point = plan.sup_with_argmax(factors[:, :, b])
+        assert out[b] == pytest.approx(expected, rel=1e-13, abs=0.0)
+        assert value == pytest.approx(expected, rel=1e-13, abs=0.0)
+        assert all(lo <= x <= hi for x, (lo, hi) in zip(point, box.bounds))
+
+
+BOX_SHAPES = {
+    "wide": lambda low: [(lo, lo + 50.0) for lo in low],
+    "unit": lambda low: [(lo, lo + 1.0) for lo in low],
+    "narrow": lambda low: [(lo, lo + 1e-3) for lo in low],
+    "point-like": lambda low: [(lo, lo + 1e-9) for lo in low],
+    "one coordinate fixed": lambda low: [(lo, lo + 3.0 * (k > 0)) for k, lo in enumerate(low)],
+}
+
+
+@pytest.mark.parametrize("shape", list(BOX_SHAPES))
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_box_sup_matches_the_eigenvector_path_per_replicate(p, m, shape):
+    """Every face with free coordinates reads its inside test off the
+    projector N, a closed form up to size 3: on random factors, each
+    replicate equals the eigenvector path over the same faces."""
+    rng = np.random.default_rng(1000 + 100 * p + 10 * m + list(BOX_SHAPES).index(shape))
+    _, d = random_ratio(rng, p)
+    box = CovariateBox(tuple(BOX_SHAPES[shape](rng.uniform(-5.0, 5.0, p))))
+    plan = sup_solver.FacePlan(d, box)
+    assert_matches_eigenvector_reference(plan, box, rng.standard_normal((m, p + 1, 48)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(p=st.integers(1, 2), seed=st.integers(0, 2**32 - 1),
+       gap=st.sampled_from([1e-1, 1e-2, 1e-4, 1e-6, 1e-8, 1e-11, 1e-14, 0.0]),
+       place=st.sampled_from(["inside", "outside", "boundary", "infinity", "plane outside"]))
+def test_face_inside_test_matches_the_eigenvector_path_for_any_top_gap(p, seed, gap, place):
+    """Faces with one and two free coordinates (the interior of an
+    interval or of a p = 2 box) whose matrix has its top two eigenvalues
+    a relative ``gap`` apart, with the top vector's point t* inside the
+    face, outside it, on its boundary (exactly, or 1e-12 of the width to
+    either side) or at infinity (w_0 = 0): the projector's test must not
+    lose the value as the gap closes. With two free coordinates, "plane
+    outside" also puts the second vector's point outside, on the line
+    through t* that misses the face, so that near a double top, where
+    every vector of that plane is nearly top, the face has no value
+    near it: a test read off rounding noise would keep one."""
+    rng = np.random.default_rng(seed)
+    _, d = random_ratio(rng, p)
+    low = rng.uniform(-2.0, 1.0, p)
+    high = low + rng.uniform(0.5, 4.0, p)
+    box = CovariateBox(tuple(zip(low, high)))
+    plan = sup_solver.FacePlan(d, box)
+    face = plan.faces[-1]  # every coordinate free
+    factors = np.empty((p + 1, p + 1, 16))
+    for b in range(factors.shape[2]):
+        t, k = rng.uniform(low, high), rng.integers(p)
+        if place in ("outside", "plane outside"):
+            t[k] = rng.choice([low[k] - rng.uniform(0.1, 2.0), high[k] + rng.uniform(0.1, 2.0)])
+        elif place == "boundary":
+            t[k] = rng.choice([low[k], high[k]]) + rng.choice([-1e-12, 0.0, 1e-12]) * (high[k] - low[k])
+        w = np.append(0.0, rng.standard_normal(p)) if place == "infinity" else np.append(1.0, t)
+        # The face matrix Y diag(spectrum) Y', Y orthonormal with its
+        # first column along the y that maps to w, as the Gram of W's
+        # mapped factor diag(sqrt(spectrum)) Y'.
+        y = np.linalg.solve(face.rinv, w)
+        basis = np.linalg.qr(np.column_stack([y, rng.standard_normal((p + 1, p))]))[0]
+        if place == "plane outside" and p == 2:
+            # y's plane {v: w_k - t_k w_0 = 0 for w = rinv v} holds the
+            # second column; the third is normal to both.
+            second = np.cross((np.eye(3)[k + 1] - t[k] * np.eye(3)[0]) @ face.rinv, y)
+            basis = np.column_stack([y, second, np.cross(y, second)])
+            basis /= np.linalg.norm(basis, axis=0)
+        spectrum = np.array([1.0, 1.0 - gap, (1.0 - gap) * rng.uniform()])[:p + 1]
+        mapped = np.sqrt(spectrum)[:, None] * basis.T
+        factors[:, :, b] = np.linalg.solve(face.coef, mapped.T).T
+    assert_matches_eigenvector_reference(plan, box, factors)
+
+
+@pytest.mark.parametrize("second", [(-1.5, 4.0), (0.0, 4.0), (0.5, 4.0)])
+@pytest.mark.parametrize("diagonal", [(2.0, 2.0, 1.0), (1.0, 2.0, 2.0), (2.0, 1.0, 2.0),
+                                      (1.5, 1.5, 1.5)])
+def test_exact_multiple_tops_on_two_free_coordinates(diagonal, second):
+    """D = I and a diagonal factor make the interior's matrix exact, with
+    a double or triple top: its N is 0 (or LAPACK's vector is any in the
+    eigenspace) and its value is left to the edges and vertices, which
+    attain it where the eigenspace's points meet the box, with the
+    second coordinate's range around 0, ending at it, or past it."""
+    box = CovariateBox(((-1.5, 4.0), second))
+    plan = sup_solver.FacePlan(np.eye(3), box)
+    assert_matches_eigenvector_reference(plan, box, np.diag(diagonal)[:, :, None])
 
 
 # --- top eigenvalue of stacked symmetric matrices -----------------------------
