@@ -20,17 +20,16 @@ byte-identical output. The tube CSV keeps 17 significant digits.
 judged before the data are read and fitted, so a data error (exit 2)
 wins over every flag error (exit 4). Every command but ``fit`` starts
 with ``_prepare``: fit, which validates the data; refuse fewer than
-two groups; check the config; parse and resolve the --family and
---range texts (``tube`` then its --pair) against the fit. The JSON
-reports of ``critical``, ``pvalues``, ``compare`` and ``tube`` share
-one header. Each simulating command reads its numbers from one null
-law (see ``sct_engine``): ``critical``, ``compare`` and ``tube`` have
-the simulated sample refuse alpha and --reps before it is drawn, then
-read its ``critical(alpha)``; ``pvalues`` reads only its p-values, so
-it runs at any alpha; ``roy`` reports the law that ``roy_k_sample``
-picked, with its kind, replicates and seed. The seed and the worker
-count are checked where they are used, by the random stream and the
-block driver. Numerical degeneracy exits 3; any other exception is a
+two groups; check --reps and --grid; parse and resolve the --family and
+--range texts (``tube`` then its --pair) against the fit. The CLI
+simulates through two library calls only, each of which reads its
+numbers from one null law (see ``sct_engine``) and refuses a bad alpha
+itself: ``compare`` and ``tube`` run ``sct_engine.compare``, and
+``tube`` draws its band with that report's constant under that
+report's header; ``roy`` reports the law that ``roy_k_sample`` picked,
+with its kind, replicates and seed. The seed and the worker count are
+checked where they are used, by the random stream and the block
+driver. Numerical degeneracy exits 3; any other exception is a
 bug and propagates.
 """
 
@@ -63,7 +62,7 @@ from .errors import (
 )
 from .model_core import FittedModels, GroupData, GroupedDataset, fit_models
 from .rand_engine import STREAM_VERSION
-from .sct_engine import ComparisonFamily, ComparisonReport, CriticalConstantResult
+from .sct_engine import ComparisonFamily, ComparisonReport
 from .sup_solver import CovariateBox
 
 
@@ -80,7 +79,9 @@ class RunConfig:
     after the data are fitted, so any data error wins over them.
     ``workers`` caps the simulation threads: 1 runs serially, and None
     or any larger value draws in a second thread where the process may
-    use two CPUs. No value changes a report.
+    use two CPUs. No value changes a report. ``validate`` checks
+    ``reps`` and ``grid``; alpha, the seed and ``workers`` are checked by
+    the library calls that read them.
     """
 
     alpha: float = 0.05
@@ -94,12 +95,10 @@ class RunConfig:
     pair: str | None = None
 
     def validate(self) -> "RunConfig":
-        """Check the settings that no library call checks on every
-        command: alpha (``pvalues`` estimates no constant), the
-        replicate floor of 1000, below which the tail quantile is
-        meaningless, and the tube grid."""
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigError(f"alpha must be in (0, 1), got {self.alpha}")
+        """Check the settings that no library call checks: the replicate
+        floor of 1000, below which the tail quantile is meaningless, and
+        the tube grid. Alpha is checked where it is used, by
+        ``sct_engine.compare`` and ``roy_k_sample``."""
         if self.reps < 1000:
             raise ConfigError(f"reps must be at least 1000, got {self.reps}")
         if self.grid < 2:
@@ -217,24 +216,14 @@ def _family_dict(family: ComparisonFamily) -> dict:
     return d
 
 
-def _header(alpha: float, reps: int, seed: int, dims,
-            family: ComparisonFamily, box: CovariateBox) -> dict:
-    """Fields every simulating report carries; ``dims`` is anything with
-    ``nu``, ``p`` and ``m`` (a fit or a comparison report). ``stream``
-    is the random stream version the replicates were drawn under."""
-    return {"alpha": alpha, "reps": reps, "seed": seed, "stream": STREAM_VERSION,
-            "family": _family_dict(family), "box": _box_strings(box),
-            "nu": dims.nu, "p": dims.p, "m": dims.m}
-
-
-def _critical_dict(crit: CriticalConstantResult) -> dict:
-    return {"c_hat": crit.c_hat, "rank": crit.rank,
-            "order_stat_interval": list(crit.order_stat_interval),
-            "eb_coverage_interval": list(crit.eb_coverage_interval)}
-
-
-def _pair_line(labels, statistic: float, p_value: float) -> str:
-    return f"{labels[0]} vs {labels[1]}: statistic {statistic:.6g}, p={p_value:.6g}"
+def _header(report: ComparisonReport) -> dict:
+    """The run settings that the ``compare`` report and the ``tube``
+    sidecar share. ``stream`` is the random stream version the
+    replicates were drawn under."""
+    return {"alpha": report.alpha, "reps": report.r, "seed": report.seed,
+            "stream": STREAM_VERSION, "family": _family_dict(report.family),
+            "box": _box_strings(report.box),
+            "nu": report.nu, "p": report.p, "m": report.m}
 
 
 def _pair_dict(pc: sct_engine.PairComparison) -> dict:
@@ -255,13 +244,15 @@ def _pair_dict(pc: sct_engine.PairComparison) -> dict:
 
 
 def report_dict(report: ComparisonReport) -> dict:
+    crit = report.critical
     return {
-        **_header(report.alpha, report.r, report.seed, report,
-                  report.family, report.box),
+        **_header(report),
         "groups": [{"index": idx + 1, "label": lab, "n": n}
                    for idx, (lab, n) in enumerate(
                        zip(report.labels, report.group_sizes))],
-        "critical": _critical_dict(report.critical),
+        "critical": {"c_hat": crit.c_hat, "rank": crit.rank,
+                     "order_stat_interval": list(crit.order_stat_interval),
+                     "eb_coverage_interval": list(crit.eb_coverage_interval)},
         "pairs": [_pair_dict(pc) for pc in report.pairs],
     }
 
@@ -291,7 +282,8 @@ def _human_compare(report: ComparisonReport) -> str:
     ]
     for pc in report.pairs:
         verdict = "reject" if pc.reject else "no difference shown"
-        lines.append(f"  {_pair_line(pc.labels, pc.statistic, pc.p_value)}, {verdict}")
+        lines.append(f"  {pc.labels[0]} vs {pc.labels[1]}: statistic "
+                     f"{pc.statistic:.6g}, p={pc.p_value:.6g}, {verdict}")
         if pc.significance_regions:
             for reg in pc.significance_regions:
                 if reg.intervals:
@@ -355,14 +347,6 @@ def _prepare(config: RunConfig, data: GroupedDataset
     return fit, _family_for(config, fit), _box_for(config, fit.p)
 
 
-def _critical(config: RunConfig, fit: FittedModels, family: ComparisonFamily,
-              box: CovariateBox) -> CriticalConstantResult:
-    sct_engine.SimulatedSample.tail_rank(config.reps, config.alpha)  # before any draw
-    sample = sct_engine.simulate_pivot(fit, family, box, config.reps,
-                                       config.seed, workers=config.workers)
-    return sample.critical(config.alpha)
-
-
 def _cmd_compare(config: RunConfig, data: GroupedDataset) -> int:
     """Fit, simulate, test every pair, and write or print the report."""
     fit, family, box = _prepare(config, data)
@@ -389,9 +373,9 @@ def _cmd_tube(config: RunConfig, data: GroupedDataset) -> int:
 
     Columns: x, the m center coordinates, the squared ellipsoid radius,
     then lower/upper band edges per response coordinate, all read off
-    one cross-section per grid point. The sidecar carries the critical
-    constant, the scatter matrix, and enough configuration to reproduce
-    the run.
+    one cross-section per grid point. The critical constant is the one
+    ``compare`` reports on the same flags; the sidecar carries it, the
+    scatter matrix, and enough configuration to reproduce the run.
     """
     fit, family, box = _prepare(config, data)
     if fit.p != 1:
@@ -403,7 +387,9 @@ def _cmd_tube(config: RunConfig, data: GroupedDataset) -> int:
     if pair not in family.pairs and (pair[1], pair[0]) not in family.pairs:
         raise ConfigError(
             f"pair {pair} is not in the {family.kind} family being adjusted for")
-    crit = _critical(config, fit, family, box)
+    report = sct_engine.compare(fit, family, box, config.alpha, config.reps,
+                                config.seed, workers=config.workers)
+    crit = report.critical
 
     out_path = Path(config.out if config.out is not None else "tube.csv")
     header = (["x"] + [f"center{q}" for q in range(1, fit.m + 1)]
@@ -420,7 +406,7 @@ def _cmd_tube(config: RunConfig, data: GroupedDataset) -> int:
             writer.writerow([_fnum(v) for v in row])
 
     sidecar = {
-        **_header(config.alpha, config.reps, config.seed, fit, family, box),
+        **_header(report),
         "pair": list(pair),
         "pair_labels": [fit.labels[pair[0] - 1], fit.labels[pair[1] - 1]],
         "grid": config.grid,
@@ -452,32 +438,6 @@ def _cmd_fit(config: RunConfig, data: GroupedDataset) -> int:
                                 zip(fit.labels, fit.group_sizes))
           + f"; p={fit.p}, m={fit.m}, nu={fit.nu}{degen}")
     _emit(report, config.out)
-    return 0
-
-
-def _cmd_critical(config: RunConfig, data: GroupedDataset) -> int:
-    fit, family, box = _prepare(config, data)
-    crit = _critical(config, fit, family, box)
-    print(f"critical constant {crit.c_hat:.6g} at alpha={config.alpha:g} "
-          f"(r={config.reps}, seed={config.seed}); "
-          f"99% order-stat CI {crit.order_stat_interval[0]:.6g}.."
-          f"{crit.order_stat_interval[1]:.6g}")
-    _emit({**_header(config.alpha, config.reps, config.seed, fit, family, box),
-           **_critical_dict(crit)}, config.out)
-    return 0
-
-
-def _cmd_pvalues(config: RunConfig, data: GroupedDataset) -> int:
-    """Observed statistics and adjusted p-values from one simulated sample;
-    no critical constant is estimated, so alpha * reps may be below 10."""
-    fit, family, box = _prepare(config, data)
-    sample = sct_engine.simulate_pivot(fit, family, box, config.reps,
-                                       config.seed, workers=config.workers)
-    pairs = sct_engine.pair_comparisons(fit, sample)
-    for pc in pairs:
-        print(_pair_line(pc.labels, pc.statistic, pc.p_value))
-    _emit({**_header(config.alpha, config.reps, config.seed, fit, family, box),
-           "pairs": [_pair_dict(pc) for pc in pairs]}, config.out)
     return 0
 
 
@@ -548,11 +508,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     for name, groups, text in (
             ("fit", [io], "fit the per-group regressions and report estimates"),
-            ("critical", [io, sim, region], "simulate the joint critical constant"),
             ("compare", [io, sim, region],
              "full run: constant, statistics, p-values, regions"),
-            ("pvalues", [io, sim, region],
-             "observed statistics and adjusted p-values"),
             ("roy", [io, sim], "largest-root test (two-sample or k-sample)"),
             ("tube", [io, sim, region, band],
              "export one pair's band along a covariate grid")):
@@ -560,8 +517,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMMANDS = {"fit": _cmd_fit, "critical": _cmd_critical, "compare": _cmd_compare,
-             "pvalues": _cmd_pvalues, "roy": _cmd_roy, "tube": _cmd_tube}
+_COMMANDS = {"fit": _cmd_fit, "compare": _cmd_compare, "roy": _cmd_roy,
+             "tube": _cmd_tube}
 _EXIT_CODES = {OSError: 2, InputDataError: 2, DegeneracyError: 3, UsageError: 4}
 
 

@@ -206,8 +206,6 @@ def test_parse_family_forms(three_group_fit):
 def test_config_validation():
     RunConfig().validate()
     cases = [
-        dict(alpha=0.0),
-        dict(alpha=1.0),
         dict(reps=999),
         dict(grid=1),
     ]
@@ -399,15 +397,20 @@ def test_exit_codes(tmp_path, capsys):
             lines.append(f"{label},{float(i)!r},{float(1 + 2 * i)!r}")
     write_lines(exact, lines)
     assert main(["compare", str(exact), "--reps", "1000"]) == 3
+    # tube reads compare's constant, so a degenerate scatter wins over
+    # too small an alpha * reps in both.
+    for command in ("compare", "tube"):
+        assert main([command, str(exact), "--reps", "1000", "--alpha", "0.005",
+                     "--range", "0:9"]) == 3
 
     # A data error wins over every flag error in every command: family
     # and range texts are parsed only after the data are fitted.
     flat = tmp_path / "flat.csv"
     write_lines(flat, ["group,x1,y1"] + [f"{label},1.0,{i}.5" for label in "AB"
                                          for i in range(5)])
-    for command in ("critical", "pvalues", "compare", "roy", "tube"):
+    for command in ("compare", "roy", "tube"):
         assert main([command, str(flat), "--alpha", "1.5"]) == 2
-    for command in ("critical", "pvalues", "compare", "tube"):
+    for command in ("compare", "tube"):
         for flag in (["--family", "foo"], ["--family", "control:"],
                      ["--range", "1:2:3"], ["--range", "0:1,2"]):
             assert main([command, str(flat), "--reps", "1000", *flag]) == 2
@@ -422,13 +425,13 @@ def test_exit_codes(tmp_path, capsys):
     write_lines(one, ["group,x1,y1", "A,0,1.2", "A,1,2.9", "A,2,5.1", "A,3,7.2"])
     assert main(["fit", str(one)]) == 0
     capsys.readouterr()
-    for command in ("critical", "pvalues", "compare", "roy", "tube"):
+    for command in ("compare", "roy", "tube"):
         for flag in ([], ["--alpha", "1.5"]):
             assert main([command, str(one), "--reps", "1000", *flag]) == 2
             assert "need at least 2 groups to compare, got 1" \
                 in capsys.readouterr().err
     # The seed and the worker count are checked where they are used.
-    for command in ("compare", "critical", "pvalues", "tube", "roy"):
+    for command in ("compare", "tube", "roy"):
         box = [] if command == "roy" else ["--range", "0:10"]
         for flag in (["--seed", "-1"], ["--seed", str(2 ** 64)],
                      ["--workers", "0"]):
@@ -440,6 +443,20 @@ def test_exit_codes(tmp_path, capsys):
                  "--family", "control:missing"]) == 4
     assert main(["compare", str(good), "--reps", "1000",
                  "--range", "0:1,2:3"]) == 4
+
+
+@pytest.mark.parametrize("command", ["compare", "tube", "roy"])
+def test_bad_alpha_is_refused_where_it_is_used(tmp_path, capsys, command):
+    # The library call that reads alpha refuses it: sct_engine.compare
+    # (for compare and tube) and roy_k_sample.
+    path = tmp_path / "data.csv"
+    synthetic_csv(path, m=1)
+    box = [] if command == "roy" else ["--range", "0:10"]
+    for alpha in ("0", "1", "nan"):
+        assert main([command, str(path), "--reps", "1000", "--alpha", alpha,
+                     *box, "--out", str(tmp_path / "out")]) == 4
+        assert "alpha must be in (0, 1)" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_negative_range_may_follow_its_flag(tmp_path):
@@ -642,46 +659,27 @@ def test_fit_subcommand(tmp_path, capsys):
     assert doc["scatter_degenerate"] is False
 
 
-def test_critical_subcommand(tmp_path):
-    path = tmp_path / "data.csv"
-    synthetic_csv(path, m=1)
-    out = tmp_path / "crit.json"
-    assert main(["critical", str(path), "--reps", "2000", "--seed", "7",
-                 "--range", "0:10", "--out", str(out)]) == 0
-    doc = json.loads(out.read_text())
-    assert doc["c_hat"] > 0.0
-    assert doc["rank"] == 1900
-    assert doc["box"] == ["0:10"]
-
-
-def test_pvalues_subcommand(tmp_path, capsys):
-    path = tmp_path / "data.csv"
-    synthetic_csv(path, m=1, offset=0.5)
-    out = tmp_path / "p.json"
-    assert main(["pvalues", str(path), "--reps", "2000",
-                 "--out", str(out)]) == 0
-    assert "p=" in capsys.readouterr().out
-    doc = json.loads(out.read_text())
-    assert len(doc["pairs"]) == 1
-    assert 0.0 <= doc["pairs"][0]["p_value"] <= 1.0
-
-
 def three_group_csv(path):
     rng = np.random.default_rng(16)
     coef = np.array([[1.0, 2.0], [0.5, -0.3]])
     write_csv(make_dataset(rng, (8, 9, 10), (coef, coef + 0.3, coef - 0.2)), path)
 
 
-def test_pvalues_needs_no_critical_constant(tmp_path):
+@pytest.mark.parametrize("command", ["critical", "pvalues"])
+def test_removed_views_are_invalid_choices(tmp_path, capsys, command):
+    # compare's report carries the constant, each pair's statistic and
+    # p-value; tube reads its constant from compare.
     path = tmp_path / "data.csv"
-    synthetic_csv(path, m=1, offset=0.5)
-    small = ["--reps", "1000", "--alpha", "0.005"]   # alpha * r = 5 < 10
-    assert main(["pvalues", str(path), *small]) == 0
-    assert main(["critical", str(path), *small]) == 4
-    assert main(["compare", str(path), *small]) == 4
+    synthetic_csv(path, m=1)
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(path), "--reps", "1000"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
-def test_pvalues_computes_each_observed_statistic_once(tmp_path, monkeypatch):
+@pytest.mark.parametrize("command", ["compare", "tube"])
+def test_each_observed_statistic_is_computed_once_per_run(tmp_path, monkeypatch,
+                                                          command):
     path = tmp_path / "three.csv"
     three_group_csv(path)
     calls = []
@@ -692,12 +690,14 @@ def test_pvalues_computes_each_observed_statistic_once(tmp_path, monkeypatch):
         return real(fit, pair, box)
 
     monkeypatch.setattr(sct_engine, "observed_statistic", counting)
-    assert main(["pvalues", str(path), "--reps", "1000"]) == 0
+    assert main([command, str(path), "--reps", "1000", "--range", "0:10",
+                 "--out", str(tmp_path / "out")]) == 0
     assert calls == [(1, 2), (1, 3), (2, 3)]
 
 
-@pytest.mark.parametrize("box", [[], ["--range", "0:10"]])
+@pytest.mark.parametrize("box", [["--range", "0:10"], ["--range", "-5:5"]])
 def test_subcommands_agree_with_compare(tmp_path, box):
+    # tube's sidecar carries compare's header and constant on the same flags.
     path = tmp_path / "three.csv"
     three_group_csv(path)
 
@@ -708,25 +708,12 @@ def test_subcommands_agree_with_compare(tmp_path, box):
         return out
 
     full = json.loads(run("compare").read_text())
-    crit = json.loads(run("critical").read_text())
-    pvals = json.loads(run("pvalues").read_text())
-    header = ("alpha", "reps", "seed", "family", "box", "nu", "p", "m")
-    for doc in (crit, pvals):
-        assert {key: doc[key] for key in header} == {key: full[key] for key in header}
-    assert {key: crit[key] for key in full["critical"]} == full["critical"]
-    assert [(p["i"], p["j"], p["statistic"], p["argmax"], p["p_value"])
-            for p in pvals["pairs"]] \
-        == [(p["i"], p["j"], p["statistic"], p["argmax"], p["p_value"])
-            for p in full["pairs"]]
-    # pvalues estimates no constant, so its pairs carry no decision.
-    assert all("reject" not in p and "significance_regions" not in p
-               for p in pvals["pairs"])
-    if not box:
-        return
     tube = run("tube")
     meta = json.loads((tmp_path / "tube.out.meta.json").read_text())
+    header = ("alpha", "reps", "seed", "stream", "family", "box", "nu", "p", "m")
     assert {key: meta[key] for key in header} == {key: full[key] for key in header}
     assert meta["c_hat"] == full["critical"]["c_hat"]
+    assert meta["order_stat_interval"] == full["critical"]["order_stat_interval"]
     # Each band edge is mid +- sqrt(c * e' delta e * omega_qq), e = (1, x).
     fit = fit_models(ingest_csv(path))
     db, delta = fit.coef_difference(*meta["pair"]), fit.delta(*meta["pair"])
@@ -816,12 +803,12 @@ def test_reports_carry_the_stream_version(tmp_path, command):
     ["fit", "--family", "pairwise"],
     ["fit", "--range", "0:1"],
     ["fit", "--grid", "3"],
-    ["critical", "--grid", "3"],
-    ["pvalues", "--pair", "A:B"],
     ["compare", "--grid", "3"],
     ["compare", "--pair", "A:B"],
     ["compare", "--bogus"],
     ["compare", "--reps", "lots"],
+    ["tube", "--bogus"],
+    ["tube", "--grid", "many"],
 ])
 def test_flags_a_command_does_not_act_on_are_refused(tmp_path, argv):
     path = tmp_path / "three.csv"
@@ -851,7 +838,7 @@ def test_tail_guard_runs_before_simulating(tmp_path, monkeypatch):
     with pytest.raises(TooFewReplicates):
         classical_tests.roy_k_sample(fit, 4e-6, 2_000_000, 0)
     flags = ["--reps", "2000000", "--alpha", "4e-6", "--range", "0:10"]
-    for command in ("critical", "compare", "tube"):
+    for command in ("compare", "tube"):
         assert main([command, str(path), *flags]) == 4
     assert main(["roy", str(path), *flags[:4]]) == 4
 

